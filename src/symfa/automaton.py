@@ -10,22 +10,38 @@ the state distribution after each observation follows the recursion
 
 Acceptance probability is the final alpha mass on accepting states, which
 equals the probability-weighted sum over all accepted boolean traces.
-Compiled automata are immutable; forward runs and gradients are pure
-functions and safe to call concurrently.
+
+Runs never build the dense matrices. On first use a CompiledSfa builds,
+and caches on itself, one evaluation plan: the transition list (src, dst)
+and all guards merged into one levelized circuit (circuit.Plan).
+Validation alone never pays for it. Each block of about BLOCK_ROWS
+probability rows (whole steps, t-major) is evaluated in one pass over the
+plan, giving every transition's guard value W_t, and the recursion runs
+sparsely over the transitions: alpha_t[j] = sum over transitions i -> j
+of alpha_{t-1}[i] · W_t. The gradient walks the blocks backwards with the
+adjoint recursion and one reverse pass over the plan per block.
+
+Compiled automata are immutable apart from that cache; two threads that
+race to build it build equal plans, so forward runs and gradients stay
+pure functions and safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import circuit
-from .circuit import CompiledGuard, compile_guard, wmc_batch
+from .circuit import CompiledGuard, compile_guard
+from .circuit import wmc_batch  # noqa: F401  (perfbench/layers.py traces this name)
 from .errors import (
     ConsistencyError,
     IncompleteError,
+    InputError,
     NonDeterministicError,
     SfaFileError,
 )
@@ -44,6 +60,7 @@ from .logic import (
 )
 
 ROW_SUM_RUNTIME_TOL = 1e-6
+BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -109,6 +126,11 @@ class CompiledSfa:
     @property
     def accepting(self) -> frozenset[int]:
         return self.sfa.accepting
+
+    @cached_property
+    def _plan(self) -> "_Plan":
+        """Merged evaluation plan, built on first use and kept."""
+        return _Plan(self)
 
 
 def _find_assignment(f: Formula, vocab_size: int, value: bool) -> Interpretation | None:
@@ -197,6 +219,25 @@ def validate_and_compile(
 
 
 # --- probabilistic runs ----------------------------------------------------
+#
+# Probability rows are laid out t-major, p[:, t·N + n] for step t of
+# sequence n, and evaluated in blocks of whole steps of about BLOCK_ROWS
+# rows, so memory stays bounded by the block whatever T·N is.
+
+class _Plan:
+    """Transition list of a CompiledSfa and the merged circuit of its guards."""
+
+    def __init__(self, c: CompiledSfa):
+        pairs = list(c.guards)
+        self.src = np.array([i for i, _ in pairs], dtype=np.intp)
+        self.dst = np.array([j for _, j in pairs], dtype=np.intp)
+        eye = np.eye(c.num_states)
+        # (n_trans, Q) 0/1 matrices: x @ from_src sums per source state,
+        # x @ into_dst per target state
+        self.from_src = eye[self.src]
+        self.into_dst = eye[self.dst]
+        self.circuit = circuit.Plan(list(c.guards.values()), len(c.vocab))
+
 
 def _check_probs(c: CompiledSfa, ps: np.ndarray, min_dims: int) -> np.ndarray:
     ps = np.asarray(ps, dtype=np.float64)
@@ -204,39 +245,56 @@ def _check_probs(c: CompiledSfa, ps: np.ndarray, min_dims: int) -> np.ndarray:
         raise ValueError(
             f"expected probability array (..., steps, {len(c.vocab)}), got shape {ps.shape}"
         )
+    if not np.isfinite(ps).all():
+        raise InputError("symbol probabilities must be finite")
     return ps
 
 
-def transition_tensor(c: CompiledSfa, ps, want_gradient: bool = False):
-    """Stack of transition matrices for probability rows ps (..., num_vars).
+def _step_blocks(steps: int, width: int):
+    """(t0, t1) ranges of whole steps, about BLOCK_ROWS rows each."""
+    per_block = max(1, BLOCK_ROWS // max(width, 1))
+    return [(t0, min(t0 + per_block, steps)) for t0 in range(0, steps, per_block)]
 
-    Returns (..., Q, Q) matrices, plus (..., Q, Q, num_vars) gradients when
-    requested. Row sums are checked against the runtime tolerance.
-    """
-    ps = _check_probs(c, ps, 1)
-    nq = c.num_states
-    mats = np.zeros(ps.shape[:-1] + (nq, nq))
-    grads = np.zeros(ps.shape[:-1] + (nq, nq, ps.shape[-1])) if want_gradient else None
-    for (i, j), g in c.guards.items():
-        value, grad = wmc_batch(g, ps, want_gradient)
-        mats[..., i, j] = value
-        if want_gradient:
-            grads[..., i, j, :] = grad
-    rows = mats.sum(axis=-1)
-    worst = float(np.abs(rows - 1.0).max()) if rows.size else 0.0
+
+def _block_rows(ps3: np.ndarray, t0: int, t1: int) -> np.ndarray:
+    """Rows of steps t0..t1-1 of ps3 (N, T, V), t-major: (V, (t1 − t0)·N)."""
+    return ps3[:, t0:t1, :].transpose(2, 1, 0).reshape(ps3.shape[2], -1)
+
+
+def _check_row_sums(plan: _Plan, roots: np.ndarray) -> None:
+    """Every state's outgoing guard values must sum to 1 on every row."""
+    if roots.size == 0:
+        return
+    worst = float(np.abs(roots.T @ plan.from_src - 1.0).max())
     if worst > ROW_SUM_RUNTIME_TOL:
         raise ConsistencyError(
             f"transition-matrix row sums off by {worst:.3e}; automaton was not validated correctly"
         )
-    return (mats, grads) if want_gradient else mats
 
 
-def transition_matrix(c: CompiledSfa, p, want_gradient: bool = False):
+def transition_tensor(c: CompiledSfa, ps):
+    """Stack of transition matrices for probability rows ps (..., num_vars).
+
+    Returns (..., Q, Q) matrices. Row sums are checked against the runtime
+    tolerance.
+    """
+    ps = _check_probs(c, ps, 1)
+    plan = c._plan
+    rows = ps.reshape(1, -1, ps.shape[-1])
+    mats = np.zeros((rows.shape[1], c.num_states, c.num_states))
+    for t0, t1 in _step_blocks(rows.shape[1], 1):
+        roots = plan.circuit.forward(_block_rows(rows, t0, t1))
+        _check_row_sums(plan, roots)
+        mats[t0:t1, plan.src, plan.dst] = roots.T
+    return mats.reshape(ps.shape[:-1] + (c.num_states, c.num_states))
+
+
+def transition_matrix(c: CompiledSfa, p):
     """Single transition matrix T with T[i, j] = P(guard(i, j) | p)."""
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError("transition_matrix expects one probability vector")
-    return transition_tensor(c, p, want_gradient)
+    return transition_tensor(c, p)
 
 
 def _initial_alpha(c: CompiledSfa, lead_shape: tuple) -> np.ndarray:
@@ -246,16 +304,28 @@ def _initial_alpha(c: CompiledSfa, lead_shape: tuple) -> np.ndarray:
 
 
 def forward_alphas(c: CompiledSfa, ps) -> np.ndarray:
-    """State distributions after each step, batched: (..., T, V) -> (..., T, Q)."""
+    """State distributions after each step, batched: (..., T, V) -> (..., T, Q).
+
+    alpha_t = (alpha_{t-1}[src] · W_t) summed per target state, where W_t
+    holds the guard value of every transition at step t.
+    """
     ps = _check_probs(c, ps, 2)
-    steps = ps.shape[-2]
-    mats = transition_tensor(c, ps)
-    alpha = _initial_alpha(c, ps.shape[:-2])
-    out = np.zeros(ps.shape[:-2] + (steps, c.num_states))
-    for t in range(steps):
-        alpha = np.einsum("...i,...ij->...j", alpha, mats[..., t, :, :])
-        out[..., t, :] = alpha
-    return out
+    lead, steps = ps.shape[:-2], ps.shape[-2]
+    plan = c._plan
+    width = math.prod(lead)
+    ps3 = ps.reshape((width,) + ps.shape[-2:])
+    out = np.empty((steps, width, c.num_states))
+    alpha = _initial_alpha(c, (width,))
+    moved = np.empty((width, len(plan.src)))
+    for t0, t1 in _step_blocks(steps, width):
+        roots = plan.circuit.forward(_block_rows(ps3, t0, t1))
+        _check_row_sums(plan, roots)
+        weights = roots.T.reshape(t1 - t0, width, len(plan.src))
+        for t in range(t0, t1):
+            alpha.take(plan.src, axis=1, out=moved)
+            moved *= weights[t - t0]
+            alpha = np.dot(moved, plan.into_dst, out=out[t])
+    return np.ascontiguousarray(out.transpose(1, 0, 2)).reshape(lead + (steps, c.num_states))
 
 
 def forward(c: CompiledSfa, ps) -> list[np.ndarray]:
@@ -299,50 +369,55 @@ def acceptance_batch(c: CompiledSfa, ps) -> np.ndarray:
     return alphas[..., -1, :] @ _accepting_mask(c)
 
 
-def backward_gradient(c: CompiledSfa, ps, alpha_grads) -> np.ndarray:
+def backward_gradient(c: CompiledSfa, ps, alpha_grads, alphas=None) -> np.ndarray:
     """Exact reverse-mode gradient of a loss through the state recursion.
 
     `ps` has shape (..., T, V); `alpha_grads` has shape (..., T, Q) and
     holds dLoss/dalpha_t for each step's distribution (zeros where the
-    loss does not read a step). The result is dLoss/dps, same shape as ps.
+    loss does not read a step). `alphas`, when given, must be
+    forward_alphas(c, ps); otherwise the forward pass is run here. The
+    result is dLoss/dps, same shape as ps.
+
+    Walking the blocks from the last step back, the adjoint recursion
+    abar_{t-1} = (W_t · abar_t[dst]) summed per source state seeds each
+    transition root with alpha_{t-1}[src] · abar_t[dst], and one reverse
+    pass over the merged circuit turns those seeds into dLoss/dp_t.
     """
     ps = _check_probs(c, ps, 2)
     alpha_grads = np.asarray(alpha_grads, dtype=np.float64)
-    steps = ps.shape[-2]
+    lead, steps = ps.shape[:-2], ps.shape[-2]
     if alpha_grads.shape != ps.shape[:-1] + (c.num_states,):
         raise ValueError(
             f"alpha_grads shape {alpha_grads.shape} does not match sequence shape"
         )
-    if steps == 0:
-        return np.zeros(ps.shape)
-
-    guard_vals = {}
-    guard_grads = {}
-    for pair, g in c.guards.items():
-        guard_vals[pair], guard_grads[pair] = wmc_batch(g, ps, want_gradient=True)
-
-    nq = c.num_states
-    mats = np.zeros(ps.shape[:-1] + (nq, nq))
-    for (i, j), vals in guard_vals.items():
-        mats[..., i, j] = vals
-
-    # replay the forward pass to have every alpha_t at hand
-    alpha = _initial_alpha(c, ps.shape[:-2])
-    prev = [alpha]
-    for t in range(steps):
-        alpha = np.einsum("...i,...ij->...j", alpha, mats[..., t, :, :])
-        prev.append(alpha)
-
-    out = np.zeros(ps.shape)
-    abar = np.zeros(ps.shape[:-2] + (nq,))
-    for t in range(steps - 1, -1, -1):
-        abar = abar + alpha_grads[..., t, :]
-        alpha_before = prev[t]
-        for (i, j), ggrad in guard_grads.items():
-            weight = alpha_before[..., i] * abar[..., j]
-            out[..., t, :] += weight[..., None] * ggrad[..., t, :]
-        abar = np.einsum("...ij,...j->...i", mats[..., t, :, :], abar)
-    return out
+    if alphas is None:
+        alphas = forward_alphas(c, ps)
+    elif np.shape(alphas) != alpha_grads.shape:
+        raise ValueError(f"alphas shape {np.shape(alphas)} does not match sequence shape")
+    plan = c._plan
+    width = math.prod(lead)
+    ps3 = ps.reshape((width,) + ps.shape[-2:])
+    alphas3 = np.asarray(alphas, dtype=np.float64).reshape(width, steps, c.num_states)
+    grads3 = alpha_grads.reshape(width, steps, c.num_states)
+    before = np.concatenate((_initial_alpha(c, (width, 1)), alphas3[:, :-1]), axis=1)
+    out = np.empty(ps3.shape)
+    abar = np.zeros((width, c.num_states))
+    moved = np.empty((width, len(plan.src)))
+    for t0, t1 in reversed(_step_blocks(steps, width)):
+        rows = _block_rows(ps3, t0, t1)
+        roots, tape = plan.circuit.forward(rows, keep=True)
+        weights = roots.T.reshape(t1 - t0, width, len(plan.src))
+        at_dst = np.empty((t1 - t0, width, len(plan.src)))
+        for t in range(t1 - 1, t0 - 1, -1):
+            abar += grads3[:, t, :]
+            abar.take(plan.dst, axis=1, out=at_dst[t - t0])
+            np.multiply(weights[t - t0], at_dst[t - t0], out=moved)
+            np.dot(moved, plan.from_src, out=abar)
+        # root seeds alpha_{t-1}[src] · abar_t[dst]
+        at_dst *= before[:, t0:t1, :].take(plan.src, axis=2).transpose(1, 0, 2)
+        grad = plan.circuit.backward(rows, tape, at_dst.reshape(-1, len(plan.src)).T)
+        out[:, t0:t1, :] = grad.reshape(ps.shape[-1], t1 - t0, width).transpose(2, 1, 0)
+    return out.reshape(lead + (steps, ps.shape[-1]))
 
 
 def forward_backward_grad(c: CompiledSfa, ps, loss_grad_on_alphas) -> list[np.ndarray]:

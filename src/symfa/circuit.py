@@ -8,13 +8,24 @@ On that form the probability of the guard under independent per-variable
 probabilities is a single bottom-up pass, and its gradient a single
 top-down pass, both linear in circuit size.
 
-Circuits are immutable after compilation; evaluation allocates only local
-buffers and is safe to run concurrently from multiple threads.
+The circuits are ordered decision diagrams. `Plan` merges the guards of
+one automaton into a single hash-consed diagram, levelized by height, so
+that evaluating every guard on a block of probability rows, and the
+reverse pass for its gradient, cost a few numpy calls per level instead
+of interpreting each guard node by node (the layered evaluation of KLay,
+Maene et al. 2024). `wmc`/`wmc_batch` still interpret one guard and answer
+the satisfiability and validity checks.
+
+Circuits and plans are immutable after construction; evaluation
+allocates only local buffers and is safe to run concurrently from
+multiple threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from typing import Sequence
 
 import numpy as np
 
@@ -167,26 +178,24 @@ def compile_guard(
             raise ValueError(f"order must be a permutation of 0..{num_vars - 1}")
 
     builder = _Builder(num_vars, max_nodes)
-    memo: dict[tuple[int, Formula], int] = {}
+    position = {var: depth for depth, var in enumerate(order)}
+    # the node of a residual formula depends on the formula alone: it
+    # branches on its earliest support variable in the order
+    memo: dict[Formula, int] = {}
 
-    def shannon(depth: int, g: Formula) -> int:
+    def shannon(g: Formula) -> int:
         if isinstance(g, Const):
             return builder.const(1 if g.value else 0)
-        key = (depth, g)
-        found = memo.get(key)
+        found = memo.get(g)
         if found is not None:
             return found
-        var = order[depth]
-        if var not in support(g):
-            out = shannon(depth + 1, g)
-        else:
-            hi = shannon(depth + 1, restrict(g, var, True))
-            lo = shannon(depth + 1, restrict(g, var, False))
-            out = builder.decision(var, hi, lo)
-        memo[key] = out
+        var = order[min(position[v] for v in support(g))]
+        hi = shannon(restrict(g, var, True))
+        lo = shannon(restrict(g, var, False))
+        out = memo[g] = builder.decision(var, hi, lo)
         return out
 
-    root = shannon(0, f)
+    root = shannon(f)
     return CompiledGuard(tuple(builder.nodes), root, num_vars)
 
 
@@ -268,6 +277,193 @@ def wmc(g: CompiledGuard, p, want_gradient: bool = False) -> WmcResult:
         raise ValueError("wmc expects a single probability vector; see wmc_batch")
     value, grad = wmc_batch(g, p, want_gradient)
     return WmcResult(float(value), grad)
+
+
+@dataclass(frozen=True)
+class _Level:
+    """Decision nodes start..stop-1 of a Plan, all of one height.
+
+    Node k tests var[k] and takes value lo + p[var]·(hi − lo). For the
+    reverse pass, edge e brings adjoint row edge_src[e] times weight row
+    edge_weight[e] into the level, and the 0/1 matrix `edge_sum` (nodes ×
+    edges) adds up each node's incoming edges.
+    """
+
+    start: int
+    stop: int
+    var: np.ndarray
+    hi: np.ndarray
+    lo: np.ndarray
+    edge_src: np.ndarray
+    edge_weight: np.ndarray
+    edge_sum: np.ndarray
+
+
+class Plan:
+    """Merged, levelized decision diagram of several guards over one vocabulary.
+
+    compile_guard emits ordered decision diagrams in three node shapes: a
+    leaf, prod(leaf, x) and sum(prod(leaf+, hi), prod(leaf−, lo)), where a
+    missing prod stands for a constant-1 branch. The plan decodes each
+    reachable node into a decision node (var, hi, lo), hash-conses the
+    decision nodes of all guards into one array (unreachable nodes are
+    never visited), and groups them into levels by height above the
+    constants. Evaluating p of shape (num_vars, rows) then costs a few
+    numpy calls per level, not per node or per guard, and a reverse pass
+    over the same levels yields the gradient of any weighted sum of roots.
+
+    Node 0 is the constant 0, node 1 the constant 1; `roots[k]` is the
+    node of guard k. Plans are immutable; evaluation allocates only local
+    buffers and is safe to run concurrently.
+    """
+
+    def __init__(self, guards: Sequence[CompiledGuard], num_vars: int):
+        if any(g.num_vars != num_vars for g in guards):
+            raise ValueError(f"every guard must range over {num_vars} variables")
+        self.num_vars = num_vars
+        decisions: list[tuple[int, int, int]] = []  # (var, hi, lo), merged ids
+        unique: dict[tuple[int, int, int], int] = {}
+        heights = [0, 0]
+
+        def intern(var: int, hi: int, lo: int) -> int:
+            key = (var, hi, lo)
+            found = unique.get(key)
+            if found is None:
+                found = unique[key] = len(decisions) + 2
+                decisions.append(key)
+                heights.append(1 + max(heights[hi], heights[lo]))
+            return found
+
+        roots = []
+        for g in guards:
+            memo: dict[int, int] = {}
+
+            def literal(i: int) -> tuple[int, bool]:
+                node = g.nodes[i]
+                if node[0] != KIND_LEAF:
+                    raise ValueError("guard circuit is not an ordered decision diagram")
+                return node[1], node[2]
+
+            def branch(i: int) -> tuple[int, bool, int]:
+                """(var, sign, merged child) of one side of a decision."""
+                if g.nodes[i][0] == KIND_PROD:
+                    lit, child = g.nodes[i][1]
+                    return (*literal(lit), merge(child))
+                return (*literal(i), 1)
+
+            def merge(i: int) -> int:
+                found = memo.get(i)
+                if found is not None:
+                    return found
+                node = g.nodes[i]
+                if node[0] == KIND_CONST:
+                    out = node[1]
+                elif node[0] == KIND_SUM:
+                    var, pos, hi = branch(node[1][0])
+                    var_lo, neg, lo = branch(node[1][1])
+                    if var_lo != var or not pos or neg:
+                        raise ValueError("guard circuit is not an ordered decision diagram")
+                    out = intern(var, hi, lo)
+                else:
+                    var, pos, child = branch(i)
+                    out = intern(var, child, 0) if pos else intern(var, 0, child)
+                memo[i] = out
+                return out
+
+            roots.append(merge(g.root))
+
+        # renumber by height so that each level is one contiguous slice
+        order = sorted(range(2, len(heights)), key=lambda i: (heights[i], i))
+        renum = {0: 0, 1: 1}
+        renum.update({old: new for new, old in enumerate(order, start=2)})
+        self.num_nodes = len(heights)
+        self.roots = np.array([renum[r] for r in roots], dtype=np.intp)
+        var = np.zeros(self.num_nodes, dtype=np.intp)
+        hi = np.zeros(self.num_nodes, dtype=np.intp)
+        lo = np.zeros(self.num_nodes, dtype=np.intp)
+        for old in order:
+            v, h, l = decisions[old - 2]
+            var[renum[old]], hi[renum[old]], lo[renum[old]] = v, renum[h], renum[l]
+
+        # adjoint edges (receiving node, source row, weight row): a hi child
+        # receives adj·p[var], a lo child adj·(1 − p[var]), a root its seed
+        # row num_nodes + k with weight 1
+        edges = []
+        for n in range(2, self.num_nodes):
+            edges.append((hi[n], n, var[n]))
+            edges.append((lo[n], n, num_vars + var[n]))
+        edges.extend((r, self.num_nodes + k, 2 * num_vars) for k, r in enumerate(self.roots))
+        edges = [e for e in edges if e[0] >= 2]
+
+        self.levels: list[_Level] = []
+        start = 2
+        for _, same_height in groupby(heights[old] for old in order):
+            stop = start + len(list(same_height))
+            into = [e for e in edges if start <= e[0] < stop]
+            edge_sum = np.zeros((stop - start, len(into)))
+            edge_sum[[e[0] - start for e in into], range(len(into))] = 1.0
+            self.levels.append(
+                _Level(
+                    start,
+                    stop,
+                    var[start:stop],
+                    hi[start:stop],
+                    lo[start:stop],
+                    np.array([e[1] for e in into], dtype=np.intp),
+                    np.array([e[2] for e in into], dtype=np.intp),
+                    edge_sum,
+                )
+            )
+            start = stop
+
+        # 0/1 (num_vars × decision nodes) matrix summing dvalue/dp per variable
+        self._var_sum = np.zeros((num_vars, self.num_nodes - 2))
+        self._var_sum[var[2:], range(self.num_nodes - 2)] = 1.0
+
+    def forward(self, p: np.ndarray, keep: bool = False):
+        """Root values (num_roots, rows) for p of shape (num_vars, rows).
+
+        With `keep`, also returns the tape `backward` needs: every node's
+        hi − lo difference.
+        """
+        rows = p.shape[1]
+        vals = np.empty((self.num_nodes, rows))
+        vals[0] = 0.0
+        vals[1] = 1.0
+        diff = np.empty_like(vals) if keep else None
+        for lev in self.levels:
+            hi = vals.take(lev.hi, axis=0)
+            lo = vals.take(lev.lo, axis=0)
+            d = np.subtract(hi, lo, out=diff[lev.start : lev.stop] if keep else hi)
+            out = vals[lev.start : lev.stop]
+            np.multiply(d, p.take(lev.var, axis=0), out=out)
+            out += lo
+        roots = vals.take(self.roots, axis=0)
+        return (roots, diff) if keep else roots
+
+    def backward(self, p: np.ndarray, tape, root_adjoints: np.ndarray) -> np.ndarray:
+        """Gradient of sum(root_adjoints · roots) w.r.t. p, shape (num_vars, rows).
+
+        `tape` comes from `forward(p, keep=True)`; `root_adjoints` has the
+        roots' shape.
+        """
+        diff = tape
+        n, v = self.num_nodes, self.num_vars
+        rows = p.shape[1]
+        adj = np.empty((n + len(self.roots), rows))
+        adj[n:] = root_adjoints
+        weights = np.empty((2 * v + 1, rows))
+        weights[:v] = p
+        np.subtract(1.0, p, out=weights[v : 2 * v])
+        weights[2 * v] = 1.0
+        for lev in reversed(self.levels):
+            contrib = adj.take(lev.edge_src, axis=0)
+            contrib *= weights.take(lev.edge_weight, axis=0)
+            np.matmul(lev.edge_sum, contrib, out=adj[lev.start : lev.stop])
+        # d(lo + p·(hi − lo))/dp = hi − lo
+        per_node = diff[2:]
+        per_node *= adj[2:n]
+        return self._var_sum @ per_node
 
 
 def is_satisfiable(g: CompiledGuard) -> bool:

@@ -19,10 +19,10 @@ import numpy as np
 from .automaton import (
     CompiledSfa,
     _accepting_mask,
-    acceptance_batch,
     backward_gradient,
     forward_alphas,
 )
+from .automaton import acceptance_batch  # noqa: F401  (perfbench/layers.py traces this name)
 from .errors import DivergenceError
 
 LOG_CLAMP = 1e-7
@@ -162,26 +162,37 @@ def _param_grads(features, probs, dloss_dprobs):
     return flat_s.T @ flat_f, flat_s.sum(axis=0)
 
 
+def _symbol_probs(extractor, features) -> np.ndarray:
+    probs = extractor.extract(features)
+    if not np.isfinite(probs).all():
+        raise DivergenceError("extractor produced non-finite symbol probabilities")
+    return probs
+
+
 def _batch_sequence_loss(c: CompiledSfa, extractor, features, labels):
     """Mean BCE over a batch of equal-length sequences, with gradients.
 
-    features: (B, T, m); labels: (B,) of 0/1. Returns (loss, dW, db).
+    features: (B, T, m); labels: (B,) of 0/1. Returns (loss, dW, db,
+    correct), where `correct` counts sequences whose acceptance is on the
+    label's side of 0.5. One forward recursion serves all four.
     """
     labels = np.asarray(labels, dtype=np.float64)
-    probs = extractor.extract(features)
-    accept = acceptance_batch(c, probs)  # (B,)
+    probs = _symbol_probs(extractor, features)
+    alphas = forward_alphas(c, probs)
+    mask = _accepting_mask(c)
+    accept = alphas[:, -1, :] @ mask  # (B,)
     log_p, dlog_p = _clamped_log_grad(accept)
     log_q, dlog_q = _clamped_log_grad(1.0 - accept)
     losses = -(labels * log_p + (1.0 - labels) * log_q)
     batch = labels.shape[0]
     # dLoss/dAccept for the batch-mean loss
     dacc = (-(labels * dlog_p) + (1.0 - labels) * dlog_q) / batch
-    mask = _accepting_mask(c)
-    alpha_grads = np.zeros(features.shape[:2] + (c.num_states,))
+    alpha_grads = np.zeros(alphas.shape)
     alpha_grads[:, -1, :] = dacc[:, None] * mask
-    dprobs = backward_gradient(c, probs, alpha_grads)
+    dprobs = backward_gradient(c, probs, alpha_grads, alphas)
     dw, db = _param_grads(features, probs, dprobs)
-    return float(losses.mean()), dw, db
+    correct = int(((accept >= 0.5) == labels.astype(bool)).sum())
+    return float(losses.mean()), dw, db, correct
 
 
 def sequence_loss(c: CompiledSfa, extractor, seq: LabeledSequence):
@@ -192,7 +203,7 @@ def sequence_loss(c: CompiledSfa, extractor, seq: LabeledSequence):
     """
     if seq.label is None:
         raise ValueError("sequence_loss needs a sequence-level binary label")
-    loss, dw, db = _batch_sequence_loss(
+    loss, dw, db, _ = _batch_sequence_loss(
         c, extractor, seq.features[None, :, :], np.array([seq.label])
     )
     return loss, (dw, db)
@@ -200,22 +211,27 @@ def sequence_loss(c: CompiledSfa, extractor, seq: LabeledSequence):
 
 def _step_label_matrix(c, state_to_label, step_labels, num_steps):
     """Per-step 0/1 mask over states matching the step's label; None rows stay 0."""
+    active = np.array([lab is not None for lab in step_labels], dtype=bool).reshape(num_steps)
+    labels = np.fromiter(step_labels, dtype=object, count=num_steps)
     sel = np.zeros((num_steps, c.num_states))
-    active = np.zeros(num_steps, dtype=bool)
-    for t, lab in enumerate(step_labels):
-        if lab is None:
-            continue
-        active[t] = True
-        hits = [q for q in range(c.num_states) if state_to_label[q] == lab]
-        if not hits:
-            raise ValueError(f"label {lab!r} at step {t} matches no state")
-        sel[t, hits] = 1.0
+    for q in range(c.num_states):
+        sel[:, q] = labels == state_to_label[q]
+    sel[~active] = 0.0
+    missing = np.flatnonzero(active & ~sel.any(axis=1))
+    if missing.size:
+        t = int(missing[0])
+        raise ValueError(f"label {step_labels[t]!r} at step {t} matches no state")
     return sel, active
 
 
 def _batch_tagging_loss(c, extractor, features, label_masks, active):
-    """Summed per-step CE over a batch: features (B,T,m), masks (B,T,Q)."""
-    probs = extractor.extract(features)
+    """Summed per-step CE over a batch: features (B,T,m), masks (B,T,Q).
+
+    Returns (loss, dW, db, correct), where `correct` counts active steps
+    whose most probable state carries the step's label. One forward
+    recursion serves all four.
+    """
+    probs = _symbol_probs(extractor, features)
     alphas = forward_alphas(c, probs)  # (B, T, Q)
     step_probs = (alphas * label_masks).sum(axis=-1)  # (B, T)
     log_p, dlog_p = _clamped_log_grad(step_probs)
@@ -223,9 +239,11 @@ def _batch_tagging_loss(c, extractor, features, label_masks, active):
     batch = features.shape[0]
     dstep = -(dlog_p * active) / batch  # (B, T)
     alpha_grads = dstep[..., None] * label_masks
-    dprobs = backward_gradient(c, probs, alpha_grads)
+    dprobs = backward_gradient(c, probs, alpha_grads, alphas)
     dw, db = _param_grads(features, probs, dprobs)
-    return float(per_seq.mean()), dw, db
+    hits = np.take_along_axis(label_masks, alphas.argmax(axis=-1)[..., None], axis=-1)
+    correct = int(hits[..., 0][active].sum())
+    return float(per_seq.mean()), dw, db, correct
 
 
 def tagging_loss(c: CompiledSfa, extractor, seq: LabeledSequence, state_to_label):
@@ -239,7 +257,7 @@ def tagging_loss(c: CompiledSfa, extractor, seq: LabeledSequence, state_to_label
     if seq.step_labels is None:
         raise ValueError("tagging_loss needs per-step labels")
     sel, active = _step_label_matrix(c, state_to_label, seq.step_labels, len(seq.features))
-    loss, dw, db = _batch_tagging_loss(
+    loss, dw, db, _ = _batch_tagging_loss(
         c, extractor, seq.features[None], sel[None], active[None]
     )
     return loss, (dw, db)
@@ -276,11 +294,11 @@ class _Adam:
             p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def _group_equal_length(batch: list[LabeledSequence]):
-    """Bucket a minibatch by sequence length, preserving first-seen order."""
-    groups: dict[int, list[LabeledSequence]] = {}
-    for seq in batch:
-        groups.setdefault(len(seq.features), []).append(seq)
+def _group_equal_length(data: Sequence[LabeledSequence], batch) -> list[list[int]]:
+    """Bucket a minibatch of data indices by sequence length, in first-seen order."""
+    groups: dict[int, list[int]] = {}
+    for k in batch:
+        groups.setdefault(len(data[k].features), []).append(k)
     return list(groups.values())
 
 
@@ -313,8 +331,15 @@ def train(
     if len(kinds) != 1:
         raise ValueError("mix of sequence-level and per-step labels")
     tagging = data[0].label is None
-    if tagging and state_to_label is None:
-        state_to_label = {q: q for q in range(c.num_states)}
+    if tagging:
+        if state_to_label is None:
+            state_to_label = {q: q for q in range(c.num_states)}
+        label_masks, actives = zip(
+            *(
+                _step_label_matrix(c, state_to_label, seq.step_labels, len(seq.features))
+                for seq in data
+            )
+        )
 
     feature_dim = data[0].features.shape[1]
     rng = np.random.default_rng(cfg.seed)
@@ -336,42 +361,23 @@ def train(
         correct = 0
         total = 0
         for start in range(0, len(data), cfg.batch_size):
-            batch = [data[k] for k in order[start : start + cfg.batch_size]]
+            batch = order[start : start + cfg.batch_size]
             dw = np.zeros_like(extractor.weights)
             db = np.zeros_like(extractor.bias)
             batch_loss = 0.0
-            for group in _group_equal_length(batch):
-                feats = np.stack([seq.features for seq in group])
+            for group in _group_equal_length(data, batch):
+                feats = np.stack([data[k].features for k in group])
                 share = len(group) / len(batch)
                 if tagging:
-                    masks = []
-                    actives = []
-                    for seq in group:
-                        sel, act = _step_label_matrix(
-                            c, state_to_label, seq.step_labels, len(seq.features)
-                        )
-                        masks.append(sel)
-                        actives.append(act)
-                    loss, gdw, gdb = _batch_tagging_loss(
-                        c, extractor, feats, np.stack(masks), np.stack(actives)
-                    )
-                    probs = extractor.extract(feats)
-                    alphas = forward_alphas(c, probs)
-                    pred_labels = np.array(
-                        [[state_to_label[q] for q in row] for row in alphas.argmax(axis=-1)]
-                    )
-                    for b, seq in enumerate(group):
-                        for t, lab in enumerate(seq.step_labels):
-                            if lab is not None:
-                                total += 1
-                                correct += int(pred_labels[b, t] == lab)
+                    masks = np.stack([label_masks[k] for k in group])
+                    act = np.stack([actives[k] for k in group])
+                    loss, gdw, gdb, hits = _batch_tagging_loss(c, extractor, feats, masks, act)
+                    total += int(act.sum())
                 else:
-                    labels = np.array([seq.label for seq in group])
-                    loss, gdw, gdb = _batch_sequence_loss(c, extractor, feats, labels)
-                    probs = extractor.extract(feats)
-                    predicted = acceptance_batch(c, probs) >= 0.5
-                    correct += int((predicted == labels.astype(bool)).sum())
+                    labels = np.array([data[k].label for k in group])
+                    loss, gdw, gdb, hits = _batch_sequence_loss(c, extractor, feats, labels)
                     total += len(group)
+                correct += hits
                 # group losses/grads are means over the group; reweight to
                 # make the minibatch objective the mean over the minibatch
                 batch_loss += loss * share

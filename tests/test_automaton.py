@@ -28,6 +28,7 @@ from symfa.bench import random_pattern
 from symfa.errors import (
     ConsistencyError,
     IncompleteError,
+    InputError,
     NonDeterministicError,
     SfaFileError,
 )
@@ -240,6 +241,14 @@ class TestForward:
     def test_vocabulary_mismatch(self, driving):
         with pytest.raises(ValueError):
             forward(driving.compiled, np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probabilities_rejected(self, driving, bad):
+        ps = np.array([[0.8, 0.3, 0.6], [bad, 0.2, 0.3]])
+        with pytest.raises(InputError, match="finite"):
+            acceptance(driving.compiled, ps)
+        with pytest.raises(InputError, match="finite"):
+            acceptance_batch(driving.compiled, ps[None])
 
 
 class TestBackwardGradient:

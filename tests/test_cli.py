@@ -103,6 +103,16 @@ class TestInfer:
         assert main(["infer", driving_path, str(data)]) == 2
         assert "--model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_probabilities_are_an_input_error(
+        self, driving_path, tmp_path, capsys, bad
+    ):
+        data = tmp_path / "bad.jsonl"
+        data.write_text(json.dumps({"probs": [P1, [bad, 0.2, 0.3]]}) + "\n")
+        for mode in ("accept", "tag"):
+            assert main(["infer", driving_path, str(data), "--mode", mode]) == 2
+            assert "finite" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_jsonl_to_stdout(self, capsys):

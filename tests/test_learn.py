@@ -283,6 +283,71 @@ class TestTraining:
         assert result.history[-1].loss < result.history[0].loss
         assert result.history[-1].metric > 0.8
 
+    @staticmethod
+    def _tagging_data(rng, labels, lengths=(5, 7)):
+        data = []
+        for k in range(24):
+            steps = lengths[k % len(lengths)]
+            step_labels = [labels[int(rng.integers(len(labels)))] for _ in range(steps)]
+            data.append(LabeledSequence(rng.normal(size=(steps, 4)), step_labels=step_labels))
+        return data
+
+    def test_tagging_metric_with_shared_labels(self, events):
+        # two states emit "busy": accuracy asks whether the most probable
+        # state carries the step's label, not whether it is one given state
+        from symfa import forward
+
+        compiled = events.compiled
+        state_to_label = {0: "idle", 1: "busy", 2: "busy"}
+        rng = np.random.default_rng(17)
+        data = self._tagging_data(rng, ["idle", "busy", None])
+        init = make_extractor(rng, len(compiled.vocab), 4)
+        cfg = TrainConfig(learning_rate=0.0, max_epochs=1, batch_size=5, seed=2)
+        result = train(compiled, data, cfg, state_to_label=state_to_label, init=init)
+        correct = total = 0
+        for seq in data:
+            alphas = forward(compiled, init.extract(seq.features))
+            for alpha, lab in zip(alphas, seq.step_labels):
+                if lab is not None:
+                    total += 1
+                    correct += state_to_label[int(np.argmax(alpha))] == lab
+        assert 0 < correct < total
+        assert result.history[0].metric == correct / total
+
+    def test_seeded_tagging_runs_are_bitwise_identical(self, events):
+        compiled = events.compiled
+        data = self._tagging_data(np.random.default_rng(5), [0, 1, 2, None])
+        cfg = TrainConfig(learning_rate=0.05, max_epochs=4, batch_size=7, seed=3)
+        a = train(compiled, data, cfg)
+        b = train(compiled, data, cfg)
+        assert [(r.loss, r.metric) for r in a.history] == [(r.loss, r.metric) for r in b.history]
+        assert np.array_equal(a.extractor.weights, b.extractor.weights)
+        assert np.array_equal(a.extractor.bias, b.extractor.bias)
+
+    @pytest.mark.parametrize("tagging", [False, True])
+    def test_one_forward_recursion_per_group(self, driving, monkeypatch, tagging):
+        from symfa import learn
+
+        rng = np.random.default_rng(8)
+        data = []
+        for k in range(12):
+            feats = rng.normal(size=(3 + k % 2, 6))  # two lengths, two groups
+            if tagging:
+                data.append(LabeledSequence(feats, step_labels=[0] * len(feats)))
+            else:
+                data.append(LabeledSequence(feats, label=k % 2))
+        calls = []
+        real = learn.forward_alphas
+        monkeypatch.setattr(learn, "forward_alphas", lambda *a: calls.append(1) or real(*a))
+
+        def forbidden(*args):
+            raise AssertionError("train() must reuse the loss's forward pass")
+
+        monkeypatch.setattr(learn, "acceptance_batch", forbidden)
+        cfg = TrainConfig(max_epochs=3, batch_size=len(data), seed=0)
+        train(driving.compiled, data, cfg)
+        assert len(calls) == 3 * 2
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-0.1)

@@ -1,0 +1,205 @@
+"""The merged guard plan and sparse recursions against a per-guard reference.
+
+The reference evaluates every guard on its own (`wmc_batch`, value and
+gradient), stacks dense (..., Q, Q) transition matrices and runs the
+recursions with einsum, which is how runs were computed before guards
+were merged into one plan.
+"""
+
+import numpy as np
+import pytest
+
+from symfa import (
+    CompiledSfa,
+    ConsistencyError,
+    Sfa,
+    Vocabulary,
+    compile_guard,
+    parse_formula,
+    validate_and_compile,
+)
+from symfa.automaton import (
+    BLOCK_ROWS,
+    _accepting_mask,
+    _initial_alpha,
+    acceptance_batch,
+    backward_gradient,
+    forward_alphas,
+    transition_tensor,
+)
+from symfa.bench import random_pattern
+from symfa.circuit import wmc_batch
+
+TOL = 1e-12
+
+
+def reference_matrices(c, ps):
+    """Dense transition matrices and their gradients, one guard at a time."""
+    nq = c.num_states
+    mats = np.zeros(ps.shape[:-1] + (nq, nq))
+    grads = np.zeros(ps.shape[:-1] + (nq, nq, ps.shape[-1]))
+    for (i, j), g in c.guards.items():
+        mats[..., i, j], grads[..., i, j, :] = wmc_batch(g, ps, want_gradient=True)
+    return mats, grads
+
+
+def reference_alphas(c, ps):
+    mats, _ = reference_matrices(c, ps)
+    alpha = _initial_alpha(c, ps.shape[:-2])
+    out = np.zeros(ps.shape[:-1] + (c.num_states,))
+    for t in range(ps.shape[-2]):
+        alpha = np.einsum("...i,...ij->...j", alpha, mats[..., t, :, :])
+        out[..., t, :] = alpha
+    return out
+
+
+def reference_gradient(c, ps, alpha_grads):
+    mats, grads = reference_matrices(c, ps)
+    alphas = reference_alphas(c, ps)
+    initial = _initial_alpha(c, ps.shape[:-2])
+    out = np.zeros(ps.shape)
+    abar = np.zeros(ps.shape[:-2] + (c.num_states,))
+    for t in range(ps.shape[-2] - 1, -1, -1):
+        abar = abar + alpha_grads[..., t, :]
+        before = alphas[..., t - 1, :] if t else initial
+        # dLoss/dT_t[i, j] = alpha_{t-1}[i] * abar_t[j]
+        out[..., t, :] = np.einsum("...i,...j,...ijv->...v", before, abar, grads[..., t, :, :, :])
+        abar = np.einsum("...ij,...j->...i", mats[..., t, :, :], abar)
+    return out
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    if want.size:
+        scale = max(1.0, float(np.abs(want).max()))
+        assert float(np.abs(got - want).max()) <= TOL * scale
+
+
+def shared_roots_sfa():
+    """Transitions whose guards share roots in the merged plan.
+
+    `c` guards two transitions (a repeated guard) and is also the hi
+    branch of `a & c`; q3's self-loop is the constant `true`.
+    """
+    vocab = Vocabulary.of("a", "b", "c")
+
+    def f(text):
+        return parse_formula(text, vocab)
+
+    transitions = {
+        (0, 1): f("a & c"),
+        (0, 2): f("!(a & c)"),
+        (1, 0): f("c"),
+        (1, 1): f("!c"),
+        (2, 0): f("c"),
+        (2, 3): f("!c & b"),
+        (2, 2): f("!c & !b"),
+        (3, 3): f("true"),
+    }
+    return Sfa(vocab, ("q0", "q1", "q2", "q3"), 0, transitions, frozenset({0, 3}))
+
+
+@pytest.fixture(scope="module")
+def automata(driving, events):
+    return {
+        "driving": driving.compiled,
+        "events": events.compiled,
+        "random:8x10:2": random_pattern(8, 10, 2).compiled,
+        "shared-roots": validate_and_compile(shared_roots_sfa()),
+    }
+
+
+NAMES = ["driving", "events", "random:8x10:2", "shared-roots"]
+
+
+def check_against_reference(c, shape, seed):
+    rng = np.random.default_rng(seed)
+    ps = rng.uniform(size=shape + (len(c.vocab),))
+    alpha_grads = rng.normal(size=shape + (c.num_states,))
+    want = reference_alphas(c, ps)
+    alphas = forward_alphas(c, ps)
+    assert_close(alphas, want)
+    if shape[-1]:
+        assert_close(acceptance_batch(c, ps), want[..., -1, :] @ _accepting_mask(c))
+    assert_close(backward_gradient(c, ps, alpha_grads, alphas), reference_gradient(c, ps, alpha_grads))
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("shape", [(5,), (3, 0), (3, 1), (4, 6), (2, 3, 4)])
+def test_matches_reference(automata, name, shape):
+    check_against_reference(automata[name], shape, seed=len(shape) * 10 + shape[-1])
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (BLOCK_ROWS - 1,),
+        (BLOCK_ROWS,),
+        (BLOCK_ROWS + 1,),
+        (BLOCK_ROWS - 1, 1),
+        (BLOCK_ROWS, 1),
+        (BLOCK_ROWS + 1, 1),
+        (3, 700),  # 341 steps per block, three blocks
+    ],
+)
+@pytest.mark.parametrize("name", ["driving", "shared-roots"])
+def test_block_boundaries(automata, name, shape):
+    check_against_reference(automata[name], shape, seed=shape[0])
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_transition_tensor_matches_reference(automata, name):
+    c = automata[name]
+    ps = np.random.default_rng(3).uniform(size=(2, 7, len(c.vocab)))
+    assert_close(transition_tensor(c, ps), reference_matrices(c, ps)[0])
+
+
+def test_plan_is_built_on_first_run_only(driving):
+    c = validate_and_compile(driving.sfa)
+    assert "_plan" not in vars(c)
+    forward_alphas(c, np.full((2, 3), 0.5))
+    plan = vars(c)["_plan"]
+    acceptance_batch(c, np.full((4, 2, 3), 0.5))
+    assert c._plan is plan
+
+
+def test_unvalidated_automaton_fails_the_row_sum_check():
+    vocab = Vocabulary.of("a", "b")
+    guard = parse_formula("a", vocab)
+    broken = CompiledSfa(
+        Sfa(vocab, ("q0",), 0, {(0, 0): guard}, frozenset({0})),
+        {(0, 0): compile_guard(guard, 2)},
+        (),
+    )
+    with pytest.raises(ConsistencyError):
+        forward_alphas(broken, np.full((3, 2), 0.5))
+
+
+def test_empty_sequence_acceptance(automata):
+    c = automata["shared-roots"]
+    assert np.array_equal(acceptance_batch(c, np.zeros((4, 0, 3))), np.ones(4))
+
+
+def test_shared_guards_are_merged(automata):
+    c = automata["shared-roots"]
+    plan = c._plan.circuit
+    roots = dict(zip(c.guards, plan.roots))
+    assert roots[(1, 0)] == roots[(2, 0)]
+    assert roots[(3, 3)] == 1  # the constant-1 node
+    # the bare leaf `c` is the hi branch of `a & c`
+    node = roots[(0, 1)]
+    level = next(lev for lev in plan.levels if lev.start <= node < lev.stop)
+    assert level.hi[node - level.start] == roots[(1, 0)]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_repeated_calls_are_bitwise_identical(automata, name):
+    c = automata[name]
+    rng = np.random.default_rng(8)
+    ps = rng.uniform(size=(37, 11, len(c.vocab)))
+    alpha_grads = rng.normal(size=(37, 11, c.num_states))
+    alphas = forward_alphas(c, ps)
+    assert np.array_equal(forward_alphas(c, ps), alphas)
+    assert np.array_equal(acceptance_batch(c, ps), acceptance_batch(c, ps))
+    grad = backward_gradient(c, ps, alpha_grads)
+    assert np.array_equal(backward_gradient(c, ps, alpha_grads, alphas), grad)
