@@ -1,9 +1,14 @@
 """Symbolic automata: representation, validation, and probabilistic runs.
 
-An automaton carries a propositional guard on each transition. After
-validation (guards out of each state pairwise disjoint and jointly
-exhaustive) the per-observation transition matrix is row-stochastic, and
-the state distribution after each observation follows the recursion
+An automaton carries a propositional guard on each transition, compiled
+to a reduced ordered decision diagram (circuit.compile_guard). Validation
+checks that the guards out of each state are pairwise disjoint and
+jointly exhaustive by compiling their conjunctions and their disjunction:
+the diagram of an unsatisfiable formula is the constant 0 and that of a
+valid one the constant 1, so both checks are exact, and a counterexample
+is one walk down a diagram. After validation the per-observation
+transition matrix is row-stochastic, and the state distribution after
+each observation follows the recursion
 
     alpha_0 = one-hot at the initial state
     alpha_{t+1} = alpha_t @ T(p_{t+1}),   T[i, j] = P(guard(i, j) | p)
@@ -56,7 +61,6 @@ from .logic import (
     f_or,
     format_formula,
     parse_formula,
-    support,
 )
 
 ROW_SUM_RUNTIME_TOL = 1e-6
@@ -109,7 +113,6 @@ class CompiledSfa:
     sfa: Sfa
     guards: Mapping[tuple[int, int], CompiledGuard]
     completed_states: tuple[str, ...]
-    validated: bool = True
 
     @property
     def vocab(self) -> Vocabulary:
@@ -133,27 +136,16 @@ class CompiledSfa:
         return _Plan(self)
 
 
-def _find_assignment(f: Formula, vocab_size: int, value: bool) -> Interpretation | None:
-    """Search assignments of f's support (others false) for one where f == value."""
-    sup = sorted(support(f))
-    for bits in range(1 << len(sup)):
-        mask = 0
-        for k, var in enumerate(sup):
-            if bits >> k & 1:
-                mask |= 1 << var
-        omega = Interpretation(mask, vocab_size)
-        if evaluate(f, omega) == value:
-            return omega
-    return None
-
-
-def complete_self_loops(sfa: Sfa) -> tuple[Sfa, tuple[str, ...]]:
+def complete_self_loops(
+    sfa: Sfa, max_nodes: int = circuit.DEFAULT_MAX_NODES
+) -> tuple[Sfa, tuple[str, ...]]:
     """Route unmatched interpretations into a self-loop, per state.
 
     For every state whose declared outgoing guards do not cover all
-    interpretations, the uncovered remainder is added to (or becomes) the
-    state's self-loop guard. Returns the completed automaton and the names
-    of the states that were changed.
+    interpretations (their disjunction, compiled within the `max_nodes`
+    budget, is not the constant true), the uncovered remainder is added
+    to (or becomes) the state's self-loop guard. Returns the completed
+    automaton and the names of the states that were changed.
     """
     transitions = dict(sfa.transitions)
     changed = []
@@ -161,8 +153,7 @@ def complete_self_loops(sfa: Sfa) -> tuple[Sfa, tuple[str, ...]]:
     for q in range(sfa.num_states):
         outgoing = [f for (src, _), f in transitions.items() if src == q]
         disj = f_or(*outgoing) if outgoing else FALSE
-        gap_witness = _find_assignment(disj, n, False)
-        if gap_witness is None:
+        if circuit.is_valid(compile_guard(disj, n, max_nodes=max_nodes)):
             continue
         gap = f_not(disj)
         existing = transitions.get((q, q))
@@ -180,16 +171,16 @@ def validate_and_compile(
     """Check determinism and exhaustiveness, compile every guard.
 
     Guards out of each state must be pairwise unsatisfiable in conjunction
-    and their disjunction valid; both facts are established by model
-    counting on compiled circuits, with counterexample interpretations
-    recovered by enumeration over the offending guards' support. With
-    `complete` (the default) missing coverage becomes a self-loop first;
-    without it, uncovered states raise IncompleteError.
+    and their disjunction valid. Both are read off the compiled decision
+    diagrams (a conjunction compiles to node 0, the disjunction to node 1),
+    and a counterexample interpretation is one walk down the offending
+    diagram. With `complete` (the default) missing coverage becomes a
+    self-loop first; without it, uncovered states raise IncompleteError.
     """
     n = len(sfa.vocab)
     completed_states: tuple[str, ...] = ()
     if complete:
-        sfa, completed_states = complete_self_loops(sfa)
+        sfa, completed_states = complete_self_loops(sfa, max_nodes=max_nodes)
 
     guards = {
         pair: compile_guard(f, n, max_nodes=max_nodes)
@@ -202,17 +193,18 @@ def validate_and_compile(
         )
         for a in range(len(out)):
             for b in range(a + 1, len(out)):
-                both = f_and(out[a][1], out[b][1])
-                if circuit.is_satisfiable(compile_guard(both, n, max_nodes=max_nodes)):
-                    witness = _find_assignment(both, n, True)
+                both = compile_guard(f_and(out[a][1], out[b][1]), n, max_nodes=max_nodes)
+                if circuit.is_satisfiable(both):
+                    witness = circuit.witness(both, True)
                     raise NonDeterministicError(
                         sfa.states[q],
                         (sfa.states[out[a][0]], sfa.states[out[b][0]]),
                         witness.describe(sfa.vocab),
                     )
         disj = f_or(*(f for _, f in out)) if out else FALSE
-        if not circuit.is_valid(compile_guard(disj, n, max_nodes=max_nodes)):
-            witness = _find_assignment(disj, n, False)
+        cover = compile_guard(disj, n, max_nodes=max_nodes)
+        if not circuit.is_valid(cover):
+            witness = circuit.witness(cover, False)
             raise IncompleteError(sfa.states[q], witness.describe(sfa.vocab))
 
     return CompiledSfa(sfa, guards, completed_states)

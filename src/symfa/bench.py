@@ -1,4 +1,4 @@
-"""Synthetic benchmark: data generation, baseline engine, timing, metrics.
+"""Synthetic benchmark: data generation, baseline engine, timing.
 
 The generator renders boolean traces, sampled uniformly among the traces
 a pattern accepts (or rejects), into noisy feature vectors: two coordinates
@@ -367,11 +367,6 @@ class EnumerativeEngine:
         return sum(alpha[q] for q in self.sfa.accepting)
 
 
-def enumerative_acceptance(sfa: Sfa, ps) -> float:
-    """One-shot form of EnumerativeEngine for a single sequence."""
-    return EnumerativeEngine(sfa).acceptance(ps)
-
-
 # --- benchmark ---------------------------------------------------------------
 
 ENGINES = ("compiled", "enumerative")
@@ -465,26 +460,3 @@ def run_benchmark(
                     )
                 )
     return BenchReport(rows)
-
-
-# --- metrics -------------------------------------------------------------------
-
-def metrics(predictions, labels, num_classes: int | None = None):
-    """(accuracy, macro F1). Classes with no predictions and no support
-    still divide the macro average when num_classes says they exist."""
-    predictions = list(predictions)
-    labels = list(labels)
-    if not predictions or len(predictions) != len(labels):
-        raise ValueError("predictions and labels must be equal-length and nonempty")
-    classes = sorted(set(labels) | set(predictions))
-    if num_classes is not None:
-        classes = sorted(set(classes) | set(range(num_classes)))
-    accuracy = sum(p == y for p, y in zip(predictions, labels)) / len(labels)
-    f1s = []
-    for cls in classes:
-        tp = sum(1 for p, y in zip(predictions, labels) if p == cls and y == cls)
-        fp = sum(1 for p, y in zip(predictions, labels) if p == cls and y != cls)
-        fn = sum(1 for p, y in zip(predictions, labels) if p != cls and y == cls)
-        denom = 2 * tp + fp + fn
-        f1s.append(2 * tp / denom if denom else 0.0)
-    return accuracy, sum(f1s) / len(f1s)

@@ -1,20 +1,23 @@
-"""Guard compilation to tractable arithmetic circuits.
+"""Guard compilation to reduced ordered decision diagrams.
 
 A guard formula is compiled once, by Shannon expansion along a variable
-order with memoization on the residual subformula, into a circuit whose
-sum nodes are deterministic (children have disjoint models) and whose
-product nodes are decomposable (children mention disjoint variables).
-On that form the probability of the guard under independent per-variable
-probabilities is a single bottom-up pass, and its gradient a single
-top-down pass, both linear in circuit size.
+order with memoization on the residual subformula and hash-consing of the
+nodes, into a reduced ordered binary decision diagram (Bryant 1986). Node
+0 is the constant false and node 1 the constant true; every other node is
+a decision (var, hi, lo), worth hi where var is true and lo where it is
+false. The probability of the guard under independent per-variable
+probabilities is then one bottom-up pass, p·hi + (1 − p)·lo per node, and
+its gradient one top-down pass, both linear in the diagram. The diagram
+is canonical for its variable order, so validity (the root is node 1),
+satisfiability (the root is not node 0) and a witness (one walk from the
+root) are exact at any number of variables and need no arithmetic.
 
-The circuits are ordered decision diagrams. `Plan` merges the guards of
-one automaton into a single hash-consed diagram, levelized by height, so
-that evaluating every guard on a block of probability rows, and the
-reverse pass for its gradient, cost a few numpy calls per level instead
-of interpreting each guard node by node (the layered evaluation of KLay,
-Maene et al. 2024). `wmc`/`wmc_batch` still interpret one guard and answer
-the satisfiability and validity checks.
+`Plan` merges the guards of one automaton into a single hash-consed
+diagram, levelized by height, so that evaluating every guard on a block
+of probability rows, and the reverse pass for its gradient, cost a few
+numpy calls per level instead of interpreting each guard node by node
+(the layered evaluation of KLay, Maene et al. 2024). `wmc`/`wmc_batch`
+interpret one guard; tests use them as the reference for the plan.
 
 Circuits and plans are immutable after construction; evaluation
 allocates only local buffers and is safe to run concurrently from
@@ -30,13 +33,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CircuitSizeError
-from .logic import Const, Formula, restrict, support
+from .logic import Const, Formula, Interpretation, restrict, support
 
 DEFAULT_MAX_NODES = 1_000_000
 
-# Node encodings: ("const", 0|1) | ("leaf", var, positive) |
-# ("sum", children) | ("prod", children). Children always precede parents
-# in the node array, so array order is a topological order.
+# nodes[0] and nodes[1] are ("const", 0) and ("const", 1). `dump` writes
+# each decision (var, hi, lo) as the arithmetic circuit
+# leaf(var, +)·hi + leaf(var, −)·lo, with constant factors and terms
+# dropped, in the text format the CLI documents.
 KIND_CONST = "const"
 KIND_LEAF = "leaf"
 KIND_SUM = "sum"
@@ -45,7 +49,13 @@ KIND_PROD = "prod"
 
 @dataclass(frozen=True)
 class CompiledGuard:
-    """Deterministic, decomposable arithmetic circuit for one guard."""
+    """Reduced ordered decision diagram of one guard.
+
+    `nodes[0]` and `nodes[1]` are the constants. Every other node is a
+    decision (var, hi, lo) with hi != lo, children at smaller ids and
+    variables later in the order; no node is stored twice, and every
+    decision node is reachable from `root`.
+    """
 
     nodes: tuple[tuple, ...]
     root: int
@@ -57,35 +67,48 @@ class CompiledGuard:
     def dump(self) -> str:
         """One node per line, `<id> <kind> <args...>`, topologically sorted.
 
-        Only nodes reachable from the root are emitted, renumbered in a
-        deterministic post-order; the last line is always the root.
+        A decision is written as a `leaf` when it is a literal, as a
+        `prod` of a leaf and a child when one branch is 0, and otherwise as
+        a `sum` of two such terms (a term whose child is 1 is just the
+        leaf). Shared leaves and terms are written once. Nodes are numbered
+        in a deterministic post-order from the root; the last line is
+        always the root.
         """
-        order: list[int] = []
-        marks = set()
+        ids: dict[tuple, int] = {}
+        lines: list[str] = []
 
-        def visit(i: int):
-            if i in marks:
-                return
-            marks.add(i)
-            node = self.nodes[i]
-            if node[0] in (KIND_SUM, KIND_PROD):
-                for c in node[1]:
-                    visit(c)
-            order.append(i)
+        def term(var: int, positive: bool, child: int) -> tuple | None:
+            if child == 0:
+                return None
+            if child == 1:
+                return (KIND_LEAF, var, positive)
+            return (KIND_PROD, var, positive, child)
 
-        visit(self.root)
-        renum = {old: new for new, old in enumerate(order)}
-        lines = []
-        for old in order:
-            node = self.nodes[old]
-            if node[0] == KIND_CONST:
-                lines.append(f"{renum[old]} const {node[1]}")
-            elif node[0] == KIND_LEAF:
-                sign = "+" if node[2] else "-"
-                lines.append(f"{renum[old]} leaf {node[1]} {sign}")
+        def shape(i: int) -> tuple:
+            if i < 2:
+                return self.nodes[i]
+            var, hi, lo = self.nodes[i]
+            terms = [t for t in (term(var, True, hi), term(var, False, lo)) if t]
+            return terms[0] if len(terms) == 1 else (KIND_SUM, i)
+
+        def visit(s: tuple) -> int:
+            if s in ids:
+                return ids[s]
+            kind = s[0]
+            if kind == KIND_CONST:
+                args = [s[1]]
+            elif kind == KIND_LEAF:
+                args = [s[1], "+" if s[2] else "-"]
+            elif kind == KIND_PROD:
+                args = [visit((KIND_LEAF, s[1], s[2])), visit(shape(s[3]))]
             else:
-                args = " ".join(str(renum[c]) for c in node[1])
-                lines.append(f"{renum[old]} {node[0]} {args}")
+                var, hi, lo = self.nodes[s[1]]
+                args = [visit(term(var, True, hi)), visit(term(var, False, lo))]
+            ids[s] = len(lines)
+            lines.append(" ".join(str(x) for x in (ids[s], kind, *args)))
+            return ids[s]
+
+        visit(shape(self.root))
         return "\n".join(lines)
 
 
@@ -98,65 +121,27 @@ class WmcResult:
 
 
 class _Builder:
-    """Hash-consing circuit builder with a node budget."""
+    """Hash-consing store of decision nodes with a node budget."""
 
-    def __init__(self, num_vars: int, max_nodes: int):
-        self.num_vars = num_vars
+    def __init__(self, max_nodes: int):
         self.max_nodes = max_nodes
-        self.nodes: list[tuple] = []
-        self.unique: dict[tuple, int] = {}
-
-    def intern(self, node: tuple) -> int:
-        found = self.unique.get(node)
-        if found is not None:
-            return found
-        if len(self.nodes) >= self.max_nodes:
-            raise CircuitSizeError(
-                f"circuit exceeds the {self.max_nodes}-node budget"
-            )
-        self.nodes.append(node)
-        self.unique[node] = len(self.nodes) - 1
-        return len(self.nodes) - 1
-
-    def const(self, value: int) -> int:
-        return self.intern((KIND_CONST, value))
-
-    def leaf(self, var: int, positive: bool) -> int:
-        return self.intern((KIND_LEAF, var, positive))
-
-    def is_const(self, i: int, value: int) -> bool:
-        node = self.nodes[i]
-        return node[0] == KIND_CONST and node[1] == value
-
-    def product(self, a: int, b: int) -> int:
-        if self.is_const(a, 0) or self.is_const(b, 0):
-            return self.const(0)
-        if self.is_const(a, 1):
-            return b
-        if self.is_const(b, 1):
-            return a
-        return self.intern((KIND_PROD, (a, b)))
-
-    def sum(self, a: int, b: int) -> int:
-        if self.is_const(a, 0):
-            return b
-        if self.is_const(b, 0):
-            return a
-        return self.intern((KIND_SUM, (a, b)))
+        self.nodes: list[tuple] = [(KIND_CONST, 0), (KIND_CONST, 1)]
+        self.unique: dict[tuple[int, int, int], int] = {}
 
     def decision(self, var: int, hi: int, lo: int) -> int:
-        # p*x + (1-p)*x == x, so equal branches collapse without touching
-        # the weighted count.
+        # p·x + (1 − p)·x == x, so equal branches are no decision
         if hi == lo:
             return hi
-        if self.is_const(hi, 1) and self.is_const(lo, 0):
-            return self.leaf(var, True)
-        if self.is_const(hi, 0) and self.is_const(lo, 1):
-            return self.leaf(var, False)
-        return self.sum(
-            self.product(self.leaf(var, True), hi),
-            self.product(self.leaf(var, False), lo),
-        )
+        key = (var, hi, lo)
+        found = self.unique.get(key)
+        if found is None:
+            if len(self.nodes) >= self.max_nodes:
+                raise CircuitSizeError(
+                    f"circuit exceeds the {self.max_nodes}-node budget"
+                )
+            found = self.unique[key] = len(self.nodes)
+            self.nodes.append(key)
+        return found
 
 
 def compile_guard(
@@ -167,7 +152,9 @@ def compile_guard(
 ) -> CompiledGuard:
     """Compile `f` (over `num_vars` variables) by ordered Shannon expansion.
 
-    `order` defaults to vocabulary declaration order. Raises
+    `order` defaults to vocabulary declaration order. A decision with
+    equal branches is never built, so every node built ends up below the
+    root and nothing unreachable is stored. Raises
     CircuitSizeError if the node budget is exceeded.
     """
     if order is None:
@@ -177,7 +164,7 @@ def compile_guard(
         if sorted(order) != list(range(num_vars)):
             raise ValueError(f"order must be a permutation of 0..{num_vars - 1}")
 
-    builder = _Builder(num_vars, max_nodes)
+    builder = _Builder(max_nodes)
     position = {var: depth for depth, var in enumerate(order)}
     # the node of a residual formula depends on the formula alone: it
     # branches on its earliest support variable in the order
@@ -185,7 +172,7 @@ def compile_guard(
 
     def shannon(g: Formula) -> int:
         if isinstance(g, Const):
-            return builder.const(1 if g.value else 0)
+            return 1 if g.value else 0
         found = memo.get(g)
         if found is not None:
             return found
@@ -201,54 +188,24 @@ def compile_guard(
 
 def _values(g: CompiledGuard, p: np.ndarray) -> list:
     """Bottom-up node values for p of shape (..., num_vars)."""
-    out: list = [None] * len(g.nodes)
-    for i, node in enumerate(g.nodes):
-        kind = node[0]
-        if kind == KIND_LEAF:
-            out[i] = p[..., node[1]] if node[2] else 1.0 - p[..., node[1]]
-        elif kind == KIND_CONST:
-            out[i] = np.broadcast_to(np.float64(node[1]), p.shape[:-1])
-        else:
-            acc = out[node[1][0]]
-            for c in node[1][1:]:
-                acc = acc + out[c] if kind == KIND_SUM else acc * out[c]
-            out[i] = acc
+    out: list = [np.zeros(p.shape[:-1]), np.ones(p.shape[:-1])]
+    for var, hi, lo in g.nodes[2:]:
+        pv = p[..., var]
+        out.append(pv * out[hi] + (1.0 - pv) * out[lo])
     return out
 
 
 def _gradient(g: CompiledGuard, p: np.ndarray, vals: list) -> np.ndarray:
     """Top-down adjoint pass; returns dvalue/dp with p's shape."""
-    base = p.shape[:-1]
-    adj: list = [None] * len(g.nodes)
-    adj[g.root] = np.ones(base)
+    adj: list = [0.0] * len(g.nodes)
+    adj[g.root] = 1.0
     grad = np.zeros(p.shape)
-    for i in range(len(g.nodes) - 1, -1, -1):
-        a = adj[i]
-        if a is None:
-            continue
-        node = g.nodes[i]
-        kind = node[0]
-        if kind == KIND_LEAF:
-            if node[2]:
-                grad[..., node[1]] += a
-            else:
-                grad[..., node[1]] -= a
-        elif kind == KIND_SUM:
-            for c in node[1]:
-                adj[c] = a if adj[c] is None else adj[c] + a
-        elif kind == KIND_PROD:
-            cs = node[1]
-            # prefix/suffix products keep the pass exact when child values
-            # are zero (plain division would not)
-            prefix = [np.ones(base)]
-            for c in cs[:-1]:
-                prefix.append(prefix[-1] * vals[c])
-            suffix = np.ones(base)
-            for k in range(len(cs) - 1, -1, -1):
-                contrib = a * prefix[k] * suffix
-                c = cs[k]
-                adj[c] = contrib if adj[c] is None else adj[c] + contrib
-                suffix = suffix * vals[c]
+    for i in range(len(g.nodes) - 1, 1, -1):
+        var, hi, lo = g.nodes[i]
+        a, pv = adj[i], p[..., var]
+        grad[..., var] += a * (vals[hi] - vals[lo])
+        adj[hi] = adj[hi] + a * pv
+        adj[lo] = adj[lo] + a * (1.0 - pv)
     return grad
 
 
@@ -302,15 +259,12 @@ class _Level:
 class Plan:
     """Merged, levelized decision diagram of several guards over one vocabulary.
 
-    compile_guard emits ordered decision diagrams in three node shapes: a
-    leaf, prod(leaf, x) and sum(prod(leaf+, hi), prod(leaf−, lo)), where a
-    missing prod stands for a constant-1 branch. The plan decodes each
-    reachable node into a decision node (var, hi, lo), hash-conses the
-    decision nodes of all guards into one array (unreachable nodes are
-    never visited), and groups them into levels by height above the
-    constants. Evaluating p of shape (num_vars, rows) then costs a few
-    numpy calls per level, not per node or per guard, and a reverse pass
-    over the same levels yields the gradient of any weighted sum of roots.
+    The decision nodes of all guards are hash-consed into one array,
+    walking each guard's nodes in their topological (array) order, and
+    grouped into levels by height above the constants. Evaluating p of
+    shape (num_vars, rows) then costs a few numpy calls per level, not per
+    node or per guard, and a reverse pass over the same levels yields the
+    gradient of any weighted sum of roots.
 
     Node 0 is the constant 0, node 1 the constant 1; `roots[k]` is the
     node of guard k. Plans are immutable; evaluation allocates only local
@@ -336,41 +290,10 @@ class Plan:
 
         roots = []
         for g in guards:
-            memo: dict[int, int] = {}
-
-            def literal(i: int) -> tuple[int, bool]:
-                node = g.nodes[i]
-                if node[0] != KIND_LEAF:
-                    raise ValueError("guard circuit is not an ordered decision diagram")
-                return node[1], node[2]
-
-            def branch(i: int) -> tuple[int, bool, int]:
-                """(var, sign, merged child) of one side of a decision."""
-                if g.nodes[i][0] == KIND_PROD:
-                    lit, child = g.nodes[i][1]
-                    return (*literal(lit), merge(child))
-                return (*literal(i), 1)
-
-            def merge(i: int) -> int:
-                found = memo.get(i)
-                if found is not None:
-                    return found
-                node = g.nodes[i]
-                if node[0] == KIND_CONST:
-                    out = node[1]
-                elif node[0] == KIND_SUM:
-                    var, pos, hi = branch(node[1][0])
-                    var_lo, neg, lo = branch(node[1][1])
-                    if var_lo != var or not pos or neg:
-                        raise ValueError("guard circuit is not an ordered decision diagram")
-                    out = intern(var, hi, lo)
-                else:
-                    var, pos, child = branch(i)
-                    out = intern(var, child, 0) if pos else intern(var, 0, child)
-                memo[i] = out
-                return out
-
-            roots.append(merge(g.root))
+            merged = [0, 1]
+            for var, hi, lo in g.nodes[2:]:
+                merged.append(intern(var, merged[hi], merged[lo]))
+            roots.append(merged[g.root])
 
         # renumber by height so that each level is one contiguous slice
         order = sorted(range(2, len(heights)), key=lambda i: (heights[i], i))
@@ -467,16 +390,30 @@ class Plan:
 
 
 def is_satisfiable(g: CompiledGuard) -> bool:
-    """True iff the guard has at least one model.
-
-    At p = 1/2 every node value is a dyadic rational, so the weighted count
-    equals model_count / 2^n exactly and the zero test needs no tolerance.
-    """
-    value, _ = wmc_batch(g, np.full(g.num_vars, 0.5))
-    return float(value) > 0.0
+    """True iff the guard has at least one model: only false reduces to node 0."""
+    return g.root != 0
 
 
 def is_valid(g: CompiledGuard) -> bool:
-    """True iff every interpretation is a model (count == 2^n, exactly)."""
-    value, _ = wmc_batch(g, np.full(g.num_vars, 0.5))
-    return float(value) == 1.0
+    """True iff every interpretation is a model: only true reduces to node 1."""
+    return g.root == 1
+
+
+def witness(g: CompiledGuard, value: bool = True) -> Interpretation | None:
+    """An interpretation on which the guard is `value`, or None if there is none.
+
+    One walk from the root, at most one step per variable. Every decision
+    node of a reduced diagram reaches both constants, so the walk takes
+    the lo branch unless lo is the wrong constant. Variables the walk does
+    not set are false.
+    """
+    target = 1 if value else 0
+    i, mask = g.root, 0
+    while i >= 2:
+        var, hi, lo = g.nodes[i]
+        if lo == 1 - target:
+            mask |= 1 << var
+            i = hi
+        else:
+            i = lo
+    return Interpretation(mask, g.num_vars) if i == target else None

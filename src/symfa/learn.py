@@ -32,12 +32,10 @@ CHECKPOINT_VERSION = 1
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; the two branches are the stable forms for
+    # x >= 0 and x < 0
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass

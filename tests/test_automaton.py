@@ -52,7 +52,6 @@ def single_state_sfa(accepting: bool) -> Sfa:
 class TestValidation:
     def test_driving_pattern_validates_without_completion(self, driving):
         compiled = validate_and_compile(driving.sfa, complete=False)
-        assert compiled.validated
         assert compiled.completed_states == ()
 
     def test_single_state_true_loop(self):

@@ -5,8 +5,16 @@ import random
 import numpy as np
 import pytest
 
-from symfa import Vocabulary, compile_guard, is_satisfiable, is_valid, wmc
-from symfa.circuit import KIND_CONST, KIND_LEAF, KIND_PROD, KIND_SUM, wmc_batch
+from symfa import (
+    Interpretation,
+    Vocabulary,
+    compile_guard,
+    evaluate,
+    is_satisfiable,
+    is_valid,
+    wmc,
+)
+from symfa.circuit import KIND_CONST, wmc_batch, witness
 from symfa.errors import CircuitSizeError
 from symfa.logic import (
     FALSE,
@@ -58,8 +66,6 @@ class TestWmcValues:
             g = compile_guard(f, 3)
             for omega in all_interpretations(3):
                 p = [1.0 if omega.truth(i) else 0.0 for i in range(3)]
-                from symfa import evaluate
-
                 assert wmc(g, p).value == float(evaluate(f, omega))
 
     def test_value_stays_in_unit_interval(self):
@@ -120,63 +126,74 @@ class TestGradients:
                 assert abs(grad[i] - fd) <= 1e-5 * scale
 
 
+def random_guard(rng, num_vars=None):
+    """(formula, guard) over a random vocabulary size and variable order."""
+    num_vars = num_vars or rng.randint(1, 6)
+    order = rng.sample(range(num_vars), num_vars)
+    f = random_formula(rng, num_vars, depth=4)
+    return f, compile_guard(f, num_vars, order=order), order
+
+
+def truth_table(f, num_vars):
+    return tuple(evaluate(f, omega) for omega in all_interpretations(num_vars))
+
+
 class TestCircuitStructure:
-    def _node_truth(self, g, omega):
-        """Boolean value of every node under a 0/1 assignment."""
-        p = np.array([1.0 if omega.truth(i) else 0.0 for i in range(g.num_vars)])
-        values = [None] * len(g.nodes)
-        for i, node in enumerate(g.nodes):
-            if node[0] == KIND_LEAF:
-                values[i] = p[node[1]] if node[2] else 1.0 - p[node[1]]
-            elif node[0] == KIND_CONST:
-                values[i] = float(node[1])
-            elif node[0] == KIND_SUM:
-                values[i] = sum(values[c] for c in node[1])
-            else:
-                out = 1.0
-                for c in node[1]:
-                    out *= values[c]
-                values[i] = out
-        return values
-
-    def _var_support(self, g):
-        supports = [set() for _ in g.nodes]
-        for i, node in enumerate(g.nodes):
-            if node[0] == KIND_LEAF:
-                supports[i] = {node[1]}
-            elif node[0] in (KIND_SUM, KIND_PROD):
-                for c in node[1]:
-                    supports[i] |= supports[c]
-        return supports
-
-    def test_sums_deterministic_products_decomposable(self):
-        rng = random.Random(41)
-        for _ in range(40):
-            num_vars = rng.randint(2, 5)
-            f = random_formula(rng, num_vars)
-            g = compile_guard(f, num_vars)
-            supports = self._var_support(g)
-            for node in g.nodes:
-                if node[0] == KIND_PROD:
-                    ids = list(node[1])
-                    for a in range(len(ids)):
-                        for b in range(a + 1, len(ids)):
-                            assert not (supports[ids[a]] & supports[ids[b]])
-            for omega in all_interpretations(num_vars):
-                values = self._node_truth(g, omega)
-                for node in g.nodes:
-                    if node[0] == KIND_SUM:
-                        hot = sum(values[c] for c in node[1])
-                        assert hot in (0.0, 1.0)  # children never overlap
+    """Every guard is a reduced ordered decision diagram, canonical for its order."""
 
     def test_children_precede_parents(self):
         rng = random.Random(43)
-        for _ in range(20):
-            f = random_formula(rng, 4)
-            g = compile_guard(f, 4)
-            for i, node in enumerate(g.nodes):
-                if node[0] in (KIND_SUM, KIND_PROD):
-                    assert all(c < i for c in node[1])
+        for _ in range(100):
+            _, g, _ = random_guard(rng)
+            assert g.nodes[:2] == ((KIND_CONST, 0), (KIND_CONST, 1))
+            for i, (_, hi, lo) in enumerate(g.nodes[2:], start=2):
+                assert hi < i and lo < i
+
+    def test_variable_order_increases_along_every_edge(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            _, g, order = random_guard(rng)
+            position = {var: k for k, var in enumerate(order)}
+            for var, hi, lo in g.nodes[2:]:
+                for child in (hi, lo):
+                    if child >= 2:
+                        assert position[g.nodes[child][0]] > position[var]
+
+    def test_no_redundant_or_duplicate_nodes(self):
+        rng = random.Random(47)
+        for _ in range(200):
+            _, g, _ = random_guard(rng)
+            decisions = g.nodes[2:]
+            assert all(hi != lo for _, hi, lo in decisions)
+            assert len(set(decisions)) == len(decisions)
+
+    def test_every_stored_node_is_reachable(self):
+        rng = random.Random(53)
+        for _ in range(200):
+            _, g, _ = random_guard(rng)
+            seen, stack = {0, 1}, [g.root]
+            while stack:
+                i = stack.pop()
+                if i not in seen:
+                    seen.add(i)
+                    stack.extend(g.nodes[i][1:])
+            assert seen == set(range(len(g.nodes)))
+
+    def test_canonical_exactly_for_equivalent_formulas(self):
+        rng = random.Random(59)
+        equivalent_pairs = 0
+        for num_vars in range(1, 6):
+            order = rng.sample(range(num_vars), num_vars)
+            compiled = []
+            for _ in range(60):
+                f = random_formula(rng, num_vars, depth=rng.randint(1, 4))
+                g = compile_guard(f, num_vars, order=order)
+                compiled.append((f, truth_table(f, num_vars), (g.nodes, g.root)))
+            for k, (f, table, diagram) in enumerate(compiled):
+                for f2, table2, diagram2 in compiled[:k]:
+                    assert (diagram == diagram2) == (table == table2)
+                    equivalent_pairs += f != f2 and table == table2
+        assert equivalent_pairs > 100  # the iff is exercised on distinct formulas
 
     def test_node_budget_is_enforced(self):
         f = f_and(f_or(Var(0), Var(1)), f_or(Var(2), Var(3)), f_or(Var(4), Var(5)))
@@ -212,3 +229,26 @@ class TestSatValid:
         g = compile_guard(parse_formula("tired", tbf_vocab), 3)
         assert is_satisfiable(g)
         assert not is_valid(g)
+
+    def test_witness_takes_the_value_and_sets_only_what_it_must(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            f, g, _ = random_guard(rng)
+            for value in (True, False):
+                w = witness(g, value)
+                models = [o for o in all_interpretations(g.num_vars) if evaluate(f, o) == value]
+                if not models:
+                    assert w is None
+                    continue
+                assert evaluate(f, w) == value
+                # the walk sets a variable only where its lo branch is the
+                # wrong constant, so clearing any one of them flips the value
+                for var in range(g.num_vars):
+                    if w.truth(var):
+                        cleared = Interpretation(w.mask & ~(1 << var), g.num_vars)
+                        assert evaluate(f, cleared) != value
+
+    def test_witness_of_constants(self):
+        assert witness(compile_guard(TRUE, 3), True) == Interpretation(0, 3)
+        assert witness(compile_guard(TRUE, 3), False) is None
+        assert witness(compile_guard(FALSE, 3), True) is None

@@ -73,6 +73,19 @@ class TestCompile:
         assert "# q0 -> q1" in out
         assert "leaf" in out and ("sum" in out or "prod" in out)
 
+    def test_driving_dump_golden(self, driving_path, capsys):
+        # sums, products, a leaf shared by two products, a literal, a constant
+        assert main(["compile", driving_path]) == 0
+        assert capsys.readouterr().out == (
+            "# q0 -> q0\n0 leaf 0 -\n1 leaf 1 -\n2 prod 0 1\n"
+            "# q0 -> q1\n0 leaf 0 +\n1 leaf 0 -\n2 leaf 1 +\n3 prod 1 2\n4 sum 0 3\n"
+            "# q1 -> q0\n0 leaf 0 -\n1 leaf 1 -\n2 leaf 2 -\n3 prod 1 2\n4 prod 0 3\n"
+            "# q1 -> q1\n0 leaf 0 +\n1 leaf 2 -\n2 prod 0 1\n3 leaf 0 -\n4 leaf 1 +\n"
+            "5 prod 4 1\n6 prod 3 5\n7 sum 2 6\n"
+            "# q1 -> q2\n0 leaf 2 +\n"
+            "# q2 -> q2\n0 const 1\n"
+        )
+
 
 class TestInfer:
     def test_accept_mode_prints_worked_example(self, driving_path, probs_dataset, capsys):

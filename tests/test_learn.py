@@ -19,12 +19,33 @@ from symfa import (
 )
 from symfa.bench import generate_dataset
 from symfa.errors import DivergenceError
+from symfa.learn import _sigmoid
 
 from conftest import assert_close_rel
 
 
 def make_extractor(rng, num_symbols, feature_dim):
     return LinearExtractor.init_random(num_symbols, feature_dim, rng)
+
+
+def masked_sigmoid(x):
+    """The stable sigmoid written with boolean masks, as the reference."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_is_bitwise_the_masked_formula():
+    tiny = np.finfo(np.float64).tiny
+    special = [800.0, -800.0, 0.0, -0.0, 5e-324, -5e-324, tiny / 3, -tiny / 3, tiny, -tiny]
+    rng = np.random.default_rng(3)
+    x = np.concatenate([special, rng.normal(scale=5.0, size=2000), rng.uniform(-750, 750, 500)])
+    for shape in (x.shape, (50, 50)):
+        xs = x[: np.prod(shape)].reshape(shape)
+        assert np.array_equal(_sigmoid(xs).view(np.uint64), masked_sigmoid(xs).view(np.uint64))
 
 
 class TestExtractor:

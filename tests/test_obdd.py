@@ -1,0 +1,82 @@
+"""Validation decided on decision diagrams: exact at any width, never exponential.
+
+Each guard compiles to a reduced ordered decision diagram, on which
+validity and satisfiability are a look at the root. A floating-point
+count at p = 1/2 misjudges `!(x0 & ... & x59)` (its count 1 − 2^-60
+rounds to 1), and a search over all assignments of a wide guard's
+support takes time exponential in its width.
+"""
+
+import signal
+import time
+from contextlib import contextmanager
+
+import pytest
+
+from symfa import Sfa, Vocabulary, compile_guard, is_valid, parse_sfa, validate_and_compile
+from symfa.errors import IncompleteError
+from symfa.logic import Var, f_and, f_not
+
+WIDE = 60
+
+
+def all_but_one_interpretation():
+    """`!(x0 & ... & x59)`: false only where every variable is true."""
+    return f_not(f_and(*(Var(i) for i in range(WIDE))))
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Fail with TimeoutError if the block runs longer than `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_sixty_variable_non_tautology_is_not_valid():
+    assert not is_valid(compile_guard(all_but_one_interpretation(), WIDE))
+
+
+def test_sixty_variable_gap_raises_incomplete_without_completion():
+    vocab = Vocabulary(tuple(f"x{i}" for i in range(WIDE)))
+    sfa = Sfa(vocab, ("q",), 0, {(0, 0): all_but_one_interpretation()}, frozenset({0}))
+    with pytest.raises(IncompleteError) as err:
+        validate_and_compile(sfa, complete=False)
+    assert err.value.witness == "{" + ", ".join(vocab.names) + "}"
+
+
+def wide_spec(width: int) -> str:
+    """q0 splits on a conjunction of one literal per variable and its negation;
+    q1 is partial and gets a synthesized self-loop."""
+    names = [f"v{i}" for i in range(width)]
+    wide = " & ".join(v if k % 2 == 0 else "!" + v for k, v in enumerate(names))
+    return "\n".join(
+        [
+            "vars: " + ", ".join(names),
+            "states: q0, q1, q2",
+            "initial: q0",
+            "accepting: q1",
+            f"q0 -> q1 : {wide}",
+            f"q0 -> q0 : !({wide})",
+            "q1 -> q2 : v3 & !v17",
+            "q2 -> q0 : v5 | !v29",
+            "q2 -> q2 : !(v5 | !v29)",
+        ]
+    )
+
+
+def test_thirty_variable_wide_support_validates_in_under_a_second():
+    sfa = parse_sfa(wide_spec(30))
+    start = time.perf_counter()
+    with deadline(1.0):
+        compiled = validate_and_compile(sfa)
+    assert time.perf_counter() - start < 1.0
+    assert compiled.completed_states == ("q1",)
