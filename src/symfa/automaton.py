@@ -64,6 +64,9 @@ from .logic import (
 )
 
 ROW_SUM_RUNTIME_TOL = 1e-6
+# how far outside [0, 1] a probability may stray: room for finite-difference
+# steps of up to 1e-6 taken at 0 or 1
+PROB_RANGE_TOL = 1e-6
 BLOCK_ROWS = 1024
 
 
@@ -237,8 +240,10 @@ def _check_probs(c: CompiledSfa, ps: np.ndarray, min_dims: int) -> np.ndarray:
         raise ValueError(
             f"expected probability array (..., steps, {len(c.vocab)}), got shape {ps.shape}"
         )
-    if not np.isfinite(ps).all():
-        raise InputError("symbol probabilities must be finite")
+    # NaN fails both comparisons, so this one pass also rejects non-finite values
+    tol = PROB_RANGE_TOL
+    if ps.size and not (ps.min() >= -tol and ps.max() <= 1.0 + tol):
+        raise InputError(f"symbol probabilities must be finite and within [0, 1] (±{tol:g})")
     return ps
 
 

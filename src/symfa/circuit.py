@@ -26,6 +26,7 @@ multiple threads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Sequence
@@ -155,7 +156,8 @@ def compile_guard(
     `order` defaults to vocabulary declaration order. A decision with
     equal branches is never built, so every node built ends up below the
     root and nothing unreachable is stored. Raises
-    CircuitSizeError if the node budget is exceeded.
+    CircuitSizeError if the node budget is exceeded, or if the guard is too
+    deep for the recursive expansion (about 1,000 variables along one path).
     """
     if order is None:
         order = list(range(num_vars))
@@ -182,7 +184,15 @@ def compile_guard(
         out = memo[g] = builder.decision(var, hi, lo)
         return out
 
-    root = shannon(f)
+    try:
+        root = shannon(f)
+    except RecursionError:
+        # shannon recurses once per variable decided along a path, and
+        # restrict once per level of the formula
+        raise CircuitSizeError(
+            "guard is too deep to compile: its decision paths and formula nesting "
+            f"exceed Python's recursion limit of {sys.getrecursionlimit()} frames"
+        ) from None
     return CompiledGuard(tuple(builder.nodes), root, num_vars)
 
 

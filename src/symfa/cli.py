@@ -14,14 +14,11 @@ import sys
 
 import numpy as np
 
+from . import automaton as automaton_mod
 from . import bench as bench_mod
 from . import learn as learn_mod
-from .automaton import (
-    forward,
-    acceptance,
-    load_sfa,
-    validate_and_compile,
-)
+from .automaton import acceptance, forward  # noqa: F401  (perfbench/layers.py traces these names)
+from .automaton import load_sfa, validate_and_compile
 from .errors import InputError, SymfaError
 from .learn import LabeledSequence, TrainConfig
 
@@ -150,24 +147,42 @@ def _sequence_probs(record, extractor, n_vars: int, index: int) -> np.ndarray:
 
 
 def cmd_infer(args) -> int:
+    """Acceptance or per-step state distributions of every record.
+
+    Every record is converted to its (steps, vars) array and run before
+    any output is written, so an input error writes nothing. Records of
+    one length share one forward recursion; rows keep the file's order.
+    """
     compiled = validate_and_compile(load_sfa(args.sfa))
     extractor = learn_mod.load_extractor(args.model) if args.model else None
     with open(args.dataset, "r", encoding="utf-8") as fh:
         records = bench_mod.read_sequences_jsonl(fh)
+    probs = []
+    by_length: dict[int, list[int]] = {}
+    for k, record in enumerate(records):
+        probs.append(_sequence_probs(record, extractor, len(compiled.vocab), k))
+        records[k] = None  # the array replaces the record's JSON lists
+        by_length.setdefault(len(probs[k]), []).append(k)
+    results: list = [None] * len(probs)
+    for ks in by_length.values():
+        stacked = np.stack([probs[k] for k in ks])
+        if args.mode == "accept":
+            group = automaton_mod.acceptance_batch(compiled, stacked).tolist()
+        else:
+            group = automaton_mod.forward_alphas(compiled, stacked)
+        for k, result in zip(ks, group):
+            results[k] = result
     out = _out_stream(args)
     try:
         if args.mode == "accept":
             out.write("index,acceptance\n")
-            for k, record in enumerate(records):
-                ps = _sequence_probs(record, extractor, len(compiled.vocab), k)
-                out.write(f"{k},{acceptance(compiled, ps):.6f}\n")
+            for k, value in enumerate(results):
+                out.write(f"{k},{value:.6f}\n")
         else:
             out.write("index,step," + ",".join(compiled.states) + "\n")
-            for k, record in enumerate(records):
-                ps = _sequence_probs(record, extractor, len(compiled.vocab), k)
-                for t, alpha in enumerate(forward(compiled, ps)):
-                    row = ",".join(f"{v:.6f}" for v in alpha)
-                    out.write(f"{k},{t},{row}\n")
+            row = "%d,%d," + ",".join(["%.6f"] * compiled.num_states) + "\n"
+            for k, alphas in enumerate(results):
+                out.write("".join(row % (k, t, *alpha) for t, alpha in enumerate(alphas.tolist())))
     finally:
         if out is not sys.stdout:
             out.close()

@@ -23,7 +23,7 @@ from symfa import (
     transition_matrix,
     validate_and_compile,
 )
-from symfa.automaton import boolean_run
+from symfa.automaton import boolean_run, forward_alphas
 from symfa.bench import random_pattern
 from symfa.errors import (
     ConsistencyError,
@@ -248,6 +248,23 @@ class TestForward:
             acceptance(driving.compiled, ps)
         with pytest.raises(InputError, match="finite"):
             acceptance_batch(driving.compiled, ps[None])
+
+    def test_out_of_range_probabilities_rejected(self, driving):
+        ps = [[1.5, -0.3, 2.0], [0.2, 0.3, 0.4]]
+        with pytest.raises(InputError, match=r"\[0, 1\]"):
+            acceptance(driving.compiled, ps)
+        with pytest.raises(InputError, match=r"\[0, 1\]"):
+            forward_alphas(driving.compiled, np.array(ps)[None])
+
+    @pytest.mark.parametrize("bad", [-2e-6, 1.0 + 2e-6])
+    def test_just_outside_the_tolerance_rejected(self, driving, bad):
+        with pytest.raises(InputError):
+            acceptance(driving.compiled, [[0.8, bad, 0.6]])
+
+    def test_finite_difference_steps_at_the_bounds_accepted(self, driving):
+        h = 1e-6
+        for ps in ([[0.0 - h, 0.3, 1.0 + h]], [[1.0 + h, 0.0 - h, 0.5]]):
+            assert 0.0 <= acceptance(driving.compiled, ps) <= 1.0 + 1e-5
 
 
 class TestBackwardGradient:

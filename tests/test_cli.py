@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from symfa import acceptance, automaton, forward, learn
 from symfa.cli import main
 
 P1 = [0.8, 0.3, 0.6]
@@ -125,6 +127,90 @@ class TestInfer:
         for mode in ("accept", "tag"):
             assert main(["infer", driving_path, str(data), "--mode", mode]) == 2
             assert "finite" in capsys.readouterr().err
+
+
+    def test_out_of_range_probabilities_are_an_input_error(self, driving_path, tmp_path, capsys):
+        data = tmp_path / "bad.jsonl"
+        data.write_text(json.dumps({"probs": [[1.5, -0.3, 2.0], P2]}) + "\n")
+        for mode in ("accept", "tag"):
+            assert main(["infer", driving_path, str(data), "--mode", mode]) == 2
+            assert "[0, 1]" in capsys.readouterr().err
+
+
+def reference_csv(compiled, sequences, mode: str) -> str:
+    """The CSV one acceptance/forward call per record gives."""
+    if mode == "accept":
+        return "index,acceptance\n" + "".join(
+            f"{k},{acceptance(compiled, ps):.6f}\n" for k, ps in enumerate(sequences)
+        )
+    lines = ["index,step," + ",".join(compiled.states) + "\n"]
+    for k, ps in enumerate(sequences):
+        for t, alpha in enumerate(forward(compiled, ps)):
+            lines.append(f"{k},{t}," + ",".join(f"{v:.6f}" for v in alpha) + "\n")
+    return "".join(lines)
+
+
+class TestInferByLength:
+    """Records of one length share one forward recursion; rows keep file order."""
+
+    LENGTHS = (3, 1, 7, 7, 3, 1, 1, 3, 7, 3)
+
+    @pytest.fixture()
+    def recursions(self, monkeypatch):
+        calls = []
+        run = automaton.forward_alphas
+
+        def counted(c, ps):
+            calls.append(np.shape(ps))
+            return run(c, ps)
+
+        monkeypatch.setattr(automaton, "forward_alphas", counted)
+        return calls
+
+    def write(self, path, key, sequences):
+        path.write_text("".join(json.dumps({key: s.tolist()}) + "\n" for s in sequences))
+        return str(path)
+
+    @pytest.mark.parametrize("mode", ["accept", "tag"])
+    def test_matches_per_record_runs(
+        self, driving, driving_path, tmp_path, capsys, recursions, mode
+    ):
+        rng = np.random.default_rng(5)
+        sequences = [rng.uniform(size=(t, 3)) for t in self.LENGTHS]
+        data = self.write(tmp_path / "mixed.jsonl", "probs", sequences)
+        assert main(["infer", driving_path, data, "--mode", mode]) == 0
+        assert len(recursions) == 3
+        assert sorted(shape[:2] for shape in recursions) == [(3, 1), (3, 7), (4, 3)]
+        assert capsys.readouterr().out == reference_csv(driving.compiled, sequences, mode)
+
+    @pytest.mark.parametrize("mode", ["accept", "tag"])
+    @pytest.mark.parametrize("bad", [{"probs": [[1.5, 0.2, 0.3]]}, {"steps": 2}])
+    def test_bad_last_record_writes_nothing(self, driving_path, tmp_path, capsys, mode, bad):
+        rng = np.random.default_rng(6)
+        data = tmp_path / "bad-last.jsonl"
+        self.write(data, "probs", [rng.uniform(size=(t, 3)) for t in self.LENGTHS])
+        with data.open("a") as fh:
+            fh.write(json.dumps(bad) + "\n")
+        out = tmp_path / "out.csv"
+        assert main(["infer", driving_path, str(data), "--mode", mode, "--out", str(out)]) == 2
+        assert main(["infer", driving_path, str(data), "--mode", mode]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["accept", "tag"])
+    def test_feature_records_with_a_model(
+        self, driving, driving_path, tmp_path, capsys, recursions, mode
+    ):
+        rng = np.random.default_rng(7)
+        extractor = learn.LinearExtractor.init_random(3, 4, rng)
+        model = tmp_path / "model.bin"
+        learn.save_extractor(extractor, model)
+        features = [rng.normal(size=(t, 4)) for t in self.LENGTHS]
+        data = self.write(tmp_path / "features.jsonl", "features", features)
+        assert main(["infer", driving_path, data, "--model", str(model), "--mode", mode]) == 0
+        assert len(recursions) == 3
+        sequences = [extractor.extract(f) for f in features]
+        assert capsys.readouterr().out == reference_csv(driving.compiled, sequences, mode)
 
 
 class TestGenerate:

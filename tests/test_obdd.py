@@ -8,13 +8,15 @@ support takes time exponential in its width.
 """
 
 import signal
+import sys
 import time
 from contextlib import contextmanager
 
 import pytest
 
 from symfa import Sfa, Vocabulary, compile_guard, is_valid, parse_sfa, validate_and_compile
-from symfa.errors import IncompleteError
+from symfa.cli import main
+from symfa.errors import CircuitSizeError, IncompleteError
 from symfa.logic import Var, f_and, f_not
 
 WIDE = 60
@@ -80,3 +82,31 @@ def test_thirty_variable_wide_support_validates_in_under_a_second():
         compiled = validate_and_compile(sfa)
     assert time.perf_counter() - start < 1.0
     assert compiled.completed_states == ("q1",)
+
+
+def test_guard_deeper_than_the_recursion_limit_is_a_domain_error(tmp_path, capsys):
+    # the expansion restricts a conjunction of every variable once per level,
+    # quadratic work; a lowered limit keeps the test fast
+    limit = sys.getrecursionlimit()
+    width = 600
+    names = [f"v{i}" for i in range(width)]
+    spec = tmp_path / "deep.sfa"
+    spec.write_text(
+        "\n".join(
+            [
+                "vars: " + ", ".join(names),
+                "states: a, b",
+                "initial: a",
+                "accepting: b",
+                "a -> b : " + " & ".join(names),
+            ]
+        )
+    )
+    sys.setrecursionlimit(400)
+    try:
+        with pytest.raises(CircuitSizeError, match="too deep"):
+            compile_guard(f_and(*(Var(i) for i in range(width))), width)
+        assert main(["validate", str(spec)]) == 1
+    finally:
+        sys.setrecursionlimit(limit)
+    assert capsys.readouterr().err.startswith("error: guard is too deep")
