@@ -1,12 +1,13 @@
 """Symbolic automata: representation, validation, and probabilistic runs.
 
 An automaton carries a propositional guard on each transition, compiled
-to a reduced ordered decision diagram (circuit.compile_guard). Validation
-checks that the guards out of each state are pairwise disjoint and
-jointly exhaustive by compiling their conjunctions and their disjunction:
-the diagram of an unsatisfiable formula is the constant 0 and that of a
-valid one the constant 1, so both checks are exact, and a counterexample
-is one walk down a diagram. After validation the per-observation
+to a reduced ordered decision diagram. Validation builds every guard once
+into one decision-diagram table (circuit.DiagramTable) and checks that
+the guards out of each state are pairwise disjoint and jointly exhaustive
+by combining their node ids: equal functions share a node, so a
+conjunction that is node 0 is unsatisfiable and a disjunction that is
+node 1 is valid. Both checks are exact, and a counterexample is one walk
+down the offending diagram. After validation the per-observation
 transition matrix is row-stochastic, and the state distribution after
 each observation follows the recursion
 
@@ -41,8 +42,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import circuit
-from .circuit import CompiledGuard, compile_guard
-from .circuit import wmc_batch  # noqa: F401  (perfbench/layers.py traces this name)
+from .circuit import CompiledGuard
+from .circuit import compile_guard, wmc_batch  # noqa: F401  (perfbench/layers.py traces these names)
 from .errors import (
     ConsistencyError,
     IncompleteError,
@@ -51,12 +52,10 @@ from .errors import (
     SfaFileError,
 )
 from .logic import (
-    FALSE,
     Formula,
     Interpretation,
     Vocabulary,
     evaluate,
-    f_and,
     f_not,
     f_or,
     format_formula,
@@ -140,28 +139,31 @@ class CompiledSfa:
 
 
 def complete_self_loops(
-    sfa: Sfa, max_nodes: int = circuit.DEFAULT_MAX_NODES
+    sfa: Sfa, table: circuit.DiagramTable | None = None
 ) -> tuple[Sfa, tuple[str, ...]]:
     """Route unmatched interpretations into a self-loop, per state.
 
     For every state whose declared outgoing guards do not cover all
-    interpretations (their disjunction, compiled within the `max_nodes`
-    budget, is not the constant true), the uncovered remainder is added
-    to (or becomes) the state's self-loop guard. Returns the completed
-    automaton and the names of the states that were changed.
+    interpretations (the disjunction of their diagrams is not the constant
+    true), the uncovered remainder is added to (or becomes) the state's
+    self-loop guard. The diagrams are built in `table`, or in a new one
+    with the default node budget. Returns the completed automaton and the
+    names of the states that were changed.
     """
+    if table is None:
+        table = circuit.DiagramTable(range(len(sfa.vocab)))
     transitions = dict(sfa.transitions)
     changed = []
-    n = len(sfa.vocab)
-    for q in range(sfa.num_states):
-        outgoing = [f for (src, _), f in transitions.items() if src == q]
-        disj = f_or(*outgoing) if outgoing else FALSE
-        if circuit.is_valid(compile_guard(disj, n, max_nodes=max_nodes)):
-            continue
-        gap = f_not(disj)
-        existing = transitions.get((q, q))
-        transitions[(q, q)] = f_or(existing, gap) if existing is not None else gap
-        changed.append(sfa.states[q])
+    with circuit.too_deep_is_size_error():
+        for q in range(sfa.num_states):
+            outgoing = [f for (src, _), f in transitions.items() if src == q]
+            disj = f_or(*outgoing)
+            if table.build(disj) == 1:
+                continue
+            gap = f_not(disj)
+            existing = transitions.get((q, q))
+            transitions[(q, q)] = f_or(existing, gap) if existing is not None else gap
+            changed.append(sfa.states[q])
     completed = Sfa(sfa.vocab, sfa.states, sfa.initial, transitions, sfa.accepting)
     return completed, tuple(changed)
 
@@ -174,41 +176,38 @@ def validate_and_compile(
     """Check determinism and exhaustiveness, compile every guard.
 
     Guards out of each state must be pairwise unsatisfiable in conjunction
-    and their disjunction valid. Both are read off the compiled decision
-    diagrams (a conjunction compiles to node 0, the disjunction to node 1),
-    and a counterexample interpretation is one walk down the offending
+    and their disjunction valid. Every guard is built once, into one
+    decision-diagram table for the whole automaton (at most `max_nodes`
+    nodes), and both checks are read off node ids: a conjunction is node 0,
+    the disjunction node 1. A counterexample is one walk down the offending
     diagram. With `complete` (the default) missing coverage becomes a
     self-loop first; without it, uncovered states raise IncompleteError.
     """
-    n = len(sfa.vocab)
+    table = circuit.DiagramTable(range(len(sfa.vocab)), max_nodes)
     completed_states: tuple[str, ...] = ()
     if complete:
-        sfa, completed_states = complete_self_loops(sfa, max_nodes=max_nodes)
+        sfa, completed_states = complete_self_loops(sfa, table=table)
 
-    guards = {
-        pair: compile_guard(f, n, max_nodes=max_nodes)
-        for pair, f in sfa.transitions.items()
-    }
+    with circuit.too_deep_is_size_error():
+        roots = {pair: table.build(f) for pair, f in sfa.transitions.items()}
+        guards = {pair: table.guard(root) for pair, root in roots.items()}
 
-    for q in range(sfa.num_states):
-        out = sorted(
-            (dst, f) for (src, dst), f in sfa.transitions.items() if src == q
-        )
-        for a in range(len(out)):
-            for b in range(a + 1, len(out)):
-                both = compile_guard(f_and(out[a][1], out[b][1]), n, max_nodes=max_nodes)
-                if circuit.is_satisfiable(both):
-                    witness = circuit.witness(both, True)
-                    raise NonDeterministicError(
-                        sfa.states[q],
-                        (sfa.states[out[a][0]], sfa.states[out[b][0]]),
-                        witness.describe(sfa.vocab),
-                    )
-        disj = f_or(*(f for _, f in out)) if out else FALSE
-        cover = compile_guard(disj, n, max_nodes=max_nodes)
-        if not circuit.is_valid(cover):
-            witness = circuit.witness(cover, False)
-            raise IncompleteError(sfa.states[q], witness.describe(sfa.vocab))
+        for q in range(sfa.num_states):
+            out = sorted((dst, root) for (src, dst), root in roots.items() if src == q)
+            for a in range(len(out)):
+                for b in range(a + 1, len(out)):
+                    both = table.conj(out[a][1], out[b][1])
+                    if both != 0:
+                        witness = circuit.witness(table.guard(both), True)
+                        raise NonDeterministicError(
+                            sfa.states[q],
+                            (sfa.states[out[a][0]], sfa.states[out[b][0]]),
+                            witness.describe(sfa.vocab),
+                        )
+            cover = table.disj(*(root for _, root in out))
+            if cover != 1:
+                witness = circuit.witness(table.guard(cover), False)
+                raise IncompleteError(sfa.states[q], witness.describe(sfa.vocab))
 
     return CompiledSfa(sfa, guards, completed_states)
 

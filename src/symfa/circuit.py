@@ -1,10 +1,14 @@
 """Guard compilation to reduced ordered decision diagrams.
 
-A guard formula is compiled once, by Shannon expansion along a variable
-order with memoization on the residual subformula and hash-consing of the
-nodes, into a reduced ordered binary decision diagram (Bryant 1986). Node
-0 is the constant false and node 1 the constant true; every other node is
-a decision (var, hi, lo), worth hi where var is true and lo where it is
+A guard formula is compiled once into a reduced ordered binary decision
+diagram (Bryant 1986). A `DiagramTable` hash-conses the decision nodes of
+many diagrams over one variable order and builds them bottom-up with
+memoized negation and conjunction on node ids (Bryant's apply), so the
+guards of one automaton, and the conjunctions and disjunctions that
+validate it, share one table and each subformula is built once. A
+`CompiledGuard` is one diagram extracted from a table. Its node 0 is the
+constant false and node 1 the constant true; every other node is a
+decision (var, hi, lo), worth hi where var is true and lo where it is
 false. The probability of the guard under independent per-variable
 probabilities is then one bottom-up pass, p·hi + (1 − p)·lo per node, and
 its gradient one top-down pass, both linear in the diagram. The diagram
@@ -21,12 +25,14 @@ interpret one guard; tests use them as the reference for the plan.
 
 Circuits and plans are immutable after construction; evaluation
 allocates only local buffers and is safe to run concurrently from
-multiple threads.
+multiple threads. A DiagramTable grows as it builds, so each caller
+makes its own.
 """
 
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Sequence
@@ -34,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CircuitSizeError
-from .logic import Const, Formula, Interpretation, restrict, support
+from .logic import And, Const, Formula, Interpretation, Not, Var
 
 DEFAULT_MAX_NODES = 1_000_000
 
@@ -121,28 +127,146 @@ class WmcResult:
     gradient: np.ndarray | None = None
 
 
-class _Builder:
-    """Hash-consing store of decision nodes with a node budget."""
+class DiagramTable:
+    """Hash-consed decision nodes shared by many diagrams over one variable order.
 
-    def __init__(self, max_nodes: int):
+    Node 0 is false and node 1 true; every other node is (level, hi, lo),
+    testing variable `order[level]`, with hi != lo and both children at
+    deeper levels. Equal functions get equal ids, so validity is `u == 1`,
+    satisfiability `u != 0` and disjointness `conj(u, v) == 0`. Negation and
+    conjunction are memoized on node ids (Bryant's apply), disjunction goes
+    through De Morgan, and `build` memoizes per formula, so a table shared
+    by the guards of one automaton builds each subformula and each pair
+    once. `max_nodes` bounds the whole table, constants included.
+
+    The operations recurse once per level; callers turn a RecursionError
+    into CircuitSizeError with `too_deep_is_size_error`.
+    """
+
+    def __init__(self, order: Sequence[int], max_nodes: int = DEFAULT_MAX_NODES):
+        self.order = list(order)
         self.max_nodes = max_nodes
-        self.nodes: list[tuple] = [(KIND_CONST, 0), (KIND_CONST, 1)]
-        self.unique: dict[tuple[int, int, int], int] = {}
+        self._level = {var: level for level, var in enumerate(self.order)}
+        # the constants sit below every level
+        bottom = len(self.order)
+        self._nodes: list[tuple[int, int, int]] = [(bottom, 0, 0), (bottom, 1, 1)]
+        self._unique: dict[tuple[int, int, int], int] = {}
+        self._neg = {0: 1, 1: 0}
+        self._and: dict[tuple[int, int], int] = {}
+        self._built: dict[Formula, int] = {}
 
-    def decision(self, var: int, hi: int, lo: int) -> int:
+    def _node(self, level: int, hi: int, lo: int) -> int:
         # p·x + (1 − p)·x == x, so equal branches are no decision
         if hi == lo:
             return hi
-        key = (var, hi, lo)
-        found = self.unique.get(key)
+        key = (level, hi, lo)
+        found = self._unique.get(key)
         if found is None:
-            if len(self.nodes) >= self.max_nodes:
+            if len(self._nodes) >= self.max_nodes:
                 raise CircuitSizeError(
                     f"circuit exceeds the {self.max_nodes}-node budget"
                 )
-            found = self.unique[key] = len(self.nodes)
-            self.nodes.append(key)
+            found = self._unique[key] = len(self._nodes)
+            self._nodes.append(key)
         return found
+
+    def neg(self, u: int) -> int:
+        """Negation; remembered both ways, so negating twice is a lookup."""
+        found = self._neg.get(u)
+        if found is None:
+            level, hi, lo = self._nodes[u]
+            found = self._node(level, self.neg(hi), self.neg(lo))
+            self._neg[u] = found
+            self._neg[found] = u
+        return found
+
+    def _and2(self, u: int, v: int) -> int:
+        if u > v:
+            u, v = v, u
+        if u <= 1:  # a constant: the ids 0 and 1 are the smallest
+            return v if u else 0
+        if u == v:
+            return u
+        found = self._and.get((u, v))
+        if found is None:
+            lu, hu, lou = self._nodes[u]
+            lv, hv, lov = self._nodes[v]
+            level = min(lu, lv)
+            if lu != level:
+                hu = lou = u
+            if lv != level:
+                hv = lov = v
+            found = self._node(level, self._and2(hu, hv), self._and2(lou, lov))
+            self._and[(u, v)] = found
+        return found
+
+    def conj(self, *ids: int) -> int:
+        """Conjunction, folded from the deepest top level up, so that a wide
+        conjunction adds one level per operand."""
+        acc = 1
+        for u in sorted(ids, key=lambda u: self._nodes[u][0], reverse=True):
+            acc = self._and2(u, acc)
+        return acc
+
+    def disj(self, *ids: int) -> int:
+        """Disjunction, by De Morgan."""
+        return self.neg(self.conj(*map(self.neg, ids)))
+
+    def build(self, f: Formula) -> int:
+        """Node of formula `f`."""
+        found = self._built.get(f)
+        if found is None:
+            if isinstance(f, Var):
+                found = self._node(self._level[f.index], 1, 0)
+            elif isinstance(f, Const):
+                found = int(f.value)
+            elif isinstance(f, Not):
+                found = self.neg(self.build(f.child))
+            elif isinstance(f, And):
+                found = self.conj(*map(self.build, f.children))
+            else:
+                found = self.disj(*map(self.build, f.children))
+            self._built[f] = found
+        return found
+
+    def guard(self, root: int) -> CompiledGuard:
+        """The diagram below `root` on its own.
+
+        Its decision nodes are numbered from 2 in hi-first post-order, the
+        order in which Shannon expansion along the table's variable order
+        creates them, so equal functions give equal guards whatever else
+        the table holds.
+        """
+        ids = {0: 0, 1: 1}
+        nodes: list[tuple] = [(KIND_CONST, 0), (KIND_CONST, 1)]
+
+        def visit(u: int) -> int:
+            found = ids.get(u)
+            if found is None:
+                level, hi, lo = self._nodes[u]
+                node = (self.order[level], visit(hi), visit(lo))
+                found = ids[u] = len(nodes)
+                nodes.append(node)
+            return found
+
+        root = visit(root)
+        return CompiledGuard(tuple(nodes), root, len(self.order))
+
+
+@contextmanager
+def too_deep_is_size_error():
+    """Report a diagram too deep for Python's recursion limit as CircuitSizeError.
+
+    Every table operation recurses once per level of the diagrams it
+    walks, and `build` once per level of formula nesting.
+    """
+    try:
+        yield
+    except RecursionError:
+        raise CircuitSizeError(
+            "guard is too deep to compile: its decision paths and formula nesting "
+            f"exceed Python's recursion limit of {sys.getrecursionlimit()} frames"
+        ) from None
 
 
 def compile_guard(
@@ -151,49 +275,20 @@ def compile_guard(
     order: list[int] | None = None,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> CompiledGuard:
-    """Compile `f` (over `num_vars` variables) by ordered Shannon expansion.
+    """Compile `f` (over `num_vars` variables) to its reduced ordered diagram.
 
-    `order` defaults to vocabulary declaration order. A decision with
-    equal branches is never built, so every node built ends up below the
-    root and nothing unreachable is stored. Raises
-    CircuitSizeError if the node budget is exceeded, or if the guard is too
-    deep for the recursive expansion (about 1,000 variables along one path).
+    `order` defaults to vocabulary declaration order. Raises
+    CircuitSizeError if the node budget is exceeded, or if the diagram is
+    too deep for the recursive operations (about 1,000 variables along one
+    path).
     """
     if order is None:
-        order = list(range(num_vars))
-    else:
-        order = list(order)
-        if sorted(order) != list(range(num_vars)):
-            raise ValueError(f"order must be a permutation of 0..{num_vars - 1}")
-
-    builder = _Builder(max_nodes)
-    position = {var: depth for depth, var in enumerate(order)}
-    # the node of a residual formula depends on the formula alone: it
-    # branches on its earliest support variable in the order
-    memo: dict[Formula, int] = {}
-
-    def shannon(g: Formula) -> int:
-        if isinstance(g, Const):
-            return 1 if g.value else 0
-        found = memo.get(g)
-        if found is not None:
-            return found
-        var = order[min(position[v] for v in support(g))]
-        hi = shannon(restrict(g, var, True))
-        lo = shannon(restrict(g, var, False))
-        out = memo[g] = builder.decision(var, hi, lo)
-        return out
-
-    try:
-        root = shannon(f)
-    except RecursionError:
-        # shannon recurses once per variable decided along a path, and
-        # restrict once per level of the formula
-        raise CircuitSizeError(
-            "guard is too deep to compile: its decision paths and formula nesting "
-            f"exceed Python's recursion limit of {sys.getrecursionlimit()} frames"
-        ) from None
-    return CompiledGuard(tuple(builder.nodes), root, num_vars)
+        order = range(num_vars)
+    elif sorted(order) != list(range(num_vars)):
+        raise ValueError(f"order must be a permutation of 0..{num_vars - 1}")
+    with too_deep_is_size_error():
+        table = DiagramTable(order, max_nodes)
+        return table.guard(table.build(f))
 
 
 def _values(g: CompiledGuard, p: np.ndarray) -> list:

@@ -9,6 +9,7 @@ pattern), 2 on usage, IO, and parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -273,7 +274,12 @@ def cmd_bench(args) -> int:
 
 # --- wiring ------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every subcommand, built once per process.
+
+    Parsing does not change it: each call fills a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="symfa",
         description="Symbolic automata over uncertain symbol sequences: "

@@ -221,33 +221,6 @@ def evaluate(f: Formula, omega: Interpretation) -> bool:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def support(f: Formula) -> frozenset[int]:
-    """Indices of variables that occur in `f`."""
-    if isinstance(f, Var):
-        return frozenset((f.index,))
-    if isinstance(f, Const):
-        return frozenset()
-    if isinstance(f, Not):
-        return support(f.child)
-    acc: frozenset[int] = frozenset()
-    for c in f.children:
-        acc |= support(c)
-    return acc
-
-
-def restrict(f: Formula, index: int, value: bool) -> Formula:
-    """Substitute a constant for variable `index` and simplify."""
-    if isinstance(f, Var):
-        return (TRUE if value else FALSE) if f.index == index else f
-    if isinstance(f, Const):
-        return f
-    if isinstance(f, Not):
-        return f_not(restrict(f.child, index, value))
-    if isinstance(f, And):
-        return f_and(*(restrict(c, index, value) for c in f.children))
-    return f_or(*(restrict(c, index, value) for c in f.children))
-
-
 def enumerate_models(f: Formula, vocab_size: int) -> set[Interpretation]:
     """All interpretations satisfying `f`, over the full vocabulary.
 

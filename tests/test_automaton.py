@@ -32,7 +32,7 @@ from symfa.errors import (
     NonDeterministicError,
     SfaFileError,
 )
-from symfa.logic import evaluate
+from symfa.logic import Var, enumerate_models, evaluate, f_and, f_not, f_or
 
 from conftest import alpha_by_trace_enumeration, assert_close_rel
 
@@ -125,12 +125,94 @@ class TestValidation:
         for mask in (0, 1):
             assert evaluate(loop, Interpretation(mask, 1))
 
+    def test_verdicts_and_witnesses_match_the_enumeration_oracle(self):
+        rng = random.Random(83)
+        verdicts = set()
+        for _ in range(200):
+            sfa = perturbed_pattern(rng)
+            for complete in (True, False):
+                expected = oracle_verdict(sfa, complete)
+                verdicts.add(expected[0])
+                try:
+                    validate_and_compile(sfa, complete=complete)
+                    got = ("ok",)
+                except NonDeterministicError as err:
+                    got = ("overlap", err.state, err.targets)
+                    guards = [
+                        sfa.transitions[(sfa.state_index(err.state), sfa.state_index(t))]
+                        for t in err.targets
+                    ]
+                    witness = witness_of(sfa, err.witness)
+                    assert all(evaluate(f, witness) for f in guards)
+                except IncompleteError as err:
+                    got = ("gap", err.state)
+                    q = sfa.state_index(err.state)
+                    witness = witness_of(sfa, err.witness)
+                    assert not any(
+                        evaluate(f, witness)
+                        for (src, _), f in sfa.transitions.items()
+                        if src == q
+                    )
+                assert got == expected
+        assert verdicts == {"ok", "overlap", "gap"}
+
     def test_structurally_broken_sfa_rejected(self):
         vocab = Vocabulary.of("a")
         with pytest.raises(ValueError):
             Sfa(vocab, ("q0",), 3, {}, frozenset())
         with pytest.raises(ValueError):
             Sfa(vocab, ("q0",), 0, {(0, 4): parse_formula("a", vocab)}, frozenset())
+
+
+def perturbed_pattern(rng):
+    """A random decision-list pattern with guards widened (overlaps),
+    narrowed (gaps) or dropped."""
+    num_vars = rng.randint(2, 5)
+    sfa = random_pattern(rng.randint(2, 5), num_vars, rng.randrange(10**6)).sfa
+    transitions = dict(sfa.transitions)
+    for _ in range(rng.randint(0, 2)):
+        pair = rng.choice(sorted(transitions))
+        literal = Var(rng.randrange(num_vars))
+        if rng.random() < 0.5:
+            literal = f_not(literal)
+        kind = rng.random()
+        if kind < 0.4:
+            transitions[pair] = f_or(transitions[pair], literal)
+        elif kind < 0.8:
+            transitions[pair] = f_and(transitions[pair], literal)
+        elif len(transitions) > 1:
+            del transitions[pair]
+    return Sfa(sfa.vocab, sfa.states, sfa.initial, transitions, sfa.accepting)
+
+
+def oracle_verdict(sfa, complete):
+    """The first failure validation must report, found by enumerating models."""
+    n = len(sfa.vocab)
+    everything = set(range(1 << n))
+    models = {
+        pair: {w.mask for w in enumerate_models(f, n)}
+        for pair, f in sfa.transitions.items()
+    }
+    if complete:
+        for q in range(sfa.num_states):
+            covered = set().union(*(m for (src, _), m in models.items() if src == q))
+            if covered != everything:
+                models[(q, q)] = models.get((q, q), set()) | (everything - covered)
+    for q in range(sfa.num_states):
+        out = sorted((dst, m) for (src, dst), m in models.items() if src == q)
+        for a in range(len(out)):
+            for b in range(a + 1, len(out)):
+                if out[a][1] & out[b][1]:
+                    targets = (sfa.states[out[a][0]], sfa.states[out[b][0]])
+                    return ("overlap", sfa.states[q], targets)
+        if set().union(*(m for _, m in out)) != everything:
+            return ("gap", sfa.states[q])
+    return ("ok",)
+
+
+def witness_of(sfa, described):
+    names = [name for name in described.strip("{}").split(", ") if name]
+    return Interpretation.from_true(sfa.vocab, names)
 
 
 class TestTransitionMatrix:

@@ -14,7 +14,7 @@ from symfa import (
     is_valid,
     wmc,
 )
-from symfa.circuit import KIND_CONST, wmc_batch, witness
+from symfa.circuit import KIND_CONST, DiagramTable, wmc_batch, witness
 from symfa.errors import CircuitSizeError
 from symfa.logic import (
     FALSE,
@@ -194,6 +194,35 @@ class TestCircuitStructure:
                     assert (diagram == diagram2) == (table == table2)
                     equivalent_pairs += f != f2 and table == table2
         assert equivalent_pairs > 100  # the iff is exercised on distinct formulas
+
+    def test_guard_from_a_shared_table_equals_compile_guard(self):
+        rng = random.Random(67)
+        for _ in range(150):
+            num_vars = rng.randint(1, 6)
+            order = rng.sample(range(num_vars), num_vars)
+            formulas = [random_formula(rng, num_vars, depth=rng.randint(1, 4)) for _ in range(6)]
+            table = DiagramTable(order)
+            roots = {}
+            for k in rng.sample(range(len(formulas)), len(formulas)):
+                roots[k] = table.build(formulas[k])
+                table.conj(*roots.values())
+                table.disj(*roots.values())
+            for k, f in enumerate(formulas):
+                alone = compile_guard(f, num_vars, order=order)
+                shared = table.guard(roots[k])
+                assert (shared.nodes, shared.root) == (alone.nodes, alone.root)
+                assert shared.dump() == alone.dump()
+
+    def test_nodes_numbered_in_hi_first_post_order(self):
+        # the numbering of Shannon expansion along the order: the hi child's
+        # diagram first, then the lo child's, then the node itself
+        vocab = Vocabulary.of("a", "b", "c")
+        g = compile_guard(parse_formula("a & b | !a & c", vocab), 3)
+        assert g.nodes[2:] == ((1, 1, 0), (2, 1, 0), (0, 2, 3))
+        assert g.root == 4
+        g = compile_guard(parse_formula("a & b | !a & c", vocab), 3, order=[2, 1, 0])
+        assert g.nodes[2:] == ((0, 0, 1), (1, 1, 2), (0, 1, 0), (1, 4, 0), (2, 3, 5))
+        assert g.root == 6
 
     def test_node_budget_is_enforced(self):
         f = f_and(f_or(Var(0), Var(1)), f_or(Var(2), Var(3)), f_or(Var(4), Var(5)))

@@ -150,6 +150,27 @@ def reference_csv(compiled, sequences, mode: str) -> str:
     return "".join(lines)
 
 
+class TestBackToBackCalls:
+    """`main` reuses one parser; nothing of one call reaches the next."""
+
+    def test_infer_mode_defaults_to_accept_after_a_tag_call(
+        self, driving_path, probs_dataset, capsys
+    ):
+        assert main(["infer", driving_path, probs_dataset, "--mode", "tag"]) == 0
+        assert capsys.readouterr().out.startswith("index,step,")
+        assert main(["infer", driving_path, probs_dataset]) == 0
+        assert capsys.readouterr().out.startswith("index,acceptance\n")
+
+    def test_compile_writes_to_stdout_after_an_out_call(self, driving_path, tmp_path, capsys):
+        dump = tmp_path / "dump.txt"
+        assert main(["compile", driving_path, "--out", str(dump)]) == 0
+        assert capsys.readouterr().out == ""
+        dump.unlink()
+        assert main(["compile", driving_path]) == 0
+        assert capsys.readouterr().out.startswith("# q0 -> ")
+        assert not dump.exists()
+
+
 class TestInferByLength:
     """Records of one length share one forward recursion; rows keep file order."""
 

@@ -84,14 +84,10 @@ def test_thirty_variable_wide_support_validates_in_under_a_second():
     assert compiled.completed_states == ("q1",)
 
 
-def test_guard_deeper_than_the_recursion_limit_is_a_domain_error(tmp_path, capsys):
-    # the expansion restricts a conjunction of every variable once per level,
-    # quadratic work; a lowered limit keeps the test fast
-    limit = sys.getrecursionlimit()
-    width = 600
+def conjunction_spec(path, width: int) -> str:
+    """Two states; a moves to b on the conjunction of all `width` variables."""
     names = [f"v{i}" for i in range(width)]
-    spec = tmp_path / "deep.sfa"
-    spec.write_text(
+    path.write_text(
         "\n".join(
             [
                 "vars: " + ", ".join(names),
@@ -102,11 +98,32 @@ def test_guard_deeper_than_the_recursion_limit_is_a_domain_error(tmp_path, capsy
             ]
         )
     )
+    return str(path)
+
+
+def test_wide_conjunction_compiles_and_validates_in_linear_time(tmp_path, capsys):
+    # each operand of the conjunction adds one level on top of the others,
+    # and completion negates the whole chain once
+    width = 900
+    spec = conjunction_spec(tmp_path / "wide.sfa", width)
+    with deadline(0.5):
+        g = compile_guard(f_and(*(Var(i) for i in range(width))), width)
+        assert main(["validate", spec]) == 0
+    assert len(g.nodes) == width + 2
+    assert capsys.readouterr().out.startswith("valid: 2 states, 3 transitions")
+
+
+def test_guard_deeper_than_the_recursion_limit_is_a_domain_error(tmp_path, capsys):
+    # extracting a guard from the table recurses once per level; a lowered
+    # limit keeps the test small
+    limit = sys.getrecursionlimit()
+    width = 600
+    spec = conjunction_spec(tmp_path / "deep.sfa", width)
     sys.setrecursionlimit(400)
     try:
         with pytest.raises(CircuitSizeError, match="too deep"):
             compile_guard(f_and(*(Var(i) for i in range(width))), width)
-        assert main(["validate", str(spec)]) == 1
+        assert main(["validate", spec]) == 1
     finally:
         sys.setrecursionlimit(limit)
     assert capsys.readouterr().err.startswith("error: guard is too deep")
