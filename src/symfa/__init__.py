@@ -17,7 +17,6 @@ from .automaton import (
     complete_self_loops,
     format_sfa,
     forward,
-    forward_backward_grad,
     load_sfa,
     parse_sfa,
     transition_matrix,

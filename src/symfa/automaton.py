@@ -168,22 +168,19 @@ def complete_self_loops(
     return completed, tuple(changed)
 
 
-def validate_and_compile(
-    sfa: Sfa,
-    complete: bool = True,
-    max_nodes: int = circuit.DEFAULT_MAX_NODES,
-) -> CompiledSfa:
+def validate_and_compile(sfa: Sfa, complete: bool = True) -> CompiledSfa:
     """Check determinism and exhaustiveness, compile every guard.
 
     Guards out of each state must be pairwise unsatisfiable in conjunction
     and their disjunction valid. Every guard is built once, into one
-    decision-diagram table for the whole automaton (at most `max_nodes`
-    nodes), and both checks are read off node ids: a conjunction is node 0,
-    the disjunction node 1. A counterexample is one walk down the offending
-    diagram. With `complete` (the default) missing coverage becomes a
-    self-loop first; without it, uncovered states raise IncompleteError.
+    decision-diagram table for the whole automaton (at most
+    circuit.DEFAULT_MAX_NODES nodes), and both checks are read off node
+    ids: a conjunction is node 0, the disjunction node 1. A counterexample
+    is one walk down the offending diagram. With `complete` (the default)
+    missing coverage becomes a self-loop first; without it, uncovered
+    states raise IncompleteError.
     """
-    table = circuit.DiagramTable(range(len(sfa.vocab)), max_nodes)
+    table = circuit.DiagramTable(range(len(sfa.vocab)))
     completed_states: tuple[str, ...] = ()
     if complete:
         sfa, completed_states = complete_self_loops(sfa, table=table)
@@ -414,31 +411,6 @@ def backward_gradient(c: CompiledSfa, ps, alpha_grads, alphas=None) -> np.ndarra
         grad = plan.circuit.backward(rows, tape, at_dst.reshape(-1, len(plan.src)).T)
         out[:, t0:t1, :] = grad.reshape(ps.shape[-1], t1 - t0, width).transpose(2, 1, 0)
     return out.reshape(lead + (steps, ps.shape[-1]))
-
-
-def forward_backward_grad(c: CompiledSfa, ps, loss_grad_on_alphas) -> list[np.ndarray]:
-    """Per-step gradients dLoss/dp_t given upstream dLoss/dalpha_t vectors.
-
-    `loss_grad_on_alphas` is one vector of length Q per step; entries for
-    steps the loss ignores may be given as None.
-    """
-    ps = np.asarray(ps, dtype=np.float64)
-    if ps.size == 0:
-        return []
-    if ps.ndim != 2:
-        raise ValueError("forward_backward_grad expects a (steps, num_vars) array")
-    steps = ps.shape[0]
-    if len(loss_grad_on_alphas) != steps:
-        raise ValueError("need one upstream gradient (or None) per step")
-    grads = np.zeros((steps, c.num_states))
-    for t, g in enumerate(loss_grad_on_alphas):
-        if g is not None:
-            g = np.asarray(g, dtype=np.float64)
-            if g.shape != (c.num_states,):
-                raise ValueError(f"upstream gradient {t} has shape {g.shape}")
-            grads[t] = g
-    full = backward_gradient(c, ps, grads)
-    return [full[t] for t in range(steps)]
 
 
 # --- boolean runs ----------------------------------------------------------

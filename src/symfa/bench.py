@@ -158,12 +158,12 @@ class SyntheticDataset:
         return [LabeledSequence(s.features, label=s.label) for s in self.sequences]
 
 
-def _transition_models(c: CompiledSfa) -> dict[tuple[int, int], list[int]]:
-    """Model masks per transition of the completed automaton."""
-    n = len(c.vocab)
+def _transition_models(sfa: Sfa) -> dict[tuple[int, int], list[int]]:
+    """Sorted model masks of every transition guard."""
+    n = len(sfa.vocab)
     return {
         pair: sorted(w.mask for w in enumerate_models(f, n))
-        for pair, f in c.sfa.transitions.items()
+        for pair, f in sfa.transitions.items()
     }
 
 
@@ -237,7 +237,7 @@ def generate_dataset(
     trace of the requested length.
     """
     c = pattern.compiled
-    models = _transition_models(c)
+    models = _transition_models(c.sfa)
     struct_rng = random.Random(seed)
     noise_rng = np.random.default_rng(seed)
     n_sym = len(c.vocab)
@@ -328,12 +328,8 @@ class EnumerativeEngine:
             )
         completed, _ = complete_self_loops(sfa)
         self.sfa = completed
-        n = len(completed.vocab)
-        self.num_vars = n
-        self.models = {
-            pair: sorted(w.mask for w in enumerate_models(f, n))
-            for pair, f in completed.transitions.items()
-        }
+        self.num_vars = len(completed.vocab)
+        self.models = _transition_models(completed)
 
     def acceptance(self, ps) -> float:
         ps = np.asarray(ps, dtype=np.float64)

@@ -64,15 +64,22 @@ def _read_config(path: str) -> dict:
     return values
 
 
+def _given(args, *keys: str) -> dict:
+    """flag > config file; keys set by neither are left out, so the callee's defaults apply."""
+    config = getattr(args, "_config_values", {})
+    values = {}
+    for key in keys:
+        given = getattr(args, key, None)
+        if given is not None:
+            values[key] = given
+        elif key in config:
+            values[key] = config[key]
+    return values
+
+
 def _resolve(args, key: str, default):
     """flag > config file > default."""
-    given = getattr(args, key, None)
-    if given is not None:
-        return given
-    config = getattr(args, "_config_values", {})
-    if key in config:
-        return config[key]
-    return default
+    return _given(args, key).get(key, default)
 
 
 def _out_stream(args):
@@ -213,12 +220,7 @@ def cmd_train(args) -> int:
     compiled = validate_and_compile(load_sfa(args.sfa))
     data = _load_labeled(args.dataset)
     cfg = TrainConfig(
-        learning_rate=_resolve(args, "learning_rate", 0.01),
-        optimizer=_resolve(args, "optimizer", "adam"),
-        batch_size=_resolve(args, "batch_size", 16),
-        max_epochs=_resolve(args, "max_epochs", 100),
-        patience=_resolve(args, "patience", 10),
-        seed=_resolve(args, "seed", 0),
+        **_given(args, "learning_rate", "optimizer", "batch_size", "max_epochs", "patience", "seed")
     )
     result = learn_mod.train(compiled, data, cfg)
     learn_mod.save_extractor(result.extractor, args.out)
@@ -256,12 +258,7 @@ def cmd_bench(args) -> int:
     lengths = [int(x) for x in str(_resolve(args, "lengths", "10,30")).split(",")]
     engines = [e.strip() for e in args.engines.split(",")]
     report = bench_mod.run_benchmark(
-        patterns,
-        lengths,
-        engines,
-        batch_size=_resolve(args, "batch_size", 16),
-        repetitions=_resolve(args, "repetitions", 5),
-        seed=seed,
+        patterns, lengths, engines, seed=seed, **_given(args, "batch_size", "repetitions")
     )
     out = _out_stream(args)
     try:

@@ -1,11 +1,14 @@
 """Symbol extraction and gradient training against automaton losses.
 
 The extractor maps an m-dimensional observation to one probability per
-vocabulary symbol through independent logistic units. Sequence-level
-(binary cross entropy on acceptance) and per-step (cross entropy on the
-state distribution) losses are differentiated exactly through the circuit
-evaluations and the state recursion, so training is plain gradient
-descent; no sampling or approximation is involved anywhere.
+vocabulary symbol through independent logistic units. Both kinds of
+label train one loss, the cross entropy of the mass alpha_t holds on a
+labeled set of states (clamped to [1e-7, 1 - 1e-7] inside the log). A
+sequence label labels the last step only: the accepting states for 1,
+the rest for 0, so log P(reject) is read from the rejecting mass, never
+as log(1 - P(accept)). The loss is differentiated exactly through the
+circuit evaluations and the state recursion, so training is plain
+gradient descent; no sampling or approximation is involved anywhere.
 """
 
 from __future__ import annotations
@@ -167,43 +170,63 @@ def _symbol_probs(extractor, features) -> np.ndarray:
     return probs
 
 
-def _batch_sequence_loss(c: CompiledSfa, extractor, features, labels):
-    """Mean BCE over a batch of equal-length sequences, with gradients.
+def _batch_loss(c: CompiledSfa, extractor, features, masks, active, labels=None):
+    """Summed cross entropy of the alpha mass on labeled states, with gradients.
 
-    features: (B, T, m); labels: (B,) of 0/1. Returns (loss, dW, db,
-    correct), where `correct` counts sequences whose acceptance is on the
-    label's side of 0.5. One forward recursion serves all four.
+    features: (B, T, m). masks (B, S, Q) and active (B, S) label the last
+    S steps: an active step costs -log of the mass alpha_t holds on its
+    mask, clamped inside the log; inactive steps cost nothing. Per-step
+    labels pass S = T; sequence labels pass S = 1 (see _sequence_targets)
+    and their (B,) `labels`. Returns (loss, dW, db, correct), loss and
+    gradients averaged over the batch. `correct` counts the sequences
+    whose acceptance is on the label's side of 0.5 when `labels` is
+    given, else the active steps whose most probable state carries the
+    step's label. One forward recursion serves all four.
     """
-    labels = np.asarray(labels, dtype=np.float64)
     probs = _symbol_probs(extractor, features)
-    alphas = forward_alphas(c, probs)
-    mask = _accepting_mask(c)
-    accept = alphas[:, -1, :] @ mask  # (B,)
-    log_p, dlog_p = _clamped_log_grad(accept)
-    log_q, dlog_q = _clamped_log_grad(1.0 - accept)
-    losses = -(labels * log_p + (1.0 - labels) * log_q)
-    batch = labels.shape[0]
-    # dLoss/dAccept for the batch-mean loss
-    dacc = (-(labels * dlog_p) + (1.0 - labels) * dlog_q) / batch
+    alphas = forward_alphas(c, probs)  # (B, T, Q)
+    steps = masks.shape[1]
+    read = alphas[:, -steps:]
+    step_probs = (read * masks).sum(axis=-1)  # (B, S)
+    log_p, dlog_p = _clamped_log_grad(step_probs)
+    per_seq = -(log_p * active).sum(axis=-1)
+    batch = features.shape[0]
+    dstep = -(dlog_p * active) / batch  # (B, S)
     alpha_grads = np.zeros(alphas.shape)
-    alpha_grads[:, -1, :] = dacc[:, None] * mask
+    np.multiply(dstep[..., None], masks, out=alpha_grads[:, -steps:])
     dprobs = backward_gradient(c, probs, alpha_grads, alphas)
     dw, db = _param_grads(features, probs, dprobs)
-    correct = int(((accept >= 0.5) == labels.astype(bool)).sum())
-    return float(losses.mean()), dw, db, correct
+    if labels is None:
+        hits = np.take_along_axis(masks, read.argmax(axis=-1)[..., None], axis=-1)
+        correct = int(hits[..., 0][active].sum())
+    else:
+        # acceptance >= 0.5 for label 1; rejection > 0.5 for label 0
+        side = step_probs[:, 0]
+        correct = int(np.where(labels == 1, side >= 0.5, side > 0.5).sum())
+    return float(per_seq.mean()), dw, db, correct
+
+
+def _sequence_targets(c: CompiledSfa, labels: np.ndarray):
+    """Last-step targets of (B,) sequence labels, as (B, 1, Q) masks and
+    (B, 1) active: the accepting states for label 1, the rest for label 0."""
+    mask = _accepting_mask(c)
+    masks = np.where(labels[:, None, None] == 1, mask, 1.0 - mask)
+    return masks, np.ones((len(labels), 1), dtype=bool)
 
 
 def sequence_loss(c: CompiledSfa, extractor, seq: LabeledSequence):
     """Binary cross entropy between acceptance probability and the label.
 
-    Returns (loss, (dW, db)). The acceptance probability is clamped to
-    [1e-7, 1 - 1e-7] inside the logs.
+    Returns (loss, (dW, db)). The loss is -log of the last-step mass on
+    the label's side: the accepting states for label 1, the rejecting
+    states for label 0 (read directly, not as 1 - acceptance). That mass
+    is clamped to [1e-7, 1 - 1e-7] inside the log.
     """
     if seq.label is None:
         raise ValueError("sequence_loss needs a sequence-level binary label")
-    loss, dw, db, _ = _batch_sequence_loss(
-        c, extractor, seq.features[None, :, :], np.array([seq.label])
-    )
+    labels = np.array([seq.label])
+    masks, active = _sequence_targets(c, labels)
+    loss, dw, db, _ = _batch_loss(c, extractor, seq.features[None], masks, active, labels)
     return loss, (dw, db)
 
 
@@ -222,28 +245,6 @@ def _step_label_matrix(c, state_to_label, step_labels, num_steps):
     return sel, active
 
 
-def _batch_tagging_loss(c, extractor, features, label_masks, active):
-    """Summed per-step CE over a batch: features (B,T,m), masks (B,T,Q).
-
-    Returns (loss, dW, db, correct), where `correct` counts active steps
-    whose most probable state carries the step's label. One forward
-    recursion serves all four.
-    """
-    probs = _symbol_probs(extractor, features)
-    alphas = forward_alphas(c, probs)  # (B, T, Q)
-    step_probs = (alphas * label_masks).sum(axis=-1)  # (B, T)
-    log_p, dlog_p = _clamped_log_grad(step_probs)
-    per_seq = -(log_p * active).sum(axis=-1)
-    batch = features.shape[0]
-    dstep = -(dlog_p * active) / batch  # (B, T)
-    alpha_grads = dstep[..., None] * label_masks
-    dprobs = backward_gradient(c, probs, alpha_grads, alphas)
-    dw, db = _param_grads(features, probs, dprobs)
-    hits = np.take_along_axis(label_masks, alphas.argmax(axis=-1)[..., None], axis=-1)
-    correct = int(hits[..., 0][active].sum())
-    return float(per_seq.mean()), dw, db, correct
-
-
 def tagging_loss(c: CompiledSfa, extractor, seq: LabeledSequence, state_to_label):
     """Per-step cross entropy on the state distribution.
 
@@ -255,9 +256,7 @@ def tagging_loss(c: CompiledSfa, extractor, seq: LabeledSequence, state_to_label
     if seq.step_labels is None:
         raise ValueError("tagging_loss needs per-step labels")
     sel, active = _step_label_matrix(c, state_to_label, seq.step_labels, len(seq.features))
-    loss, dw, db, _ = _batch_tagging_loss(
-        c, extractor, seq.features[None], sel[None], active[None]
-    )
+    loss, dw, db, _ = _batch_loss(c, extractor, seq.features[None], sel[None], active[None])
     return loss, (dw, db)
 
 
@@ -328,16 +327,23 @@ def train(
     kinds = {seq.label is None for seq in data}
     if len(kinds) != 1:
         raise ValueError("mix of sequence-level and per-step labels")
-    tagging = data[0].label is None
-    if tagging:
+    if data[0].label is None:
         if state_to_label is None:
             state_to_label = {q: q for q in range(c.num_states)}
-        label_masks, actives = zip(
-            *(
-                _step_label_matrix(c, state_to_label, seq.step_labels, len(seq.features))
-                for seq in data
-            )
-        )
+        steps = [
+            _step_label_matrix(c, state_to_label, seq.step_labels, len(seq.features))
+            for seq in data
+        ]
+
+        def targets(group):
+            masks, active = zip(*(steps[k] for k in group))
+            return np.stack(masks), np.stack(active), None
+
+    else:
+        labels = np.array([seq.label for seq in data])
+
+        def targets(group):
+            return *_sequence_targets(c, labels[group]), labels[group]
 
     feature_dim = data[0].features.shape[1]
     rng = np.random.default_rng(cfg.seed)
@@ -366,16 +372,10 @@ def train(
             for group in _group_equal_length(data, batch):
                 feats = np.stack([data[k].features for k in group])
                 share = len(group) / len(batch)
-                if tagging:
-                    masks = np.stack([label_masks[k] for k in group])
-                    act = np.stack([actives[k] for k in group])
-                    loss, gdw, gdb, hits = _batch_tagging_loss(c, extractor, feats, masks, act)
-                    total += int(act.sum())
-                else:
-                    labels = np.array([data[k].label for k in group])
-                    loss, gdw, gdb, hits = _batch_sequence_loss(c, extractor, feats, labels)
-                    total += len(group)
+                masks, act, group_labels = targets(group)
+                loss, gdw, gdb, hits = _batch_loss(c, extractor, feats, masks, act, group_labels)
                 correct += hits
+                total += int(act.sum())
                 # group losses/grads are means over the group; reweight to
                 # make the minibatch objective the mean over the minibatch
                 batch_loss += loss * share

@@ -17,13 +17,12 @@ from symfa import (
     complete_self_loops,
     format_sfa,
     forward,
-    forward_backward_grad,
     parse_formula,
     parse_sfa,
     transition_matrix,
     validate_and_compile,
 )
-from symfa.automaton import boolean_run, forward_alphas
+from symfa.automaton import backward_gradient, boolean_run, forward_alphas
 from symfa.bench import random_pattern
 from symfa.errors import (
     ConsistencyError,
@@ -364,25 +363,23 @@ class TestBackwardGradient:
         return grads
 
     def _acceptance_upstream(self, compiled, steps):
-        mask = np.zeros(compiled.num_states)
+        """dAcceptance/dalpha_t as a (T, Q) array: the accepting mask on the last step."""
+        upstream = np.zeros((steps, compiled.num_states))
         for q in compiled.accepting:
-            mask[q] = 1.0
-        return [None] * (steps - 1) + [mask]
+            upstream[-1, q] = 1.0
+        return upstream
 
     def test_acceptance_gradient_matches_finite_differences(self, driving):
         compiled = driving.compiled
         ps = np.array([P1, P2])
-        grads = forward_backward_grad(
-            compiled, ps, self._acceptance_upstream(compiled, 2)
-        )
+        grads = backward_gradient(compiled, ps, self._acceptance_upstream(compiled, 2))
         fd = self._fd_acceptance(compiled, ps)
-        assert_close_rel(np.stack(grads), fd, context="acceptance gradient")
+        assert_close_rel(grads, fd, context="acceptance gradient")
 
     def test_zero_upstream_gradient_is_zero(self, driving):
         ps = np.array([P1, P2])
-        zeros = [np.zeros(3), np.zeros(3)]
-        grads = forward_backward_grad(driving.compiled, ps, zeros)
-        assert all(np.all(g == 0) for g in grads)
+        grads = backward_gradient(driving.compiled, ps, np.zeros((2, 3)))
+        assert np.all(grads == 0)
 
     def test_single_step_reduces_to_circuit_gradient(self, driving):
         from symfa import wmc
@@ -391,9 +388,7 @@ class TestBackwardGradient:
         only_q1 = Sfa(sfa.vocab, sfa.states, sfa.initial, sfa.transitions, frozenset({1}))
         compiled = validate_and_compile(only_q1)
         p = np.array([0.4, 0.55, 0.25])
-        (grad,) = forward_backward_grad(
-            compiled, p[None, :], self._acceptance_upstream(compiled, 1)
-        )
+        (grad,) = backward_gradient(compiled, p[None, :], self._acceptance_upstream(compiled, 1))
         guard_grad = wmc(compiled.guards[(0, 1)], p, want_gradient=True).gradient
         assert np.allclose(grad, guard_grad, atol=1e-12)
 
@@ -404,11 +399,9 @@ class TestBackwardGradient:
             compiled = pattern.compiled
             steps = int(rng.integers(1, 5))
             ps = rng.uniform(0.1, 0.9, size=(steps, len(pattern.sfa.vocab)))
-            grads = forward_backward_grad(
-                compiled, ps, self._acceptance_upstream(compiled, steps)
-            )
+            grads = backward_gradient(compiled, ps, self._acceptance_upstream(compiled, steps))
             fd = self._fd_acceptance(compiled, ps)
-            assert_close_rel(np.stack(grads), fd, context=f"pattern {pattern.name}")
+            assert_close_rel(grads, fd, context=f"pattern {pattern.name}")
 
     def test_upstream_on_intermediate_steps(self, driving):
         # loss reads alpha_1 as well as alpha_2
@@ -420,7 +413,7 @@ class TestBackwardGradient:
             alphas = forward(compiled, x)
             return float(alphas[0] @ weight + alphas[1] @ weight)
 
-        grads = forward_backward_grad(compiled, ps, [weight, weight])
+        grads = backward_gradient(compiled, ps, np.stack([weight, weight]))
         h = 1e-6
         for t in range(2):
             for i in range(3):

@@ -326,6 +326,32 @@ class TestTrainCli:
         assert rc == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
 
+    def test_unset_options_keep_the_library_defaults(
+        self, driving_path, tmp_path, capsys, monkeypatch
+    ):
+        # the CLI passes only what a flag or the config file sets, so
+        # TrainConfig's own defaults are the only ones
+        from symfa import cli
+
+        data = self._make_dataset(tmp_path, capsys)
+        config = tmp_path / "run.conf"
+        config.write_text("max_epochs = 9\nseed = 3\n")
+        passed = []
+
+        def config_spy(**kwargs):
+            passed.append(kwargs)
+            return learn.TrainConfig(**kwargs)
+
+        def no_training(c, data, cfg):
+            return learn.TrainResult(learn.LinearExtractor(np.zeros((3, 6)), np.zeros(3)))
+
+        monkeypatch.setattr(cli, "TrainConfig", config_spy)
+        monkeypatch.setattr(learn, "train", no_training)
+        base = ["train", driving_path, str(data), "--out", str(tmp_path / "m.bin")]
+        assert main(base) == 0
+        assert main(base + ["--config", str(config), "--max-epochs", "2"]) == 0
+        assert passed == [{}, {"max_epochs": 2, "seed": 3}]
+
     def test_unknown_config_key_rejected(self, driving_path, tmp_path, capsys):
         data = self._make_dataset(tmp_path, capsys)
         config = tmp_path / "run.conf"
@@ -371,3 +397,19 @@ class TestBenchCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("pattern,states,symbols,length,engine")
         assert len(lines) == 3
+
+    def test_unset_options_keep_the_library_defaults(self, tmp_path, capsys, monkeypatch):
+        from symfa import bench
+
+        config = tmp_path / "run.conf"
+        config.write_text("repetitions = 2\n")
+        used = []
+
+        def fake_benchmark(patterns, lengths, engines, batch_size=3, repetitions=7, seed=0):
+            used.append((batch_size, repetitions, seed))
+            return bench.BenchReport([])
+
+        monkeypatch.setattr(bench, "run_benchmark", fake_benchmark)
+        assert main(["bench", "--lengths", "4"]) == 0
+        assert main(["bench", "--lengths", "4", "--config", str(config), "--batch-size", "5"]) == 0
+        assert used == [(3, 7, 0), (5, 2, 0)]

@@ -146,6 +146,28 @@ class TestSequenceLoss:
             assert_close_rel(dw, fd_w, context="dW")
             assert_close_rel(db, fd_b, context="db")
 
+    def test_label_zero_reads_the_reject_mass(self, driving):
+        # log P(reject) comes from the rejecting states' mass at the last
+        # step, not from 1 - P(accept), which cancels when acceptance is
+        # near 1
+        from symfa.automaton import forward_alphas
+
+        compiled = driving.compiled
+        reject_mask = np.array([0.0, 0.0, 1.0])  # q2 is the only rejecting state
+        ext = LinearExtractor(np.eye(3), np.zeros(3))
+        rng = np.random.default_rng(40)
+        checked = 0
+        while checked < 80:
+            p = rng.uniform(0.05, 0.95, size=(5, 3))
+            p[:, 2] = 10.0 ** rng.uniform(-7, -3, size=5)  # rarely fast
+            features = np.log(p / (1 - p))
+            reject = float(forward_alphas(compiled, ext.extract(features))[-1] @ reject_mask)
+            if not 1e-7 < reject < 1e-3:
+                continue
+            loss, _ = sequence_loss(compiled, ext, LabeledSequence(features, label=0))
+            assert abs(loss - -math.log(reject)) <= 1e-14 * -math.log(reject), (loss, reject)
+            checked += 1
+
     def test_requires_binary_label(self, driving):
         rng = np.random.default_rng(1)
         seq = LabeledSequence(rng.normal(size=(2, 3)), step_labels=[0, 1])
@@ -186,7 +208,7 @@ class TestTaggingLoss:
 
     def test_agrees_with_sequence_loss_on_final_step_indicator(self, driving):
         # labeling only the last step with the accepting indicator is the
-        # same objective as BCE on acceptance
+        # same objective as BCE on acceptance, computed by the same code
         rng = np.random.default_rng(9)
         accepting_label = {0: 1, 1: 1, 2: 0}  # q0, q1 accepting
         for label in (0, 1):
@@ -198,9 +220,9 @@ class TestTaggingLoss:
                 driving.compiled, ext, tag_seq, accepting_label
             )
             cls_loss, (cw, cb) = sequence_loss(driving.compiled, ext, cls_seq)
-            assert abs(tag_loss - cls_loss) <= 1e-12
-            assert np.abs(tw - cw).max() <= 1e-12
-            assert np.abs(tb - cb).max() <= 1e-12
+            assert tag_loss == cls_loss
+            assert np.array_equal(tw, cw)
+            assert np.array_equal(tb, cb)
 
     def test_gradients_match_finite_differences(self, events):
         rng = np.random.default_rng(31)
@@ -334,6 +356,37 @@ class TestTraining:
                     correct += state_to_label[int(np.argmax(alpha))] == lab
         assert 0 < correct < total
         assert result.history[0].metric == correct / total
+
+    def test_sequence_metric_is_acceptance_on_the_label_side(self, driving):
+        # a sequence counts as correct when its acceptance is >= 0.5 for
+        # label 1 and < 0.5 for label 0
+        from symfa import acceptance, parse_sfa
+
+        compiled = driving.compiled
+        rng = np.random.default_rng(23)
+        data = [
+            LabeledSequence(rng.normal(size=(3 + k % 3, 4)), label=k % 2) for k in range(30)
+        ]
+        init = make_extractor(rng, 3, 4)
+        cfg = TrainConfig(learning_rate=0.0, max_epochs=1, batch_size=7, seed=4)
+        result = train(compiled, data, cfg, init=init)
+        accepts = [acceptance(compiled, init.extract(seq.features)) for seq in data]
+        correct = sum((p >= 0.5) == bool(seq.label) for p, seq in zip(accepts, data))
+        assert 0 < correct < len(data)
+        assert result.history[0].metric == correct / len(data)
+
+        # acceptance exactly 0.5 is on the accepting side
+        last_a = validate_and_compile(
+            parse_sfa(
+                "vars: a\nstates: q0, q1\ninitial: q0\naccepting: q1\n"
+                "q0 -> q1 : a\nq0 -> q0 : !a\nq1 -> q1 : a\nq1 -> q0 : !a\n"
+            )
+        )
+        ties = [LabeledSequence(np.ones((2, 3)), label=label) for label in (0, 1)]
+        half = LinearExtractor(np.zeros((1, 3)), np.zeros(1))
+        cfg = TrainConfig(learning_rate=0.0, max_epochs=1, seed=0)
+        assert acceptance(last_a, half.extract(ties[0].features)) == 0.5
+        assert train(last_a, ties, cfg, init=half).history[0].metric == 0.5
 
     def test_seeded_tagging_runs_are_bitwise_identical(self, events):
         compiled = events.compiled
