@@ -453,23 +453,25 @@ def accepts_trace(c: CompiledSfa, trace: Sequence[Interpretation]) -> bool:
 # four header lines must each appear exactly once, before any use is made
 # of them; transition lines may repeat (src, dst) pairs at most once.
 
-def parse_sfa(text: str) -> Sfa:
-    vocab: Vocabulary | None = None
-    states: tuple[str, ...] | None = None
-    initial: int | None = None
-    accepting: frozenset[int] | None = None
-    transitions: dict[tuple[int, int], Formula] = {}
+# in the order a missing one is reported
+_SFA_HEADERS = ("vars", "states", "initial", "accepting")
 
-    def split_names(body: str) -> list[str]:
-        return [part.strip() for part in body.split(",") if part.strip()]
+
+def parse_sfa(text: str) -> Sfa:
+    # header -> its names, in file order; `initial` keeps its whole body as
+    # one name
+    headers: dict[str, list[str]] = {}
+    vocab: Vocabulary | None = None
+    transitions: dict[tuple[int, int], Formula] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "->" in line:
-            if vocab is None or states is None:
+            if vocab is None or "states" not in headers:
                 raise SfaFileError("transition listed before vars/states headers", lineno)
+            states = headers["states"]
             head, _, guard_text = line.partition(":")
             if not guard_text.strip():
                 raise SfaFileError("transition needs ': <guard>'", lineno)
@@ -491,51 +493,32 @@ def parse_sfa(text: str) -> Sfa:
             continue
         key, sep, body = line.partition(":")
         key = key.strip().lower()
-        if not sep or key not in ("vars", "states", "initial", "accepting"):
+        if not sep or key not in _SFA_HEADERS:
             raise SfaFileError(f"unrecognized line {line!r}", lineno)
-        if key == "vars":
-            if vocab is not None:
-                raise SfaFileError("duplicate vars header", lineno)
-            names = split_names(body)
-            if not names:
-                raise SfaFileError("vars header needs at least one name", lineno)
-            vocab = Vocabulary(tuple(names))
-        elif key == "states":
-            if states is not None:
-                raise SfaFileError("duplicate states header", lineno)
-            names = split_names(body)
-            if not names:
-                raise SfaFileError("states header needs at least one name", lineno)
-            states = tuple(names)
-        elif key == "initial":
-            if initial is not None:
-                raise SfaFileError("duplicate initial header", lineno)
-            if states is None:
-                raise SfaFileError("initial header must follow states", lineno)
-            name = body.strip()
-            if name not in states:
-                raise SfaFileError(f"unknown initial state '{name}'", lineno)
-            initial = states.index(name)
+        if key in headers:
+            raise SfaFileError(f"duplicate {key} header", lineno)
+        if key == "initial":
+            names = [body.strip()]
         else:
-            if accepting is not None:
-                raise SfaFileError("duplicate accepting header", lineno)
-            if states is None:
-                raise SfaFileError("accepting header must follow states", lineno)
-            acc = []
-            for name in split_names(body):
-                if name not in states:
-                    raise SfaFileError(f"unknown accepting state '{name}'", lineno)
-                acc.append(states.index(name))
-            accepting = frozenset(acc)
+            names = [part.strip() for part in body.split(",") if part.strip()]
+        if key in ("vars", "states") and not names:
+            raise SfaFileError(f"{key} header needs at least one name", lineno)
+        if key in ("initial", "accepting"):
+            if "states" not in headers:
+                raise SfaFileError(f"{key} header must follow states", lineno)
+            for name in names:
+                if name not in headers["states"]:
+                    raise SfaFileError(f"unknown {key} state '{name}'", lineno)
+        headers[key] = names
+        if key == "vars":
+            vocab = Vocabulary(tuple(names))
 
-    for missing, value in (
-        ("vars", vocab),
-        ("states", states),
-        ("initial", initial),
-        ("accepting", accepting),
-    ):
-        if value is None:
-            raise SfaFileError(f"missing {missing} header", 0)
+    for key in _SFA_HEADERS:
+        if key not in headers:
+            raise SfaFileError(f"missing {key} header", 0)
+    states = tuple(headers["states"])
+    initial = states.index(headers["initial"][0])
+    accepting = frozenset(map(states.index, headers["accepting"]))
     return Sfa(vocab, states, initial, transitions, accepting)
 
 

@@ -3,9 +3,9 @@
 A guard formula is compiled once into a reduced ordered binary decision
 diagram (Bryant 1986). A `DiagramTable` hash-conses the decision nodes of
 many diagrams over one variable order and builds them bottom-up with
-memoized negation and conjunction on node ids (Bryant's apply), so the
-guards of one automaton, and the conjunctions and disjunctions that
-validate it, share one table and each subformula is built once. A
+negation and conjunction memoized on node ids only (Bryant's apply), so
+the guards of one automaton, and the conjunctions and disjunctions that
+validate it, share one table and each node operation is computed once. A
 `CompiledGuard` is one diagram extracted from a table. Its node 0 is the
 constant false and node 1 the constant true; every other node is a
 decision (var, hi, lo), worth hi where var is true and lo where it is
@@ -80,6 +80,9 @@ class CompiledGuard:
         leaf). Shared leaves and terms are written once. Nodes are numbered
         in a deterministic post-order from the root; the last line is
         always the root.
+
+        The walk recurses about twice per level, so it raises
+        CircuitSizeError at about half the depth the table operations reach.
         """
         ids: dict[tuple, int] = {}
         lines: list[str] = []
@@ -115,7 +118,8 @@ class CompiledGuard:
             lines.append(" ".join(str(x) for x in (ids[s], kind, *args)))
             return ids[s]
 
-        visit(shape(self.root))
+        with too_deep_is_size_error():
+            visit(shape(self.root))
         return "\n".join(lines)
 
 
@@ -134,10 +138,12 @@ class DiagramTable:
     testing variable `order[level]`, with hi != lo and both children at
     deeper levels. Equal functions get equal ids, so validity is `u == 1`,
     satisfiability `u != 0` and disjointness `conj(u, v) == 0`. Negation and
-    conjunction are memoized on node ids (Bryant's apply), disjunction goes
-    through De Morgan, and `build` memoizes per formula, so a table shared
-    by the guards of one automaton builds each subformula and each pair
-    once. `max_nodes` bounds the whole table, constants included.
+    conjunction are memoized on node ids only (Bryant's apply), and
+    disjunction goes through De Morgan, so a table shared by the guards of
+    one automaton computes each negation and each pair once. `build` keeps
+    no memo of its own: hashing a formula walks all of it, while building
+    a subformula again is a chain of memo hits that adds no node.
+    `max_nodes` bounds the whole table, constants included.
 
     The operations recurse once per level; callers turn a RecursionError
     into CircuitSizeError with `too_deep_is_size_error`.
@@ -153,7 +159,6 @@ class DiagramTable:
         self._unique: dict[tuple[int, int, int], int] = {}
         self._neg = {0: 1, 1: 0}
         self._and: dict[tuple[int, int], int] = {}
-        self._built: dict[Formula, int] = {}
 
     def _node(self, level: int, hi: int, lo: int) -> int:
         # p·x + (1 − p)·x == x, so equal branches are no decision
@@ -214,20 +219,15 @@ class DiagramTable:
 
     def build(self, f: Formula) -> int:
         """Node of formula `f`."""
-        found = self._built.get(f)
-        if found is None:
-            if isinstance(f, Var):
-                found = self._node(self._level[f.index], 1, 0)
-            elif isinstance(f, Const):
-                found = int(f.value)
-            elif isinstance(f, Not):
-                found = self.neg(self.build(f.child))
-            elif isinstance(f, And):
-                found = self.conj(*map(self.build, f.children))
-            else:
-                found = self.disj(*map(self.build, f.children))
-            self._built[f] = found
-        return found
+        if isinstance(f, Var):
+            return self._node(self._level[f.index], 1, 0)
+        if isinstance(f, Const):
+            return int(f.value)
+        if isinstance(f, Not):
+            return self.neg(self.build(f.child))
+        if isinstance(f, And):
+            return self.conj(*map(self.build, f.children))
+        return self.disj(*map(self.build, f.children))
 
     def guard(self, root: int) -> CompiledGuard:
         """The diagram below `root` on its own.
@@ -258,7 +258,8 @@ def too_deep_is_size_error():
     """Report a diagram too deep for Python's recursion limit as CircuitSizeError.
 
     Every table operation recurses once per level of the diagrams it
-    walks, and `build` once per level of formula nesting.
+    walks, `build` once per level of formula nesting, and
+    `CompiledGuard.dump` about twice per level.
     """
     try:
         yield

@@ -12,6 +12,7 @@ import argparse
 import functools
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -82,10 +83,14 @@ def _resolve(args, key: str, default):
     return _given(args, key).get(key, default)
 
 
-def _out_stream(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8")
-    return sys.stdout
+@contextmanager
+def _output(args):
+    """The --out file, opened for writing and closed on exit, or stdout."""
+    if not getattr(args, "out", None):
+        yield sys.stdout
+        return
+    with open(args.out, "w", encoding="utf-8") as out:
+        yield out
 
 
 def _resolve_pattern(text: str, seed: int) -> bench_mod.PatternSpec:
@@ -124,15 +129,14 @@ def cmd_validate(args) -> int:
 def cmd_compile(args) -> int:
     sfa = load_sfa(args.sfa)
     compiled = validate_and_compile(sfa)
-    out = _out_stream(args)
-    try:
-        for (src, dst) in sorted(compiled.guards):
-            guard = compiled.guards[(src, dst)]
-            out.write(f"# {compiled.states[src]} -> {compiled.states[dst]}\n")
-            out.write(guard.dump() + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    # every guard is dumped before any output, so a guard too deep to
+    # dump writes nothing
+    dumps = []
+    for (src, dst) in sorted(compiled.guards):
+        dumps.append(f"# {compiled.states[src]} -> {compiled.states[dst]}\n")
+        dumps.append(compiled.guards[(src, dst)].dump() + "\n")
+    with _output(args) as out:
+        out.write("".join(dumps))
     return 0
 
 
@@ -180,8 +184,7 @@ def cmd_infer(args) -> int:
             group = automaton_mod.forward_alphas(compiled, stacked)
         for k, result in zip(ks, group):
             results[k] = result
-    out = _out_stream(args)
-    try:
+    with _output(args) as out:
         if args.mode == "accept":
             out.write("index,acceptance\n")
             for k, value in enumerate(results):
@@ -191,9 +194,6 @@ def cmd_infer(args) -> int:
             row = "%d,%d," + ",".join(["%.6f"] * compiled.num_states) + "\n"
             for k, alphas in enumerate(results):
                 out.write("".join(row % (k, t, *alpha) for t, alpha in enumerate(alphas.tolist())))
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -241,12 +241,8 @@ def cmd_generate(args) -> int:
         noise=_resolve(args, "sigma", bench_mod.DEFAULT_NOISE),
         seed=seed,
     )
-    out = _out_stream(args)
-    try:
+    with _output(args) as out:
         bench_mod.write_dataset_jsonl(dataset, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -260,12 +256,8 @@ def cmd_bench(args) -> int:
     report = bench_mod.run_benchmark(
         patterns, lengths, engines, seed=seed, **_given(args, "batch_size", "repetitions")
     )
-    out = _out_stream(args)
-    try:
+    with _output(args) as out:
         out.write(report.to_csv())
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

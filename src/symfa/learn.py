@@ -45,8 +45,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 class LinearExtractor:
     """Per-symbol logistic units: p[i] = sigmoid(weights[i] . o + bias[i]).
 
-    Any model exposing extract() with the same contract can stand in for
-    this class; the losses only consume probabilities and the jacobian.
+    Scoring needs only extract(), so any model with the same contract can
+    stand in for this class there. Training takes the logistic slope into
+    `weights` and `bias` itself, in _param_grads.
     """
 
     weights: np.ndarray  # (num_symbols, feature_dim)
@@ -76,23 +77,14 @@ class LinearExtractor:
     def copy(self) -> "LinearExtractor":
         return LinearExtractor(self.weights.copy(), self.bias.copy())
 
-    def extract(self, features, want_jacobian: bool = False):
-        """Symbol probabilities for observations of shape (..., feature_dim).
-
-        With `want_jacobian`, also returns dp/dfeatures of shape
-        (..., num_symbols, feature_dim).
-        """
+    def extract(self, features):
+        """Symbol probabilities for observations of shape (..., feature_dim)."""
         features = np.asarray(features, dtype=np.float64)
         if features.shape[-1] != self.feature_dim:
             raise ValueError(
                 f"feature dimension {features.shape[-1]} != extractor's {self.feature_dim}"
             )
-        probs = _sigmoid(features @ self.weights.T + self.bias)
-        if not want_jacobian:
-            return probs
-        slope = probs * (1.0 - probs)  # (..., num_symbols)
-        jac = slope[..., :, None] * self.weights
-        return probs, jac
+        return _sigmoid(features @ self.weights.T + self.bias)
 
 
 @dataclass

@@ -42,8 +42,12 @@ class Vocabulary:
     names: tuple[str, ...]
 
     def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
+        # name -> position, built once: parsing looks up every identifier.
+        # Not a field, so equality and hashing still compare names only.
+        position = {name: i for i, name in enumerate(self.names)}
+        if len(position) != len(self.names):
             raise ValueError(f"duplicate variable names in vocabulary: {self.names}")
+        object.__setattr__(self, "_position", position)
 
     @classmethod
     def of(cls, *names: str) -> "Vocabulary":
@@ -57,13 +61,10 @@ class Vocabulary:
             yield Variable(name, i)
 
     def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(name) from None
+        return self._position[name]
 
     def __contains__(self, name: str) -> bool:
-        return name in self.names
+        return name in self._position
 
 
 @dataclass(frozen=True)
@@ -160,42 +161,34 @@ def f_not(f: Formula) -> Formula:
     return Not(f)
 
 
-def f_and(*fs: Formula) -> Formula:
-    """N-ary conjunction with constant folding and associativity flattening."""
+def _fold(node: type, absorbing: Const, fs) -> Formula:
+    """Flatten nested `node`s and fold constants: `absorbing` decides the
+    whole result, the other constant (the identity) drops out."""
     flat: list[Formula] = []
     for f in fs:
         if isinstance(f, Const):
-            if not f.value:
-                return FALSE
+            if f.value == absorbing.value:
+                return absorbing
             continue
-        if isinstance(f, And):
+        if isinstance(f, node):
             flat.extend(f.children)
         else:
             flat.append(f)
     if not flat:
-        return TRUE
+        return f_not(absorbing)
     if len(flat) == 1:
         return flat[0]
-    return And(tuple(flat))
+    return node(tuple(flat))
+
+
+def f_and(*fs: Formula) -> Formula:
+    """N-ary conjunction with constant folding and associativity flattening."""
+    return _fold(And, FALSE, fs)
 
 
 def f_or(*fs: Formula) -> Formula:
     """N-ary disjunction with constant folding and associativity flattening."""
-    flat: list[Formula] = []
-    for f in fs:
-        if isinstance(f, Const):
-            if f.value:
-                return TRUE
-            continue
-        if isinstance(f, Or):
-            flat.extend(f.children)
-        else:
-            flat.append(f)
-    if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+    return _fold(Or, TRUE, fs)
 
 
 def f_implies(a: Formula, b: Formula) -> Formula:
@@ -241,21 +234,16 @@ def enumerate_models(f: Formula, vocab_size: int) -> set[Interpretation]:
 #
 # Precedence: ! > & > | > ->, with "a -> b" read as "!a | b".
 
-_TOKEN_RE = re.compile(r"\s*(->|[()!&|]|[A-Za-z_][A-Za-z0-9_]*)")
+# a token, or any other visible character (an error at its position)
+_TOKEN_RE = re.compile(r"(->|[()!&|]|[A-Za-z_][A-Za-z0-9_]*)|(\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos:].strip() == "":
-            break
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            raise GuardSyntaxError(f"unexpected character {text[bad]!r}", bad)
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        if m.group(2) is not None:
+            raise GuardSyntaxError(f"unexpected character {m.group(2)!r}", m.start())
+        tokens.append((m.group(1), m.start()))
     return tokens
 
 

@@ -1,6 +1,8 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
 import random
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -23,6 +25,22 @@ def events():
 @pytest.fixture(scope="session")
 def tbf_vocab():
     return Vocabulary.of("tired", "blocked", "fast")
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Fail with TimeoutError if the block runs longer than `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_formula(rng: random.Random, num_vars: int, depth: int = 3):

@@ -463,6 +463,14 @@ class TestSfaFiles:
             ("vars: a\nstates: s\ninitial: s\naccepting: s\nwhat is this", "unrecognized", 5),
             ("states: s\ninitial: s\naccepting: s\ns -> s : a", "before vars", 4),
             ("vars: a\nstates: s\ninitial: s\naccepting: s\ns -> s : a\ns -> s : a", "duplicate transition", 6),
+            ("vars: a\nstates: s\nstates: s\ninitial: s\naccepting:", "duplicate states", 3),
+            ("vars: a\nstates: s\ninitial: s\ninitial: s\naccepting:", "duplicate initial", 4),
+            ("vars: a\nstates: s\ninitial: s\naccepting: s\naccepting:", "duplicate accepting", 5),
+            ("vars: , \nstates: s\ninitial: s\naccepting:", "vars header needs at least one name", 1),
+            ("vars: a\nstates:\ninitial: s\naccepting:", "states header needs at least one name", 2),
+            ("vars: a\ninitial: s\nstates: s\naccepting:", "initial header must follow states", 2),
+            ("vars: a\naccepting: s\nstates: s\ninitial: s", "accepting header must follow states", 2),
+            ("vars: a\nstates: s, t\ninitial: s\naccepting: t, u", "unknown accepting state 'u'", 4),
         ],
     )
     def test_malformed_files(self, text, fragment, line):

@@ -213,6 +213,20 @@ class TestCircuitStructure:
                 assert (shared.nodes, shared.root) == (alone.nodes, alone.root)
                 assert shared.dump() == alone.dump()
 
+    def test_building_again_returns_the_same_node_and_adds_none(self):
+        rng = random.Random(71)
+        for _ in range(100):
+            num_vars = rng.randint(1, 6)
+            table = DiagramTable(rng.sample(range(num_vars), num_vars))
+            formulas = [random_formula(rng, num_vars, depth=rng.randint(1, 4)) for _ in range(4)]
+            # a completed self-loop holds the other guards again, negated
+            formulas.append(f_or(formulas[0], f_not(f_or(*formulas[1:]))))
+            roots = [table.build(f) for f in formulas]
+            size = len(table._nodes)
+            for k in rng.sample(range(len(formulas)), len(formulas)):
+                assert table.build(formulas[k]) == roots[k]
+            assert len(table._nodes) == size
+
     def test_nodes_numbered_in_hi_first_post_order(self):
         # the numbering of Shannon expansion along the order: the hi child's
         # diagram first, then the lo child's, then the node itself

@@ -66,19 +66,6 @@ class TestExtractor:
         probs = ext.extract(rng.normal(size=(10, 6)))
         assert np.all(probs >= 0) and np.all(probs <= 1)
 
-    def test_jacobian_matches_finite_differences(self):
-        rng = np.random.default_rng(12)
-        ext = LinearExtractor(rng.normal(size=(3, 5)), rng.normal(size=3))
-        o = rng.normal(size=5)
-        _, jac = ext.extract(o, want_jacobian=True)
-        h = 1e-6
-        for j in range(5):
-            up, down = o.copy(), o.copy()
-            up[j] += h
-            down[j] -= h
-            fd = (ext.extract(up) - ext.extract(down)) / (2 * h)
-            assert_close_rel(jac[:, j], fd, context=f"jacobian column {j}")
-
     def test_dimension_mismatch(self):
         ext = LinearExtractor(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(ValueError):

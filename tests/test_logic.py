@@ -16,6 +16,7 @@ from symfa.logic import (
     And,
     Not,
     Or,
+    Const,
     Var,
     all_interpretations,
     f_and,
@@ -25,7 +26,7 @@ from symfa.logic import (
     parse_formula,
 )
 
-from conftest import random_formula
+from conftest import deadline, random_formula
 
 
 class TestParser:
@@ -52,6 +53,14 @@ class TestParser:
     def test_nary_flattening(self, tbf_vocab):
         f = parse_formula("tired & blocked & fast", tbf_vocab)
         assert f == And((Var(0), Var(1), Var(2)))
+
+    def test_wide_conjunction_parses_in_linear_time(self):
+        # each identifier is one dict lookup, not a scan of the vocabulary
+        names = [f"v{i}" for i in range(20_000)]
+        vocab = Vocabulary(tuple(names))
+        with deadline(1.0):
+            f = parse_formula(" & ".join(names), vocab)
+        assert f == And(tuple(Var(i) for i in range(20_000)))
 
     def test_double_negation_collapses(self, tbf_vocab):
         assert parse_formula("!!tired", tbf_vocab) == Var(0)
@@ -91,6 +100,40 @@ class TestRoundTrip:
         for text in ("!tired & !blocked", "tired | blocked", "!fast & (tired | blocked)"):
             f = parse_formula(text, tbf_vocab)
             assert parse_formula(format_formula(f, tbf_vocab), tbf_vocab) == f
+
+
+_A, _B, _C = Var(0), Var(1), Not(Var(2))
+
+
+class TestSmartConstructors:
+    @pytest.mark.parametrize(
+        "build,args,expected",
+        [
+            (f_and, (), TRUE),
+            (f_or, (), FALSE),
+            (f_and, (_A,), _A),
+            (f_or, (_C,), _C),
+            (f_and, (TRUE, _A, TRUE), _A),
+            (f_or, (FALSE, _A, FALSE), _A),
+            (f_and, (TRUE, TRUE), TRUE),
+            (f_or, (FALSE, FALSE), FALSE),
+            (f_and, (_A, FALSE, _B), FALSE),
+            (f_or, (_A, TRUE, _B), TRUE),
+            (f_and, (_A, Const(False)), FALSE),
+            (f_or, (Const(True), _A), TRUE),
+            (f_and, (_A, TRUE, _B), And((_A, _B))),
+            (f_or, (_A, FALSE, _C), Or((_A, _C))),
+            (f_and, (And((_A, _B)), _C), And((_A, _B, _C))),
+            (f_or, (_A, Or((_B, _C))), Or((_A, _B, _C))),
+            (f_and, (Or((_A, _B)), _C), And((Or((_A, _B)), _C))),
+            (f_or, (And((_A, _B)), _C), Or((And((_A, _B)), _C))),
+        ],
+    )
+    def test_fold_and_flatten(self, build, args, expected):
+        got = build(*args)
+        assert got == expected
+        if isinstance(expected, Const):
+            assert got is (TRUE if expected.value else FALSE)
 
 
 class TestEvaluate:

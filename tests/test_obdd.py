@@ -7,10 +7,8 @@ rounds to 1), and a search over all assignments of a wide guard's
 support takes time exponential in its width.
 """
 
-import signal
 import sys
 import time
-from contextlib import contextmanager
 
 import pytest
 
@@ -19,28 +17,14 @@ from symfa.cli import main
 from symfa.errors import CircuitSizeError, IncompleteError
 from symfa.logic import Var, f_and, f_not
 
+from conftest import deadline
+
 WIDE = 60
 
 
 def all_but_one_interpretation():
     """`!(x0 & ... & x59)`: false only where every variable is true."""
     return f_not(f_and(*(Var(i) for i in range(WIDE))))
-
-
-@contextmanager
-def deadline(seconds: float):
-    """Fail with TimeoutError if the block runs longer than `seconds`."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"took longer than {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_sixty_variable_non_tautology_is_not_valid():
@@ -127,3 +111,17 @@ def test_guard_deeper_than_the_recursion_limit_is_a_domain_error(tmp_path, capsy
     finally:
         sys.setrecursionlimit(limit)
     assert capsys.readouterr().err.startswith("error: guard is too deep")
+
+
+def test_compile_of_a_guard_too_deep_to_dump_is_a_domain_error(tmp_path, capsys):
+    # the dump walk recurses about twice per level, the table once, so at
+    # the default recursion limit this spec validates but cannot be dumped
+    spec = conjunction_spec(tmp_path / "deep.sfa", 600)
+    assert main(["validate", spec]) == 0
+    capsys.readouterr()
+    out = tmp_path / "deep.txt"
+    assert main(["compile", spec]) == 1
+    assert main(["compile", spec, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: guard is too deep")
+    assert captured.out == "" and not out.exists()
