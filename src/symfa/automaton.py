@@ -35,6 +35,7 @@ pure functions and safe to call concurrently.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -146,9 +147,9 @@ def complete_self_loops(
     For every state whose declared outgoing guards do not cover all
     interpretations (the disjunction of their diagrams is not the constant
     true), the uncovered remainder is added to (or becomes) the state's
-    self-loop guard. The diagrams are built in `table`, or in a new one
-    with the default node budget. Returns the completed automaton and the
-    names of the states that were changed.
+    self-loop guard. The diagrams are built in `table`, or in a new one.
+    Returns the completed automaton and the names of the states that were
+    changed.
     """
     if table is None:
         table = circuit.DiagramTable(range(len(sfa.vocab)))
@@ -174,9 +175,9 @@ def validate_and_compile(sfa: Sfa, complete: bool = True) -> CompiledSfa:
     Guards out of each state must be pairwise unsatisfiable in conjunction
     and their disjunction valid. Every guard is built once, into one
     decision-diagram table for the whole automaton (at most
-    circuit.DEFAULT_MAX_NODES nodes), and both checks are read off node
-    ids: a conjunction is node 0, the disjunction node 1. A counterexample
-    is one walk down the offending diagram. With `complete` (the default)
+    circuit.MAX_NODES nodes), and both checks are read off node ids: a
+    conjunction is node 0, the disjunction node 1. A counterexample is one
+    walk down the offending diagram. With `complete` (the default)
     missing coverage becomes a self-loop first; without it, uncovered
     states raise IncompleteError.
     """
@@ -268,17 +269,16 @@ def _check_row_sums(plan: _Plan, roots: np.ndarray) -> None:
 def transition_tensor(c: CompiledSfa, ps):
     """Stack of transition matrices for probability rows ps (..., num_vars).
 
-    Returns (..., Q, Q) matrices. Row sums are checked against the runtime
-    tolerance.
+    Returns (..., Q, Q) matrices from one evaluation of the plan on all
+    rows, so its node buffer grows with the rows as the output does. Row
+    sums are checked against the runtime tolerance.
     """
     ps = _check_probs(c, ps, 1)
     plan = c._plan
-    rows = ps.reshape(1, -1, ps.shape[-1])
-    mats = np.zeros((rows.shape[1], c.num_states, c.num_states))
-    for t0, t1 in _step_blocks(rows.shape[1], 1):
-        roots = plan.circuit.forward(_block_rows(rows, t0, t1))
-        _check_row_sums(plan, roots)
-        mats[t0:t1, plan.src, plan.dst] = roots.T
+    roots = plan.circuit.forward(ps.reshape(-1, ps.shape[-1]).T)
+    _check_row_sums(plan, roots)
+    mats = np.zeros((roots.shape[1], c.num_states, c.num_states))
+    mats[:, plan.src, plan.dst] = roots.T
     return mats.reshape(ps.shape[:-1] + (c.num_states, c.num_states))
 
 
@@ -321,19 +321,23 @@ def forward_alphas(c: CompiledSfa, ps) -> np.ndarray:
     return np.ascontiguousarray(out.transpose(1, 0, 2)).reshape(lead + (steps, c.num_states))
 
 
+def _one_sequence(c: CompiledSfa, ps) -> np.ndarray:
+    """`ps` as one (T, num_vars) sequence; any empty array is the empty one."""
+    ps = np.asarray(ps, dtype=np.float64)
+    if ps.size == 0:
+        return ps.reshape(0, len(c.vocab))
+    if ps.ndim != 2:
+        raise ValueError(f"expected one (steps, num_vars) sequence, got shape {ps.shape}")
+    return ps
+
+
 def forward(c: CompiledSfa, ps) -> list[np.ndarray]:
     """State distribution after each observation of one sequence.
 
     `ps` is a (T, num_vars) array (or list of rows); the result is the list
     (alpha_1, ..., alpha_T). An empty sequence yields an empty list.
     """
-    ps = np.asarray(ps, dtype=np.float64)
-    if ps.size == 0:
-        return []
-    if ps.ndim != 2:
-        raise ValueError("forward expects a (steps, num_vars) array")
-    alphas = forward_alphas(c, ps)
-    return [alphas[t] for t in range(alphas.shape[0])]
+    return list(forward_alphas(c, _one_sequence(c, ps)))
 
 
 def _accepting_mask(c: CompiledSfa) -> np.ndarray:
@@ -345,11 +349,7 @@ def _accepting_mask(c: CompiledSfa) -> np.ndarray:
 
 def acceptance(c: CompiledSfa, ps) -> float:
     """Probability that the automaton accepts the probability sequence."""
-    ps = np.asarray(ps, dtype=np.float64)
-    if ps.size == 0:
-        return 1.0 if c.sfa.initial in c.accepting else 0.0
-    alphas = forward(c, ps)
-    return float(alphas[-1] @ _accepting_mask(c))
+    return float(acceptance_batch(c, _one_sequence(c, ps)))
 
 
 def acceptance_batch(c: CompiledSfa, ps) -> np.ndarray:
@@ -503,6 +503,9 @@ def parse_sfa(text: str) -> Sfa:
             names = [part.strip() for part in body.split(",") if part.strip()]
         if key in ("vars", "states") and not names:
             raise SfaFileError(f"{key} header needs at least one name", lineno)
+        if key in ("vars", "states") and len(set(names)) < len(names):
+            repeated = next(name for name, count in Counter(names).items() if count > 1)
+            raise SfaFileError(f"{key} header lists '{repeated}' more than once", lineno)
         if key in ("initial", "accepting"):
             if "states" not in headers:
                 raise SfaFileError(f"{key} header must follow states", lineno)

@@ -1,23 +1,25 @@
 """Guard compilation to reduced ordered decision diagrams.
 
 A guard formula is compiled once into a reduced ordered binary decision
-diagram (Bryant 1986). A `DiagramTable` hash-conses the decision nodes of
-many diagrams over one variable order and builds them bottom-up with
-negation and conjunction memoized on node ids only (Bryant's apply), so
-the guards of one automaton, and the conjunctions and disjunctions that
-validate it, share one table and each node operation is computed once. A
-`CompiledGuard` is one diagram extracted from a table. Its node 0 is the
-constant false and node 1 the constant true; every other node is a
-decision (var, hi, lo), worth hi where var is true and lo where it is
-false. The probability of the guard under independent per-variable
-probabilities is then one bottom-up pass, p·hi + (1 − p)·lo per node, and
-its gradient one top-down pass, both linear in the diagram. The diagram
-is canonical for its variable order, so validity (the root is node 1),
-satisfiability (the root is not node 0) and a witness (one walk from the
-root) are exact at any number of variables and need no arithmetic.
+diagram (Bryant 1986). Every decision node is made in one place, the
+unique table of a `DiagramTable`, which hash-conses the nodes of many
+diagrams over one variable order (at most MAX_NODES of them) and builds
+them bottom-up with negation and conjunction memoized on node ids only
+(Bryant's apply). So the guards of one automaton, and the conjunctions
+and disjunctions that validate it, share one table and each node
+operation is computed once. A `CompiledGuard` is one diagram extracted
+from a table. Its node 0 is the constant false and node 1 the constant
+true; every other node is a decision (var, hi, lo), worth hi where var
+is true and lo where it is false. The probability of the guard under
+independent per-variable probabilities is then one bottom-up pass,
+p·hi + (1 − p)·lo per node, and its gradient one top-down pass, both
+linear in the diagram. The diagram is canonical for its variable order,
+so validity (the root is node 1), satisfiability (the root is not node 0)
+and a witness (one walk from the root) are exact at any number of
+variables and need no arithmetic.
 
-`Plan` merges the guards of one automaton into a single hash-consed
-diagram, levelized by height, so that evaluating every guard on a block
+`Plan` merges the guards of one automaton through a table of its own and
+levelizes the result by height, so that evaluating every guard on a block
 of probability rows, and the reverse pass for its gradient, cost a few
 numpy calls per level instead of interpreting each guard node by node
 (the layered evaluation of KLay, Maene et al. 2024). `wmc`/`wmc_batch`
@@ -42,7 +44,7 @@ import numpy as np
 from .errors import CircuitSizeError
 from .logic import And, Const, Formula, Interpretation, Not, Var
 
-DEFAULT_MAX_NODES = 1_000_000
+MAX_NODES = 1_000_000
 
 # nodes[0] and nodes[1] are ("const", 0) and ("const", 1). `dump` writes
 # each decision (var, hi, lo) as the arithmetic circuit
@@ -67,9 +69,6 @@ class CompiledGuard:
     nodes: tuple[tuple, ...]
     root: int
     num_vars: int
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
     def dump(self) -> str:
         """One node per line, `<id> <kind> <args...>`, topologically sorted.
@@ -143,15 +142,15 @@ class DiagramTable:
     one automaton computes each negation and each pair once. `build` keeps
     no memo of its own: hashing a formula walks all of it, while building
     a subformula again is a chain of memo hits that adds no node.
-    `max_nodes` bounds the whole table, constants included.
+    `_node` is the one place a decision node is made, here and when `Plan`
+    merges guards, and `MAX_NODES` bounds each table, constants included.
 
     The operations recurse once per level; callers turn a RecursionError
     into CircuitSizeError with `too_deep_is_size_error`.
     """
 
-    def __init__(self, order: Sequence[int], max_nodes: int = DEFAULT_MAX_NODES):
+    def __init__(self, order: Sequence[int]):
         self.order = list(order)
-        self.max_nodes = max_nodes
         self._level = {var: level for level, var in enumerate(self.order)}
         # the constants sit below every level
         bottom = len(self.order)
@@ -167,10 +166,8 @@ class DiagramTable:
         key = (level, hi, lo)
         found = self._unique.get(key)
         if found is None:
-            if len(self._nodes) >= self.max_nodes:
-                raise CircuitSizeError(
-                    f"circuit exceeds the {self.max_nodes}-node budget"
-                )
+            if len(self._nodes) >= MAX_NODES:
+                raise CircuitSizeError(f"circuit exceeds the {MAX_NODES}-node budget")
             found = self._unique[key] = len(self._nodes)
             self._nodes.append(key)
         return found
@@ -270,25 +267,20 @@ def too_deep_is_size_error():
         ) from None
 
 
-def compile_guard(
-    f: Formula,
-    num_vars: int,
-    order: list[int] | None = None,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> CompiledGuard:
+def compile_guard(f: Formula, num_vars: int, order: list[int] | None = None) -> CompiledGuard:
     """Compile `f` (over `num_vars` variables) to its reduced ordered diagram.
 
     `order` defaults to vocabulary declaration order. Raises
-    CircuitSizeError if the node budget is exceeded, or if the diagram is
-    too deep for the recursive operations (about 1,000 variables along one
-    path).
+    CircuitSizeError if the diagram needs more than MAX_NODES nodes, or if
+    it is too deep for the recursive operations (about 1,000 variables
+    along one path).
     """
     if order is None:
         order = range(num_vars)
     elif sorted(order) != list(range(num_vars)):
         raise ValueError(f"order must be a permutation of 0..{num_vars - 1}")
     with too_deep_is_size_error():
-        table = DiagramTable(order, max_nodes)
+        table = DiagramTable(order)
         return table.guard(table.build(f))
 
 
@@ -365,12 +357,13 @@ class _Level:
 class Plan:
     """Merged, levelized decision diagram of several guards over one vocabulary.
 
-    The decision nodes of all guards are hash-consed into one array,
-    walking each guard's nodes in their topological (array) order, and
-    grouped into levels by height above the constants. Evaluating p of
-    shape (num_vars, rows) then costs a few numpy calls per level, not per
-    node or per guard, and a reverse pass over the same levels yields the
-    gradient of any weighted sum of roots.
+    The decision nodes of all guards are rebuilt, each guard's in its
+    topological (array) order, into one DiagramTable over the identity
+    order, so a subdiagram shared by several guards is stored once and
+    MAX_NODES bounds the merge. The nodes are grouped into levels by height
+    above the constants. Evaluating p of shape (num_vars, rows) then costs a
+    few numpy calls per level, not per node or per guard, and a reverse pass
+    over the same levels yields the gradient of any weighted sum of roots.
 
     Node 0 is the constant 0, node 1 the constant 1; `roots[k]` is the
     node of guard k. Plans are immutable; evaluation allocates only local
@@ -381,38 +374,26 @@ class Plan:
         if any(g.num_vars != num_vars for g in guards):
             raise ValueError(f"every guard must range over {num_vars} variables")
         self.num_vars = num_vars
-        decisions: list[tuple[int, int, int]] = []  # (var, hi, lo), merged ids
-        unique: dict[tuple[int, int, int], int] = {}
-        heights = [0, 0]
-
-        def intern(var: int, hi: int, lo: int) -> int:
-            key = (var, hi, lo)
-            found = unique.get(key)
-            if found is None:
-                found = unique[key] = len(decisions) + 2
-                decisions.append(key)
-                heights.append(1 + max(heights[hi], heights[lo]))
-            return found
-
+        # over the identity order a table level is a variable
+        table = DiagramTable(range(num_vars))
         roots = []
         for g in guards:
             merged = [0, 1]
             for var, hi, lo in g.nodes[2:]:
-                merged.append(intern(var, merged[hi], merged[lo]))
+                merged.append(table._node(var, merged[hi], merged[lo]))
             roots.append(merged[g.root])
+        heights = [0, 0]
+        for _, hi, lo in table._nodes[2:]:
+            heights.append(1 + max(heights[hi], heights[lo]))
 
         # renumber by height so that each level is one contiguous slice
-        order = sorted(range(2, len(heights)), key=lambda i: (heights[i], i))
-        renum = {0: 0, 1: 1}
-        renum.update({old: new for new, old in enumerate(order, start=2)})
-        self.num_nodes = len(heights)
-        self.roots = np.array([renum[r] for r in roots], dtype=np.intp)
-        var = np.zeros(self.num_nodes, dtype=np.intp)
-        hi = np.zeros(self.num_nodes, dtype=np.intp)
-        lo = np.zeros(self.num_nodes, dtype=np.intp)
-        for old in order:
-            v, h, l = decisions[old - 2]
-            var[renum[old]], hi[renum[old]], lo[renum[old]] = v, renum[h], renum[l]
+        order = [0, 1] + sorted(range(2, len(heights)), key=lambda i: (heights[i], i))
+        self.num_nodes = len(order)
+        renum = np.empty(self.num_nodes, dtype=np.intp)
+        renum[order] = range(self.num_nodes)
+        self.roots = renum[roots]
+        var, hi, lo = np.array(table._nodes, dtype=np.intp)[order].T.copy()
+        hi, lo = renum[hi], renum[lo]
 
         # adjoint edges (receiving node, source row, weight row): a hi child
         # receives adj·p[var], a lo child adj·(1 − p[var]), a root its seed
@@ -426,7 +407,7 @@ class Plan:
 
         self.levels: list[_Level] = []
         start = 2
-        for _, same_height in groupby(heights[old] for old in order):
+        for _, same_height in groupby(heights[old] for old in order[2:]):
             stop = start + len(list(same_height))
             into = [e for e in edges if start <= e[0] < stop]
             edge_sum = np.zeros((stop - start, len(into)))

@@ -109,6 +109,8 @@ class LabeledSequence:
             raise ValueError("set exactly one of label / step_labels")
         if self.label is not None and self.label not in (0, 1):
             raise ValueError(f"sequence label must be 0 or 1, got {self.label}")
+        if self.label is not None and len(self.features) == 0:
+            raise ValueError("a sequence label needs at least one observation")
         if self.step_labels is not None and len(self.step_labels) != len(self.features):
             raise ValueError("need one step label (or None) per observation")
 

@@ -5,9 +5,9 @@ identified by their position in a Vocabulary. Interpretations are total
 truth assignments stored as bitmasks, so "the set {tired}" always means
 every other variable is false.
 
-The module also hosts the exhaustive model enumerator. It is exponential
-on purpose: it is the correctness oracle the rest of the package is
-tested against, not a production inference path.
+The module also hosts the exhaustive model enumerator, exponential on
+purpose. It serves dataset generation, the enumerative baseline and the
+tests' oracles; witnesses come from the decision diagram.
 """
 
 from __future__ import annotations
@@ -217,8 +217,8 @@ def evaluate(f: Formula, omega: Interpretation) -> bool:
 def enumerate_models(f: Formula, vocab_size: int) -> set[Interpretation]:
     """All interpretations satisfying `f`, over the full vocabulary.
 
-    Exponential in vocab_size; guarded at MAX_ENUM_VARS variables. This is
-    the brute-force oracle behind satisfiability witnesses and tests.
+    Exponential in vocab_size; guarded at MAX_ENUM_VARS variables. It
+    serves dataset generation, the enumerative baseline and the tests.
     """
     return {w for w in all_interpretations(vocab_size) if evaluate(f, w)}
 

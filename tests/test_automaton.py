@@ -471,6 +471,8 @@ class TestSfaFiles:
             ("vars: a\ninitial: s\nstates: s\naccepting:", "initial header must follow states", 2),
             ("vars: a\naccepting: s\nstates: s\ninitial: s", "accepting header must follow states", 2),
             ("vars: a\nstates: s, t\ninitial: s\naccepting: t, u", "unknown accepting state 'u'", 4),
+            ("vars: a, b, a\nstates: s\ninitial: s\naccepting:", "vars header lists 'a' more than once", 1),
+            ("vars: a\nstates: s, t, t\ninitial: s\naccepting:", "states header lists 't' more than once", 2),
         ],
     )
     def test_malformed_files(self, text, fragment, line):

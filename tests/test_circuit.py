@@ -8,6 +8,7 @@ import pytest
 from symfa import (
     Interpretation,
     Vocabulary,
+    circuit,
     compile_guard,
     evaluate,
     is_satisfiable,
@@ -238,10 +239,14 @@ class TestCircuitStructure:
         assert g.nodes[2:] == ((0, 0, 1), (1, 1, 2), (0, 1, 0), (1, 4, 0), (2, 3, 5))
         assert g.root == 6
 
-    def test_node_budget_is_enforced(self):
+    def test_node_budget_is_enforced(self, monkeypatch):
         f = f_and(f_or(Var(0), Var(1)), f_or(Var(2), Var(3)), f_or(Var(4), Var(5)))
+        g = compile_guard(f, 6)
+        monkeypatch.setattr(circuit, "MAX_NODES", 4)
         with pytest.raises(CircuitSizeError):
-            compile_guard(f, 6, max_nodes=4)
+            compile_guard(f, 6)
+        with pytest.raises(CircuitSizeError):  # a plan merges through a table too
+            circuit.Plan([g], 6)
 
     def test_variable_order_is_validated(self):
         with pytest.raises(ValueError):

@@ -162,6 +162,15 @@ class TestSequenceLoss:
         with pytest.raises(ValueError):
             sequence_loss(driving.compiled, ext, seq)
 
+    def test_sequence_label_needs_an_observation(self, driving):
+        with pytest.raises(ValueError, match="at least one observation"):
+            LabeledSequence(np.zeros((0, 6)), label=1)
+        # per-step labels on zero steps still work and contribute nothing
+        ext = make_extractor(np.random.default_rng(0), 3, 6)
+        seq = LabeledSequence(np.zeros((0, 6)), step_labels=[])
+        loss, (dw, db) = tagging_loss(driving.compiled, ext, seq, {0: 0, 1: 1, 2: 2})
+        assert loss == 0.0 and not dw.any() and not db.any()
+
 
 class TestTaggingLoss:
     def test_deterministic_run_with_matching_labels_is_free(self, driving):

@@ -7,7 +7,8 @@ it die with AttributeError. It also counts the records a CLI call reads
 with len() on what `bench.read_sequences_jsonl` returns.
 
 The other way round, an import kept unused (`# noqa: F401`) in `symfa`
-is there only for a target, and goes when the target goes.
+is there only for a target, and goes when the target goes; every other
+import in a `symfa` module must be used, so a deletion leaves none behind.
 """
 
 import ast
@@ -48,3 +49,23 @@ def test_unused_imports_are_trace_targets(monkeypatch):
                 kept += [(module, alias.asname or alias.name) for alias in node.names]
     missing = [f"{module}.{name}" for module, name in kept if (module, name) not in targets]
     assert not missing, f"unused imports no trace target names: {missing}"
+
+
+def test_imports_are_used_or_kept_for_a_target():
+    unused = []
+    for path in sorted(Path(symfa.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        lines = path.read_text(encoding="utf-8").splitlines()
+        tree = ast.parse("\n".join(lines))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            ):
+                continue
+            if "# noqa: F401" in lines[node.end_lineno - 1]:
+                continue
+            names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+            unused += [f"{path.stem}:{node.lineno} {name}" for name in names if name not in used]
+    assert not unused, f"imported but never used: {unused}"

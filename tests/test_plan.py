@@ -6,6 +6,8 @@ recursions with einsum, which is how runs were computed before guards
 were merged into one plan.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,13 +24,14 @@ from symfa.automaton import (
     BLOCK_ROWS,
     _accepting_mask,
     _initial_alpha,
+    acceptance,
     acceptance_batch,
     backward_gradient,
     forward_alphas,
     transition_tensor,
 )
 from symfa.bench import random_pattern
-from symfa.circuit import wmc_batch
+from symfa.circuit import Plan, wmc_batch
 
 TOL = 1e-12
 
@@ -150,8 +153,23 @@ def test_block_boundaries(automata, name, shape):
 @pytest.mark.parametrize("name", NAMES)
 def test_transition_tensor_matches_reference(automata, name):
     c = automata[name]
-    ps = np.random.default_rng(3).uniform(size=(2, 7, len(c.vocab)))
-    assert_close(transition_tensor(c, ps), reference_matrices(c, ps)[0])
+    for shape in [(2, 7), (3, 500)]:  # 14 rows, and more than BLOCK_ROWS
+        ps = np.random.default_rng(3).uniform(size=shape + (len(c.vocab),))
+        assert_close(transition_tensor(c, ps), reference_matrices(c, ps)[0])
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_plan_of_guards_compiled_one_by_one_is_the_same(automata, name):
+    # a guard's diagram does not depend on the table it was built in, so
+    # merging separately compiled guards gives the same plan arrays
+    c = automata[name]
+    guards = [compile_guard(c.sfa.transitions[pair], len(c.vocab)) for pair in c.guards]
+    got, want = Plan(guards, len(c.vocab)), c._plan.circuit
+    assert np.array_equal(got.roots, want.roots)
+    assert len(got.levels) == len(want.levels)
+    for a, b in zip(got.levels, want.levels):
+        for field in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
 
 
 def test_plan_is_built_on_first_run_only(driving):
@@ -178,6 +196,15 @@ def test_unvalidated_automaton_fails_the_row_sum_check():
 def test_empty_sequence_acceptance(automata):
     c = automata["shared-roots"]
     assert np.array_equal(acceptance_batch(c, np.zeros((4, 0, 3))), np.ones(4))
+    assert acceptance(automata["events"], []) == 0.0  # its initial state rejects
+
+
+def test_acceptance_takes_one_sequence(automata):
+    c = automata["driving"]
+    with pytest.raises(ValueError):
+        acceptance(c, np.full(3, 0.5))
+    with pytest.raises(ValueError):
+        acceptance(c, np.full((2, 4, 3), 0.5))
 
 
 def test_shared_guards_are_merged(automata):
