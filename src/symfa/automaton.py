@@ -24,8 +24,16 @@ Validation alone never pays for it. Each block of about BLOCK_ROWS
 probability rows (whole steps, t-major) is evaluated in one pass over the
 plan, giving every transition's guard value W_t, and the recursion runs
 sparsely over the transitions: alpha_t[j] = sum over transitions i -> j
-of alpha_{t-1}[i] · W_t. The gradient walks the blocks backwards with the
-adjoint recursion and one reverse pass over the plan per block.
+of alpha_{t-1}[i] · W_t. On short, narrow batches a step costs its numpy
+calls, not its arithmetic, so automata of at most FLOW_MAX_TRANSITIONS
+transitions carry the per-transition flow alpha_{t-1}[src] · W_t through
+the loop instead of the state distribution: the flow into the next step's
+transitions is one product with the 0/1 matrix `next` (e ends where f
+starts), two calls per step, and a block's alphas are one product of its
+flows with `into_dst`. Larger automata, where that product costs more
+than a gather, gather alpha_{t-1}[src] at every step. The gradient walks
+the blocks backwards with the adjoint recursion, in the same two forms,
+and one reverse pass over the plan per block.
 
 Compiled automata are immutable apart from that cache; two threads that
 race to build it build equal plans, so forward runs and gradients stay
@@ -68,6 +76,14 @@ ROW_SUM_RUNTIME_TOL = 1e-6
 # steps of up to 1e-6 taken at 0 or 1
 PROB_RANGE_TOL = 1e-6
 BLOCK_ROWS = 1024
+# Automata with at most this many transitions run the recursions in flow
+# form (see _Plan.next), whose step costs n_trans² multiply-adds per row
+# against n_trans·Q for a gather; it pays in call count on small automata
+# and loses on large ones. Fused / gather time, interleaved, 2 cores:
+# random:16x12:0 (37 transitions) 0.77–1.05, random:64x12:0 (156)
+# 0.85–1.27, random:128x12:0 (321) 1.24–1.45, fully connected 8 states
+# (64) 1.21 at 256 × 30, fully connected 16 states (256) 1.7–2.6.
+FLOW_MAX_TRANSITIONS = 32
 
 
 @dataclass(frozen=True)
@@ -228,6 +244,12 @@ class _Plan:
         # x @ into_dst per target state
         self.from_src = eye[self.src]
         self.into_dst = eye[self.dst]
+        # (n_trans, n_trans) 0/1 matrix, next[e, f] = 1 when e ends where f
+        # starts: flow @ next is alpha_t[src] of the following step. None
+        # above FLOW_MAX_TRANSITIONS, where the recursions gather instead.
+        self.next = None
+        if len(pairs) <= FLOW_MAX_TRANSITIONS:
+            self.next = (self.dst[:, None] == self.src).astype(np.float64)
         self.circuit = circuit.Plan(list(c.guards.values()), len(c.vocab))
 
 
@@ -299,25 +321,41 @@ def _initial_alpha(c: CompiledSfa, lead_shape: tuple) -> np.ndarray:
 def forward_alphas(c: CompiledSfa, ps) -> np.ndarray:
     """State distributions after each step, batched: (..., T, V) -> (..., T, Q).
 
-    alpha_t = (alpha_{t-1}[src] · W_t) summed per target state, where W_t
-    holds the guard value of every transition at step t.
+    The flow of step t is the mass each transition carries,
+    alpha_{t-1}[src] · W_t, where W_t holds the guard value of every
+    transition at step t; alpha_t is the flow summed per target state. On
+    automata of at most FLOW_MAX_TRANSITIONS transitions the loop carries
+    the flow itself, two calls per step (flow_t = W_t · flow_{t-1} @ next),
+    and a block's alphas come from one product with into_dst. Larger
+    automata gather alpha_{t-1}[src] at every step instead.
     """
     ps = _check_probs(c, ps, 2)
     lead, steps = ps.shape[:-2], ps.shape[-2]
     plan = c._plan
     width = math.prod(lead)
+    n_trans = len(plan.src)
     ps3 = ps.reshape((width,) + ps.shape[-2:])
     out = np.empty((steps, width, c.num_states))
     alpha = _initial_alpha(c, (width,))
-    moved = np.empty((width, len(plan.src)))
+    # alpha_{t-1}[src], carried across blocks on the flow path
+    incoming = alpha.take(plan.src, axis=1)
     for t0, t1 in _step_blocks(steps, width):
         roots = plan.circuit.forward(_block_rows(ps3, t0, t1))
         _check_row_sums(plan, roots)
-        weights = roots.T.reshape(t1 - t0, width, len(plan.src))
-        for t in range(t0, t1):
-            alpha.take(plan.src, axis=1, out=moved)
-            moved *= weights[t - t0]
-            alpha = np.dot(moved, plan.into_dst, out=out[t])
+        if plan.next is None:
+            weights = roots.T.reshape(t1 - t0, width, n_trans)
+            for t in range(t0, t1):
+                alpha.take(plan.src, axis=1, out=incoming)
+                incoming *= weights[t - t0]
+                alpha = np.dot(incoming, plan.into_dst, out=out[t])
+        else:
+            # the block's weights, turned into its flows in place
+            flow = np.ascontiguousarray(roots.T).reshape(t1 - t0, width, n_trans)
+            for w in flow:
+                w *= incoming
+                np.dot(w, plan.next, out=incoming)
+            alphas = out[t0:t1].reshape(-1, c.num_states)
+            np.dot(flow.reshape(-1, n_trans), plan.into_dst, out=alphas)
     return np.ascontiguousarray(out.transpose(1, 0, 2)).reshape(lead + (steps, c.num_states))
 
 
@@ -374,7 +412,12 @@ def backward_gradient(c: CompiledSfa, ps, alpha_grads, alphas=None) -> np.ndarra
     Walking the blocks from the last step back, the adjoint recursion
     abar_{t-1} = (W_t · abar_t[dst]) summed per source state seeds each
     transition root with alpha_{t-1}[src] · abar_t[dst], and one reverse
-    pass over the merged circuit turns those seeds into dLoss/dp_t.
+    pass over the merged circuit turns those seeds into dLoss/dp_t. On
+    automata of at most FLOW_MAX_TRANSITIONS transitions the loop carries
+    a_t = abar_t[dst] itself, three calls per step
+    (a_{t-1} = grads_{t-1}[dst] + (W_t · a_t) @ next.T), with every
+    grads[dst] of a block gathered in one call; larger automata gather
+    abar_t[dst] at every step instead.
     """
     ps = _check_probs(c, ps, 2)
     alpha_grads = np.asarray(alpha_grads, dtype=np.float64)
@@ -389,26 +432,40 @@ def backward_gradient(c: CompiledSfa, ps, alpha_grads, alphas=None) -> np.ndarra
         raise ValueError(f"alphas shape {np.shape(alphas)} does not match sequence shape")
     plan = c._plan
     width = math.prod(lead)
+    n_trans = len(plan.src)
     ps3 = ps.reshape((width,) + ps.shape[-2:])
     alphas3 = np.asarray(alphas, dtype=np.float64).reshape(width, steps, c.num_states)
     grads3 = alpha_grads.reshape(width, steps, c.num_states)
     before = np.concatenate((_initial_alpha(c, (width, 1)), alphas3[:, :-1]), axis=1)
     out = np.empty(ps3.shape)
     abar = np.zeros((width, c.num_states))
-    moved = np.empty((width, len(plan.src)))
+    # on the flow path, abar_t[dst] − grads_t[dst]: W_{t+1} · a_{t+1}
+    # summed over the transitions leaving the state where each one ends
+    carry = np.zeros((width, n_trans))
+    moved = np.empty((width, n_trans))
     for t0, t1 in reversed(_step_blocks(steps, width)):
         rows = _block_rows(ps3, t0, t1)
-        roots, tape = plan.circuit.forward(rows, keep=True)
-        weights = roots.T.reshape(t1 - t0, width, len(plan.src))
-        at_dst = np.empty((t1 - t0, width, len(plan.src)))
-        for t in range(t1 - 1, t0 - 1, -1):
-            abar += grads3[:, t, :]
-            abar.take(plan.dst, axis=1, out=at_dst[t - t0])
-            np.multiply(weights[t - t0], at_dst[t - t0], out=moved)
-            np.dot(moved, plan.from_src, out=abar)
+        # the root values are the guard weights, (n_trans, rows)
+        weights, tape = plan.circuit.forward(rows, keep=True)
+        if plan.next is None:
+            weights = weights.T.reshape(t1 - t0, width, n_trans)
+            at_dst = np.empty((t1 - t0, width, n_trans))
+            for t in range(t1 - 1, t0 - 1, -1):
+                abar += grads3[:, t, :]
+                abar.take(plan.dst, axis=1, out=at_dst[t - t0])
+                np.multiply(weights[t - t0], at_dst[t - t0], out=moved)
+                np.dot(moved, plan.from_src, out=abar)
+        else:
+            weights = np.ascontiguousarray(weights.T).reshape(t1 - t0, width, n_trans)
+            at_dst = grads3.transpose(1, 0, 2)[t0:t1].take(plan.dst, axis=2)
+            back = plan.next.T
+            for w, a in zip(weights[::-1], at_dst[::-1]):
+                a += carry
+                np.multiply(w, a, out=moved)
+                np.dot(moved, back, out=carry)
         # root seeds alpha_{t-1}[src] · abar_t[dst]
         at_dst *= before[:, t0:t1, :].take(plan.src, axis=2).transpose(1, 0, 2)
-        grad = plan.circuit.backward(rows, tape, at_dst.reshape(-1, len(plan.src)).T)
+        grad = plan.circuit.backward(rows, tape, at_dst.reshape(-1, n_trans).T)
         out[:, t0:t1, :] = grad.reshape(ps.shape[-1], t1 - t0, width).transpose(2, 1, 0)
     return out.reshape(lead + (steps, ps.shape[-1]))
 

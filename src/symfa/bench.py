@@ -236,6 +236,9 @@ def generate_dataset(
     construction. Raises UnsatisfiablePatternError when a class has no
     trace of the requested length.
     """
+    for name, value in (("length", length), ("n_pos", n_pos), ("n_neg", n_neg)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     c = pattern.compiled
     models = _transition_models(c.sfa)
     struct_rng = random.Random(seed)
@@ -414,6 +417,10 @@ def run_benchmark(
     for engine in engines:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
+    sizes = [("length", n) for n in lengths]
+    for name, value in sizes + [("batch_size", batch_size), ("repetitions", repetitions)]:
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     rows = []
     for pattern in patterns:
         for length in lengths:

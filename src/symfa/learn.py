@@ -35,10 +35,13 @@ CHECKPOINT_VERSION = 1
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; the two branches are the stable forms for
-    # x >= 0 and x < 0
+    # exp(-|x|) never overflows; 1 / (1 + e) for x >= 0 and e / (1 + e)
+    # for x < 0 are the stable forms, divided in place
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
 
 
 @dataclass
@@ -224,8 +227,11 @@ def sequence_loss(c: CompiledSfa, extractor, seq: LabeledSequence):
     return loss, (dw, db)
 
 
-def _step_label_matrix(c, state_to_label, step_labels, num_steps):
-    """Per-step 0/1 mask over states matching the step's label; None rows stay 0."""
+def _step_label_matrix(c, state_to_label, step_labels, num_steps, where=""):
+    """Per-step 0/1 mask over states matching the step's label; None rows stay 0.
+
+    `where` prefixes the error for a label that matches no state.
+    """
     active = np.array([lab is not None for lab in step_labels], dtype=bool).reshape(num_steps)
     labels = np.fromiter(step_labels, dtype=object, count=num_steps)
     sel = np.zeros((num_steps, c.num_states))
@@ -235,7 +241,7 @@ def _step_label_matrix(c, state_to_label, step_labels, num_steps):
     missing = np.flatnonzero(active & ~sel.any(axis=1))
     if missing.size:
         t = int(missing[0])
-        raise ValueError(f"label {step_labels[t]!r} at step {t} matches no state")
+        raise ValueError(f"{where}label {step_labels[t]!r} at step {t} matches no state")
     return sel, active
 
 
@@ -325,8 +331,10 @@ def train(
         if state_to_label is None:
             state_to_label = {q: q for q in range(c.num_states)}
         steps = [
-            _step_label_matrix(c, state_to_label, seq.step_labels, len(seq.features))
-            for seq in data
+            _step_label_matrix(
+                c, state_to_label, seq.step_labels, len(seq.features), f"sequence {k}: "
+            )
+            for k, seq in enumerate(data)
         ]
 
         def targets(group):

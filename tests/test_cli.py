@@ -352,6 +352,33 @@ class TestTrainCli:
         assert main(base + ["--config", str(config), "--max-epochs", "2"]) == 0
         assert passed == [{}, {"max_epochs": 2, "seed": 3}]
 
+    @pytest.mark.parametrize("label", [1.5, 0.9, -1, 2, "1", None])
+    def test_sequence_label_other_than_0_or_1_rejected(
+        self, driving_path, tmp_path, capsys, label
+    ):
+        data = tmp_path / "train.jsonl"
+        records = [{"features": [[0.5, -0.5]], "label": 1}, {"features": [[0.5, -0.5]], "label": label}]
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        rc = main(["train", driving_path, str(data), "--out", str(tmp_path / "m.bin")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sequence 1:" in err and "0 or 1" in err
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_step_label_matching_no_state_names_the_sequence(
+        self, driving_path, tmp_path, capsys
+    ):
+        data = tmp_path / "train.jsonl"
+        records = [
+            {"features": [[0.5, -0.5], [0.1, 0.2]], "step_labels": [0, 1]},
+            {"features": [[0.5, -0.5], [0.1, 0.2]], "step_labels": [None, 1.7]},
+        ]
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        rc = main(["train", driving_path, str(data), "--out", str(tmp_path / "m.bin")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sequence 1: label 1.7 at step 1 matches no state" in err
+
     def test_unknown_config_key_rejected(self, driving_path, tmp_path, capsys):
         data = self._make_dataset(tmp_path, capsys)
         config = tmp_path / "run.conf"
@@ -387,6 +414,26 @@ class TestEndToEnd:
         ]
         accuracy = sum(p == y for p, y in zip(predictions, labels)) / len(labels)
         assert accuracy >= 0.95
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["generate", "--length", "-3"], "length"),
+        (["generate", "--n-pos", "-1"], "n_pos"),
+        (["generate", "--n-neg", "-1"], "n_neg"),
+        (["bench", "--lengths", "-1"], "length"),
+        (["bench", "--lengths", "4,0"], "length"),
+        (["bench", "--lengths", "4", "--repetitions", "0"], "repetitions"),
+        (["bench", "--lengths", "4", "--repetitions", "-2"], "repetitions"),
+        (["bench", "--lengths", "4", "--batch-size", "0"], "batch_size"),
+    ],
+)
+def test_sizes_out_of_range_are_an_input_error(capsys, args, name):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert name in captured.err
 
 
 class TestBenchCli:

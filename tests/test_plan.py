@@ -16,6 +16,7 @@ from symfa import (
     ConsistencyError,
     Sfa,
     Vocabulary,
+    automaton,
     compile_guard,
     parse_formula,
     validate_and_compile,
@@ -109,10 +110,12 @@ def automata(driving, events):
         "events": events.compiled,
         "random:8x10:2": random_pattern(8, 10, 2).compiled,
         "shared-roots": validate_and_compile(shared_roots_sfa()),
+        # 37 transitions, above FLOW_MAX_TRANSITIONS: the gather loops
+        "random:16x6:0": random_pattern(16, 6, 0).compiled,
     }
 
 
-NAMES = ["driving", "events", "random:8x10:2", "shared-roots"]
+NAMES = ["driving", "events", "random:8x10:2", "shared-roots", "random:16x6:0"]
 
 
 def check_against_reference(c, shape, seed):
@@ -143,11 +146,34 @@ def test_matches_reference(automata, name, shape):
         (BLOCK_ROWS, 1),
         (BLOCK_ROWS + 1, 1),
         (3, 700),  # 341 steps per block, three blocks
+        (BLOCK_ROWS + 1, 3),  # one step per block, carried across three blocks
     ],
 )
-@pytest.mark.parametrize("name", ["driving", "shared-roots"])
+@pytest.mark.parametrize("name", ["driving", "shared-roots", "random:8x10:2"])
 def test_block_boundaries(automata, name, shape):
     check_against_reference(automata[name], shape, seed=shape[0])
+
+
+@pytest.mark.parametrize("name", ["driving", "events"])
+def test_flow_and_gather_loops_agree(automata, monkeypatch, name):
+    flow = automata[name]
+    assert flow._plan.next is not None
+    monkeypatch.setattr(automaton, "FLOW_MAX_TRANSITIONS", 0)
+    # the plan is cached on the automaton, so the gather loops need a fresh copy
+    gather = validate_and_compile(flow.sfa)
+    assert gather._plan.next is None
+    rng = np.random.default_rng(4)
+    for shape in [(1, 1), (5, 40), (3, 700)]:
+        ps = rng.uniform(size=shape + (len(flow.vocab),))
+        alpha_grads = rng.normal(size=shape + (flow.num_states,))
+        for run in (
+            lambda c: forward_alphas(c, ps),
+            lambda c: acceptance_batch(c, ps),
+            lambda c: backward_gradient(c, ps, alpha_grads),
+        ):
+            want = run(gather)
+            scale = max(1.0, float(np.abs(want).max()))
+            assert float(np.abs(run(flow) - want).max()) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("name", NAMES)
