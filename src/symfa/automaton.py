@@ -77,12 +77,15 @@ ROW_SUM_RUNTIME_TOL = 1e-6
 PROB_RANGE_TOL = 1e-6
 BLOCK_ROWS = 1024
 # Automata with at most this many transitions run the recursions in flow
-# form (see _Plan.next), whose step costs n_trans² multiply-adds per row
-# against n_trans·Q for a gather; it pays in call count on small automata
-# and loses on large ones. Fused / gather time, interleaved, 2 cores:
-# random:16x12:0 (37 transitions) 0.77–1.05, random:64x12:0 (156)
-# 0.85–1.27, random:128x12:0 (321) 1.24–1.45, fully connected 8 states
-# (64) 1.21 at 256 × 30, fully connected 16 states (256) 1.7–2.6.
+# form (see _Plan.next). A flow step makes one numpy call fewer than a
+# gather step but costs n_trans² multiply-adds per row, so the crossover
+# falls as the rows per step grow. Median flow / gather time of a forward
+# plus a reverse pass on 31 automata of 8–512 transitions, interleaved,
+# one BLAS thread: at 256–4,096 rows per step 1.01 up to 32 transitions,
+# 1.07 at 37–64 and 1.16 at 76–156; at 16 rows 0.77, 0.92 and 1.24; at
+# 1 row, below 1 up to 156. So the bound is the crossover of wide
+# batches. The number of states does not move it: at 64 transitions and
+# 256 rows, 8, 16 and 32 states read 1.16, 1.09 and 1.11.
 FLOW_MAX_TRANSITIONS = 32
 
 
@@ -438,10 +441,10 @@ def backward_gradient(c: CompiledSfa, ps, alpha_grads, alphas=None) -> np.ndarra
     grads3 = alpha_grads.reshape(width, steps, c.num_states)
     before = np.concatenate((_initial_alpha(c, (width, 1)), alphas3[:, :-1]), axis=1)
     out = np.empty(ps3.shape)
-    abar = np.zeros((width, c.num_states))
-    # on the flow path, abar_t[dst] − grads_t[dst]: W_{t+1} · a_{t+1}
-    # summed over the transitions leaving the state where each one ends
-    carry = np.zeros((width, n_trans))
+    # carried across blocks: abar_t on the gather path; on the flow path
+    # abar_t[dst] − grads_t[dst], that is W_{t+1} · a_{t+1} summed over
+    # the transitions leaving the state where each one ends
+    carry = np.zeros((width, c.num_states if plan.next is None else n_trans))
     moved = np.empty((width, n_trans))
     for t0, t1 in reversed(_step_blocks(steps, width)):
         rows = _block_rows(ps3, t0, t1)
@@ -451,10 +454,10 @@ def backward_gradient(c: CompiledSfa, ps, alpha_grads, alphas=None) -> np.ndarra
             weights = weights.T.reshape(t1 - t0, width, n_trans)
             at_dst = np.empty((t1 - t0, width, n_trans))
             for t in range(t1 - 1, t0 - 1, -1):
-                abar += grads3[:, t, :]
-                abar.take(plan.dst, axis=1, out=at_dst[t - t0])
+                carry += grads3[:, t, :]
+                carry.take(plan.dst, axis=1, out=at_dst[t - t0])
                 np.multiply(weights[t - t0], at_dst[t - t0], out=moved)
-                np.dot(moved, plan.from_src, out=abar)
+                np.dot(moved, plan.from_src, out=carry)
         else:
             weights = np.ascontiguousarray(weights.T).reshape(t1 - t0, width, n_trans)
             at_dst = grads3.transpose(1, 0, 2)[t0:t1].take(plan.dst, axis=2)

@@ -210,11 +210,11 @@ def _load_labeled(path) -> list[LabeledSequence]:
         elif "label" in record and isinstance(record["label"], list):
             data.append(LabeledSequence(feats, step_labels=record["label"]))
         elif "label" in record:
-            if record["label"] not in (0, 1):
-                raise InputError(
-                    f"sequence {k}: sequence label must be 0 or 1, got {record['label']!r}"
-                )
-            data.append(LabeledSequence(feats, label=int(record["label"])))
+            label = record["label"]
+            # JSON true and false compare equal to 1 and 0; they are not labels
+            if isinstance(label, bool) or label not in (0, 1):
+                raise InputError(f"sequence {k}: sequence label must be 0 or 1, got {label!r}")
+            data.append(LabeledSequence(feats, label=int(label)))
         else:
             raise InputError(f"sequence {k}: training data needs 'label' or 'step_labels'")
     return data

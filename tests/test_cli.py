@@ -352,7 +352,7 @@ class TestTrainCli:
         assert main(base + ["--config", str(config), "--max-epochs", "2"]) == 0
         assert passed == [{}, {"max_epochs": 2, "seed": 3}]
 
-    @pytest.mark.parametrize("label", [1.5, 0.9, -1, 2, "1", None])
+    @pytest.mark.parametrize("label", [1.5, 0.9, -1, 2, "1", None, True, False])
     def test_sequence_label_other_than_0_or_1_rejected(
         self, driving_path, tmp_path, capsys, label
     ):
