@@ -119,9 +119,6 @@ class Sfa:
     def num_states(self) -> int:
         return len(self.states)
 
-    def state_index(self, name: str) -> int:
-        return self.states.index(name)
-
 
 @dataclass(frozen=True)
 class CompiledSfa:

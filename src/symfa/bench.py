@@ -158,64 +158,56 @@ class SyntheticDataset:
         return [LabeledSequence(s.features, label=s.label) for s in self.sequences]
 
 
-def _transition_models(sfa: Sfa) -> dict[tuple[int, int], list[int]]:
-    """Sorted model masks of every transition guard."""
+def _outgoing(sfa: Sfa) -> list[list[tuple[int, list[int]]]]:
+    """Per state, its (dst, sorted model masks) transitions in declaration order."""
     n = len(sfa.vocab)
-    return {
-        pair: sorted(w.mask for w in enumerate_models(f, n))
-        for pair, f in sfa.transitions.items()
-    }
+    out = [[] for _ in range(sfa.num_states)]
+    for (src, dst), f in sfa.transitions.items():
+        out[src].append((dst, sorted(w.mask for w in enumerate_models(f, n))))
+    return out
 
 
-def _suffix_counts(c, models, length: int, accept: bool) -> list[list[int]]:
+def _suffix_counts(out, accepting, length: int, accept: bool) -> list[list[int]]:
     """counts[t][q] = number of trace suffixes of length-t steps remaining
     that end in an accepting (or rejecting) state, exact integers."""
-    nq = c.num_states
-    counts = [[0] * nq for _ in range(length + 1)]
-    for q in range(nq):
-        counts[length][q] = 1 if (q in c.accepting) == accept else 0
-    for t in range(length - 1, -1, -1):
-        for q in range(nq):
-            total = 0
-            for (src, dst), masks in models.items():
-                if src == q:
-                    total += len(masks) * counts[t + 1][dst]
-            counts[t][q] = total
+    counts = [[int((q in accepting) == accept) for q in range(len(out))]]
+    for _ in range(length):
+        later = counts[-1]
+        counts.append([sum(len(masks) * later[dst] for dst, masks in edges) for edges in out])
+    counts.reverse()
     return counts
 
 
-def _sample_trace(c, models, counts, length: int, rng: random.Random) -> list[int]:
-    """One boolean trace (list of masks), uniform among the counted set."""
-    q = c.sfa.initial
+def _sample_trace(out, counts, q: int, rng: random.Random) -> list[int]:
+    """One boolean trace (list of masks) from state q, uniform among the
+    counted set."""
     trace = []
-    for t in range(length):
-        options = [
-            (dst, masks)
-            for (src, dst), masks in models.items()
-            if src == q and len(masks) * counts[t + 1][dst] > 0
-        ]
-        weights = [len(masks) * counts[t + 1][dst] for dst, masks in options]
-        # exact integer sampling; weights can exceed float range
-        pick = rng.randrange(sum(weights))
-        acc = 0
-        for (dst, masks), w in zip(options, weights):
-            acc += w
-            if pick < acc:
+    for t in range(len(counts) - 1):
+        # exact integer sampling; counts can exceed float range. counts[t][q]
+        # is the sum of q's outgoing weights len(masks) * counts[t + 1][dst]
+        pick = rng.randrange(counts[t][q])
+        for dst, masks in out[q]:
+            pick -= len(masks) * counts[t + 1][dst]
+            if pick < 0:
                 trace.append(masks[rng.randrange(len(masks))])
                 q = dst
                 break
     return trace
 
 
-def encode_trace(masks, num_symbols: int, noise: float, rng: np.random.Generator):
-    """Render a boolean trace into noisy two-coordinates-per-symbol features."""
-    steps = len(masks)
-    feats = np.empty((steps, 2 * num_symbols))
-    for t, mask in enumerate(masks):
-        for i in range(num_symbols):
-            truth = bool(mask >> i & 1)
-            feats[t, 2 * i] = 1.0 if truth else -1.0
-            feats[t, 2 * i + 1] = -1.0 if truth else 1.0
+def truth_table(masks, num_symbols: int) -> np.ndarray:
+    """A boolean trace given as masks, as (steps, num_symbols) booleans."""
+    masks = np.asarray(masks, dtype=np.int64).reshape(-1, 1)
+    return (masks >> np.arange(num_symbols) & 1).astype(bool)
+
+
+def encode_trace(truth: np.ndarray, noise: float, rng: np.random.Generator) -> np.ndarray:
+    """Render a (steps, symbols) boolean trace into noisy
+    two-coordinates-per-symbol features."""
+    sign = np.where(truth, 1.0, -1.0)
+    feats = np.empty((len(truth), 2 * truth.shape[1]))
+    feats[:, 0::2] = sign
+    feats[:, 1::2] = -sign
     if noise:
         feats = feats + rng.normal(0.0, noise, size=feats.shape)
     return feats
@@ -240,33 +232,23 @@ def generate_dataset(
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
     c = pattern.compiled
-    models = _transition_models(c.sfa)
+    out = _outgoing(c.sfa)
     struct_rng = random.Random(seed)
     noise_rng = np.random.default_rng(seed)
-    n_sym = len(c.vocab)
-
-    per_class = {}
+    sequences = []
     for accept, count in ((True, n_pos), (False, n_neg)):
         if count == 0:
-            per_class[accept] = []
             continue
-        counts = _suffix_counts(c, models, length, accept)
+        counts = _suffix_counts(out, c.accepting, length, accept)
         if counts[0][c.sfa.initial] == 0:
             kind = "accepting" if accept else "rejecting"
             raise UnsatisfiablePatternError(
                 f"pattern '{pattern.name}' has no {kind} trace of length {length}"
             )
-        per_class[accept] = [
-            _sample_trace(c, models, counts, length, struct_rng) for _ in range(count)
-        ]
-
-    sequences = []
-    for accept in (True, False):
-        for masks in per_class[accept]:
-            feats = encode_trace(masks, n_sym, noise, noise_rng)
-            clean = np.array(
-                [[bool(m >> i & 1) for i in range(n_sym)] for m in masks], dtype=bool
-            )
+        for _ in range(count):
+            masks = _sample_trace(out, counts, c.sfa.initial, struct_rng)
+            clean = truth_table(masks, len(c.vocab))
+            feats = encode_trace(clean, noise, noise_rng)
             sequences.append(GeneratedSequence(feats, int(accept), clean))
     return SyntheticDataset(sequences, pattern.name, length, noise, seed)
 
@@ -332,7 +314,7 @@ class EnumerativeEngine:
         completed, _ = complete_self_loops(sfa)
         self.sfa = completed
         self.num_vars = len(completed.vocab)
-        self.models = _transition_models(completed)
+        self.out = _outgoing(completed)
 
     def acceptance(self, ps) -> float:
         ps = np.asarray(ps, dtype=np.float64)
@@ -354,14 +336,14 @@ class EnumerativeEngine:
                     prob *= row[i] if mask >> i & 1 else 1.0 - row[i]
                 model_prob[mask] = prob
             nxt = [0.0] * nq
-            for (src, dst), masks in self.models.items():
-                weight = alpha[src]
+            for weight, edges in zip(alpha, self.out):
                 if weight == 0.0:
                     continue
-                total = 0.0
-                for mask in masks:
-                    total += model_prob[mask]
-                nxt[dst] += weight * total
+                for dst, masks in edges:
+                    total = 0.0
+                    for mask in masks:
+                        total += model_prob[mask]
+                    nxt[dst] += weight * total
             alpha = nxt
         return sum(alpha[q] for q in self.sfa.accepting)
 

@@ -198,25 +198,25 @@ def cmd_infer(args) -> int:
 
 
 def _load_labeled(path) -> list[LabeledSequence]:
+    # `step_labels`, or a list-valued `label`, gives per-step labels;
+    # LabeledSequence and train decide what a label is
     with open(path, "r", encoding="utf-8") as fh:
         records = bench_mod.read_sequences_jsonl(fh)
     data = []
     for k, record in enumerate(records):
         if "features" not in record:
             raise InputError(f"sequence {k}: training data needs 'features'")
-        feats = np.asarray(record["features"], dtype=np.float64)
         if "step_labels" in record:
-            data.append(LabeledSequence(feats, step_labels=record["step_labels"]))
-        elif "label" in record and isinstance(record["label"], list):
-            data.append(LabeledSequence(feats, step_labels=record["label"]))
+            labels = {"step_labels": record["step_labels"]}
         elif "label" in record:
-            label = record["label"]
-            # JSON true and false compare equal to 1 and 0; they are not labels
-            if isinstance(label, bool) or label not in (0, 1):
-                raise InputError(f"sequence {k}: sequence label must be 0 or 1, got {label!r}")
-            data.append(LabeledSequence(feats, label=int(label)))
+            key = "step_labels" if isinstance(record["label"], list) else "label"
+            labels = {key: record["label"]}
         else:
             raise InputError(f"sequence {k}: training data needs 'label' or 'step_labels'")
+        try:
+            data.append(LabeledSequence(record["features"], **labels))
+        except ValueError as exc:
+            raise InputError(f"sequence {k}: {exc}") from None
     return data
 
 

@@ -30,6 +30,9 @@ from .errors import DivergenceError
 
 LOG_CLAMP = 1e-7
 
+# types no label has, sequence or step (see LabeledSequence)
+_NOT_LABELS = (bool, np.bool_, float, np.floating)
+
 CHECKPOINT_MAGIC = b"SYMF"
 CHECKPOINT_VERSION = 1
 
@@ -96,6 +99,7 @@ class LabeledSequence:
 
     Exactly one of `label` (0/1 for the whole sequence) and `step_labels`
     (one entry per observation; None entries mark unlabeled steps) is set.
+    No label is a bool or a float.
     """
 
     features: np.ndarray  # (steps, feature_dim)
@@ -108,14 +112,15 @@ class LabeledSequence:
             raise ValueError("features must be a (steps, feature_dim) array")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features must be finite")
-        if (self.label is None) == (self.step_labels is None):
-            raise ValueError("set exactly one of label / step_labels")
-        if self.label is not None and self.label not in (0, 1):
-            raise ValueError(f"sequence label must be 0 or 1, got {self.label}")
-        if self.label is not None and len(self.features) == 0:
+        if self.step_labels is not None:
+            if self.label is not None:
+                raise ValueError("set exactly one of label / step_labels")
+            if len(self.step_labels) != len(self.features):
+                raise ValueError("need one step label (or None) per observation")
+        elif isinstance(self.label, _NOT_LABELS) or self.label not in (0, 1):
+            raise ValueError(f"sequence label must be 0 or 1, got {self.label!r}")
+        elif len(self.features) == 0:
             raise ValueError("a sequence label needs at least one observation")
-        if self.step_labels is not None and len(self.step_labels) != len(self.features):
-            raise ValueError("need one step label (or None) per observation")
 
 
 @dataclass
@@ -227,10 +232,11 @@ def sequence_loss(c: CompiledSfa, extractor, seq: LabeledSequence):
     return loss, (dw, db)
 
 
-def _step_label_matrix(c, state_to_label, step_labels, num_steps, where=""):
+def _step_label_matrix(c, state_to_label, step_labels, num_steps):
     """Per-step 0/1 mask over states matching the step's label; None rows stay 0.
 
-    `where` prefixes the error for a label that matches no state.
+    A bool or float label matches no state, although == makes True, False
+    and 1.0 equal to 1, 0 and 1.
     """
     active = np.array([lab is not None for lab in step_labels], dtype=bool).reshape(num_steps)
     labels = np.fromiter(step_labels, dtype=object, count=num_steps)
@@ -238,10 +244,14 @@ def _step_label_matrix(c, state_to_label, step_labels, num_steps, where=""):
     for q in range(c.num_states):
         sel[:, q] = labels == state_to_label[q]
     sel[~active] = 0.0
+    # look at the label types first: an isinstance pass over every label
+    # slows long tagging runs by several percent
+    if any(issubclass(t, _NOT_LABELS) for t in set(map(type, step_labels))):
+        sel[[isinstance(lab, _NOT_LABELS) for lab in step_labels]] = 0.0
     missing = np.flatnonzero(active & ~sel.any(axis=1))
     if missing.size:
         t = int(missing[0])
-        raise ValueError(f"{where}label {step_labels[t]!r} at step {t} matches no state")
+        raise ValueError(f"label {step_labels[t]!r} at step {t} matches no state")
     return sel, active
 
 
@@ -327,15 +337,27 @@ def train(
     kinds = {seq.label is None for seq in data}
     if len(kinds) != 1:
         raise ValueError("mix of sequence-level and per-step labels")
+    if init is not None and init.num_symbols != len(c.vocab):
+        raise ValueError(
+            f"extractor emits {init.num_symbols} symbols, automaton has {len(c.vocab)}"
+        )
+    feature_dim = data[0].features.shape[1] if init is None else init.feature_dim
+    if state_to_label is None:
+        state_to_label = {q: q for q in range(c.num_states)}
+    steps = []
+    for k, seq in enumerate(data):
+        try:
+            if seq.features.shape[1] != feature_dim:
+                raise ValueError(
+                    f"feature dimension {seq.features.shape[1]} != extractor's {feature_dim}"
+                )
+            if seq.label is None:
+                steps.append(
+                    _step_label_matrix(c, state_to_label, seq.step_labels, len(seq.features))
+                )
+        except ValueError as exc:
+            raise ValueError(f"sequence {k}: {exc}") from None
     if data[0].label is None:
-        if state_to_label is None:
-            state_to_label = {q: q for q in range(c.num_states)}
-        steps = [
-            _step_label_matrix(
-                c, state_to_label, seq.step_labels, len(seq.features), f"sequence {k}: "
-            )
-            for k, seq in enumerate(data)
-        ]
 
         def targets(group):
             masks, active = zip(*(steps[k] for k in group))
@@ -347,12 +369,7 @@ def train(
         def targets(group):
             return *_sequence_targets(c, labels[group]), labels[group]
 
-    feature_dim = data[0].features.shape[1]
     rng = np.random.default_rng(cfg.seed)
-    if init is not None and init.num_symbols != len(c.vocab):
-        raise ValueError(
-            f"extractor emits {init.num_symbols} symbols, automaton has {len(c.vocab)}"
-        )
     extractor = (init or LinearExtractor.init_random(len(c.vocab), feature_dim, rng)).copy()
     opt = _Adam(cfg.learning_rate) if cfg.optimizer == "adam" else _Sgd(cfg.learning_rate)
 

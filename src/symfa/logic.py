@@ -88,9 +88,6 @@ class Interpretation:
     def truth(self, index: int) -> bool:
         return bool(self.mask >> index & 1)
 
-    def bits(self) -> tuple[bool, ...]:
-        return tuple(self.truth(i) for i in range(self.size))
-
     def true_names(self, vocab: Vocabulary) -> tuple[str, ...]:
         return tuple(v.name for v in vocab if self.truth(v.index))
 

@@ -138,14 +138,14 @@ class TestValidation:
                 except NonDeterministicError as err:
                     got = ("overlap", err.state, err.targets)
                     guards = [
-                        sfa.transitions[(sfa.state_index(err.state), sfa.state_index(t))]
+                        sfa.transitions[(sfa.states.index(err.state), sfa.states.index(t))]
                         for t in err.targets
                     ]
                     witness = witness_of(sfa, err.witness)
                     assert all(evaluate(f, witness) for f in guards)
                 except IncompleteError as err:
                     got = ("gap", err.state)
-                    q = sfa.state_index(err.state)
+                    q = sfa.states.index(err.state)
                     witness = witness_of(sfa, err.witness)
                     assert not any(
                         evaluate(f, witness)

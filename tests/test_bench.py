@@ -1,6 +1,8 @@
 """Dataset generation, the enumerative baseline, and timing."""
 
 import collections
+import hashlib
+import io
 import math
 import random
 
@@ -15,6 +17,7 @@ from symfa.bench import (
     random_pattern,
     reference_probabilities,
     run_benchmark,
+    write_dataset_jsonl,
 )
 from symfa.errors import UnsatisfiablePatternError, VocabularyTooLargeError
 
@@ -88,6 +91,19 @@ class TestGenerateDataset:
             assert set(np.unique(seq.features)) <= {-1.0, 1.0}
             probs = reference_probabilities(seq.features)
             assert np.all((probs > 0.9) == seq.clean_trace)
+
+    def test_generated_files_are_byte_identical_to_a_golden_digest(self, driving, events):
+        # pins the sampler, the renderer and the file format together: any
+        # change to the random streams or their order changes the digest
+        digest = hashlib.sha256()
+        for pattern in (driving, events, random_pattern(8, 10, 2), random_pattern(5, 6, 1)):
+            for length in (3, 10, 30):
+                out = io.StringIO()
+                write_dataset_jsonl(generate_dataset(pattern, length, 20, 20, seed=3), out)
+                digest.update(out.getvalue().encode())
+        assert digest.hexdigest() == (
+            "009656a732c68e51595220a65fdeb6afc72486fd4cd80d7bb9c94c63096a6834"
+        )
 
     def test_generation_is_seeded(self, driving):
         a = generate_dataset(driving, length=6, n_pos=5, n_neg=5, seed=9)

@@ -352,7 +352,7 @@ class TestTrainCli:
         assert main(base + ["--config", str(config), "--max-epochs", "2"]) == 0
         assert passed == [{}, {"max_epochs": 2, "seed": 3}]
 
-    @pytest.mark.parametrize("label", [1.5, 0.9, -1, 2, "1", None, True, False])
+    @pytest.mark.parametrize("label", [1.5, 0.9, -1, 2, "1", None, True, False, 1.0])
     def test_sequence_label_other_than_0_or_1_rejected(
         self, driving_path, tmp_path, capsys, label
     ):
@@ -365,19 +365,40 @@ class TestTrainCli:
         assert "sequence 1:" in err and "0 or 1" in err
         assert not (tmp_path / "m.bin").exists()
 
+    # JSON true, false and 1.0 compare equal to 1, 0 and 1; they are not labels
+    @pytest.mark.parametrize("label", [1.7, True, False, 1.0])
     def test_step_label_matching_no_state_names_the_sequence(
-        self, driving_path, tmp_path, capsys
+        self, driving_path, tmp_path, capsys, label
     ):
         data = tmp_path / "train.jsonl"
         records = [
             {"features": [[0.5, -0.5], [0.1, 0.2]], "step_labels": [0, 1]},
-            {"features": [[0.5, -0.5], [0.1, 0.2]], "step_labels": [None, 1.7]},
+            {"features": [[0.5, -0.5], [0.1, 0.2]], "step_labels": [None, label]},
         ]
         data.write_text("".join(json.dumps(r) + "\n" for r in records))
         rc = main(["train", driving_path, str(data), "--out", str(tmp_path / "m.bin")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "sequence 1: label 1.7 at step 1 matches no state" in err
+        assert f"sequence 1: label {label!r} at step 1 matches no state" in err
+        assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("key", ["label", "step_labels"])
+    @pytest.mark.parametrize("second_length", [2, 3])
+    def test_feature_width_differing_from_the_first_names_the_sequence(
+        self, driving_path, tmp_path, capsys, key, second_length
+    ):
+        first = {"features": [[0.5, -0.5, 0.1, 0.2, 0.3, 0.4]] * 2}
+        second = {"features": [[0.5, -0.5, 0.1]] * second_length}
+        for record in (first, second):
+            steps = len(record["features"])
+            record[key] = 1 if key == "label" else [0] * steps
+        data = tmp_path / "train.jsonl"
+        data.write_text("".join(json.dumps(r) + "\n" for r in (first, second)))
+        rc = main(["train", driving_path, str(data), "--out", str(tmp_path / "m.bin")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sequence 1: feature dimension 3 != extractor's 6" in err
+        assert not (tmp_path / "m.bin").exists()
 
     def test_unknown_config_key_rejected(self, driving_path, tmp_path, capsys):
         data = self._make_dataset(tmp_path, capsys)

@@ -1,6 +1,7 @@
 """Extractor, losses, end-to-end gradients, and the training loop."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,11 @@ class TestSequenceLoss:
             assert abs(loss - -math.log(reject)) <= 1e-14 * -math.log(reject), (loss, reject)
             checked += 1
 
+    @pytest.mark.parametrize("label", [True, False, 1.0, np.float64(0.0), np.True_, None, 2])
+    def test_sequence_label_is_the_integer_0_or_1(self, label):
+        with pytest.raises(ValueError, match="0 or 1"):
+            LabeledSequence(np.zeros((2, 6)), label=label)
+
     def test_requires_binary_label(self, driving):
         rng = np.random.default_rng(1)
         seq = LabeledSequence(rng.normal(size=(2, 3)), step_labels=[0, 1])
@@ -241,6 +247,25 @@ class TestTaggingLoss:
         with pytest.raises(ValueError):
             tagging_loss(driving.compiled, ext, seq, {0: 0, 1: 1, 2: 2})
 
+    @pytest.mark.parametrize("label", [True, False, 1.0, np.float64(0.0), np.True_])
+    def test_bool_or_float_label_matches_no_state(self, driving, label):
+        # == makes each of these equal to a state index
+        ext = make_extractor(np.random.default_rng(2), 3, 3)
+        seq = LabeledSequence(np.zeros((2, 3)), step_labels=[0, label])
+        message = f"label {label!r} at step 1 matches no state"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tagging_loss(driving.compiled, ext, seq, {0: 0, 1: 1, 2: 2})
+
+    def test_numpy_integer_labels_match(self, driving):
+        ext = make_extractor(np.random.default_rng(2), 3, 3)
+        features = np.random.default_rng(3).normal(size=(2, 3))
+        losses = [
+            tagging_loss(driving.compiled, ext, LabeledSequence(features, step_labels=labels),
+                         {0: 0, 1: 1, 2: 2})[0]
+            for labels in ([0, 1], np.array([0, 1]))
+        ]
+        assert losses[0] == losses[1]
+
 
 @pytest.fixture(scope="module")
 def small_data(driving):
@@ -294,6 +319,19 @@ class TestTraining:
         with pytest.raises(ValueError):
             train(driving.compiled, data, TrainConfig())
 
+    def test_per_sequence_errors_name_the_sequence(self, driving):
+        cfg = TrainConfig(max_epochs=1)
+        wide = LabeledSequence(np.zeros((2, 6)), label=1)
+        narrow = LabeledSequence(np.zeros((2, 3)), label=0)
+        with pytest.raises(ValueError, match="^sequence 1: feature dimension 3 != extractor's 6$"):
+            train(driving.compiled, [wide, narrow], cfg)
+        init = LinearExtractor(np.zeros((3, 3)), np.zeros(3))
+        with pytest.raises(ValueError, match="^sequence 0: feature dimension 6 != extractor's 3$"):
+            train(driving.compiled, [wide, narrow], cfg, init=init)
+        tagged = [LabeledSequence(np.zeros((2, 6)), step_labels=[0, lab]) for lab in (1, 1.0)]
+        with pytest.raises(ValueError, match="^sequence 1: label 1.0 at step 1 matches no state$"):
+            train(driving.compiled, tagged, cfg)
+
     def test_empty_dataset_rejected(self, driving):
         with pytest.raises(ValueError):
             train(driving.compiled, [], TrainConfig())
@@ -306,7 +344,7 @@ class TestTraining:
         n = len(pattern.sfa.vocab)
         data = []
         from symfa.automaton import boolean_run
-        from symfa.bench import encode_trace
+        from symfa.bench import encode_trace, truth_table
         from symfa import Interpretation
         import random as pyrandom
 
@@ -315,7 +353,7 @@ class TestTraining:
             masks = [struct.randrange(1 << n) for _ in range(6)]
             trace = [Interpretation(m, n) for m in masks]
             labels = boolean_run(compiled, trace)
-            feats = encode_trace(masks, n, 0.3, rng)
+            feats = encode_trace(truth_table(masks, n), 0.3, rng)
             data.append(LabeledSequence(feats, step_labels=labels))
         cfg = TrainConfig(learning_rate=0.05, max_epochs=15, seed=0)
         result = train(compiled, data, cfg)

@@ -199,5 +199,5 @@ class TestVocabulary:
 
     def test_interpretation_shorthand(self, tbf_vocab):
         omega = Interpretation.from_true(tbf_vocab, ["tired", "blocked"])
-        assert omega.bits() == (True, True, False)
+        assert omega.mask == 0b011
         assert omega.describe(tbf_vocab) == "{tired, blocked}"
