@@ -403,15 +403,17 @@ def acceptance_batch(c: CompiledSfa, ps) -> np.ndarray:
 def backward_gradient(c: CompiledSfa, ps, alpha_grads, alphas=None) -> np.ndarray:
     """Exact reverse-mode gradient of a loss through the state recursion.
 
-    `ps` has shape (..., T, V); `alpha_grads` has shape (..., T, Q) and
-    holds dLoss/dalpha_t for each step's distribution (zeros where the
-    loss does not read a step). `alphas`, when given, must be
+    `ps` has shape (..., T, V); `alpha_grads` has shape (..., S, Q), S <= T,
+    and holds dLoss/dalpha_t for each of the last S steps' distributions;
+    the loss reads no earlier step, so their gradient is zero (S = T
+    covers every step). `alphas`, when given, must be
     forward_alphas(c, ps); otherwise the forward pass is run here. The
     result is dLoss/dps, same shape as ps.
 
     Walking the blocks from the last step back, the adjoint recursion
     abar_{t-1} = (W_t · abar_t[dst]) summed per source state seeds each
-    transition root with alpha_{t-1}[src] · abar_t[dst], and one reverse
+    transition root with alpha_{t-1}[src] · abar_t[dst], read from
+    `alphas` in place (the initial one-hot for t = 0), and one reverse
     pass over the merged circuit turns those seeds into dLoss/dp_t. On
     automata of at most FLOW_MAX_TRANSITIONS transitions the loop carries
     a_t = abar_t[dst] itself, three calls per step
@@ -422,21 +424,29 @@ def backward_gradient(c: CompiledSfa, ps, alpha_grads, alphas=None) -> np.ndarra
     ps = _check_probs(c, ps, 2)
     alpha_grads = np.asarray(alpha_grads, dtype=np.float64)
     lead, steps = ps.shape[:-2], ps.shape[-2]
-    if alpha_grads.shape != ps.shape[:-1] + (c.num_states,):
+    if (
+        alpha_grads.ndim != ps.ndim
+        or alpha_grads.shape[:-2] != lead
+        or alpha_grads.shape[-2] > steps
+        or alpha_grads.shape[-1] != c.num_states
+    ):
         raise ValueError(
             f"alpha_grads shape {alpha_grads.shape} does not match sequence shape"
         )
     if alphas is None:
         alphas = forward_alphas(c, ps)
-    elif np.shape(alphas) != alpha_grads.shape:
+    elif np.shape(alphas) != lead + (steps, c.num_states):
         raise ValueError(f"alphas shape {np.shape(alphas)} does not match sequence shape")
     plan = c._plan
     width = math.prod(lead)
     n_trans = len(plan.src)
     ps3 = ps.reshape((width,) + ps.shape[-2:])
     alphas3 = np.asarray(alphas, dtype=np.float64).reshape(width, steps, c.num_states)
-    grads3 = alpha_grads.reshape(width, steps, c.num_states)
-    before = np.concatenate((_initial_alpha(c, (width, 1)), alphas3[:, :-1]), axis=1)
+    # grads3[:, t - first] is the gradient of step t >= first
+    first = steps - alpha_grads.shape[-2]
+    grads3 = alpha_grads.reshape(width, steps - first, c.num_states)
+    # the initial one-hot, read per transition
+    initial_src = (plan.src == c.sfa.initial).astype(np.float64)
     out = np.empty(ps3.shape)
     # carried across blocks: abar_t on the gather path; on the flow path
     # abar_t[dst] − grads_t[dst], that is W_{t+1} · a_{t+1} summed over
@@ -451,20 +461,32 @@ def backward_gradient(c: CompiledSfa, ps, alpha_grads, alphas=None) -> np.ndarra
             weights = weights.T.reshape(t1 - t0, width, n_trans)
             at_dst = np.empty((t1 - t0, width, n_trans))
             for t in range(t1 - 1, t0 - 1, -1):
-                carry += grads3[:, t, :]
+                if t >= first:
+                    carry += grads3[:, t - first, :]
                 carry.take(plan.dst, axis=1, out=at_dst[t - t0])
                 np.multiply(weights[t - t0], at_dst[t - t0], out=moved)
                 np.dot(moved, plan.from_src, out=carry)
         else:
             weights = np.ascontiguousarray(weights.T).reshape(t1 - t0, width, n_trans)
-            at_dst = grads3.transpose(1, 0, 2)[t0:t1].take(plan.dst, axis=2)
+            # grads[dst] of the block's steps, zero before `first`
+            lo = min(max(t0, first), t1)
+            graded = grads3.transpose(1, 0, 2)[lo - first : t1 - first].take(plan.dst, axis=2)
+            if lo == t0:
+                at_dst = graded
+            else:
+                at_dst = np.zeros((t1 - t0, width, n_trans))
+                at_dst[lo - t0 :] = graded
             back = plan.next.T
             for w, a in zip(weights[::-1], at_dst[::-1]):
                 a += carry
                 np.multiply(w, a, out=moved)
                 np.dot(moved, back, out=carry)
-        # root seeds alpha_{t-1}[src] · abar_t[dst]
-        at_dst *= before[:, t0:t1, :].take(plan.src, axis=2).transpose(1, 0, 2)
+        # root seeds alpha_{t-1}[src] · abar_t[dst], alpha_{t-1} read from
+        # `alphas` in place, or the initial one-hot for t = 0
+        if t0 == 0:
+            at_dst[0] *= initial_src
+        a0 = max(t0, 1)
+        at_dst[a0 - t0 :] *= alphas3[:, a0 - 1 : t1 - 1].take(plan.src, axis=2).transpose(1, 0, 2)
         grad = plan.circuit.backward(rows, tape, at_dst.reshape(-1, n_trans).T)
         out[:, t0:t1, :] = grad.reshape(ps.shape[-1], t1 - t0, width).transpose(2, 1, 0)
     return out.reshape(lead + (steps, ps.shape[-1]))

@@ -282,16 +282,20 @@ def write_dataset_jsonl(dataset: SyntheticDataset, fh) -> None:
 
 
 def read_sequences_jsonl(fh) -> list[dict]:
-    """Parse dataset lines; each record keeps whatever keys were present."""
+    """Parse dataset lines, one JSON object each; a record keeps whatever keys were present."""
     records = []
     for lineno, line in enumerate(fh, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: invalid JSON ({exc})") from exc
+        if not isinstance(record, dict):
+            shown = line if len(line) <= 20 else line[:20] + "..."
+            raise ValueError(f"line {lineno}: expected a JSON object, got {shown}")
+        records.append(record)
     return records
 
 

@@ -140,15 +140,22 @@ def cmd_compile(args) -> int:
     return 0
 
 
+def _floats(record, key: str, index: int) -> np.ndarray:
+    try:
+        return np.asarray(record[key], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"sequence {index}: {key} must hold numbers only ({exc})") from None
+
+
 def _sequence_probs(record, extractor, n_vars: int, index: int) -> np.ndarray:
     if "probs" in record:
-        ps = np.asarray(record["probs"], dtype=np.float64)
+        ps = _floats(record, "probs", index)
     elif "features" in record:
         if extractor is None:
             raise InputError(
                 f"sequence {index} has features, not probs; pass --model to extract symbols"
             )
-        ps = extractor.extract(np.asarray(record["features"], dtype=np.float64))
+        ps = extractor.extract(_floats(record, "features", index))
     else:
         raise InputError(f"sequence {index} has neither 'probs' nor 'features'")
     if ps.ndim != 2 or ps.shape[1] != n_vars:

@@ -3,19 +3,24 @@
 The extractor maps an m-dimensional observation to one probability per
 vocabulary symbol through independent logistic units. Both kinds of
 label train one loss, the cross entropy of the mass alpha_t holds on a
-labeled set of states (clamped to [1e-7, 1 - 1e-7] inside the log). A
-sequence label labels the last step only: the accepting states for 1,
-the rest for 0, so log P(reject) is read from the rejecting mass, never
-as log(1 - P(accept)). The loss is differentiated exactly through the
-circuit evaluations and the state recursion, so training is plain
-gradient descent; no sampling or approximation is involved anywhere.
+labeled set of states. Inside the log that mass is capped at 1 - 1e-7,
+and only a mass of exactly 0 is raised to 1e-7, so a label whose mass
+is tiny but positive still has a gradient. A sequence label labels the
+last step only: the accepting states for 1, the rest for 0, so
+log P(reject) is read from the rejecting mass, never as
+log(1 - P(accept)). Training keeps one row code per labeled step, an
+index into a small table of 0/1 masks over the states, not a mask per
+step. The loss is differentiated exactly through the circuit evaluations
+and the state recursion, so training is plain gradient descent; no
+sampling or approximation is involved anywhere.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -107,7 +112,10 @@ class LabeledSequence:
     step_labels: Sequence[int | None] | None = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        try:
+            self.features = np.asarray(self.features, dtype=np.float64)
+        except TypeError as exc:
+            raise ValueError(f"features must hold numbers only ({exc})") from None
         if self.features.ndim != 2:
             raise ValueError("features must be a (steps, feature_dim) array")
         if not np.all(np.isfinite(self.features)):
@@ -115,6 +123,12 @@ class LabeledSequence:
         if self.step_labels is not None:
             if self.label is not None:
                 raise ValueError("set exactly one of label / step_labels")
+            if isinstance(self.step_labels, str) or not isinstance(
+                self.step_labels, (Sequence, np.ndarray)
+            ):
+                raise ValueError(
+                    f"step labels must be a list, got {type(self.step_labels).__name__}"
+                )
             if len(self.step_labels) != len(self.features):
                 raise ValueError("need one step label (or None) per observation")
         elif isinstance(self.label, _NOT_LABELS) or self.label not in (0, 1):
@@ -151,9 +165,14 @@ class EpochRecord:
 
 
 def _clamped_log_grad(prob: float | np.ndarray):
-    """log of a clamped probability and d/dprob of that log (0 when clamped)."""
-    clamped = np.clip(prob, LOG_CLAMP, 1.0 - LOG_CLAMP)
-    inside = (prob > LOG_CLAMP) & (prob < 1.0 - LOG_CLAMP)
+    """log of a clamped probability and d/dprob of that log (0 when clamped).
+
+    The cap at 1 - LOG_CLAMP applies as before, but only a mass of exactly 0
+    is raised to LOG_CLAMP: a positive mass below it, which a long sequence
+    reaches easily, keeps its own log and gradient.
+    """
+    clamped = np.where(prob > 0, np.minimum(prob, 1.0 - LOG_CLAMP), LOG_CLAMP)
+    inside = (prob > 0) & (prob < 1.0 - LOG_CLAMP)
     return np.log(clamped), np.where(inside, 1.0 / clamped, 0.0)
 
 
@@ -172,48 +191,105 @@ def _symbol_probs(extractor, features) -> np.ndarray:
     return probs
 
 
-def _batch_loss(c: CompiledSfa, extractor, features, masks, active, labels=None):
+def _hashable(label) -> bool:
+    """Whether `label` can be a dict key."""
+    try:
+        hash(label)
+    except TypeError:
+        return False
+    return True
+
+
+def _targets(c: CompiledSfa, data: Sequence[LabeledSequence], state_to_label):
+    """Every sequence's labels as row codes into one table of 0/1 state masks.
+
+    Row 0 of the (K, Q) table is empty: it codes an unlabeled step. A
+    sequence label codes its last step, 1 (the rejecting states) for
+    label 0 and 2 (the accepting states) for label 1. Step labels code
+    every step through one row per distinct label in `state_to_label`,
+    by one dict lookup each. A bool, float or unhashable label matches no
+    state: == makes True, False and 1.0 equal to 1, 0 and 1, but they are
+    not labels, and it makes a list equal to no state label.
+    Returns (table, codes, missing): codes[k] is sequence k's int array,
+    and `missing` is None or (k, message) for the first step label that
+    matches no state.
+    """
+    if data[0].label is not None:
+        accepting = _accepting_mask(c)
+        table = np.stack([np.zeros(c.num_states), 1.0 - accepting, accepting])
+        return table, np.array([[seq.label + 1] for seq in data]), None
+    states = {}
+    for q in range(c.num_states):
+        states.setdefault(state_to_label[q], []).append(q)
+    states.pop(None, None)  # None marks an unlabeled step, never a state's label
+    table = np.zeros((len(states) + 1, c.num_states))
+    index = {None: 0}
+    for row, (label, qs) in enumerate(states.items(), start=1):
+        table[row, qs] = 1.0
+        index[label] = row
+    flat = list(chain.from_iterable(seq.step_labels for seq in data))
+    # look at the label types first: a pass over every label slows long
+    # tagging runs by several percent, and only these types can need one
+    if any(
+        issubclass(t, _NOT_LABELS + (tuple,)) or t.__hash__ is None for t in set(map(type, flat))
+    ):
+        absent = object()
+        flat = [
+            absent if isinstance(lab, _NOT_LABELS) or not _hashable(lab) else lab for lab in flat
+        ]
+    codes = np.fromiter(map(index.get, flat, repeat(-1)), dtype=np.intp, count=len(flat))
+    ends = np.cumsum([len(seq.step_labels) for seq in data])
+    missing = None
+    unmatched = np.flatnonzero(codes < 0)
+    if unmatched.size:
+        k = int(np.searchsorted(ends, unmatched[0], side="right"))
+        t = int(unmatched[0] - ends[k] + len(data[k].step_labels))
+        missing = k, f"label {data[k].step_labels[t]!r} at step {t} matches no state"
+    return table, np.split(codes, ends[:-1]), missing
+
+
+def _batch_loss(c: CompiledSfa, extractor, features, table, codes, by_sequence=False):
     """Summed cross entropy of the alpha mass on labeled states, with gradients.
 
-    features: (B, T, m). masks (B, S, Q) and active (B, S) label the last
-    S steps: an active step costs -log of the mass alpha_t holds on its
-    mask, clamped inside the log; inactive steps cost nothing. Per-step
-    labels pass S = T; sequence labels pass S = 1 (see _sequence_targets)
-    and their (B,) `labels`. Returns (loss, dW, db, correct), loss and
-    gradients averaged over the batch. `correct` counts the sequences
-    whose acceptance is on the label's side of 0.5 when `labels` is
-    given, else the active steps whose most probable state carries the
-    step's label. One forward recursion serves all four.
+    features: (B, T, m). codes (B, S) label the last S steps with rows of
+    `table`, 0/1 masks over the states (see _targets): a step costs -log
+    of the mass alpha_t holds on its row, clamped inside the log, and
+    code 0, the empty row, costs nothing. Per-step labels pass S = T;
+    sequence labels pass S = 1 and `by_sequence`. Returns (loss, dW, db,
+    correct), loss and gradients averaged over the batch. `correct`
+    counts the sequences whose acceptance is on the label's side of 0.5
+    when `by_sequence`, else the labeled steps whose most probable state
+    carries the step's label. One forward recursion serves all four.
     """
     probs = _symbol_probs(extractor, features)
     alphas = forward_alphas(c, probs)  # (B, T, Q)
-    steps = masks.shape[1]
-    read = alphas[:, -steps:]
+    read = alphas[:, -codes.shape[1]:]
+    masks = table[codes]  # (B, S, Q)
+    active = codes != 0
     step_probs = (read * masks).sum(axis=-1)  # (B, S)
     log_p, dlog_p = _clamped_log_grad(step_probs)
     per_seq = -(log_p * active).sum(axis=-1)
     batch = features.shape[0]
     dstep = -(dlog_p * active) / batch  # (B, S)
-    alpha_grads = np.zeros(alphas.shape)
-    np.multiply(dstep[..., None], masks, out=alpha_grads[:, -steps:])
-    dprobs = backward_gradient(c, probs, alpha_grads, alphas)
+    masks *= dstep[..., None]  # now dLoss/dalpha of the last S steps
+    dprobs = backward_gradient(c, probs, masks, alphas)
     dw, db = _param_grads(features, probs, dprobs)
-    if labels is None:
-        hits = np.take_along_axis(masks, read.argmax(axis=-1)[..., None], axis=-1)
-        correct = int(hits[..., 0][active].sum())
-    else:
-        # acceptance >= 0.5 for label 1; rejection > 0.5 for label 0
+    if by_sequence:
+        # acceptance >= 0.5 for label 1 (row 2); rejection > 0.5 for label 0
         side = step_probs[:, 0]
-        correct = int(np.where(labels == 1, side >= 0.5, side > 0.5).sum())
+        correct = int(np.where(codes[:, 0] == 2, side >= 0.5, side > 0.5).sum())
+    else:
+        correct = int(table[codes, read.argmax(axis=-1)][active].sum())
     return float(per_seq.mean()), dw, db, correct
 
 
-def _sequence_targets(c: CompiledSfa, labels: np.ndarray):
-    """Last-step targets of (B,) sequence labels, as (B, 1, Q) masks and
-    (B, 1) active: the accepting states for label 1, the rest for label 0."""
-    mask = _accepting_mask(c)
-    masks = np.where(labels[:, None, None] == 1, mask, 1.0 - mask)
-    return masks, np.ones((len(labels), 1), dtype=bool)
+def _sequence_loss(c: CompiledSfa, extractor, seq: LabeledSequence, state_to_label=None):
+    """The loss of one sequence and its (dW, db)."""
+    table, codes, missing = _targets(c, [seq], state_to_label)
+    if missing is not None:
+        raise ValueError(missing[1])
+    loss, dw, db, _ = _batch_loss(c, extractor, seq.features[None], table, codes[0][None])
+    return loss, (dw, db)
 
 
 def sequence_loss(c: CompiledSfa, extractor, seq: LabeledSequence):
@@ -222,37 +298,12 @@ def sequence_loss(c: CompiledSfa, extractor, seq: LabeledSequence):
     Returns (loss, (dW, db)). The loss is -log of the last-step mass on
     the label's side: the accepting states for label 1, the rejecting
     states for label 0 (read directly, not as 1 - acceptance). That mass
-    is clamped to [1e-7, 1 - 1e-7] inside the log.
+    is capped at 1 - 1e-7 inside the log, and raised to 1e-7 only where
+    it is exactly 0.
     """
     if seq.label is None:
         raise ValueError("sequence_loss needs a sequence-level binary label")
-    labels = np.array([seq.label])
-    masks, active = _sequence_targets(c, labels)
-    loss, dw, db, _ = _batch_loss(c, extractor, seq.features[None], masks, active, labels)
-    return loss, (dw, db)
-
-
-def _step_label_matrix(c, state_to_label, step_labels, num_steps):
-    """Per-step 0/1 mask over states matching the step's label; None rows stay 0.
-
-    A bool or float label matches no state, although == makes True, False
-    and 1.0 equal to 1, 0 and 1.
-    """
-    active = np.array([lab is not None for lab in step_labels], dtype=bool).reshape(num_steps)
-    labels = np.fromiter(step_labels, dtype=object, count=num_steps)
-    sel = np.zeros((num_steps, c.num_states))
-    for q in range(c.num_states):
-        sel[:, q] = labels == state_to_label[q]
-    sel[~active] = 0.0
-    # look at the label types first: an isinstance pass over every label
-    # slows long tagging runs by several percent
-    if any(issubclass(t, _NOT_LABELS) for t in set(map(type, step_labels))):
-        sel[[isinstance(lab, _NOT_LABELS) for lab in step_labels]] = 0.0
-    missing = np.flatnonzero(active & ~sel.any(axis=1))
-    if missing.size:
-        t = int(missing[0])
-        raise ValueError(f"label {step_labels[t]!r} at step {t} matches no state")
-    return sel, active
+    return _sequence_loss(c, extractor, seq)
 
 
 def tagging_loss(c: CompiledSfa, extractor, seq: LabeledSequence, state_to_label):
@@ -265,9 +316,7 @@ def tagging_loss(c: CompiledSfa, extractor, seq: LabeledSequence, state_to_label
     """
     if seq.step_labels is None:
         raise ValueError("tagging_loss needs per-step labels")
-    sel, active = _step_label_matrix(c, state_to_label, seq.step_labels, len(seq.features))
-    loss, dw, db, _ = _batch_loss(c, extractor, seq.features[None], sel[None], active[None])
-    return loss, (dw, db)
+    return _sequence_loss(c, extractor, seq, state_to_label)
 
 
 # --- optimizers -------------------------------------------------------------
@@ -344,30 +393,17 @@ def train(
     feature_dim = data[0].features.shape[1] if init is None else init.feature_dim
     if state_to_label is None:
         state_to_label = {q: q for q in range(c.num_states)}
-    steps = []
-    for k, seq in enumerate(data):
-        try:
-            if seq.features.shape[1] != feature_dim:
-                raise ValueError(
-                    f"feature dimension {seq.features.shape[1]} != extractor's {feature_dim}"
-                )
-            if seq.label is None:
-                steps.append(
-                    _step_label_matrix(c, state_to_label, seq.step_labels, len(seq.features))
-                )
-        except ValueError as exc:
-            raise ValueError(f"sequence {k}: {exc}") from None
-    if data[0].label is None:
-
-        def targets(group):
-            masks, active = zip(*(steps[k] for k in group))
-            return np.stack(masks), np.stack(active), None
-
-    else:
-        labels = np.array([seq.label for seq in data])
-
-        def targets(group):
-            return *_sequence_targets(c, labels[group]), labels[group]
+    table, codes, missing = _targets(c, data, state_to_label)
+    # the first failing sequence is reported, its feature width first
+    last = len(data) - 1 if missing is None else missing[0]
+    for k, seq in enumerate(data[: last + 1]):
+        if seq.features.shape[1] != feature_dim:
+            raise ValueError(
+                f"sequence {k}: feature dimension {seq.features.shape[1]} != extractor's {feature_dim}"
+            )
+    if missing is not None:
+        raise ValueError(f"sequence {missing[0]}: {missing[1]}")
+    by_sequence = data[0].label is not None
 
     rng = np.random.default_rng(cfg.seed)
     extractor = (init or LinearExtractor.init_random(len(c.vocab), feature_dim, rng)).copy()
@@ -391,10 +427,12 @@ def train(
             for group in _group_equal_length(data, batch):
                 feats = np.stack([data[k].features for k in group])
                 share = len(group) / len(batch)
-                masks, act, group_labels = targets(group)
-                loss, gdw, gdb, hits = _batch_loss(c, extractor, feats, masks, act, group_labels)
+                group_codes = np.stack([codes[k] for k in group])
+                loss, gdw, gdb, hits = _batch_loss(
+                    c, extractor, feats, table, group_codes, by_sequence
+                )
                 correct += hits
-                total += int(act.sum())
+                total += int(np.count_nonzero(group_codes))
                 # group losses/grads are means over the group; reweight to
                 # make the minibatch objective the mean over the minibatch
                 batch_loss += loss * share

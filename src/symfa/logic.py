@@ -78,13 +78,6 @@ class Interpretation:
         if self.mask < 0 or self.mask >> self.size:
             raise ValueError(f"mask {self.mask} out of range for {self.size} variables")
 
-    @classmethod
-    def from_true(cls, vocab: Vocabulary, names) -> "Interpretation":
-        mask = 0
-        for name in names:
-            mask |= 1 << vocab.index(name)
-        return cls(mask, len(vocab))
-
     def truth(self, index: int) -> bool:
         return bool(self.mask >> index & 1)
 

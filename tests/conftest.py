@@ -27,6 +27,11 @@ def tbf_vocab():
     return Vocabulary.of("tired", "blocked", "fast")
 
 
+def true_of(vocab: Vocabulary, names) -> Interpretation:
+    """The interpretation under which exactly `names` are true."""
+    return Interpretation(sum(1 << vocab.index(name) for name in names), len(vocab))
+
+
 @contextmanager
 def deadline(seconds: float):
     """Fail with TimeoutError if the block runs longer than `seconds`."""

@@ -33,7 +33,7 @@ from symfa.errors import (
 )
 from symfa.logic import Var, enumerate_models, evaluate, f_and, f_not, f_or
 
-from conftest import alpha_by_trace_enumeration, assert_close_rel
+from conftest import alpha_by_trace_enumeration, assert_close_rel, true_of
 
 P1 = [0.8, 0.3, 0.6]
 P2 = [0.7, 0.9, 0.3]
@@ -90,7 +90,7 @@ class TestValidation:
         with pytest.raises(IncompleteError) as err:
             validate_and_compile(sfa, complete=False)
         assert err.value.state == "q0"
-        gap = Interpretation.from_true(vocab, [])
+        gap = Interpretation(0, len(vocab))
         assert err.value.witness == gap.describe(vocab)
 
     def test_completion_synthesizes_self_loops(self, events):
@@ -211,7 +211,7 @@ def oracle_verdict(sfa, complete):
 
 def witness_of(sfa, described):
     names = [name for name in described.strip("{}").split(", ") if name]
-    return Interpretation.from_true(sfa.vocab, names)
+    return true_of(sfa.vocab, names)
 
 
 class TestTransitionMatrix:
@@ -305,8 +305,8 @@ class TestForward:
         compiled = driving.compiled
         vocab = compiled.vocab
         trace = [
-            Interpretation.from_true(vocab, ["tired"]),
-            Interpretation.from_true(vocab, ["tired", "fast"]),
+            true_of(vocab, ["tired"]),
+            true_of(vocab, ["tired", "fast"]),
         ]
         assert boolean_run(compiled, trace) == [1, 2]
         assert not accepts_trace(compiled, trace)

@@ -481,3 +481,58 @@ class TestBenchCli:
         assert main(["bench", "--lengths", "4"]) == 0
         assert main(["bench", "--lengths", "4", "--config", str(config), "--batch-size", "5"]) == 0
         assert used == [(3, 7, 0), (5, 2, 0)]
+
+
+class TestMalformedRecords:
+    """Records of the wrong JSON type exit 2 with one line naming the record."""
+
+    GOOD = {"features": [[0.5, -0.5, 0.1, 0.2, 0.3, 0.4]], "step_labels": [0]}
+
+    @staticmethod
+    def run(driving_path, tmp_path, capsys, command, records, extra=()):
+        data = tmp_path / "records.jsonl"
+        data.write_text("".join(r + "\n" for r in records))
+        argv = [command, driving_path, str(data), *extra]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "m.bin")]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "m.bin").exists()
+        return captured.err
+
+    @pytest.mark.parametrize("line", ["null", "5", "true", '"features"', "[1, 2]"])
+    @pytest.mark.parametrize("command", ["infer", "train"])
+    def test_line_that_is_not_an_object(self, driving_path, tmp_path, capsys, command, line):
+        good = {"probs": [P1]} if command == "infer" else self.GOOD
+        err = self.run(driving_path, tmp_path, capsys, command, [json.dumps(good), line])
+        assert "line 2: " in err and "JSON object" in err
+
+    @pytest.mark.parametrize("labels", [5, "01", {"0": 0}])
+    def test_step_labels_that_are_not_a_list(self, driving_path, tmp_path, capsys, labels):
+        bad = {"features": [[0.5, -0.5, 0.1, 0.2, 0.3, 0.4]] * 2, "step_labels": labels}
+        records = [json.dumps(self.GOOD), json.dumps(bad)]
+        err = self.run(driving_path, tmp_path, capsys, "train", records)
+        assert "sequence 1: step labels must be a list" in err
+
+    @pytest.mark.parametrize("row", [[0.1, {"a": 1}, 0.3], [0.1, [0.2], 0.3], {"a": 1}])
+    def test_non_number_in_probs(self, driving_path, tmp_path, capsys, row):
+        records = [json.dumps({"probs": [P1]}), json.dumps({"probs": [P2, row]})]
+        err = self.run(driving_path, tmp_path, capsys, "infer", records)
+        assert "sequence 1: " in err
+
+    def test_non_number_in_features_for_infer(self, driving_path, tmp_path, capsys):
+        model = tmp_path / "model.bin"
+        learn.save_extractor(learn.LinearExtractor(np.zeros((3, 2)), np.zeros(3)), model)
+        records = [json.dumps({"features": [[0.1, 0.2]]}), json.dumps({"features": [[0.1, {"a": 1}]]})]
+        extra = ("--model", str(model))
+        err = self.run(driving_path, tmp_path, capsys, "infer", records, extra)
+        assert "sequence 1: " in err and "numbers" in err
+
+    def test_non_number_in_features_for_train(self, driving_path, tmp_path, capsys):
+        bad = {"features": [[0.5, -0.5, 0.1, {"a": 1}, 0.3, 0.4]], "step_labels": [0]}
+        records = [json.dumps(self.GOOD), json.dumps(bad)]
+        err = self.run(driving_path, tmp_path, capsys, "train", records)
+        assert "sequence 1: " in err and "numbers" in err

@@ -5,12 +5,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symfa import (
     LabeledSequence,
     LinearExtractor,
     Sfa,
     TrainConfig,
+    learn,
     load_extractor,
     save_extractor,
     sequence_loss,
@@ -267,6 +270,103 @@ class TestTaggingLoss:
         assert losses[0] == losses[1]
 
 
+def dense_step_labels(c, state_to_label, step_labels, num_steps):
+    """Per-step 0/1 masks over the states matching each label, and the
+    labeled steps, built densely with ==: the oracle for learn._targets.
+
+    None rows stay 0. A bool or float label matches no state, although ==
+    makes True, False and 1.0 equal to 1, 0 and 1.
+    """
+    active = np.array([lab is not None for lab in step_labels], dtype=bool).reshape(num_steps)
+    labels = np.fromiter(step_labels, dtype=object, count=num_steps)
+    sel = np.zeros((num_steps, c.num_states))
+    for q in range(c.num_states):
+        sel[:, q] = labels == state_to_label[q]
+    sel[~active] = 0.0
+    sel[[isinstance(lab, (bool, np.bool_, float, np.floating)) for lab in step_labels]] = 0.0
+    missing = np.flatnonzero(active & ~sel.any(axis=1))
+    if missing.size:
+        t = int(missing[0])
+        raise ValueError(f"label {step_labels[t]!r} at step {t} matches no state")
+    return sel, active
+
+
+def assert_targets_match_the_oracle(c, state_to_label, label_lists):
+    """learn._targets on sequences with these step labels against the dense oracle."""
+    data = [LabeledSequence(np.zeros((len(labels), 1)), step_labels=labels) for labels in label_lists]
+    table, codes, missing = learn._targets(c, data, state_to_label)
+    for k, labels in enumerate(label_lists):
+        try:
+            sel, active = dense_step_labels(c, state_to_label, labels, len(labels))
+        except ValueError as exc:
+            assert missing == (k, str(exc))
+            return
+        assert np.array_equal(table[codes[k]], sel)
+        assert np.array_equal(codes[k] != 0, active)
+    assert missing is None
+
+
+IDENTITY = {0: 0, 1: 1, 2: 2}
+SHARED = {0: "idle", 1: "busy", 2: "busy"}
+
+
+class TestStepLabelCodes:
+    @pytest.mark.parametrize(
+        "state_to_label, label_lists",
+        [
+            (IDENTITY, [[None, None], [0, None, 2, 1]]),
+            (IDENTITY, [[np.int64(2), 1, np.int32(0)], np.array([0, 1, 2])]),
+            (SHARED, [["busy", None, "idle"], ["idle", "busy"]]),
+            (IDENTITY, [[0, True]]),
+            (IDENTITY, [[0, np.True_]]),
+            (IDENTITY, [[1.0]]),
+            (IDENTITY, [[None, np.float64(0.0)]]),
+            (SHARED, [["idle", 0.0]]),
+            (IDENTITY, [[0, [1]]]),
+            (IDENTITY, [[{"a": 1}, 0]]),
+            (IDENTITY, [[0, (1, [2])]]),
+            (IDENTITY, [[(0, 1), 2]]),
+            (IDENTITY, [[0, 7]]),
+            (SHARED, [["idle", "off"]]),
+            # the first sequence with a label matching no state is reported
+            (IDENTITY, [[0, 1], [2, None, 1.0, 9], [5]]),
+            (IDENTITY, [[0], [None, 3], [True]]),
+        ],
+    )
+    def test_agrees_with_the_dense_masks(self, driving, state_to_label, label_lists):
+        assert_targets_match_the_oracle(driving.compiled, state_to_label, label_lists)
+
+    def test_table_has_an_empty_row_and_one_per_label(self, driving):
+        data = [LabeledSequence(np.zeros((3, 1)), step_labels=["busy", None, "idle"])]
+        table, codes, missing = learn._targets(driving.compiled, data, SHARED)
+        assert missing is None
+        assert table.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 1]]
+        assert codes[0].tolist() == [2, 0, 1]
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        shared=st.booleans(),
+        label_lists=st.lists(
+            st.lists(
+                st.one_of(
+                    st.none(),
+                    st.integers(-1, 3),
+                    st.sampled_from(
+                        ["idle", "busy", "off", True, False, 1.0, 0.0, np.True_,
+                         np.float64(1.0), np.int64(2), [1], {"a": 1}, (0, 1), (1, [2])]
+                    ),
+                ),
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_random_labels_agree_with_the_dense_masks(self, driving, shared, label_lists):
+        state_to_label = SHARED if shared else IDENTITY
+        assert_targets_match_the_oracle(driving.compiled, state_to_label, label_lists)
+
+
 @pytest.fixture(scope="module")
 def small_data(driving):
     return generate_dataset(driving, length=5, n_pos=30, n_neg=30, seed=42).labeled()
@@ -331,6 +431,21 @@ class TestTraining:
         tagged = [LabeledSequence(np.zeros((2, 6)), step_labels=[0, lab]) for lab in (1, 1.0)]
         with pytest.raises(ValueError, match="^sequence 1: label 1.0 at step 1 matches no state$"):
             train(driving.compiled, tagged, cfg)
+
+    def test_first_failing_sequence_is_reported_feature_width_first(self, driving):
+        cfg = TrainConfig(max_epochs=1)
+
+        def seq(width, label):
+            return LabeledSequence(np.zeros((2, width)), step_labels=[0, label])
+
+        cases = [
+            ([seq(6, 1), seq(6, 7), seq(3, 1)], "^sequence 1: label 7 at step 1"),
+            ([seq(6, 1), seq(3, 1), seq(6, 7)], "^sequence 1: feature dimension 3"),
+            ([seq(6, 1), seq(3, 7)], "^sequence 1: feature dimension 3"),
+        ]
+        for data, message in cases:
+            with pytest.raises(ValueError, match=message):
+                train(driving.compiled, data, cfg)
 
     def test_empty_dataset_rejected(self, driving):
         with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ from symfa.logic import (
     parse_formula,
 )
 
-from conftest import deadline, random_formula
+from conftest import deadline, random_formula, true_of
 
 
 class TestParser:
@@ -139,15 +139,15 @@ class TestSmartConstructors:
 class TestEvaluate:
     def test_disjunct_satisfied(self, tbf_vocab):
         f = parse_formula("tired | blocked", tbf_vocab)
-        assert evaluate(f, Interpretation.from_true(tbf_vocab, ["tired"]))
+        assert evaluate(f, true_of(tbf_vocab, ["tired"]))
 
     def test_violated_conjunct(self, tbf_vocab):
         f = parse_formula("!fast & (tired | blocked)", tbf_vocab)
-        assert not evaluate(f, Interpretation.from_true(tbf_vocab, ["fast", "tired"]))
+        assert not evaluate(f, true_of(tbf_vocab, ["fast", "tired"]))
 
     def test_self_loop_guard_on_empty_interpretation(self, tbf_vocab):
         f = parse_formula("!tired & !blocked", tbf_vocab)
-        assert evaluate(f, Interpretation.from_true(tbf_vocab, []))
+        assert evaluate(f, Interpretation(0, len(tbf_vocab)))
 
     def test_size_mismatch_rejected(self, tbf_vocab):
         f = parse_formula("fast", tbf_vocab)
@@ -198,6 +198,6 @@ class TestVocabulary:
         ]
 
     def test_interpretation_shorthand(self, tbf_vocab):
-        omega = Interpretation.from_true(tbf_vocab, ["tired", "blocked"])
-        assert omega.mask == 0b011
+        omega = Interpretation(0b011, len(tbf_vocab))
+        assert omega.true_names(tbf_vocab) == ("tired", "blocked")
         assert omega.describe(tbf_vocab) == "{tired, blocked}"

@@ -256,3 +256,23 @@ def test_repeated_calls_are_bitwise_identical(automata, name):
     assert np.array_equal(acceptance_batch(c, ps), acceptance_batch(c, ps))
     grad = backward_gradient(c, ps, alpha_grads)
     assert np.array_equal(backward_gradient(c, ps, alpha_grads, alphas), grad)
+
+
+@pytest.mark.parametrize("pattern", ["driving", "random:64x12:0"])
+def test_gradients_of_the_last_steps_are_the_zero_padded_call(driving, pattern):
+    # random:64x12:0 has 156 transitions, so it takes the gather loops
+    c = driving.compiled if pattern == "driving" else random_pattern(64, 12, 0).compiled
+    rng = np.random.default_rng(12)
+    # 40 sequences of 60 steps: blocks of 25 steps, so S = 30 starts inside one
+    ps = rng.uniform(size=(40, 60, len(c.vocab)))
+    alphas = forward_alphas(c, ps)
+    steps = ps.shape[1]
+    for last in (1, steps // 2, steps):
+        grads = rng.normal(size=(40, last, c.num_states))
+        padded = np.zeros(alphas.shape)
+        padded[:, steps - last :] = grads
+        want = backward_gradient(c, ps, padded, alphas)
+        assert np.array_equal(backward_gradient(c, ps, grads, alphas), want)
+        assert np.array_equal(backward_gradient(c, ps, grads), want)
+    with pytest.raises(ValueError, match="alpha_grads shape"):
+        backward_gradient(c, ps, np.zeros((40, steps + 1, c.num_states)))
