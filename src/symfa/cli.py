@@ -155,7 +155,13 @@ def _sequence_probs(record, extractor, n_vars: int, index: int) -> np.ndarray:
             raise InputError(
                 f"sequence {index} has features, not probs; pass --model to extract symbols"
             )
-        ps = extractor.extract(_floats(record, "features", index))
+        features = _floats(record, "features", index)
+        if features.ndim != 2:
+            raise InputError(f"sequence {index}: features must be a (steps, feature_dim) array")
+        try:
+            ps = extractor.extract(features)
+        except ValueError as exc:
+            raise InputError(f"sequence {index}: {exc}") from None
     else:
         raise InputError(f"sequence {index} has neither 'probs' nor 'features'")
     if ps.ndim != 2 or ps.shape[1] != n_vars:
@@ -198,9 +204,11 @@ def cmd_infer(args) -> int:
                 out.write(f"{k},{value:.6f}\n")
         else:
             out.write("index,step," + ",".join(compiled.states) + "\n")
-            row = "%d,%d," + ",".join(["%.6f"] * compiled.num_states) + "\n"
+            # one %-template per record length, "\0" standing for the index
+            cells = ",".join(["%.6f"] * compiled.num_states) + "\n"
+            rows = {steps: "".join(f"\0,{t},{cells}" for t in range(steps)) for steps in by_length}
             for k, alphas in enumerate(results):
-                out.write("".join(row % (k, t, *alpha) for t, alpha in enumerate(alphas.tolist())))
+                out.write(rows[len(alphas)].replace("\0", str(k)) % tuple(alphas.ravel().tolist()))
     return 0
 
 
@@ -214,6 +222,8 @@ def _load_labeled(path) -> list[LabeledSequence]:
         if "features" not in record:
             raise InputError(f"sequence {k}: training data needs 'features'")
         if "step_labels" in record:
+            if record["step_labels"] is None:
+                raise InputError(f"sequence {k}: step labels must be a list, got null")
             labels = {"step_labels": record["step_labels"]}
         elif "label" in record:
             key = "step_labels" if isinstance(record["label"], list) else "label"

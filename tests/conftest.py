@@ -6,10 +6,16 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from symfa import Interpretation, Vocabulary, evaluate
 from symfa.bench import driving_pattern, events_pattern
 from symfa.logic import Var, enumerate_models, f_and, f_not, f_or
+
+# every property test replays the same examples and has no time limit, so a
+# slow or busy host cannot fail one; each test bounds its own max_examples
+settings.register_profile("symfa", derandomize=True, deadline=None)
+settings.load_profile("symfa")
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from symfa import acceptance, automaton, forward, learn
 from symfa.cli import main
@@ -205,6 +207,30 @@ class TestInferByLength:
         assert capsys.readouterr().out == reference_csv(driving.compiled, sequences, mode)
 
     @pytest.mark.parametrize("mode", ["accept", "tag"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_output_bytes_on_edge_records(
+        self, driving, driving_path, tmp_path, capsys, mode, to_file
+    ):
+        # 11 records of length 2 between records of length 1 and 4, so one
+        # length's rows are written under one- and two-digit indices
+        rng = np.random.default_rng(8)
+        lengths = (2, 1, 2, 2, 4, 2, 2, 1, 2, 2, 2, 4, 2, 2, 1, 2)
+        sequences = [rng.uniform(size=(t, 3)) for t in lengths]
+        # exact 0/1 inputs print 1.000000 and 0.000000; inputs just outside
+        # [0, 1] but within PROB_RANGE_TOL print -0.000001 and 1.000001
+        sequences[3] = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+        sequences[12] = np.array([[-5e-7, 1 + 5e-7, -5e-7], [0.0, 0.0, 1.0]])
+        data = self.write(tmp_path / "edges.jsonl", "probs", sequences)
+        argv = ["infer", driving_path, data, "--mode", mode]
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)] if to_file else argv) == 0
+        text = out.read_text() if to_file else capsys.readouterr().out
+        assert text == reference_csv(driving.compiled, sequences, mode)
+        if mode == "tag":
+            assert "3,0,1.000000,0.000000,0.000000\n3,1,0.000000,1.000000,0.000000\n" in text
+            assert "\n12,0,-0.000001,1.000001,0.000000\n12,1," in text
+
+    @pytest.mark.parametrize("mode", ["accept", "tag"])
     @pytest.mark.parametrize("bad", [{"probs": [[1.5, 0.2, 0.3]]}, {"steps": 2}])
     def test_bad_last_record_writes_nothing(self, driving_path, tmp_path, capsys, mode, bad):
         rng = np.random.default_rng(6)
@@ -232,6 +258,33 @@ class TestInferByLength:
         assert len(recursions) == 3
         sequences = [extractor.extract(f) for f in features]
         assert capsys.readouterr().out == reference_csv(driving.compiled, sequences, mode)
+
+
+class TestTagAgreesWithAccept:
+    PROB_ROWS = st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)
+
+    # the examples share tmp_path; each one rewrites the files it reads
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(records=st.lists(st.lists(PROB_ROWS, min_size=1, max_size=6), min_size=1, max_size=8))
+    def test_last_tag_row_holds_the_acceptance(self, driving, driving_path, tmp_path, records):
+        data = tmp_path / "probs.jsonl"
+        data.write_text("".join(json.dumps({"probs": r}) + "\n" for r in records))
+        rows = {}
+        for mode in ("accept", "tag"):
+            out = tmp_path / f"{mode}.csv"
+            assert main(["infer", driving_path, str(data), "--mode", mode, "--out", str(out)]) == 0
+            rows[mode] = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows["tag"]) == sum(map(len, records))
+        last = {}
+        for k, _, *alpha in rows["tag"]:
+            alpha = [float(v) for v in alpha]
+            assert sum(alpha) == pytest.approx(1.0, abs=2e-6)
+            last[int(k)] = alpha  # rows come in file order, so the last step wins
+        # three values, each rounded to 6 decimals
+        assert [int(k) for k, _ in rows["accept"]] == sorted(last)
+        for k, value in rows["accept"]:
+            mass = sum(last[int(k)][q] for q in driving.compiled.accepting)
+            assert mass == pytest.approx(float(value), abs=2e-6)
 
 
 class TestGenerate:
@@ -510,7 +563,7 @@ class TestMalformedRecords:
         err = self.run(driving_path, tmp_path, capsys, command, [json.dumps(good), line])
         assert "line 2: " in err and "JSON object" in err
 
-    @pytest.mark.parametrize("labels", [5, "01", {"0": 0}])
+    @pytest.mark.parametrize("labels", [5, "01", {"0": 0}, None])
     def test_step_labels_that_are_not_a_list(self, driving_path, tmp_path, capsys, labels):
         bad = {"features": [[0.5, -0.5, 0.1, 0.2, 0.3, 0.4]] * 2, "step_labels": labels}
         records = [json.dumps(self.GOOD), json.dumps(bad)]
@@ -530,6 +583,24 @@ class TestMalformedRecords:
         extra = ("--model", str(model))
         err = self.run(driving_path, tmp_path, capsys, "infer", records, extra)
         assert "sequence 1: " in err and "numbers" in err
+
+    @pytest.mark.parametrize(
+        "features, message",
+        [
+            ([[0.1, 0.2, 0.3, 0.4, 0.5]], "sequence 1: feature dimension 5 != extractor's 4"),
+            (5, "sequence 1: features must be a (steps, feature_dim) array"),
+        ],
+        ids=["too-wide", "not-a-matrix"],
+    )
+    def test_features_not_fitting_the_model_name_the_sequence(
+        self, driving_path, tmp_path, capsys, features, message
+    ):
+        model = tmp_path / "model.bin"
+        learn.save_extractor(learn.LinearExtractor(np.zeros((3, 4)), np.zeros(3)), model)
+        records = [json.dumps({"features": [[0.1, 0.2, 0.3, 0.4]]}), json.dumps({"features": features})]
+        extra = ("--model", str(model))
+        err = self.run(driving_path, tmp_path, capsys, "infer", records, extra)
+        assert message in err
 
     def test_non_number_in_features_for_train(self, driving_path, tmp_path, capsys):
         bad = {"features": [[0.5, -0.5, 0.1, {"a": 1}, 0.3, 0.4]], "step_labels": [0]}

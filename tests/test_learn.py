@@ -343,7 +343,7 @@ class TestStepLabelCodes:
         assert table.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 1]]
         assert codes[0].tolist() == [2, 0, 1]
 
-    @settings(derandomize=True, max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         shared=st.booleans(),
         label_lists=st.lists(
