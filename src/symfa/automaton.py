@@ -29,11 +29,13 @@ calls, not its arithmetic, so automata of at most FLOW_MAX_TRANSITIONS
 transitions carry the per-transition flow alpha_{t-1}[src] · W_t through
 the loop instead of the state distribution: the flow into the next step's
 transitions is one product with the 0/1 matrix `next` (e ends where f
-starts), two calls per step, and a block's alphas are one product of its
-flows with `into_dst`. Larger automata, where that product costs more
-than a gather, gather alpha_{t-1}[src] at every step. The gradient walks
-the blocks backwards with the adjoint recursion, in the same two forms,
-and one reverse pass over the plan per block.
+starts), two calls per step. forward_alphas gets a block's alphas from
+one product of its flows with `into_dst`; acceptance_batch keeps only
+the running flow and reads alpha_T off the last one, so scoring memory
+is bounded by the block whatever T is. Larger automata, where that
+product costs more than a gather, gather alpha_{t-1}[src] at every step.
+The gradient walks the blocks backwards with the adjoint recursion, in
+the same two forms, and one reverse pass over the plan per block.
 
 Compiled automata are immutable apart from that cache; two threads that
 race to build it build equal plans, so forward runs and gradients stay
@@ -230,7 +232,8 @@ def validate_and_compile(sfa: Sfa, complete: bool = True) -> CompiledSfa:
 #
 # Probability rows are laid out t-major, p[:, t·N + n] for step t of
 # sequence n, and evaluated in blocks of whole steps of about BLOCK_ROWS
-# rows, so memory stays bounded by the block whatever T·N is.
+# rows, so a pass's working memory is bounded by the block whatever T
+# is; only outputs that hold every step grow with T.
 
 class _Plan:
     """Transition list of a CompiledSfa and the merged circuit of its guards."""
@@ -281,8 +284,11 @@ def _check_row_sums(plan: _Plan, roots: np.ndarray) -> None:
     """Every state's outgoing guard values must sum to 1 on every row."""
     if roots.size == 0:
         return
-    worst = float(np.abs(roots.T @ plan.from_src - 1.0).max())
-    if worst > ROW_SUM_RUNTIME_TOL:
+    sums = plan.from_src.T @ roots
+    # NaN fails both comparisons, so a NaN guard value fails the check too
+    tol = ROW_SUM_RUNTIME_TOL
+    if not (sums.max() - 1.0 <= tol and 1.0 - sums.min() <= tol):
+        worst = float(np.abs(sums - 1.0).max())
         raise ConsistencyError(
             f"transition-matrix row sums off by {worst:.3e}; automaton was not validated correctly"
         )
@@ -318,24 +324,21 @@ def _initial_alpha(c: CompiledSfa, lead_shape: tuple) -> np.ndarray:
     return alpha
 
 
-def forward_alphas(c: CompiledSfa, ps) -> np.ndarray:
-    """State distributions after each step, batched: (..., T, V) -> (..., T, Q).
+def _run_forward(c: CompiledSfa, ps3: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The forward recursion over ps3 (N, T, V); returns alpha_T, (N, Q).
 
     The flow of step t is the mass each transition carries,
     alpha_{t-1}[src] · W_t, where W_t holds the guard value of every
     transition at step t; alpha_t is the flow summed per target state. On
     automata of at most FLOW_MAX_TRANSITIONS transitions the loop carries
     the flow itself, two calls per step (flow_t = W_t · flow_{t-1} @ next),
-    and a block's alphas come from one product with into_dst. Larger
-    automata gather alpha_{t-1}[src] at every step instead.
+    and alpha_t is flow_t @ into_dst. Larger automata gather alpha_{t-1}[src]
+    at every step instead. Given `out` (T, N, Q), every alpha_t is written
+    to out[t]; otherwise only the running state is kept.
     """
-    ps = _check_probs(c, ps, 2)
-    lead, steps = ps.shape[:-2], ps.shape[-2]
     plan = c._plan
-    width = math.prod(lead)
+    width, steps = ps3.shape[:2]
     n_trans = len(plan.src)
-    ps3 = ps.reshape((width,) + ps.shape[-2:])
-    out = np.empty((steps, width, c.num_states))
     alpha = _initial_alpha(c, (width,))
     # alpha_{t-1}[src], carried across blocks on the flow path
     incoming = alpha.take(plan.src, axis=1)
@@ -347,15 +350,32 @@ def forward_alphas(c: CompiledSfa, ps) -> np.ndarray:
             for t in range(t0, t1):
                 alpha.take(plan.src, axis=1, out=incoming)
                 incoming *= weights[t - t0]
-                alpha = np.dot(incoming, plan.into_dst, out=out[t])
+                alpha = np.dot(incoming, plan.into_dst, out=alpha if out is None else out[t])
         else:
             # the block's weights, turned into its flows in place
             flow = np.ascontiguousarray(roots.T).reshape(t1 - t0, width, n_trans)
             for w in flow:
                 w *= incoming
                 np.dot(w, plan.next, out=incoming)
-            alphas = out[t0:t1].reshape(-1, c.num_states)
-            np.dot(flow.reshape(-1, n_trans), plan.into_dst, out=alphas)
+            if out is None:
+                alpha = flow[-1] @ plan.into_dst
+            else:
+                alphas = out[t0:t1].reshape(-1, c.num_states)
+                np.dot(flow.reshape(-1, n_trans), plan.into_dst, out=alphas)
+                alpha = out[t1 - 1]
+    return alpha
+
+
+def forward_alphas(c: CompiledSfa, ps) -> np.ndarray:
+    """State distributions after each step, batched: (..., T, V) -> (..., T, Q).
+
+    Memory grows with the output; acceptance_batch keeps only alpha_T.
+    """
+    ps = _check_probs(c, ps, 2)
+    lead, steps = ps.shape[:-2], ps.shape[-2]
+    width = math.prod(lead)
+    out = np.empty((steps, width, c.num_states))
+    _run_forward(c, ps.reshape((width,) + ps.shape[-2:]), out)
     return np.ascontiguousarray(out.transpose(1, 0, 2)).reshape(lead + (steps, c.num_states))
 
 
@@ -391,13 +411,15 @@ def acceptance(c: CompiledSfa, ps) -> float:
 
 
 def acceptance_batch(c: CompiledSfa, ps) -> np.ndarray:
-    """Acceptance probabilities for a batch of equal-length sequences."""
+    """Acceptance probabilities for a batch of equal-length sequences.
+
+    Only the running state is kept, so memory is bounded by the block
+    whatever T is.
+    """
     ps = _check_probs(c, ps, 2)
-    if ps.shape[-2] == 0:
-        value = 1.0 if c.sfa.initial in c.accepting else 0.0
-        return np.full(ps.shape[:-2], value)
-    alphas = forward_alphas(c, ps)
-    return alphas[..., -1, :] @ _accepting_mask(c)
+    lead = ps.shape[:-2]
+    alpha = _run_forward(c, ps.reshape((math.prod(lead),) + ps.shape[-2:]))
+    return alpha.reshape(lead + (c.num_states,)) @ _accepting_mask(c)
 
 
 def backward_gradient(c: CompiledSfa, ps, alpha_grads, alphas=None) -> np.ndarray:

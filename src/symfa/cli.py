@@ -179,7 +179,7 @@ def cmd_infer(args) -> int:
     one length share one forward recursion; rows keep the file's order.
     """
     compiled = validate_and_compile(load_sfa(args.sfa))
-    extractor = learn_mod.load_extractor(args.model) if args.model else None
+    extractor = learn_mod.load_extractor(args.model, compiled.vocab.names) if args.model else None
     with open(args.dataset, "r", encoding="utf-8") as fh:
         records = bench_mod.read_sequences_jsonl(fh)
     probs = []
@@ -244,7 +244,7 @@ def cmd_train(args) -> int:
         **_given(args, "learning_rate", "optimizer", "batch_size", "max_epochs", "patience", "seed")
     )
     result = learn_mod.train(compiled, data, cfg)
-    learn_mod.save_extractor(result.extractor, args.out)
+    learn_mod.save_extractor(result.extractor, args.out, compiled.vocab.names)
     print("epoch,loss,accuracy")
     for rec in result.history:
         print(f"{rec.epoch},{rec.loss:.8f},{rec.metric:.4f}")

@@ -17,6 +17,7 @@ sampling or approximation is involved anywhere.
 
 from __future__ import annotations
 
+import json
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -39,7 +40,6 @@ LOG_CLAMP = 1e-7
 _NOT_LABELS = (bool, np.bool_, float, np.floating)
 
 CHECKPOINT_MAGIC = b"SYMF"
-CHECKPOINT_VERSION = 1
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -465,34 +465,58 @@ def train(
 #
 # Byte layout (little endian):
 #   0:4   magic  b"SYMF"
-#   4:8   format version, uint32 (currently 1)
+#   4:8   format version, uint32 (1 or 2)
 #   8:12  num_symbols, uint32
 #   12:16 feature_dim, uint32
 #   16:   weights, float64 row-major (num_symbols * feature_dim values)
 #   then  bias, float64 (num_symbols values)
+#   version 2 only: the byte count of the names, uint32, then the symbol
+#         names as a UTF-8 JSON list of num_symbols strings
 
-def save_extractor(extractor: LinearExtractor, path) -> None:
+def save_extractor(extractor: LinearExtractor, path, symbols: Sequence[str] | None = None) -> None:
+    """Write a checkpoint, version 2 with `symbols`, the names of the
+    automaton's symbols in vocabulary order, and version 1 without."""
+    version, names = 1, b""
+    if symbols is not None:
+        if len(symbols) != extractor.num_symbols:
+            raise ValueError(f"{len(symbols)} symbol names for {extractor.num_symbols} symbols")
+        names = json.dumps(list(symbols)).encode("utf-8")
+        version, names = 2, struct.pack("<I", len(names)) + names
     header = CHECKPOINT_MAGIC + struct.pack(
-        "<III", CHECKPOINT_VERSION, extractor.num_symbols, extractor.feature_dim
+        "<III", version, extractor.num_symbols, extractor.feature_dim
     )
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(extractor.weights, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(extractor.bias, dtype="<f8").tobytes())
+        fh.write(names)
 
 
-def load_extractor(path) -> LinearExtractor:
+def load_extractor(path, symbols: Sequence[str] | None = None) -> LinearExtractor:
+    """Read a checkpoint. Given `symbols`, the names a version-2 checkpoint
+    stores must be the same, in the same order; version 1 stores none."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not an extractor checkpoint")
+    if len(blob) < 16:
+        raise ValueError(f"{path}: truncated checkpoint ({len(blob)} of 16 header bytes)")
     version, num_symbols, feature_dim = struct.unpack_from("<III", blob, 4)
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, 2):
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    expect = 16 + 8 * num_symbols * (feature_dim + 1)
+    w_end = 16 + 8 * num_symbols * feature_dim
+    b_end = w_end + 8 * num_symbols
+    expect = b_end + (4 if version == 2 else 0)
+    if version == 2 and len(blob) >= expect:
+        expect += struct.unpack_from("<I", blob, b_end)[0]
     if len(blob) != expect:
         raise ValueError(f"{path}: truncated checkpoint ({len(blob)} of {expect} bytes)")
-    w_end = 16 + 8 * num_symbols * feature_dim
+    if version == 2 and symbols is not None:
+        stored = json.loads(blob[b_end + 4 :])
+        if stored != list(symbols):
+            raise ValueError(
+                f"{path}: checkpoint symbols {stored} differ from the automaton's {list(symbols)}"
+            )
     weights = np.frombuffer(blob[16:w_end], dtype="<f8").reshape(num_symbols, feature_dim)
-    bias = np.frombuffer(blob[w_end:], dtype="<f8")
+    bias = np.frombuffer(blob[w_end:b_end], dtype="<f8")
     return LinearExtractor(weights.copy(), bias.copy())

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symfa import (
     CompiledSfa,
@@ -33,7 +35,7 @@ from symfa.errors import (
 )
 from symfa.logic import Var, enumerate_models, evaluate, f_and, f_not, f_or
 
-from conftest import alpha_by_trace_enumeration, assert_close_rel, true_of
+from conftest import alpha_by_trace_enumeration, assert_close_rel, random_formula, true_of
 
 P1 = [0.8, 0.3, 0.6]
 P2 = [0.7, 0.9, 0.3]
@@ -438,6 +440,25 @@ class TestSfaFiles:
             text = format_sfa(pattern.sfa)
             again = parse_sfa(text)
             assert again == pattern.sfa
+
+    @settings(max_examples=400)
+    @given(
+        num_states=st.integers(1, 5),
+        num_symbols=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_of_random_specs(self, num_states, num_symbols, seed):
+        rng = random.Random(seed)
+        vocab = Vocabulary(tuple(f"v{i}" for i in range(num_symbols)))
+        states = tuple(f"q{i}" for i in range(num_states))
+        pairs = {(rng.randrange(num_states), rng.randrange(num_states)) for _ in range(8)}
+        transitions = {pair: random_formula(rng, num_symbols) for pair in pairs}
+        accepting = frozenset(q for q in range(num_states) if rng.random() < 0.5)
+        specs = [Sfa(vocab, states, rng.randrange(num_states), transitions, accepting)]
+        if num_states > 1:
+            specs.append(random_pattern(num_states, num_symbols, seed).sfa)
+        for sfa in specs:
+            assert parse_sfa(format_sfa(sfa)) == sfa
 
     def test_comments_and_blank_lines(self):
         text = """

@@ -8,8 +8,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from symfa import Interpretation, Sfa, acceptance, accepts_trace, validate_and_compile
+from symfa import (
+    Interpretation,
+    Sfa,
+    acceptance,
+    acceptance_batch,
+    accepts_trace,
+    validate_and_compile,
+)
 from symfa.bench import (
     BenchReport,
     EnumerativeEngine,
@@ -129,6 +139,25 @@ class TestEnumerativeEngine:
             fast = acceptance(pattern.compiled, ps)
             slow = engine.acceptance(ps)
             assert abs(fast - slow) <= 1e-9
+
+    @settings(max_examples=300)
+    @given(
+        num_states=st.integers(2, 5),
+        num_symbols=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 4),
+        steps=st.integers(0, 12),
+        data=st.data(),
+    )
+    def test_batches_agree_with_the_compiled_engine(
+        self, num_states, num_symbols, seed, batch, steps, data
+    ):
+        pattern = random_pattern(num_states, num_symbols, seed)
+        shape = (batch, steps, num_symbols)
+        ps = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+        engine = EnumerativeEngine(pattern.sfa)
+        want = [engine.acceptance(seq) for seq in ps]
+        assert np.abs(acceptance_batch(pattern.compiled, ps) - want).max() <= 1e-9
 
     def test_degenerate_input_is_the_boolean_run(self, driving):
         rng = random.Random(13)

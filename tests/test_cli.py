@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from symfa import acceptance, automaton, forward, learn
+from symfa import acceptance, automaton, format_sfa, forward, learn, load_sfa
 from symfa.cli import main
 
 P1 = [0.8, 0.3, 0.6]
@@ -180,14 +180,15 @@ class TestInferByLength:
 
     @pytest.fixture()
     def recursions(self, monkeypatch):
+        # the core that forward_alphas and acceptance_batch both run
         calls = []
-        run = automaton.forward_alphas
+        run = automaton._run_forward
 
-        def counted(c, ps):
-            calls.append(np.shape(ps))
-            return run(c, ps)
+        def counted(c, ps3, out=None):
+            calls.append(np.shape(ps3))
+            return run(c, ps3, out)
 
-        monkeypatch.setattr(automaton, "forward_alphas", counted)
+        monkeypatch.setattr(automaton, "_run_forward", counted)
         return calls
 
     def write(self, path, key, sequences):
@@ -357,6 +358,28 @@ class TestTrainCli:
         assert main(["infer", driving_path, str(data), "--model", str(model)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 41
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("vars: tired, blocked, fast", "vars: blocked, tired, fast"), ("tired", "sleepy")],
+        ids=["reordered", "renamed"],
+    )
+    def test_model_of_other_symbol_names_is_an_input_error(
+        self, driving, driving_path, tmp_path, capsys, old, new
+    ):
+        data = self._make_dataset(tmp_path, capsys, n=4)
+        model = tmp_path / "model.bin"
+        train = ["train", driving_path, str(data), "--out", str(model), "--max-epochs", "1"]
+        assert main(train) == 0
+        # the same automaton over symbols in another order, or of another name
+        other = tmp_path / "other.sfa"
+        other.write_text(format_sfa(driving.sfa).replace(old, new))
+        capsys.readouterr()
+        assert main(["infer", str(other), str(data), "--model", str(model)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(list(driving.sfa.vocab.names)) in captured.err
+        assert str(list(load_sfa(other).vocab.names)) in captured.err
 
     def test_config_file_overlay(self, driving_path, tmp_path, capsys):
         data = self._make_dataset(tmp_path, capsys)

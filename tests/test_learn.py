@@ -2,6 +2,7 @@
 
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -590,6 +591,33 @@ class TestCheckpoints:
         assert np.array_equal(ext.weights, again.weights)
         assert np.array_equal(ext.bias, again.bias)
 
+    def test_symbol_names_round_trip(self, tmp_path):
+        rng = np.random.default_rng(6)
+        ext = LinearExtractor(rng.normal(size=(3, 5)), rng.normal(size=3))
+        path = tmp_path / "model.bin"
+        save_extractor(ext, path, ("tired", "blocked", "fast"))
+        assert struct.unpack_from("<I", path.read_bytes(), 4) == (2,)
+        again = load_extractor(path, ("tired", "blocked", "fast"))
+        assert np.array_equal(ext.weights, again.weights)
+        assert np.array_equal(ext.bias, again.bias)
+        assert np.array_equal(load_extractor(path).weights, ext.weights)
+        for other in [("blocked", "tired", "fast"), ("a", "b", "c"), ("tired", "blocked")]:
+            with pytest.raises(ValueError, match="'tired', 'blocked', 'fast'"):
+                load_extractor(path, other)
+        with pytest.raises(ValueError, match="2 symbol names for 3 symbols"):
+            save_extractor(ext, path, ("tired", "blocked"))
+
+    def test_version_1_blob_loads_without_a_name_check(self, tmp_path):
+        weights, bias = np.arange(6.0).reshape(2, 3), np.array([-1.0, 0.5])
+        path = tmp_path / "v1.bin"
+        path.write_bytes(
+            b"SYMF" + struct.pack("<III", 1, 2, 3) + weights.astype("<f8").tobytes()
+            + bias.astype("<f8").tobytes()
+        )
+        for symbols in (None, ("a", "b"), ("x", "y", "z")):
+            ext = load_extractor(path, symbols)
+            assert np.array_equal(ext.weights, weights) and np.array_equal(ext.bias, bias)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -604,3 +632,13 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(ValueError):
             load_extractor(path)
+
+    # inside the header, inside the names' byte count, inside the names
+    @pytest.mark.parametrize("cut", [6, 82, 93])
+    def test_truncated_named_checkpoint_rejected(self, tmp_path, cut):
+        ext = LinearExtractor(np.ones((2, 3)), np.zeros(2))
+        path = tmp_path / "model.bin"
+        save_extractor(ext, path, ("a", "b"))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match="truncated checkpoint"):
+            load_extractor(path, ("a", "b"))

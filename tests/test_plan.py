@@ -7,6 +7,7 @@ were merged into one plan.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from symfa import (
 from symfa.automaton import (
     BLOCK_ROWS,
     _accepting_mask,
+    _check_row_sums,
     _initial_alpha,
     acceptance,
     acceptance_batch,
@@ -176,6 +178,40 @@ def test_flow_and_gather_loops_agree(automata, monkeypatch, name):
             assert float(np.abs(run(flow) - want).max()) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("path", ["flow", "gather"])
+@pytest.mark.parametrize("name", ["driving", "events"])
+def test_acceptance_is_the_last_alpha_on_the_accepting_states(automata, monkeypatch, name, path):
+    c = automata[name]
+    if path == "gather":
+        monkeypatch.setattr(automaton, "FLOW_MAX_TRANSITIONS", 0)
+        c = validate_and_compile(c.sfa)
+    assert (c._plan.next is None) == (path == "gather")
+    rng = np.random.default_rng(9)
+    for shape in [(1, 1), (5, 40), (3, 700), (40, 60), (7,), (4, 0)]:
+        ps = rng.uniform(size=shape + (len(c.vocab),))
+        # alpha_0 ahead of forward_alphas, so that T = 0 reads the initial state
+        alpha_0 = _initial_alpha(c, shape[:-1])[..., None, :]
+        alphas = np.concatenate([alpha_0, forward_alphas(c, ps)], axis=-2)
+        want = alphas[..., -1, :] @ _accepting_mask(c)
+        got = acceptance_batch(c, ps)
+        assert np.shape(got) == np.shape(want)
+        assert float(np.abs(got - want).max()) <= 1e-15
+
+
+def test_acceptance_memory_is_bounded_by_the_block(driving):
+    c = driving.compiled
+    ps = np.random.default_rng(10).uniform(size=(8, 20000, len(c.vocab)))
+    acceptance_batch(c, ps[:, :1])  # the plan is built outside the measurement
+    tracemalloc.start()
+    try:
+        acceptance_batch(c, ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    alphas_bytes = ps.shape[0] * ps.shape[1] * c.num_states * 8
+    assert peak < alphas_bytes / 2
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_transition_tensor_matches_reference(automata, name):
     c = automata[name]
@@ -217,6 +253,15 @@ def test_unvalidated_automaton_fails_the_row_sum_check():
     )
     with pytest.raises(ConsistencyError):
         forward_alphas(broken, np.full((3, 2), 0.5))
+
+
+def test_a_nan_guard_value_fails_the_row_sum_check(automata):
+    plan = automata["driving"]._plan
+    roots = plan.circuit.forward(np.full((3, 4), 0.5))
+    _check_row_sums(plan, roots)
+    roots[0, 1] = np.nan
+    with pytest.raises(ConsistencyError, match="row sums off by nan"):
+        _check_row_sums(plan, roots)
 
 
 def test_empty_sequence_acceptance(automata):
