@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -281,22 +282,25 @@ def write_dataset_jsonl(dataset: SyntheticDataset, fh) -> None:
         )
 
 
-def read_sequences_jsonl(fh) -> list[dict]:
-    """Parse dataset lines, one JSON object each; a record keeps whatever keys were present."""
-    records = []
+def iter_sequences_jsonl(fh) -> Iterator[dict]:
+    """Dataset lines one at a time, one JSON object each; a record keeps whatever keys were present."""
     for lineno, line in enumerate(fh, start=1):
         line = line.strip()
         if not line:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise ValueError(f"line {lineno}: invalid JSON ({exc})") from exc
         if not isinstance(record, dict):
             shown = line if len(line) <= 20 else line[:20] + "..."
             raise ValueError(f"line {lineno}: expected a JSON object, got {shown}")
-        records.append(record)
-    return records
+        yield record
+
+
+def read_sequences_jsonl(fh) -> list[dict]:
+    """Every record of `fh` at once (see iter_sequences_jsonl)."""
+    return list(iter_sequences_jsonl(fh))
 
 
 # --- enumerative baseline -----------------------------------------------------

@@ -142,9 +142,9 @@ def cmd_compile(args) -> int:
 
 def _floats(record, key: str, index: int) -> np.ndarray:
     try:
-        return np.asarray(record[key], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"sequence {index}: {key} must hold numbers only ({exc})") from None
+        return learn_mod.float_array(record[key], key)
+    except ValueError as exc:
+        raise InputError(f"sequence {index}: {exc}") from None
 
 
 def _sequence_probs(record, extractor, n_vars: int, index: int) -> np.ndarray:
@@ -174,23 +174,25 @@ def _sequence_probs(record, extractor, n_vars: int, index: int) -> np.ndarray:
 def cmd_infer(args) -> int:
     """Acceptance or per-step state distributions of every record.
 
-    Every record is converted to its (steps, vars) array and run before
-    any output is written, so an input error writes nothing. Records of
-    one length share one forward recursion; rows keep the file's order.
+    Each line becomes its (steps, vars) array as it is read, so a record's
+    JSON lists die with that line, and the first bad line is the one
+    reported. Every record is converted before anything runs or is
+    written, so an input error writes nothing. Records of one length share
+    one forward recursion; rows keep the file's order.
     """
     compiled = validate_and_compile(load_sfa(args.sfa))
     extractor = learn_mod.load_extractor(args.model, compiled.vocab.names) if args.model else None
+    by_length: dict[int, tuple[list[int], list[np.ndarray]]] = {}  # indices and arrays
     with open(args.dataset, "r", encoding="utf-8") as fh:
-        records = bench_mod.read_sequences_jsonl(fh)
-    probs = []
-    by_length: dict[int, list[int]] = {}
-    for k, record in enumerate(records):
-        probs.append(_sequence_probs(record, extractor, len(compiled.vocab), k))
-        records[k] = None  # the array replaces the record's JSON lists
-        by_length.setdefault(len(probs[k]), []).append(k)
-    results: list = [None] * len(probs)
-    for ks in by_length.values():
-        stacked = np.stack([probs[k] for k in ks])
+        for k, record in enumerate(bench_mod.iter_sequences_jsonl(fh)):
+            ps = _sequence_probs(record, extractor, len(compiled.vocab), k)
+            ks, arrays = by_length.setdefault(len(ps), ([], []))
+            ks.append(k)
+            arrays.append(ps)
+    results: list = [None] * sum(len(ks) for ks, _ in by_length.values())
+    for ks, arrays in by_length.values():
+        stacked = np.stack(arrays)
+        arrays.clear()  # the stack is the only copy now
         if args.mode == "accept":
             group = automaton_mod.acceptance_batch(compiled, stacked).tolist()
         else:
@@ -213,27 +215,27 @@ def cmd_infer(args) -> int:
 
 
 def _load_labeled(path) -> list[LabeledSequence]:
-    # `step_labels`, or a list-valued `label`, gives per-step labels;
-    # LabeledSequence and train decide what a label is
-    with open(path, "r", encoding="utf-8") as fh:
-        records = bench_mod.read_sequences_jsonl(fh)
+    # each line becomes its LabeledSequence as it is read; `step_labels`, or
+    # a list-valued `label`, gives per-step labels; LabeledSequence and
+    # train decide what a label is
     data = []
-    for k, record in enumerate(records):
-        if "features" not in record:
-            raise InputError(f"sequence {k}: training data needs 'features'")
-        if "step_labels" in record:
-            if record["step_labels"] is None:
-                raise InputError(f"sequence {k}: step labels must be a list, got null")
-            labels = {"step_labels": record["step_labels"]}
-        elif "label" in record:
-            key = "step_labels" if isinstance(record["label"], list) else "label"
-            labels = {key: record["label"]}
-        else:
-            raise InputError(f"sequence {k}: training data needs 'label' or 'step_labels'")
-        try:
-            data.append(LabeledSequence(record["features"], **labels))
-        except ValueError as exc:
-            raise InputError(f"sequence {k}: {exc}") from None
+    with open(path, "r", encoding="utf-8") as fh:
+        for k, record in enumerate(bench_mod.iter_sequences_jsonl(fh)):
+            if "features" not in record:
+                raise InputError(f"sequence {k}: training data needs 'features'")
+            if "step_labels" in record:
+                if record["step_labels"] is None:
+                    raise InputError(f"sequence {k}: step labels must be a list, got null")
+                labels = {"step_labels": record["step_labels"]}
+            elif "label" in record:
+                key = "step_labels" if isinstance(record["label"], list) else "label"
+                labels = {key: record["label"]}
+            else:
+                raise InputError(f"sequence {k}: training data needs 'label' or 'step_labels'")
+            try:
+                data.append(LabeledSequence(record["features"], **labels))
+            except ValueError as exc:
+                raise InputError(f"sequence {k}: {exc}") from None
     return data
 
 

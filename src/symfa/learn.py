@@ -98,6 +98,27 @@ class LinearExtractor:
         return _sigmoid(features @ self.weights.T + self.bias)
 
 
+# what a refused array holds, by numpy dtype kind
+_NOT_NUMBERS = {"b": "booleans", "U": "strings", "O": "null, objects or integers beyond 64 bits"}
+
+
+def float_array(value, what: str) -> np.ndarray:
+    """`value` as a float64 array; ValueError unless it holds numbers only.
+
+    numpy would parse "0.5" and read true as 1.0, so the dtype numpy infers
+    must be an integer or float one. A boolean beside numbers still reads
+    as 0 or 1, because numpy promotes it.
+    """
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise ValueError(f"{what} must hold numbers only ({exc})") from None
+    if array.dtype.kind not in "iuf":
+        kind = _NOT_NUMBERS.get(array.dtype.kind, array.dtype.name)
+        raise ValueError(f"{what} must hold numbers only, not {kind}")
+    return array.astype(np.float64, copy=False)
+
+
 @dataclass
 class LabeledSequence:
     """Observations plus either a binary sequence label or per-step labels.
@@ -112,10 +133,7 @@ class LabeledSequence:
     step_labels: Sequence[int | None] | None = None
 
     def __post_init__(self):
-        try:
-            self.features = np.asarray(self.features, dtype=np.float64)
-        except TypeError as exc:
-            raise ValueError(f"features must hold numbers only ({exc})") from None
+        self.features = float_array(self.features, "features")
         if self.features.ndim != 2:
             raise ValueError("features must be a (steps, feature_dim) array")
         if not np.all(np.isfinite(self.features)):

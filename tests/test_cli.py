@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output formats, reproducibility."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from symfa import acceptance, automaton, format_sfa, forward, learn, load_sfa
-from symfa.cli import main
+from symfa.cli import _load_labeled, main
 
 P1 = [0.8, 0.3, 0.6]
 P2 = [0.7, 0.9, 0.3]
@@ -286,6 +287,87 @@ class TestTagAgreesWithAccept:
         for k, value in rows["accept"]:
             mass = sum(last[int(k)][q] for q in driving.compiled.accepting)
             assert mass == pytest.approx(float(value), abs=2e-6)
+
+
+class TestStreamedInput:
+    """A record's JSON lists die once its array is built, so peaks follow the arrays kept."""
+
+    @pytest.fixture(scope="class")
+    def uniform_probs(self, tmp_path_factory):
+        probs = np.random.default_rng(0).uniform(size=(2000, 30, 3))
+        path = tmp_path_factory.mktemp("streamed") / "probs.jsonl"
+        path.write_text("".join(json.dumps({"probs": p}) + "\n" for p in probs.tolist()))
+        return path, probs.nbytes
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("mode", ["accept", "tag"])
+    def test_infer_peak_is_below_four_times_the_arrays(
+        self, driving_path, tmp_path, uniform_probs, mode
+    ):
+        path, nbytes = uniform_probs
+        argv = ["infer", driving_path, str(path), "--mode", mode, "--out", str(tmp_path / "o.csv")]
+        code, peak = self.peak(lambda: main(argv))
+        assert code == 0
+        assert peak < 4 * nbytes, f"peak {peak / nbytes:.2f} x the records' float64 bytes"
+
+    def test_training_load_peak_is_below_twice_the_features(self, tmp_path):
+        data = tmp_path / "train.jsonl"
+        argv = ["generate", "--pattern", "driving", "--length", "300",
+                "--n-pos", "100", "--n-neg", "100", "--seed", "1", "--out", str(data)]
+        assert main(argv) == 0
+        sequences, peak = self.peak(lambda: _load_labeled(str(data)))
+        nbytes = sum(s.features.nbytes for s in sequences)
+        assert peak < 2 * nbytes, f"peak {peak / nbytes:.2f} x the feature bytes"
+
+
+RECORD_KEYS = st.sampled_from(["probs", "features", "label", "step_labels"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)  # a usable row now and then
+    | st.dictionaries(RECORD_KEYS, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+class TestAnyJsonlInput:
+    """Whatever the JSON lines hold, infer and train exit 0, 1 or 2, an error in one line."""
+
+    LINES = st.lists(st.dictionaries(RECORD_KEYS, JSON_VALUES, max_size=4) | JSON_VALUES, max_size=4)
+
+    # the examples share tmp_path; each one rewrites the files it reads
+    @settings(max_examples=90, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=LINES, mode=st.sampled_from(["accept", "tag"]))
+    def test_infer(self, driving_path, tmp_path, capsys, lines, mode):
+        model = tmp_path / "model.bin"
+        learn.save_extractor(learn.LinearExtractor(np.zeros((3, 3)), np.zeros(3)), model)
+        extra = ("--model", str(model), "--mode", mode)
+        self.check(driving_path, tmp_path, capsys, lines, "infer", *extra)
+
+    @settings(max_examples=90, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=LINES)
+    def test_train(self, driving_path, tmp_path, capsys, lines):
+        extra = ("--out", str(tmp_path / "m.bin"), "--max-epochs", "2")
+        self.check(driving_path, tmp_path, capsys, lines, "train", *extra)
+
+    @staticmethod
+    def check(driving_path, tmp_path, capsys, lines, command, *extra):
+        data = tmp_path / "lines.jsonl"
+        data.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        code = main([command, driving_path, str(data), *extra])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestGenerate:
@@ -586,6 +668,13 @@ class TestMalformedRecords:
         err = self.run(driving_path, tmp_path, capsys, command, [json.dumps(good), line])
         assert "line 2: " in err and "JSON object" in err
 
+    @pytest.mark.parametrize("command", ["infer", "train"])
+    def test_line_nested_too_deeply_for_the_decoder(self, driving_path, tmp_path, capsys, command):
+        good = {"probs": [P1]} if command == "infer" else self.GOOD
+        deep = '{"features": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        err = self.run(driving_path, tmp_path, capsys, command, [json.dumps(good), deep])
+        assert "line 2: invalid JSON (maximum recursion depth exceeded" in err
+
     @pytest.mark.parametrize("labels", [5, "01", {"0": 0}, None])
     def test_step_labels_that_are_not_a_list(self, driving_path, tmp_path, capsys, labels):
         bad = {"features": [[0.5, -0.5, 0.1, 0.2, 0.3, 0.4]] * 2, "step_labels": labels}
@@ -630,3 +719,39 @@ class TestMalformedRecords:
         records = [json.dumps(self.GOOD), json.dumps(bad)]
         err = self.run(driving_path, tmp_path, capsys, "train", records)
         assert "sequence 1: " in err and "numbers" in err
+
+    @pytest.mark.parametrize("command", ["infer", "train"])
+    def test_first_bad_line_is_the_one_reported(self, driving_path, tmp_path, capsys, command):
+        # a record the command cannot use comes before a line that is not JSON
+        if command == "infer":
+            good, unusable = {"probs": [P1]}, {"steps": 1}
+        else:
+            good, unusable = self.GOOD, {"features": self.GOOD["features"]}
+        out = tmp_path / "out.csv"
+        extra = ("--out", str(out)) if command == "infer" else ()
+        records = [json.dumps(good), json.dumps(unusable), "{"]
+        err = self.run(driving_path, tmp_path, capsys, command, records, extra)
+        assert "sequence 1" in err and "line 3" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "row, kind", [(["0.5", "0.2", "0.9"], "strings"), ([True, False, True], "booleans")]
+    )
+    @pytest.mark.parametrize("command", ["infer", "train"])
+    def test_strings_and_booleans_are_not_numbers(
+        self, driving_path, tmp_path, capsys, command, row, kind
+    ):
+        if command == "infer":
+            key, good, bad = "probs", {"probs": [P1]}, {"probs": [row]}
+        else:
+            key, good, bad = "features", self.GOOD, {"features": [row + row], "step_labels": [0]}
+        records = [json.dumps(good), json.dumps(bad)]
+        err = self.run(driving_path, tmp_path, capsys, command, records)
+        assert f"sequence 1: {key} must hold numbers only, not {kind}" in err
+
+    def test_a_boolean_beside_numbers_reads_as_0_or_1(self, driving_path, tmp_path, capsys):
+        data = tmp_path / "records.jsonl"
+        data.write_text('{"probs": [[true, false, 1]]}\n{"probs": [[1, 0, 1]]}\n')
+        assert main(["infer", driving_path, str(data)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows[0].split(",")[1] == rows[1].split(",")[1]
