@@ -232,6 +232,8 @@ def generate_dataset(
     for name, value in (("length", length), ("n_pos", n_pos), ("n_neg", n_neg)):
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
     c = pattern.compiled
     out = _outgoing(c.sfa)
     struct_rng = random.Random(seed)

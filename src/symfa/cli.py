@@ -140,103 +140,112 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def _floats(record, key: str, index: int) -> np.ndarray:
-    try:
-        return learn_mod.float_array(record[key], key)
-    except ValueError as exc:
-        raise InputError(f"sequence {index}: {exc}") from None
+def _named(k: int, exc: Exception) -> InputError:
+    """`exc` as an input error that names record k, 0-based in file order."""
+    return InputError(f"sequence {k}: {exc}")
 
 
-def _sequence_probs(record, extractor, n_vars: int, index: int) -> np.ndarray:
+def _records(path, convert):
+    """convert(record) for each JSON-lines record of `path`, as its line is read.
+
+    A record's decoded JSON dies with its line. A ValueError raised while
+    converting record k becomes an InputError that names it.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for k, record in enumerate(bench_mod.iter_sequences_jsonl(fh)):
+            try:
+                yield convert(record)
+            except ValueError as exc:
+                raise _named(k, exc) from None
+
+
+def _sequence_probs(record, extractor, n_vars: int) -> np.ndarray:
     if "probs" in record:
-        ps = _floats(record, "probs", index)
+        ps = learn_mod.float_array(record["probs"], "probs")
     elif "features" in record:
         if extractor is None:
-            raise InputError(
-                f"sequence {index} has features, not probs; pass --model to extract symbols"
-            )
-        features = _floats(record, "features", index)
+            raise ValueError("has features, not probs; pass --model to extract symbols")
+        features = learn_mod.float_array(record["features"], "features")
         if features.ndim != 2:
-            raise InputError(f"sequence {index}: features must be a (steps, feature_dim) array")
-        try:
-            ps = extractor.extract(features)
-        except ValueError as exc:
-            raise InputError(f"sequence {index}: {exc}") from None
+            raise ValueError("features must be a (steps, feature_dim) array")
+        ps = extractor.extract(features)
     else:
-        raise InputError(f"sequence {index} has neither 'probs' nor 'features'")
+        raise ValueError("has neither 'probs' nor 'features'")
     if ps.ndim != 2 or ps.shape[1] != n_vars:
-        raise InputError(
-            f"sequence {index}: expected (steps, {n_vars}) probabilities, got {ps.shape}"
-        )
+        raise ValueError(f"expected (steps, {n_vars}) probabilities, got {ps.shape}")
     return ps
 
 
 def cmd_infer(args) -> int:
     """Acceptance or per-step state distributions of every record.
 
-    Each line becomes its (steps, vars) array as it is read, so a record's
-    JSON lists die with that line, and the first bad line is the one
-    reported. Every record is converted before anything runs or is
-    written, so an input error writes nothing. Records of one length share
-    one forward recursion; rows keep the file's order.
+    Each line becomes its (steps, vars) array as it is read, and the first
+    bad record in file order is the one reported. Every record is
+    converted before anything runs or is written, so an input error
+    writes nothing. Records of one length share one forward recursion;
+    rows keep the file's order.
     """
     compiled = validate_and_compile(load_sfa(args.sfa))
     extractor = learn_mod.load_extractor(args.model, compiled.vocab.names) if args.model else None
-    by_length: dict[int, tuple[list[int], list[np.ndarray]]] = {}  # indices and arrays
-    with open(args.dataset, "r", encoding="utf-8") as fh:
-        for k, record in enumerate(bench_mod.iter_sequences_jsonl(fh)):
-            ps = _sequence_probs(record, extractor, len(compiled.vocab), k)
-            ks, arrays = by_length.setdefault(len(ps), ([], []))
-            ks.append(k)
-            arrays.append(ps)
-    results: list = [None] * sum(len(ks) for ks, _ in by_length.values())
-    for ks, arrays in by_length.values():
-        stacked = np.stack(arrays)
-        arrays.clear()  # the stack is the only copy now
-        if args.mode == "accept":
-            group = automaton_mod.acceptance_batch(compiled, stacked).tolist()
-        else:
-            group = automaton_mod.forward_alphas(compiled, stacked)
-        for k, result in zip(ks, group):
-            results[k] = result
+    convert = functools.partial(_sequence_probs, extractor=extractor, n_vars=len(compiled.vocab))
+    by_length: dict[int, dict[int, np.ndarray]] = {}  # record index -> array, per length
+    for k, ps in enumerate(_records(args.dataset, convert)):
+        by_length.setdefault(len(ps), {})[k] = ps
+    results: dict = {}  # record index -> its acceptance or alphas
+    for group in by_length.values():
+        ks, stacked = list(group), np.stack(list(group.values()))
+        group.clear()  # the stack is the only copy now
+        try:
+            if args.mode == "accept":
+                values = automaton_mod.acceptance_batch(compiled, stacked).tolist()
+            else:
+                values = automaton_mod.forward_alphas(compiled, stacked)
+        except InputError:
+            # the groups run before held no out-of-range record and are empty
+            # now, so the first one in file order is in this stack or later
+            group.update(zip(ks, stacked))
+            pending = {k: ps for g in by_length.values() for k, ps in g.items()}
+            for k in sorted(pending):
+                try:
+                    automaton_mod._check_probs(compiled, pending[k], 2)
+                except InputError as exc:
+                    raise _named(k, exc) from None
+            raise
+        results.update(zip(ks, values))
     with _output(args) as out:
         if args.mode == "accept":
             out.write("index,acceptance\n")
-            for k, value in enumerate(results):
+            for k, value in sorted(results.items()):
                 out.write(f"{k},{value:.6f}\n")
         else:
             out.write("index,step," + ",".join(compiled.states) + "\n")
             # one %-template per record length, "\0" standing for the index
             cells = ",".join(["%.6f"] * compiled.num_states) + "\n"
             rows = {steps: "".join(f"\0,{t},{cells}" for t in range(steps)) for steps in by_length}
-            for k, alphas in enumerate(results):
+            for k, alphas in sorted(results.items()):
                 out.write(rows[len(alphas)].replace("\0", str(k)) % tuple(alphas.ravel().tolist()))
     return 0
 
 
+def _labeled(record) -> LabeledSequence:
+    # `step_labels`, or a list-valued `label`, gives per-step labels;
+    # LabeledSequence and train decide what a label is
+    if "features" not in record:
+        raise ValueError("training data needs 'features'")
+    if "step_labels" in record:
+        if record["step_labels"] is None:
+            raise ValueError("step labels must be a list, got null")
+        labels = {"step_labels": record["step_labels"]}
+    elif "label" in record:
+        key = "step_labels" if isinstance(record["label"], list) else "label"
+        labels = {key: record["label"]}
+    else:
+        raise ValueError("training data needs 'label' or 'step_labels'")
+    return LabeledSequence(record["features"], **labels)
+
+
 def _load_labeled(path) -> list[LabeledSequence]:
-    # each line becomes its LabeledSequence as it is read; `step_labels`, or
-    # a list-valued `label`, gives per-step labels; LabeledSequence and
-    # train decide what a label is
-    data = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for k, record in enumerate(bench_mod.iter_sequences_jsonl(fh)):
-            if "features" not in record:
-                raise InputError(f"sequence {k}: training data needs 'features'")
-            if "step_labels" in record:
-                if record["step_labels"] is None:
-                    raise InputError(f"sequence {k}: step labels must be a list, got null")
-                labels = {"step_labels": record["step_labels"]}
-            elif "label" in record:
-                key = "step_labels" if isinstance(record["label"], list) else "label"
-                labels = {key: record["label"]}
-            else:
-                raise InputError(f"sequence {k}: training data needs 'label' or 'step_labels'")
-            try:
-                data.append(LabeledSequence(record["features"], **labels))
-            except ValueError as exc:
-                raise InputError(f"sequence {k}: {exc}") from None
-    return data
+    return list(_records(path, _labeled))
 
 
 def cmd_train(args) -> int:

@@ -165,8 +165,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.batch_size < 1 or self.max_epochs < 1:

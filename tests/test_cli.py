@@ -1,11 +1,12 @@
 """Command-line behavior: exit codes, output formats, reproducibility."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from symfa import acceptance, automaton, format_sfa, forward, learn, load_sfa
@@ -138,6 +139,30 @@ class TestInfer:
         for mode in ("accept", "tag"):
             assert main(["infer", driving_path, str(data), "--mode", mode]) == 2
             assert "[0, 1]" in capsys.readouterr().err
+
+    # records of one length share one run, in first-seen order: the range
+    # error is raised for a whole group, yet names the first bad record
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [[[0.5, 0.5, 0.5], [0.1, 0.1, 0.1]], [[2, 0, 0]], [[0.5, 0.5, 0.5], [0.1, 0.1, 7]]],
+            [[[0.5, 0.5, 0.5]], [[0.5, 0.5, 0.5], [0.1, 0.1, 7]], [[2, 0, 0]]],
+            [[[0.5, 0.5, 0.5]], [[-1, 0, 0], [0.5, 0.5, 0.5]], [[0.5, 0.5, 0.5], [0.1, 0.1, 0.1]]],
+        ],
+        ids=["in-a-group-run-later", "in-the-failing-group", "first-of-a-group"],
+    )
+    @pytest.mark.parametrize("mode", ["accept", "tag"])
+    def test_out_of_range_names_the_first_bad_record_in_file_order(
+        self, driving_path, tmp_path, capsys, records, mode
+    ):
+        data = tmp_path / "bad.jsonl"
+        data.write_text("".join(json.dumps({"probs": r}) + "\n" for r in records))
+        assert main(["infer", driving_path, str(data), "--mode", mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: sequence 1: symbol probabilities must be finite and within [0, 1] (±1e-06)\n"
+        )
 
 
 def reference_csv(compiled, sequences, mode: str) -> str:
@@ -346,11 +371,14 @@ class TestAnyJsonlInput:
     # the examples share tmp_path; each one rewrites the files it reads
     @settings(max_examples=90, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(lines=LINES, mode=st.sampled_from(["accept", "tag"]))
+    @example(lines=[{"probs": [[0.5, 0.5, 0.5]]}, {"probs": [[1.5, 0.0, 0.0]]}], mode="accept")
     def test_infer(self, driving_path, tmp_path, capsys, lines, mode):
         model = tmp_path / "model.bin"
         learn.save_extractor(learn.LinearExtractor(np.zeros((3, 3)), np.zeros(3)), model)
         extra = ("--model", str(model), "--mode", mode)
-        self.check(driving_path, tmp_path, capsys, lines, "infer", *extra)
+        code, err = self.check(driving_path, tmp_path, capsys, lines, "infer", *extra)
+        if code == 2:  # every input error names its line or its record
+            assert re.match(r"^error: (line|sequence) \d+: ", err), err
 
     @settings(max_examples=90, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(lines=LINES)
@@ -368,6 +396,7 @@ class TestAnyJsonlInput:
         assert "Traceback" not in err
         if code:
             assert err.startswith("error: ") and err.count("\n") == 1, err
+        return code, err
 
 
 class TestGenerate:
@@ -558,6 +587,21 @@ class TestTrainCli:
         assert "sequence 1: feature dimension 3 != extractor's 6" in err
         assert not (tmp_path / "m.bin").exists()
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "-0.1"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_learning_rate_not_finite_and_non_negative_is_an_input_error(
+        self, driving_path, tmp_path, capsys, rate, via
+    ):
+        data = self._make_dataset(tmp_path, capsys, n=4)
+        config = tmp_path / "run.conf"
+        config.write_text(f"learning_rate = {rate}\n")
+        given = [f"--learning-rate={rate}"] if via == "flag" else ["--config", str(config)]
+        model = tmp_path / "m.bin"
+        rc = main(["train", driving_path, str(data), "--out", str(model), *given])
+        assert rc == 2
+        assert f"learning rate must be finite and >= 0, got {float(rate)}" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_unknown_config_key_rejected(self, driving_path, tmp_path, capsys):
         data = self._make_dataset(tmp_path, capsys)
         config = tmp_path / "run.conf"
@@ -606,6 +650,9 @@ class TestEndToEnd:
         (["bench", "--lengths", "4", "--repetitions", "0"], "repetitions"),
         (["bench", "--lengths", "4", "--repetitions", "-2"], "repetitions"),
         (["bench", "--lengths", "4", "--batch-size", "0"], "batch_size"),
+        (["generate", "--sigma", "-1"], "noise"),
+        (["generate", "--sigma", "nan"], "noise"),
+        (["generate", "--sigma", "inf"], "noise"),
     ],
 )
 def test_sizes_out_of_range_are_an_input_error(capsys, args, name):

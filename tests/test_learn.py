@@ -573,8 +573,9 @@ class TestTraining:
         assert len(calls) == 3 * 2
 
     def test_invalid_configs_rejected(self):
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=-0.1)
+        for rate in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^learning rate must be finite and >= 0"):
+                TrainConfig(learning_rate=rate)
         with pytest.raises(ValueError):
             TrainConfig(patience=0)
         with pytest.raises(ValueError):
