@@ -176,6 +176,67 @@ def _sequence_probs(record, extractor, n_vars: int) -> np.ndarray:
     return ps
 
 
+@functools.cache
+def _fraction_words() -> tuple[np.ndarray, ...]:
+    """0 to 999 as 4-byte words: ".ddd" starts a cell's fraction, "ddd," ends the cell."""
+    forms = (b".%03d", b"%03d,")
+    return tuple(np.array([form % i for i in range(1000)]).view(np.uint32) for form in forms)
+
+
+def _csv_cells(values: np.ndarray) -> np.ndarray:
+    """Each row of `values` (..., C) as CSV: "%.6f" % x and "," per x, the last "," a "\n".
+
+    The text is NUL-padded uint8 of shape values.shape[:-1] + (C * width,).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.abs(values) * 1e6
+        n = np.rint(y)
+        # y is off the exact |x|·1e6 by at most y·2^-53, so n is the correctly
+        # rounded count of millionths unless y lies within y·2^-52 of a half;
+        # those cells, and non-finite or huge ones, take "%.6f" itself
+        fix = ~(np.abs(y - n) + y * 2.0**-52 < 0.5)
+    whole, frac = np.divmod(np.where(fix, 0, n).astype(np.int64), 1000000)
+    fixes = ["%.6f" % x for x in values[fix].tolist()]
+    digits = len(str(whole.max(initial=0)))
+    width = max([digits + 9] + [len(s) + 1 for s in fixes])
+    cells = np.zeros(values.shape + (width,), np.uint8)
+    cells[..., -digits - 9] = np.signbit(values) * np.uint8(ord("-"))
+    for j in range(digits):  # the whole part; its leading zeros stay NUL
+        tens = whole // 10**j
+        cells[..., -9 - j] = (tens % 10 + 48) * ((tens > 0) | (j == 0))
+    words, (high, low) = cells[..., -8:].view(np.uint32), _fraction_words()
+    words[..., 0], words[..., 1] = high[frac // 1000], low[frac % 1000]
+    cells[fix, :-1] = np.array(fixes, f"S{width - 1}").view(np.uint8).reshape(-1, width - 1)
+    cells[..., -1, -1] = ord("\n")
+    return cells.reshape(values.shape[:-1] + (values.shape[-1] * width,))
+
+
+def _labels(numbers) -> np.ndarray:
+    """"n," for each n, as NUL-padded uint8 rows."""
+    text = np.array([b"%d," % n for n in numbers], "S")
+    return text.view(np.uint8).reshape(len(text), text.itemsize)
+
+
+def _tag_csv(ks, alphas: np.ndarray) -> dict[int, str]:
+    """Record index -> its tag-mode CSV: a row "k,t," and the cells of alphas[i, t]
+    for each step t of record ks[i].
+
+    About BLOCK_ROWS rows at a time are laid out in one NUL-padded uint8 array.
+    """
+    steps = alphas.shape[1]
+    per, step_labels = max(1, automaton_mod.BLOCK_ROWS // max(1, steps)), _labels(range(steps))
+    texts = {}
+    for i in range(0, len(ks), per):
+        part, cells = ks[i : i + per], _csv_cells(alphas[i : i + per])
+        labels = (_labels(part)[:, None], step_labels)
+        rows = [np.broadcast_to(lead, cells.shape[:2] + lead.shape[-1:]) for lead in labels]
+        rows = np.concatenate(rows + [cells], -1)
+        text = rows.tobytes().translate(None, b"\0").decode()
+        ends = (rows.reshape(len(part), -1) != 0).sum(1).cumsum().tolist()
+        texts.update(zip(part, (text[s:e] for s, e in zip([0] + ends, ends))))
+    return texts
+
+
 def cmd_infer(args) -> int:
     """Acceptance or per-step state distributions of every record.
 
@@ -191,15 +252,17 @@ def cmd_infer(args) -> int:
     by_length: dict[int, dict[int, np.ndarray]] = {}  # record index -> array, per length
     for k, ps in enumerate(_records(args.dataset, convert)):
         by_length.setdefault(len(ps), {})[k] = ps
-    results: dict = {}  # record index -> its acceptance or alphas
+    results: dict = {}  # record index -> its acceptance, or its CSV rows in tag mode
     for group in by_length.values():
         ks, stacked = list(group), np.stack(list(group.values()))
         group.clear()  # the stack is the only copy now
         try:
             if args.mode == "accept":
-                values = automaton_mod.acceptance_batch(compiled, stacked).tolist()
-            else:
-                values = automaton_mod.forward_alphas(compiled, stacked)
+                results.update(zip(ks, automaton_mod.acceptance_batch(compiled, stacked).tolist()))
+            else:  # the group's rows replace its alphas
+                alphas = automaton_mod.forward_alphas(compiled, stacked)
+                results.update(_tag_csv(ks, alphas))
+                del alphas
         except InputError:
             # the groups run before held no out-of-range record and are empty
             # now, so the first one in file order is in this stack or later
@@ -211,19 +274,14 @@ def cmd_infer(args) -> int:
                 except InputError as exc:
                     raise _named(k, exc) from None
             raise
-        results.update(zip(ks, values))
     with _output(args) as out:
         if args.mode == "accept":
+            # one value a record: Python formats 100 of them faster than a numpy pass
             out.write("index,acceptance\n")
-            for k, value in sorted(results.items()):
-                out.write(f"{k},{value:.6f}\n")
+            out.writelines(f"{k},{value:.6f}\n" for k, value in sorted(results.items()))
         else:
             out.write("index,step," + ",".join(compiled.states) + "\n")
-            # one %-template per record length, "\0" standing for the index
-            cells = ",".join(["%.6f"] * compiled.num_states) + "\n"
-            rows = {steps: "".join(f"\0,{t},{cells}" for t in range(steps)) for steps in by_length}
-            for k, alphas in sorted(results.items()):
-                out.write(rows[len(alphas)].replace("\0", str(k)) % tuple(alphas.ravel().tolist()))
+            out.writelines(results[k] for k in sorted(results))
     return 0
 
 

@@ -95,7 +95,9 @@ class LinearExtractor:
             raise ValueError(
                 f"feature dimension {features.shape[-1]} != extractor's {self.feature_dim}"
             )
-        return _sigmoid(features @ self.weights.T + self.bias)
+        # overflowing logits give 0 or 1, inf − inf a NaN the caller refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _sigmoid(features @ self.weights.T + self.bias)
 
 
 # what a refused array holds, by numpy dtype kind

@@ -1,16 +1,21 @@
 """Command-line behavior: exit codes, output formats, reproducibility."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import symfa
 from symfa import acceptance, automaton, format_sfa, forward, learn, load_sfa
-from symfa.cli import _load_labeled, main
+from symfa.cli import _csv_cells, _load_labeled, _tag_csv, main
 
 P1 = [0.8, 0.3, 0.6]
 P2 = [0.7, 0.9, 0.3]
@@ -164,6 +169,29 @@ class TestInfer:
             "error: sequence 1: symbol probabilities must be finite and within [0, 1] (±1e-06)\n"
         )
 
+    # pytest captures warnings, so the CLI runs in its own process
+    @pytest.mark.parametrize("bad_second_record", [False, True])
+    def test_overflowing_logits_print_no_warning(
+        self, driving_path, tmp_path, bad_second_record
+    ):
+        model = tmp_path / "ones.bin"
+        learn.save_extractor(learn.LinearExtractor(np.ones((3, 3)), np.ones(3)), model)
+        lines = [{"features": [[1e308, 1e308, 1e308]]}] + [{"steps": 1}] * bad_second_record
+        data = tmp_path / "huge.jsonl"
+        data.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        env = {**os.environ, "PYTHONPATH": str(Path(symfa.__file__).parent.parent)}
+        env.pop("PYTHONWARNINGS", None)
+        argv = ["infer", driving_path, str(data), "--model", str(model)]
+        done = subprocess.run(
+            [sys.executable, "-m", "symfa", *argv], capture_output=True, text=True, env=env
+        )
+        if bad_second_record:
+            assert (done.returncode, done.stdout) == (2, "")
+            assert re.fullmatch(r"error: sequence 1: [^\n]*\n", done.stderr), done.stderr
+        else:
+            assert done.returncode == 0
+            assert (done.stdout, done.stderr) == ("index,acceptance\n0,1.000000\n", "")
+
 
 def reference_csv(compiled, sequences, mode: str) -> str:
     """The CSV one acceptance/forward call per record gives."""
@@ -258,6 +286,34 @@ class TestInferByLength:
             assert "\n12,0,-0.000001,1.000001,0.000000\n12,1," in text
 
     @pytest.mark.parametrize("mode", ["accept", "tag"])
+    @pytest.mark.parametrize("block_rows", [automaton.BLOCK_ROWS, 64])
+    def test_output_bytes_across_digit_widths(
+        self, driving, driving_path, tmp_path, capsys, monkeypatch, mode, block_rows
+    ):
+        # 120 records, so `index` has 1, 2 and 3 digits, and lengths on both
+        # sides of the step's digit widths; 64-row blocks split tag mode's
+        # writes, down to one 100-step record a block
+        monkeypatch.setattr(automaton, "BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(9)
+        lengths = [(1, 9, 10, 11, 100, 101)[k % 6] for k in range(120)]
+        sequences = [rng.uniform(size=(t, 3)) for t in lengths]
+        # every fifth record holds 0s and 1s moved by up to PROB_RANGE_TOL,
+        # whose state masses drift further outside [0, 1] step by step
+        tol = automaton.PROB_RANGE_TOL
+        for ps in sequences[::5]:
+            ps[:] = rng.integers(0, 2, size=ps.shape) + rng.uniform(-tol, tol, size=ps.shape)
+        data = self.write(tmp_path / "widths.jsonl", "probs", sequences)
+        assert main(["infer", driving_path, data, "--mode", mode]) == 0
+        text = capsys.readouterr().out
+        assert text == reference_csv(driving.compiled, sequences, mode)
+        assert "\n119," in text and ",-0.00000" in text
+
+    def test_records_without_steps_have_no_rows(self):
+        # the JSON-lines reader refuses `"probs": []`, so this is the writer alone
+        texts = _tag_csv([4, 7], np.zeros((2, 0, 3)))
+        assert texts == {4: "", 7: ""}
+
+    @pytest.mark.parametrize("mode", ["accept", "tag"])
     @pytest.mark.parametrize("bad", [{"probs": [[1.5, 0.2, 0.3]]}, {"steps": 2}])
     def test_bad_last_record_writes_nothing(self, driving_path, tmp_path, capsys, mode, bad):
         rng = np.random.default_rng(6)
@@ -285,6 +341,34 @@ class TestInferByLength:
         assert len(recursions) == 3
         sequences = [extractor.extract(f) for f in features]
         assert capsys.readouterr().out == reference_csv(driving.compiled, sequences, mode)
+
+
+def _near_half(m: int, side: int) -> float:
+    """(m + 0.5)·1e-6, or its float neighbour below (side -1) or above (side 1)."""
+    x = (m + 0.5) * 1e-6
+    return float(np.nextafter(x, side * np.inf)) if side else x
+
+
+CELL_VALUES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.builds(_near_half, st.integers(0, 10**7), st.sampled_from([-1, 0, 1])),
+    st.builds(lambda j: j / 128, st.integers(0, 1280)),  # exact binary ties, as 0.0078125
+    st.floats(-1e-6, 0.0),  # small negatives print -0.000000
+    st.floats(10.0, 1e12),
+    st.floats(),  # NaN, infinities and huge values take "%.6f" itself
+)
+
+
+class TestCsvCells:
+    """The writer's cells are the bytes of "%.6f" % x, "," between, "\n" at each row's end."""
+
+    @settings(max_examples=300)
+    @given(values=st.lists(CELL_VALUES, min_size=1, max_size=40), columns=st.integers(1, 4))
+    @example(values=[0.0078125, 0.0, -0.0, -1e-7, 12.5, 9.9999995, 1 + 1e-6], columns=1)
+    def test_cells_are_percent_format_bytes(self, values, columns):
+        rows = np.array(values * columns).reshape(-1, columns)
+        text = _csv_cells(rows).tobytes().replace(b"\0", b"").decode()
+        assert text == "".join(",".join("%.6f" % x for x in row) + "\n" for row in rows.tolist())
 
 
 class TestTagAgreesWithAccept:
