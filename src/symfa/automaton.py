@@ -379,13 +379,17 @@ def forward_alphas(c: CompiledSfa, ps) -> np.ndarray:
     return np.ascontiguousarray(out.transpose(1, 0, 2)).reshape(lead + (steps, c.num_states))
 
 
-def _one_sequence(c: CompiledSfa, ps) -> np.ndarray:
-    """`ps` as one (T, num_vars) sequence; any empty array is the empty one."""
+def one_sequence(ps, width: int) -> np.ndarray:
+    """`ps` as one (steps, width) sequence; an empty list is the zero-step one.
+
+    The one rule for a single sequence, shared by acceptance, forward,
+    `symfa infer` and the enumerative engine.
+    """
     ps = np.asarray(ps, dtype=np.float64)
-    if ps.size == 0:
-        return ps.reshape(0, len(c.vocab))
-    if ps.ndim != 2:
-        raise ValueError(f"expected one (steps, num_vars) sequence, got shape {ps.shape}")
+    if ps.shape == (0,):
+        return ps.reshape(0, width)
+    if ps.shape[1:] != (width,):
+        raise ValueError(f"probabilities must be a (steps, {width}) array, got shape {ps.shape}")
     return ps
 
 
@@ -395,7 +399,7 @@ def forward(c: CompiledSfa, ps) -> list[np.ndarray]:
     `ps` is a (T, num_vars) array (or list of rows); the result is the list
     (alpha_1, ..., alpha_T). An empty sequence yields an empty list.
     """
-    return list(forward_alphas(c, _one_sequence(c, ps)))
+    return list(forward_alphas(c, one_sequence(ps, len(c.vocab))))
 
 
 def _accepting_mask(c: CompiledSfa) -> np.ndarray:
@@ -407,7 +411,7 @@ def _accepting_mask(c: CompiledSfa) -> np.ndarray:
 
 def acceptance(c: CompiledSfa, ps) -> float:
     """Probability that the automaton accepts the probability sequence."""
-    return float(acceptance_batch(c, _one_sequence(c, ps)))
+    return float(acceptance_batch(c, one_sequence(ps, len(c.vocab))))
 
 
 def acceptance_batch(c: CompiledSfa, ps) -> np.ndarray:

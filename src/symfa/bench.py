@@ -27,6 +27,7 @@ from .automaton import (
     Sfa,
     acceptance_batch,
     complete_self_loops,
+    one_sequence,
     parse_sfa,
     validate_and_compile,
 )
@@ -327,17 +328,11 @@ class EnumerativeEngine:
         self.out = _outgoing(completed)
 
     def acceptance(self, ps) -> float:
-        ps = np.asarray(ps, dtype=np.float64)
-        if ps.size and ps.ndim != 2:
-            raise ValueError(f"expected a (steps, {self.num_vars}) sequence, got shape {ps.shape}")
-        ps = ps.tolist() if ps.size else []
         n = self.num_vars
         nq = self.sfa.num_states
         alpha = [0.0] * nq
         alpha[self.sfa.initial] = 1.0
-        for row in ps:
-            if len(row) != n:
-                raise ValueError(f"probability row has {len(row)} entries, expected {n}")
+        for row in one_sequence(ps, n).tolist():
             # probability of every interpretation under this row
             model_prob = [1.0] * (1 << n)
             for mask in range(1 << n):

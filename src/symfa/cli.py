@@ -166,14 +166,14 @@ def _sequence_probs(record, extractor, n_vars: int) -> np.ndarray:
         if extractor is None:
             raise ValueError("has features, not probs; pass --model to extract symbols")
         features = learn_mod.float_array(record["features"], "features")
+        if features.shape == (0,):  # the zero-step sequence, as for probs
+            features = features.reshape(0, extractor.feature_dim)
         if features.ndim != 2:
             raise ValueError("features must be a (steps, feature_dim) array")
         ps = extractor.extract(features)
     else:
         raise ValueError("has neither 'probs' nor 'features'")
-    if ps.ndim != 2 or ps.shape[1] != n_vars:
-        raise ValueError(f"expected (steps, {n_vars}) probabilities, got {ps.shape}")
-    return ps
+    return automaton_mod.one_sequence(ps, n_vars)
 
 
 @functools.cache
@@ -240,48 +240,50 @@ def _tag_csv(ks, alphas: np.ndarray) -> dict[int, str]:
 def cmd_infer(args) -> int:
     """Acceptance or per-step state distributions of every record.
 
-    Each line becomes its (steps, vars) array as it is read, and the first
-    bad record in file order is the one reported. Every record is
-    converted before anything runs or is written, so an input error
-    writes nothing. Records of one length share one forward recursion;
-    rows keep the file's order.
+    Each line becomes its (steps, vars) array as it is read; an empty list
+    is the zero-step sequence. The first bad record in file order is the
+    one reported, out-of-range ones included. Every record is converted
+    before anything runs or is written, so an input error writes nothing.
+    Records of one length share one forward recursion; rows keep the
+    file's order.
     """
     compiled = validate_and_compile(load_sfa(args.sfa))
     extractor = learn_mod.load_extractor(args.model, compiled.vocab.names) if args.model else None
     convert = functools.partial(_sequence_probs, extractor=extractor, n_vars=len(compiled.vocab))
     by_length: dict[int, dict[int, np.ndarray]] = {}  # record index -> array, per length
-    for k, ps in enumerate(_records(args.dataset, convert)):
-        by_length.setdefault(len(ps), {})[k] = ps
-    results: dict = {}  # record index -> its acceptance, or its CSV rows in tag mode
-    for group in by_length.values():
-        ks, stacked = list(group), np.stack(list(group.values()))
-        group.clear()  # the stack is the only copy now
-        try:
+    results: dict[int, str] = {}  # record index -> its CSV rows
+    ks, stacked = [], []  # the group being run
+    try:
+        for k, ps in enumerate(_records(args.dataset, convert)):
+            by_length.setdefault(len(ps), {})[k] = ps
+        for group in by_length.values():
+            ks, stacked = list(group), np.stack(list(group.values()))
+            group.clear()  # the stack is the only copy now
             if args.mode == "accept":
-                results.update(zip(ks, automaton_mod.acceptance_batch(compiled, stacked).tolist()))
+                # one value a record: Python formats 100 of them faster than a numpy pass
+                values = automaton_mod.acceptance_batch(compiled, stacked).tolist()
+                results.update((k, f"{k},{value:.6f}\n") for k, value in zip(ks, values))
             else:  # the group's rows replace its alphas
                 alphas = automaton_mod.forward_alphas(compiled, stacked)
                 results.update(_tag_csv(ks, alphas))
                 del alphas
-        except InputError:
-            # the groups run before held no out-of-range record and are empty
-            # now, so the first one in file order is in this stack or later
-            group.update(zip(ks, stacked))
-            pending = {k: ps for g in by_length.values() for k, ps in g.items()}
-            for k in sorted(pending):
-                try:
-                    automaton_mod._check_probs(compiled, pending[k], 2)
-                except InputError as exc:
-                    raise _named(k, exc) from None
-            raise
+    except (InputError, ValueError):
+        # reading stopped at a bad line, or a group held an out-of-range
+        # record; the groups run before held none, so the first one in file
+        # order is in the group being run or in those not yet run
+        pending = {k: ps for group in by_length.values() for k, ps in group.items()}
+        pending.update(zip(ks, stacked))
+        for k in sorted(pending):
+            try:
+                automaton_mod._check_probs(compiled, pending[k], 2)
+            except InputError as exc:
+                raise _named(k, exc) from None
+        raise
+    states = ",".join(compiled.states)
+    header = "index,acceptance\n" if args.mode == "accept" else f"index,step,{states}\n"
     with _output(args) as out:
-        if args.mode == "accept":
-            # one value a record: Python formats 100 of them faster than a numpy pass
-            out.write("index,acceptance\n")
-            out.writelines(f"{k},{value:.6f}\n" for k, value in sorted(results.items()))
-        else:
-            out.write("index,step," + ",".join(compiled.states) + "\n")
-            out.writelines(results[k] for k in sorted(results))
+        out.write(header)
+        out.writelines(results[k] for k in sorted(results))
     return 0
 
 

@@ -168,6 +168,26 @@ class TestEnumerativeEngine:
             value = EnumerativeEngine(driving.sfa).acceptance(ps)
             assert value == float(accepts_trace(driving.compiled, trace))
 
+    def test_empty_sequence_is_the_initial_state(self, driving, events):
+        # the automata of the gate's engine-equivalence criterion, and two more
+        rng = random.Random(77)
+        patterns = [driving, events]
+        for k in range(100):
+            num_vars, num_states = rng.randint(1, 8), rng.randint(2, 6)
+            patterns.append(random_pattern(num_states, num_vars, seed=4000 + k))
+            rng.randint(0, 10)  # the gate's sequence length, drawn to keep the draws in step
+        for pattern in patterns:
+            engine = EnumerativeEngine(pattern.sfa)
+            want = acceptance(pattern.compiled, [])
+            assert want in (0.0, 1.0)
+            assert engine.acceptance([]) == want
+            assert engine.acceptance(np.zeros((0, len(pattern.sfa.vocab)))) == want
+
+    @pytest.mark.parametrize("ps", [[[0.5] * 4], [0.5, 0.5, 0.5], [[P1]], [[]], [[], []]])
+    def test_takes_one_sequence_of_the_vocabulary_width(self, driving, ps):
+        with pytest.raises(ValueError, match=r"probabilities must be a \(steps, 3\) array"):
+            EnumerativeEngine(driving.sfa).acceptance(ps)
+
     def test_vocabulary_cap(self):
         pattern = random_pattern(2, 13, seed=0)
         with pytest.raises(VocabularyTooLargeError):

@@ -169,6 +169,87 @@ class TestInfer:
             "error: sequence 1: symbol probabilities must be finite and within [0, 1] (±1e-06)\n"
         )
 
+    # a later record or line that cannot be read does not hide an earlier
+    # out-of-range record
+    @pytest.mark.parametrize(
+        "last_line",
+        [json.dumps({"probs": [["a", 0.2, 0.3]]}), "{"],
+        ids=["later-bad-record", "later-bad-json"],
+    )
+    @pytest.mark.parametrize("mode", ["accept", "tag"])
+    def test_out_of_range_comes_before_a_later_unreadable_line(
+        self, driving_path, tmp_path, capsys, last_line, mode
+    ):
+        data = tmp_path / "bad.jsonl"
+        records = [{"probs": [[0.1, 0.2, 0.3]]}, {"probs": [[2.0, 0.2, 0.3]]}]
+        data.write_text("".join(json.dumps(r) + "\n" for r in records) + last_line + "\n")
+        assert main(["infer", driving_path, str(data), "--mode", mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: sequence 1: symbol probabilities must be finite and within [0, 1] (±1e-06)\n"
+        )
+
+    @pytest.mark.parametrize("mode", ["accept", "tag"])
+    def test_an_empty_list_is_a_zero_step_record(self, driving, driving_path, tmp_path, capsys, mode):
+        sequences = [[P1], [], [P1, P2]]
+        data = tmp_path / "zero.jsonl"
+        data.write_text("".join(json.dumps({"probs": ps}) + "\n" for ps in sequences))
+        assert main(["infer", driving_path, str(data), "--mode", mode]) == 0
+        assert capsys.readouterr().out == reference_csv(driving.compiled, sequences, mode)
+
+    @pytest.mark.parametrize("mode", ["accept", "tag"])
+    def test_empty_features_are_the_zero_step_record(self, driving_path, tmp_path, capsys, mode):
+        model = tmp_path / "model.bin"
+        learn.save_extractor(learn.LinearExtractor(np.zeros((3, 4)), np.zeros(3)), model)
+        outputs = []
+        for record in ({"features": []}, {"probs": []}):
+            data = tmp_path / "zero.jsonl"
+            data.write_text(json.dumps(record) + "\n")
+            argv = ["infer", driving_path, str(data), "--model", str(model), "--mode", mode]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    # only an empty list is the zero-step record: empty rows are refused
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("probs", [[]], "probabilities must be a (steps, 3) array, got shape (1, 0)"),
+            ("probs", [[], []], "probabilities must be a (steps, 3) array, got shape (2, 0)"),
+            ("probs", [[[]]], "probabilities must be a (steps, 3) array, got shape (1, 1, 0)"),
+            ("features", [[]], "feature dimension 0 != extractor's 4"),
+            ("features", [[], []], "feature dimension 0 != extractor's 4"),
+            ("features", [[[]]], "features must be a (steps, feature_dim) array"),
+        ],
+    )
+    def test_empty_rows_are_not_the_zero_step_record(
+        self, driving_path, tmp_path, capsys, key, value, message
+    ):
+        model = tmp_path / "model.bin"
+        learn.save_extractor(learn.LinearExtractor(np.zeros((3, 4)), np.zeros(3)), model)
+        data = tmp_path / "rows.jsonl"
+        data.write_text(json.dumps({"probs": [P1]}) + "\n" + json.dumps({key: value}) + "\n")
+        assert main(["infer", driving_path, str(data), "--model", str(model)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: sequence 1: {message}\n"
+
+    @pytest.mark.parametrize("row", [[0.1, 0.2, 0.3, 0.4], [0.1, 0.2]])
+    @pytest.mark.parametrize("mode", ["accept", "tag"])
+    def test_probabilities_of_the_wrong_width_name_the_sequence(
+        self, driving_path, tmp_path, capsys, row, mode
+    ):
+        data = tmp_path / "wide.jsonl"
+        records = [{"probs": [P1]}, {"probs": [row, row]}]
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["infer", driving_path, str(data), "--mode", mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: sequence 1: probabilities must be a (steps, 3) array, got shape (2, {len(row)})\n"
+        )
+
     # pytest captures warnings, so the CLI runs in its own process
     @pytest.mark.parametrize("bad_second_record", [False, True])
     def test_overflowing_logits_print_no_warning(
@@ -309,7 +390,7 @@ class TestInferByLength:
         assert "\n119," in text and ",-0.00000" in text
 
     def test_records_without_steps_have_no_rows(self):
-        # the JSON-lines reader refuses `"probs": []`, so this is the writer alone
+        # the writer alone, on records of zero steps
         texts = _tag_csv([4, 7], np.zeros((2, 0, 3)))
         assert texts == {4: "", 7: ""}
 

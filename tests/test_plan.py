@@ -30,6 +30,7 @@ from symfa.automaton import (
     acceptance,
     acceptance_batch,
     backward_gradient,
+    forward,
     forward_alphas,
     transition_tensor,
 )
@@ -276,6 +277,16 @@ def test_acceptance_takes_one_sequence(automata):
         acceptance(c, np.full(3, 0.5))
     with pytest.raises(ValueError):
         acceptance(c, np.full((2, 4, 3), 0.5))
+
+
+@pytest.mark.parametrize("ps", [[[]], [[], []], np.zeros((0, 2))])
+def test_only_an_empty_list_is_the_zero_step_sequence(automata, ps):
+    c = automata["driving"]
+    with pytest.raises(ValueError, match=r"must be a \(steps, 3\) array"):
+        acceptance(c, ps)
+    with pytest.raises(ValueError, match=r"must be a \(steps, 3\) array"):
+        forward(c, ps)
+    assert forward(c, np.zeros((0, 3))) == []
 
 
 def test_shared_guards_are_merged(automata):
