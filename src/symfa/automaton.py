@@ -157,31 +157,47 @@ class CompiledSfa:
         return _Plan(self)
 
 
+def _targets(sfa: Sfa) -> list[list[int]]:
+    """The target of every transition out of each state, in declaration order."""
+    targets: list[list[int]] = [[] for _ in sfa.states]
+    for src, dst in sfa.transitions:
+        targets[src].append(dst)
+    return targets
+
+
 def complete_self_loops(
-    sfa: Sfa, table: circuit.DiagramTable | None = None
+    sfa: Sfa, table: circuit.DiagramTable | None = None, roots: dict | None = None
 ) -> tuple[Sfa, tuple[str, ...]]:
     """Route unmatched interpretations into a self-loop, per state.
 
     For every state whose declared outgoing guards do not cover all
-    interpretations (the disjunction of their diagrams is not the constant
-    true), the uncovered remainder is added to (or becomes) the state's
-    self-loop guard. The diagrams are built in `table`, or in a new one.
-    Returns the completed automaton and the names of the states that were
-    changed.
+    interpretations, the uncovered remainder, the negation of their
+    disjunction, is added to (or becomes) the state's self-loop guard.
+    `roots` maps each transition to the node of its guard in `table`;
+    without it every guard is built here, into `table` or a new one. The
+    remainder and the new self-loop are node operations on those roots,
+    and each synthesized self-loop's node is written into `roots`, so no
+    guard is built twice. Returns the completed automaton, whose self-loops
+    carry the formulas `existing | !(g1 | ... | gk)`, and the names of the
+    states that were changed.
     """
     if table is None:
         table = circuit.DiagramTable(range(len(sfa.vocab)))
     transitions = dict(sfa.transitions)
     changed = []
     with circuit.too_deep_is_size_error():
-        for q in range(sfa.num_states):
-            outgoing = [f for (src, _), f in transitions.items() if src == q]
-            disj = f_or(*outgoing)
-            if table.build(disj) == 1:
+        if roots is None:
+            roots = {pair: table.build(f) for pair, f in transitions.items()}
+        for q, dsts in enumerate(_targets(sfa)):
+            gap = table.conj(*map(table.neg, [roots[(q, dst)] for dst in dsts]))
+            if gap == 0:
                 continue
-            gap = f_not(disj)
+            formula = f_not(f_or(*(transitions[(q, dst)] for dst in dsts)))
             existing = transitions.get((q, q))
-            transitions[(q, q)] = f_or(existing, gap) if existing is not None else gap
+            if existing is not None:
+                formula = f_or(existing, formula)
+                gap = table.disj(roots[(q, q)], gap)
+            transitions[(q, q)], roots[(q, q)] = formula, gap
             changed.append(sfa.states[q])
     completed = Sfa(sfa.vocab, sfa.states, sfa.initial, transitions, sfa.accepting)
     return completed, tuple(changed)
@@ -191,25 +207,25 @@ def validate_and_compile(sfa: Sfa, complete: bool = True) -> CompiledSfa:
     """Check determinism and exhaustiveness, compile every guard.
 
     Guards out of each state must be pairwise unsatisfiable in conjunction
-    and their disjunction valid. Every guard is built once, into one
-    decision-diagram table for the whole automaton (at most
-    circuit.MAX_NODES nodes), and both checks are read off node ids: a
-    conjunction is node 0, the disjunction node 1. A counterexample is one
-    walk down the offending diagram. With `complete` (the default)
-    missing coverage becomes a self-loop first; without it, uncovered
-    states raise IncompleteError.
+    and their disjunction valid. Each declared guard is built once, into
+    one decision-diagram table for the whole automaton (at most
+    circuit.MAX_NODES nodes); completion, both checks and the extracted
+    guards all read those roots. A conjunction is node 0, the disjunction
+    node 1, and a counterexample is one walk down the offending diagram.
+    With `complete` (the default) missing coverage becomes a self-loop
+    first, made from node ids by complete_self_loops; without it,
+    uncovered states raise IncompleteError.
     """
     table = circuit.DiagramTable(range(len(sfa.vocab)))
     completed_states: tuple[str, ...] = ()
-    if complete:
-        sfa, completed_states = complete_self_loops(sfa, table=table)
-
     with circuit.too_deep_is_size_error():
         roots = {pair: table.build(f) for pair, f in sfa.transitions.items()}
-        guards = {pair: table.guard(root) for pair, root in roots.items()}
+        if complete:
+            sfa, completed_states = complete_self_loops(sfa, table, roots)
+        guards = {pair: table.guard(roots[pair]) for pair in sfa.transitions}
 
-        for q in range(sfa.num_states):
-            out = sorted((dst, root) for (src, dst), root in roots.items() if src == q)
+        for q, dsts in enumerate(_targets(sfa)):
+            out = sorted((dst, roots[(q, dst)]) for dst in dsts)
             for a in range(len(out)):
                 for b in range(a + 1, len(out)):
                     both = table.conj(out[a][1], out[b][1])
@@ -567,6 +583,8 @@ def parse_sfa(text: str) -> Sfa:
     # one name
     headers: dict[str, list[str]] = {}
     vocab: Vocabulary | None = None
+    # state name -> its index, from the states header
+    index: dict[str, int] = {}
     transitions: dict[tuple[int, int], Formula] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -576,17 +594,15 @@ def parse_sfa(text: str) -> Sfa:
         if "->" in line:
             if vocab is None or "states" not in headers:
                 raise SfaFileError("transition listed before vars/states headers", lineno)
-            states = headers["states"]
             head, _, guard_text = line.partition(":")
             if not guard_text.strip():
                 raise SfaFileError("transition needs ': <guard>'", lineno)
             src_name, _, dst_name = head.partition("->")
             src_name, dst_name = src_name.strip(), dst_name.strip()
-            try:
-                src, dst = states.index(src_name), states.index(dst_name)
-            except ValueError:
-                missing = src_name if src_name not in states else dst_name
-                raise SfaFileError(f"unknown state '{missing}'", lineno) from None
+            src, dst = index.get(src_name), index.get(dst_name)
+            if src is None or dst is None:
+                missing = src_name if src is None else dst_name
+                raise SfaFileError(f"unknown state '{missing}'", lineno)
             if (src, dst) in transitions:
                 raise SfaFileError(
                     f"duplicate transition {src_name} -> {dst_name}", lineno
@@ -615,19 +631,20 @@ def parse_sfa(text: str) -> Sfa:
             if "states" not in headers:
                 raise SfaFileError(f"{key} header must follow states", lineno)
             for name in names:
-                if name not in headers["states"]:
+                if name not in index:
                     raise SfaFileError(f"unknown {key} state '{name}'", lineno)
         headers[key] = names
         if key == "vars":
             vocab = Vocabulary(tuple(names))
+        elif key == "states":
+            index = {name: i for i, name in enumerate(names)}
 
     for key in _SFA_HEADERS:
         if key not in headers:
             raise SfaFileError(f"missing {key} header", 0)
-    states = tuple(headers["states"])
-    initial = states.index(headers["initial"][0])
-    accepting = frozenset(map(states.index, headers["accepting"]))
-    return Sfa(vocab, states, initial, transitions, accepting)
+    initial = index[headers["initial"][0]]
+    accepting = frozenset(index[name] for name in headers["accepting"])
+    return Sfa(vocab, tuple(headers["states"]), initial, transitions, accepting)
 
 
 def load_sfa(path) -> Sfa:

@@ -215,7 +215,12 @@ class DiagramTable:
         return self.neg(self.conj(*map(self.neg, ids)))
 
     def build(self, f: Formula) -> int:
-        """Node of formula `f`."""
+        """Node of formula `f`, made bottom-up with `neg`, `conj` and `disj`.
+
+        It recurses once per level of formula nesting. Validation calls it
+        once per declared guard; completion and the checks then combine
+        those nodes, so each declared guard is built once.
+        """
         if isinstance(f, Var):
             return self._node(self._level[f.index], 1, 0)
         if isinstance(f, Const):

@@ -18,6 +18,7 @@ from typing import Iterator
 
 from .errors import (
     GuardSyntaxError,
+    InputError,
     UndeclaredVariableError,
     VocabularyTooLargeError,
 )
@@ -42,12 +43,14 @@ class Vocabulary:
     names: tuple[str, ...]
 
     def __post_init__(self):
-        # name -> position, built once: parsing looks up every identifier.
-        # Not a field, so equality and hashing still compare names only.
-        position = {name: i for i, name in enumerate(self.names)}
-        if len(position) != len(self.names):
+        if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate variable names in vocabulary: {self.names}")
-        object.__setattr__(self, "_position", position)
+        # identifier -> its formula, built once: parsing looks up every
+        # identifier with one get. `true` and `false` are the constants
+        # whatever the names; a name that is no identifier is never a token.
+        # Not a field, so equality and hashing still compare names only.
+        atoms = {name: Var(i) for i, name in enumerate(self.names) if name.isidentifier()}
+        object.__setattr__(self, "_atoms", {**atoms, "true": TRUE, "false": FALSE})
 
     @classmethod
     def of(cls, *names: str) -> "Vocabulary":
@@ -61,10 +64,10 @@ class Vocabulary:
             yield Variable(name, i)
 
     def index(self, name: str) -> int:
-        return self._position[name]
+        return self.names.index(name)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._position
+        return name in self.names
 
 
 @dataclass(frozen=True)
@@ -224,94 +227,89 @@ def enumerate_models(f: Formula, vocab_size: int) -> set[Interpretation]:
 #
 # Precedence: ! > & > | > ->, with "a -> b" read as "!a | b".
 
-# a token, or any other visible character (an error at its position)
-_TOKEN_RE = re.compile(r"(->|[()!&|]|[A-Za-z_][A-Za-z0-9_]*)|(\S)")
-
-
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.group(2) is not None:
-            raise GuardSyntaxError(f"unexpected character {m.group(2)!r}", m.start())
-        tokens.append((m.group(1), m.start()))
-    return tokens
+# A token, or any other visible character: findall gives '' for those, and
+# the error path reports them first, at their position.
+_TOKEN_RE = re.compile(r"(->|[()!&|]|[A-Za-z_][A-Za-z0-9_]*)|\S")
 
 
 class _Parser:
+    """Recursive descent over the token list, which ends in None.
+
+    `at` indexes the next token. Token positions are computed only when an
+    error is raised.
+    """
+
     def __init__(self, text: str, vocab: Vocabulary):
         self.text = text
-        self.vocab = vocab
-        self.tokens = _tokenize(text)
+        self.atoms = vocab._atoms
+        self.tokens = _TOKEN_RE.findall(text) + [None]
         self.at = 0
 
-    def peek(self) -> str | None:
-        return self.tokens[self.at][0] if self.at < len(self.tokens) else None
-
-    def pos(self) -> int:
-        return self.tokens[self.at][1] if self.at < len(self.tokens) else len(self.text)
-
-    def take(self) -> tuple[str, int]:
-        tok = self.tokens[self.at]
-        self.at += 1
-        return tok
-
-    def expect(self, want: str):
-        if self.peek() != want:
-            raise GuardSyntaxError(f"expected {want!r}", self.pos())
-        self.take()
+    def error(self, cls: type, arg: str) -> InputError:
+        """`cls(arg, position)` at token `at`; but if the text holds an
+        unexpected character, that error at the first one."""
+        starts = []
+        for m in _TOKEN_RE.finditer(self.text):
+            if m.group(1) is None:
+                return GuardSyntaxError(f"unexpected character {m.group()!r}", m.start())
+            starts.append(m.start())
+        starts.append(len(self.text))
+        return cls(arg, starts[self.at])
 
     def parse(self) -> Formula:
         f = self.impl()
-        if self.at < len(self.tokens):
-            raise GuardSyntaxError(f"unexpected token {self.peek()!r}", self.pos())
+        tok = self.tokens[self.at]
+        if tok is not None:
+            raise self.error(GuardSyntaxError, f"unexpected token {tok!r}")
         return f
 
     def impl(self) -> Formula:
         left = self.disjunction()
-        if self.peek() == "->":
-            self.take()
+        if self.tokens[self.at] == "->":
+            self.at += 1
             return f_implies(left, self.disjunction())
         return left
 
     def disjunction(self) -> Formula:
         parts = [self.conjunction()]
-        while self.peek() == "|":
-            self.take()
+        while self.tokens[self.at] == "|":
+            self.at += 1
             parts.append(self.conjunction())
         return f_or(*parts) if len(parts) > 1 else parts[0]
 
     def conjunction(self) -> Formula:
         parts = [self.negation()]
-        while self.peek() == "&":
-            self.take()
+        while self.tokens[self.at] == "&":
+            self.at += 1
             parts.append(self.negation())
         return f_and(*parts) if len(parts) > 1 else parts[0]
 
     def negation(self) -> Formula:
-        if self.peek() == "!":
-            self.take()
+        if self.tokens[self.at] == "!":
+            self.at += 1
             return f_not(self.negation())
         return self.atom()
 
     def atom(self) -> Formula:
-        tok = self.peek()
-        pos = self.pos()
-        if tok is None:
-            raise GuardSyntaxError("unexpected end of expression", pos)
+        tok = self.tokens[self.at]
+        f = self.atoms.get(tok)
+        if f is not None:
+            self.at += 1
+            return f
         if tok == "(":
-            self.take()
+            self.at += 1
             inner = self.impl()
-            self.expect(")")
+            if self.tokens[self.at] != ")":
+                raise self.error(GuardSyntaxError, "expected ')'")
+            self.at += 1
             return inner
-        if tok in ("true", "false"):
-            self.take()
-            return TRUE if tok == "true" else FALSE
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            self.take()
-            if tok not in self.vocab:
-                raise UndeclaredVariableError(tok, pos)
-            return Var(self.vocab.index(tok))
-        raise GuardSyntaxError(f"unexpected token {tok!r}", pos)
+        if tok is None:
+            raise self.error(GuardSyntaxError, "unexpected end of expression")
+        if tok in ("->", ")", "&", "|"):
+            raise self.error(GuardSyntaxError, f"unexpected token {tok!r}")
+        # an identifier, or '' for a character that is no token, which
+        # `error` reports in its place
+        raise self.error(UndeclaredVariableError, tok)
 
 
 def parse_formula(text: str, vocab: Vocabulary) -> Formula:

@@ -89,6 +89,62 @@ class TestParser:
             parse_formula("a -> b -> c", vocab)
 
 
+# Every guard-parser error over the vocabulary (a, b, c): the text, the
+# error class and its full message. The first unexpected character anywhere
+# in the text wins over every other error.
+GUARD_ERRORS = [
+    ("a $ b", GuardSyntaxError, "unexpected character '$' (at position 2)"),
+    ("a b $", GuardSyntaxError, "unexpected character '$' (at position 4)"),
+    ("zz $", GuardSyntaxError, "unexpected character '$' (at position 3)"),
+    ("1a", GuardSyntaxError, "unexpected character '1' (at position 0)"),
+    ("a - b", GuardSyntaxError, "unexpected character '-' (at position 2)"),
+    ("a > b", GuardSyntaxError, "unexpected character '>' (at position 2)"),
+    ("é", GuardSyntaxError, "unexpected character 'é' (at position 0)"),
+    ("a b", GuardSyntaxError, "unexpected token 'b' (at position 2)"),
+    ("a & & b", GuardSyntaxError, "unexpected token '&' (at position 4)"),
+    (")", GuardSyntaxError, "unexpected token ')' (at position 0)"),
+    ("()", GuardSyntaxError, "unexpected token ')' (at position 1)"),
+    ("(a))", GuardSyntaxError, "unexpected token ')' (at position 3)"),
+    ("a & (b | c) d", GuardSyntaxError, "unexpected token 'd' (at position 12)"),
+    ("a -> b -> c", GuardSyntaxError, "unexpected token '->' (at position 7)"),
+    ("(a | b", GuardSyntaxError, "expected ')' (at position 6)"),
+    ("(a b", GuardSyntaxError, "expected ')' (at position 3)"),
+    ("((a)", GuardSyntaxError, "expected ')' (at position 4)"),
+    ("a -> (b", GuardSyntaxError, "expected ')' (at position 7)"),
+    ("", GuardSyntaxError, "unexpected end of expression (at position 0)"),
+    ("   ", GuardSyntaxError, "unexpected end of expression (at position 3)"),
+    ("a &", GuardSyntaxError, "unexpected end of expression (at position 3)"),
+    ("a | ", GuardSyntaxError, "unexpected end of expression (at position 4)"),
+    ("!!", GuardSyntaxError, "unexpected end of expression (at position 2)"),
+    ("a->", GuardSyntaxError, "unexpected end of expression (at position 3)"),
+    ("true &", GuardSyntaxError, "unexpected end of expression (at position 6)"),
+    ("zz", UndeclaredVariableError, "undeclared variable 'zz' (at position 0)"),
+    ("zz b", UndeclaredVariableError, "undeclared variable 'zz' (at position 0)"),
+    ("a | zz", UndeclaredVariableError, "undeclared variable 'zz' (at position 4)"),
+    ("!(a & zz)", UndeclaredVariableError, "undeclared variable 'zz' (at position 6)"),
+    ("a & b9", UndeclaredVariableError, "undeclared variable 'b9' (at position 4)"),
+    ("_x", UndeclaredVariableError, "undeclared variable '_x' (at position 0)"),
+]
+
+
+@pytest.mark.parametrize("text,error,message", GUARD_ERRORS)
+def test_guard_errors_keep_message_and_position(text, error, message):
+    with pytest.raises(error) as err:
+        parse_formula(text, Vocabulary.of("a", "b", "c"))
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert err.value.position == int(message.rsplit(" ", 1)[1][:-1])
+
+
+def test_constants_and_operators_are_never_variables():
+    # a vocabulary may name `true` or `)`; the parser still reads them as
+    # the constant and the parenthesis
+    vocab = Vocabulary.of("true", ")", "a")
+    assert parse_formula("true & a", vocab) == Var(2)
+    with pytest.raises(GuardSyntaxError, match=r"unexpected token '\)' \(at position 4\)"):
+        parse_formula("a & )", vocab)
+
+
 class TestRoundTrip:
     def test_format_then_parse_is_identity(self, tbf_vocab):
         rng = random.Random(7)

@@ -7,12 +7,15 @@ rounds to 1), and a search over all assignments of a wide guard's
 support takes time exponential in its width.
 """
 
+import random
 import sys
 import time
 
 import pytest
 
 from symfa import Sfa, Vocabulary, compile_guard, is_valid, parse_sfa, validate_and_compile
+from symfa.bench import random_pattern
+from symfa.circuit import DiagramTable
 from symfa.cli import main
 from symfa.errors import CircuitSizeError, IncompleteError
 from symfa.logic import Var, f_and, f_not
@@ -66,6 +69,59 @@ def test_thirty_variable_wide_support_validates_in_under_a_second():
         compiled = validate_and_compile(sfa)
     assert time.perf_counter() - start < 1.0
     assert compiled.completed_states == ("q1",)
+
+
+def with_gaps(sfa: Sfa, rng: random.Random) -> Sfa:
+    """`sfa` with one outgoing guard of each state dropped or narrowed to a
+    literal, so that completion has gaps to fill, beside a declared
+    self-loop or in place of one."""
+    transitions = dict(sfa.transitions)
+    for q in range(sfa.num_states):
+        pair = rng.choice([pair for pair in transitions if pair[0] == q])
+        if rng.random() < 0.5:
+            del transitions[pair]
+        else:
+            transitions[pair] = f_and(transitions[pair], Var(rng.randrange(len(sfa.vocab))))
+    return Sfa(sfa.vocab, sfa.states, sfa.initial, transitions, sfa.accepting)
+
+
+def test_every_guard_compiles_like_its_completed_formula(events):
+    # synthesized self-loops are made from node ids, not built from their
+    # formulas; the diagram is canonical, so both must give the same guard
+    rng = random.Random(5)
+    automata = [events.sfa, parse_sfa(wide_spec(30))]
+    for k in range(40):
+        pattern = random_pattern(rng.randint(2, 5), rng.randint(1, 4), seed=3000 + k)
+        automata.append(with_gaps(pattern.sfa, rng))
+    declared_loop = set()
+    for sfa in automata:
+        compiled = validate_and_compile(sfa)
+        for pair, f in compiled.sfa.transitions.items():
+            assert compiled.guards[pair] == compile_guard(f, len(sfa.vocab))
+        for name in compiled.completed_states:
+            q = sfa.states.index(name)
+            declared_loop.add((q, q) in sfa.transitions)
+    assert declared_loop == {True, False}
+
+
+@pytest.mark.parametrize("name", ["driving", "events", "wide"])
+def test_validation_builds_each_declared_guard_once(name, request, monkeypatch):
+    sfa = parse_sfa(wide_spec(30)) if name == "wide" else request.getfixturevalue(name).sfa
+    built, depth = [], [0]
+    build = DiagramTable.build
+
+    def outermost_builds(table, f):
+        if not depth[0]:
+            built.append(f)
+        depth[0] += 1
+        try:
+            return build(table, f)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(DiagramTable, "build", outermost_builds)
+    validate_and_compile(sfa)
+    assert built == list(sfa.transitions.values())
 
 
 def conjunction_spec(path, width: int) -> str:
