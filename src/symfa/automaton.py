@@ -182,7 +182,7 @@ def complete_self_loops(
     states that were changed.
     """
     if table is None:
-        table = circuit.DiagramTable(range(len(sfa.vocab)))
+        table = circuit.DiagramTable(len(sfa.vocab))
     transitions = dict(sfa.transitions)
     changed = []
     with circuit.too_deep_is_size_error():
@@ -216,7 +216,7 @@ def validate_and_compile(sfa: Sfa, complete: bool = True) -> CompiledSfa:
     first, made from node ids by complete_self_loops; without it,
     uncovered states raise IncompleteError.
     """
-    table = circuit.DiagramTable(range(len(sfa.vocab)))
+    table = circuit.DiagramTable(len(sfa.vocab))
     completed_states: tuple[str, ...] = ()
     with circuit.too_deep_is_size_error():
         roots = {pair: table.build(f) for pair, f in sfa.transitions.items()}

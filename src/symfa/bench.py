@@ -109,6 +109,8 @@ def random_pattern(num_states: int, num_symbols: int, seed: int) -> PatternSpec:
     """
     if num_states < 2:
         raise ValueError("random patterns need at least two states")
+    if num_symbols < 1:
+        raise ValueError("random patterns need at least one symbol")
     rng = random.Random(seed)
     vocab = Vocabulary(tuple(f"s{i}" for i in range(num_symbols)))
     states = tuple(f"q{i}" for i in range(num_states))

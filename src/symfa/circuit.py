@@ -1,22 +1,22 @@
 """Guard compilation to reduced ordered decision diagrams.
 
 A guard formula is compiled once into a reduced ordered binary decision
-diagram (Bryant 1986). Every decision node is made in one place, the
+diagram (Bryant 1986) over one variable order, the vocabulary's, with
+variable 0 at the top. Every decision node is made in one place, the
 unique table of a `DiagramTable`, which hash-conses the nodes of many
-diagrams over one variable order (at most MAX_NODES of them) and builds
-them bottom-up with negation and conjunction memoized on node ids only
-(Bryant's apply). So the guards of one automaton, and the conjunctions
-and disjunctions that validate it, share one table and each node
-operation is computed once. A `CompiledGuard` is one diagram extracted
-from a table. Its node 0 is the constant false and node 1 the constant
-true; every other node is a decision (var, hi, lo), worth hi where var
-is true and lo where it is false. The probability of the guard under
-independent per-variable probabilities is then one bottom-up pass,
-p·hi + (1 − p)·lo per node, and its gradient one top-down pass, both
-linear in the diagram. The diagram is canonical for its variable order,
-so validity (the root is node 1), satisfiability (the root is not node 0)
-and a witness (one walk from the root) are exact at any number of
-variables and need no arithmetic.
+diagrams (at most MAX_NODES of them) and builds them bottom-up with
+negation and conjunction memoized on node ids only (Bryant's apply). So
+the guards of one automaton, and the conjunctions and disjunctions that
+validate it, share one table and each node operation is computed once. A
+`CompiledGuard` is one diagram extracted from a table. Its node 0 is the
+constant false and node 1 the constant true; every other node is a
+decision (var, hi, lo), worth hi where var is true and lo where it is
+false. The probability of the guard under independent per-variable
+probabilities is then one bottom-up pass, p·hi + (1 − p)·lo per node, and
+its gradient one top-down pass, both linear in the diagram. The diagram
+is canonical for the order, so validity (the root is node 1),
+satisfiability (the root is not node 0) and a witness (one walk from the
+root) are exact at any number of variables and need no arithmetic.
 
 `Plan` merges the guards of one automaton through a table of its own and
 levelizes the result by height, so that evaluating every guard on a block
@@ -36,7 +36,6 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -131,30 +130,29 @@ class WmcResult:
 
 
 class DiagramTable:
-    """Hash-consed decision nodes shared by many diagrams over one variable order.
+    """Hash-consed decision nodes shared by many diagrams over `num_vars` variables.
 
-    Node 0 is false and node 1 true; every other node is (level, hi, lo),
-    testing variable `order[level]`, with hi != lo and both children at
-    deeper levels. Equal functions get equal ids, so validity is `u == 1`,
-    satisfiability `u != 0` and disjointness `conj(u, v) == 0`. Negation and
-    conjunction are memoized on node ids only (Bryant's apply), and
-    disjunction goes through De Morgan, so a table shared by the guards of
-    one automaton computes each negation and each pair once. `build` keeps
-    no memo of its own: hashing a formula walks all of it, while building
-    a subformula again is a chain of memo hits that adds no node.
-    `_node` is the one place a decision node is made, here and when `Plan`
-    merges guards, and `MAX_NODES` bounds each table, constants included.
+    Node 0 is false and node 1 true; every other node is (var, hi, lo), its
+    level being its variable, with hi != lo and both children constant
+    (level `num_vars`) or testing later variables. Equal functions get equal
+    ids, so validity is `u == 1`, satisfiability `u != 0` and disjointness
+    `conj(u, v) == 0`. Negation and conjunction are memoized on node ids
+    only (Bryant's apply), and disjunction goes through De Morgan, so a
+    table shared by the guards of one automaton computes each negation and
+    each pair once. `build` keeps no memo of its own: hashing a formula
+    walks all of it, while building a subformula again is a chain of memo
+    hits that adds no node. `_node` is the one place a decision node is
+    made, here and when `Plan` merges guards, and `MAX_NODES` bounds each
+    table, constants included.
 
     The operations recurse once per level; callers turn a RecursionError
     into CircuitSizeError with `too_deep_is_size_error`.
     """
 
-    def __init__(self, order: Sequence[int]):
-        self.order = list(order)
-        self._level = {var: level for level, var in enumerate(self.order)}
+    def __init__(self, num_vars: int):
+        self.num_vars = num_vars
         # the constants sit below every level
-        bottom = len(self.order)
-        self._nodes: list[tuple[int, int, int]] = [(bottom, 0, 0), (bottom, 1, 1)]
+        self._nodes: list[tuple[int, int, int]] = [(num_vars, 0, 0), (num_vars, 1, 1)]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._neg = {0: 1, 1: 0}
         self._and: dict[tuple[int, int], int] = {}
@@ -222,7 +220,7 @@ class DiagramTable:
         those nodes, so each declared guard is built once.
         """
         if isinstance(f, Var):
-            return self._node(self._level[f.index], 1, 0)
+            return self._node(f.index, 1, 0)
         if isinstance(f, Const):
             return int(f.value)
         if isinstance(f, Not):
@@ -235,8 +233,8 @@ class DiagramTable:
         """The diagram below `root` on its own.
 
         Its decision nodes are numbered from 2 in hi-first post-order, the
-        order in which Shannon expansion along the table's variable order
-        creates them, so equal functions give equal guards whatever else
+        order in which Shannon expansion along the variable order creates
+        them, so equal functions give equal guards whatever else
         the table holds.
         """
         ids = {0: 0, 1: 1}
@@ -245,14 +243,14 @@ class DiagramTable:
         def visit(u: int) -> int:
             found = ids.get(u)
             if found is None:
-                level, hi, lo = self._nodes[u]
-                node = (self.order[level], visit(hi), visit(lo))
+                var, hi, lo = self._nodes[u]
+                node = (var, visit(hi), visit(lo))
                 found = ids[u] = len(nodes)
                 nodes.append(node)
             return found
 
         root = visit(root)
-        return CompiledGuard(tuple(nodes), root, len(self.order))
+        return CompiledGuard(tuple(nodes), root, self.num_vars)
 
 
 @contextmanager
@@ -272,20 +270,15 @@ def too_deep_is_size_error():
         ) from None
 
 
-def compile_guard(f: Formula, num_vars: int, order: list[int] | None = None) -> CompiledGuard:
+def compile_guard(f: Formula, num_vars: int) -> CompiledGuard:
     """Compile `f` (over `num_vars` variables) to its reduced ordered diagram.
 
-    `order` defaults to vocabulary declaration order. Raises
-    CircuitSizeError if the diagram needs more than MAX_NODES nodes, or if
-    it is too deep for the recursive operations (about 1,000 variables
-    along one path).
+    Raises CircuitSizeError if the diagram needs more than MAX_NODES
+    nodes, or if it is too deep for the recursive operations (about 1,000
+    variables along one path).
     """
-    if order is None:
-        order = range(num_vars)
-    elif sorted(order) != list(range(num_vars)):
-        raise ValueError(f"order must be a permutation of 0..{num_vars - 1}")
     with too_deep_is_size_error():
-        table = DiagramTable(order)
+        table = DiagramTable(num_vars)
         return table.guard(table.build(f))
 
 
@@ -363,11 +356,11 @@ class Plan:
     """Merged, levelized decision diagram of several guards over one vocabulary.
 
     The decision nodes of all guards are rebuilt, each guard's in its
-    topological (array) order, into one DiagramTable over the identity
-    order, so a subdiagram shared by several guards is stored once and
-    MAX_NODES bounds the merge. The nodes are grouped into levels by height
-    above the constants. Evaluating p of shape (num_vars, rows) then costs a
-    few numpy calls per level, not per node or per guard, and a reverse pass
+    topological (array) order, into one DiagramTable, so a subdiagram
+    shared by several guards is stored once and MAX_NODES bounds the
+    merge. The nodes are grouped into levels by height above the
+    constants. Evaluating p of shape (num_vars, rows) then costs a few
+    numpy calls per level, not per node or per guard, and a reverse pass
     over the same levels yields the gradient of any weighted sum of roots.
 
     Node 0 is the constant 0, node 1 the constant 1; `roots[k]` is the
@@ -379,8 +372,7 @@ class Plan:
         if any(g.num_vars != num_vars for g in guards):
             raise ValueError(f"every guard must range over {num_vars} variables")
         self.num_vars = num_vars
-        # over the identity order a table level is a variable
-        table = DiagramTable(range(num_vars))
+        table = DiagramTable(num_vars)
         roots = []
         for g in guards:
             merged = [0, 1]
@@ -390,46 +382,38 @@ class Plan:
         heights = [0, 0]
         for _, hi, lo in table._nodes[2:]:
             heights.append(1 + max(heights[hi], heights[lo]))
+        heights = np.array(heights)
 
-        # renumber by height so that each level is one contiguous slice
-        order = [0, 1] + sorted(range(2, len(heights)), key=lambda i: (heights[i], i))
-        self.num_nodes = len(order)
-        renum = np.empty(self.num_nodes, dtype=np.intp)
-        renum[order] = range(self.num_nodes)
+        # renumber by height, ties by id, so that each level is one
+        # contiguous slice; the constants, of height 0, stay nodes 0 and 1
+        by_height = heights.argsort(kind="stable")
+        height = heights[by_height]
+        n = self.num_nodes = len(heights)
+        renum = np.empty(n, dtype=np.intp)
+        renum[by_height] = np.arange(n)
         self.roots = renum[roots]
-        var, hi, lo = np.array(table._nodes, dtype=np.intp)[order].T.copy()
+        var, hi, lo = np.array(table._nodes, dtype=np.intp)[by_height].T.copy()
         hi, lo = renum[hi], renum[lo]
 
-        # adjoint edges (receiving node, source row, weight row): a hi child
-        # receives adj·p[var], a lo child adj·(1 − p[var]), a root its seed
-        # row num_nodes + k with weight 1
-        edges = []
-        for n in range(2, self.num_nodes):
-            edges.append((hi[n], n, var[n]))
-            edges.append((lo[n], n, num_vars + var[n]))
-        edges.extend((r, self.num_nodes + k, 2 * num_vars) for k, r in enumerate(self.roots))
-        edges = [e for e in edges if e[0] >= 2]
+        # adjoint edges (receiving node, source row, weight row), each node's
+        # hi edge then its lo edge, then the roots': a hi child receives
+        # adj·p[var], a lo child adj·(1 − p[var]), root j its seed row n + j
+        k = len(roots)
+        receiver = np.concatenate([np.array([hi[2:], lo[2:]]).T.ravel(), self.roots])
+        source = np.concatenate([np.arange(2, n).repeat(2), n + np.arange(k)])
+        weight = np.concatenate([(var[2:, None] + [0, num_vars]).ravel(), np.full(k, 2 * num_vars)])
+        receiver_height = height[receiver]
 
+        # heights run 1..max with no gap: a node's highest child is one below
         self.levels: list[_Level] = []
-        start = 2
-        for _, same_height in groupby(heights[old] for old in order[2:]):
-            stop = start + len(list(same_height))
-            into = [e for e in edges if start <= e[0] < stop]
-            edge_sum = np.zeros((stop - start, len(into)))
-            edge_sum[[e[0] - start for e in into], range(len(into))] = 1.0
-            self.levels.append(
-                _Level(
-                    start,
-                    stop,
-                    var[start:stop],
-                    hi[start:stop],
-                    lo[start:stop],
-                    np.array([e[1] for e in into], dtype=np.intp),
-                    np.array([e[2] for e in into], dtype=np.intp),
-                    edge_sum,
-                )
-            )
-            start = stop
+        bounds = height.searchsorted(np.arange(1, height[-1] + 2)).tolist()
+        for h, (start, stop) in enumerate(zip(bounds, bounds[1:]), start=1):
+            into = receiver_height == h
+            edge_sum = np.zeros((stop - start, np.count_nonzero(into)))
+            edge_sum[receiver[into] - start, np.arange(edge_sum.shape[1])] = 1.0
+            at = slice(start, stop)
+            lev = _Level(start, stop, var[at], hi[at], lo[at], source[into], weight[into], edge_sum)
+            self.levels.append(lev)
 
         # 0/1 (num_vars × decision nodes) matrix summing dvalue/dp per variable
         self._var_sum = np.zeros((num_vars, self.num_nodes - 2))

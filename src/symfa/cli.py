@@ -99,12 +99,16 @@ def _resolve_pattern(text: str, seed: int) -> bench_mod.PatternSpec:
     if text == "events":
         return bench_mod.events_pattern()
     if text.startswith("random:"):
-        parts = text.split(":")
-        shape = parts[1].split("x")
-        if len(shape) != 2:
-            raise InputError(f"bad random pattern '{text}', want random:<states>x<symbols>[:<seed>]")
-        pat_seed = int(parts[2]) if len(parts) > 2 else seed
-        return bench_mod.random_pattern(int(shape[0]), int(shape[1]), pat_seed)
+        shape, colon, pat_seed = text[len("random:") :].partition(":")
+        try:
+            # a wrong number of fields fails to unpack, a non-integer to convert
+            num_states, num_symbols = map(int, shape.split("x"))
+            pat_seed = int(pat_seed) if colon else seed
+        except ValueError:
+            raise InputError(
+                f"bad random pattern '{text}', want random:<states>x<symbols>[:<seed>]"
+            ) from None
+        return bench_mod.random_pattern(num_states, num_symbols, pat_seed)
     if os.path.exists(text):
         sfa = load_sfa(text)
         return bench_mod.PatternSpec(os.path.splitext(os.path.basename(text))[0], sfa)

@@ -285,10 +285,12 @@ class _Parser:
         return f_and(*parts) if len(parts) > 1 else parts[0]
 
     def negation(self) -> Formula:
-        if self.tokens[self.at] == "!":
+        # a run of `!` in one loop: f_not twice gives back what it made
+        odd = False
+        while self.tokens[self.at] == "!":
             self.at += 1
-            return f_not(self.negation())
-        return self.atom()
+            odd = not odd
+        return f_not(self.atom()) if odd else self.atom()
 
     def atom(self) -> Formula:
         tok = self.tokens[self.at]
@@ -313,8 +315,15 @@ class _Parser:
 
 
 def parse_formula(text: str, vocab: Vocabulary) -> Formula:
-    """Parse a guard expression; raises GuardSyntaxError / UndeclaredVariableError."""
-    return _Parser(text, vocab).parse()
+    """Parse a guard expression; raises GuardSyntaxError / UndeclaredVariableError.
+
+    Parentheses nested too deep for the recursion (about 190 levels at
+    Python's default limit) are a GuardSyntaxError."""
+    parser = _Parser(text, vocab)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise parser.error(GuardSyntaxError, "parentheses nest too deeply") from None
 
 
 def format_formula(f: Formula, vocab: Vocabulary) -> str:

@@ -20,6 +20,9 @@ from symfa.errors import CircuitSizeError
 from symfa.logic import (
     FALSE,
     TRUE,
+    And,
+    Const,
+    Not,
     Var,
     all_interpretations,
     f_and,
@@ -127,12 +130,29 @@ class TestGradients:
                 assert abs(grad[i] - fd) <= 1e-5 * scale
 
 
+def in_order(f, order):
+    """`f` with variable order[k] renamed k.
+
+    Its diagram is the one `f` has when the variables are tested in
+    `order`, with each variable renamed by its place in `order`.
+    """
+    if isinstance(f, Var):
+        return Var(order.index(f.index))
+    if isinstance(f, Const):
+        return f
+    if isinstance(f, Not):
+        return f_not(in_order(f.child, order))
+    children = [in_order(c, order) for c in f.children]
+    return f_and(*children) if isinstance(f, And) else f_or(*children)
+
+
 def random_guard(rng, num_vars=None):
-    """(formula, guard) over a random vocabulary size and variable order."""
+    """(formula, guard) over a random vocabulary size, with its variables
+    renamed by a random permutation."""
     num_vars = num_vars or rng.randint(1, 6)
     order = rng.sample(range(num_vars), num_vars)
-    f = random_formula(rng, num_vars, depth=4)
-    return f, compile_guard(f, num_vars, order=order), order
+    f = in_order(random_formula(rng, num_vars, depth=4), order)
+    return f, compile_guard(f, num_vars)
 
 
 def truth_table(f, num_vars):
@@ -140,12 +160,13 @@ def truth_table(f, num_vars):
 
 
 class TestCircuitStructure:
-    """Every guard is a reduced ordered decision diagram, canonical for its order."""
+    """Every guard is a reduced ordered decision diagram, canonical for the
+    vocabulary's variable order."""
 
     def test_children_precede_parents(self):
         rng = random.Random(43)
         for _ in range(100):
-            _, g, _ = random_guard(rng)
+            _, g = random_guard(rng)
             assert g.nodes[:2] == ((KIND_CONST, 0), (KIND_CONST, 1))
             for i, (_, hi, lo) in enumerate(g.nodes[2:], start=2):
                 assert hi < i and lo < i
@@ -153,17 +174,16 @@ class TestCircuitStructure:
     def test_variable_order_increases_along_every_edge(self):
         rng = random.Random(41)
         for _ in range(200):
-            _, g, order = random_guard(rng)
-            position = {var: k for k, var in enumerate(order)}
+            _, g = random_guard(rng)
             for var, hi, lo in g.nodes[2:]:
                 for child in (hi, lo):
                     if child >= 2:
-                        assert position[g.nodes[child][0]] > position[var]
+                        assert g.nodes[child][0] > var
 
     def test_no_redundant_or_duplicate_nodes(self):
         rng = random.Random(47)
         for _ in range(200):
-            _, g, _ = random_guard(rng)
+            _, g = random_guard(rng)
             decisions = g.nodes[2:]
             assert all(hi != lo for _, hi, lo in decisions)
             assert len(set(decisions)) == len(decisions)
@@ -171,7 +191,7 @@ class TestCircuitStructure:
     def test_every_stored_node_is_reachable(self):
         rng = random.Random(53)
         for _ in range(200):
-            _, g, _ = random_guard(rng)
+            _, g = random_guard(rng)
             seen, stack = {0, 1}, [g.root]
             while stack:
                 i = stack.pop()
@@ -188,7 +208,7 @@ class TestCircuitStructure:
             compiled = []
             for _ in range(60):
                 f = random_formula(rng, num_vars, depth=rng.randint(1, 4))
-                g = compile_guard(f, num_vars, order=order)
+                g = compile_guard(in_order(f, order), num_vars)
                 compiled.append((f, truth_table(f, num_vars), (g.nodes, g.root)))
             for k, (f, table, diagram) in enumerate(compiled):
                 for f2, table2, diagram2 in compiled[:k]:
@@ -201,15 +221,18 @@ class TestCircuitStructure:
         for _ in range(150):
             num_vars = rng.randint(1, 6)
             order = rng.sample(range(num_vars), num_vars)
-            formulas = [random_formula(rng, num_vars, depth=rng.randint(1, 4)) for _ in range(6)]
-            table = DiagramTable(order)
+            formulas = [
+                in_order(random_formula(rng, num_vars, depth=rng.randint(1, 4)), order)
+                for _ in range(6)
+            ]
+            table = DiagramTable(num_vars)
             roots = {}
             for k in rng.sample(range(len(formulas)), len(formulas)):
                 roots[k] = table.build(formulas[k])
                 table.conj(*roots.values())
                 table.disj(*roots.values())
             for k, f in enumerate(formulas):
-                alone = compile_guard(f, num_vars, order=order)
+                alone = compile_guard(f, num_vars)
                 shared = table.guard(roots[k])
                 assert (shared.nodes, shared.root) == (alone.nodes, alone.root)
                 assert shared.dump() == alone.dump()
@@ -218,8 +241,12 @@ class TestCircuitStructure:
         rng = random.Random(71)
         for _ in range(100):
             num_vars = rng.randint(1, 6)
-            table = DiagramTable(rng.sample(range(num_vars), num_vars))
-            formulas = [random_formula(rng, num_vars, depth=rng.randint(1, 4)) for _ in range(4)]
+            order = rng.sample(range(num_vars), num_vars)
+            table = DiagramTable(num_vars)
+            formulas = [
+                in_order(random_formula(rng, num_vars, depth=rng.randint(1, 4)), order)
+                for _ in range(4)
+            ]
             # a completed self-loop holds the other guards again, negated
             formulas.append(f_or(formulas[0], f_not(f_or(*formulas[1:]))))
             roots = [table.build(f) for f in formulas]
@@ -235,8 +262,9 @@ class TestCircuitStructure:
         g = compile_guard(parse_formula("a & b | !a & c", vocab), 3)
         assert g.nodes[2:] == ((1, 1, 0), (2, 1, 0), (0, 2, 3))
         assert g.root == 4
-        g = compile_guard(parse_formula("a & b | !a & c", vocab), 3, order=[2, 1, 0])
-        assert g.nodes[2:] == ((0, 0, 1), (1, 1, 2), (0, 1, 0), (1, 4, 0), (2, 3, 5))
+        # the same guard over the reversed order: a and c swap names
+        g = compile_guard(parse_formula("c & b | !c & a", vocab), 3)
+        assert g.nodes[2:] == ((2, 0, 1), (1, 1, 2), (2, 1, 0), (1, 4, 0), (0, 3, 5))
         assert g.root == 6
 
     def test_node_budget_is_enforced(self, monkeypatch):
@@ -247,10 +275,6 @@ class TestCircuitStructure:
             compile_guard(f, 6)
         with pytest.raises(CircuitSizeError):  # a plan merges through a table too
             circuit.Plan([g], 6)
-
-    def test_variable_order_is_validated(self):
-        with pytest.raises(ValueError):
-            compile_guard(Var(0), 2, order=[0, 0])
 
     def test_dump_golden(self):
         vocab = Vocabulary.of("a", "b")
@@ -281,7 +305,7 @@ class TestSatValid:
     def test_witness_takes_the_value_and_sets_only_what_it_must(self):
         rng = random.Random(61)
         for _ in range(300):
-            f, g, _ = random_guard(rng)
+            f, g = random_guard(rng)
             for value in (True, False):
                 w = witness(g, value)
                 models = [o for o in all_interpretations(g.num_vars) if evaluate(f, o) == value]

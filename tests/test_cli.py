@@ -61,6 +61,23 @@ class TestExitCodes:
         assert main(["validate", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_validate_deeply_nested_guard_is_a_guard_syntax_error(self, tmp_path, capsys):
+        path = tmp_path / "nested.sfa"
+        guard = "(" * 400 + "a | !a" + ")" * 400
+        path.write_text(f"vars: a\nstates: s\ninitial: s\naccepting: s\ns -> s : {guard}\n")
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 5: bad guard: parentheses nest too deeply (at position")
+        assert "recursion" not in err
+
+    def test_validate_long_run_of_negations(self, tmp_path, capsys):
+        # an even run and an odd run: a | !a
+        path = tmp_path / "negations.sfa"
+        guard = "!" * 1200 + "a | " + "!" * 1201 + "a"
+        path.write_text(f"vars: a\nstates: s\ninitial: s\naccepting: s\ns -> s : {guard}\n")
+        assert main(["validate", str(path)]) == 0
+        assert "valid: 1 states, 1 transitions" in capsys.readouterr().out
+
     def test_incomplete_with_no_complete_flag(self, tmp_path, capsys):
         path = tmp_path / "partial.sfa"
         path.write_text(
@@ -591,6 +608,25 @@ class TestGenerate:
     def test_random_pattern_argument(self, capsys):
         assert main(["generate", "--pattern", "random:3x2:5", "--length", "4",
                      "--n-pos", "1", "--n-neg", "1"]) == 0
+
+    @pytest.mark.parametrize(
+        "pattern, message",
+        [
+            ("random:3x0", "random patterns need at least one symbol"),
+            ("random:8x10:abc", "bad random pattern 'random:8x10:abc', want random:"),
+            ("random:3x2:1:9", "bad random pattern 'random:3x2:1:9', want random:"),
+        ],
+        ids=["no-symbols", "non-integer-seed", "extra-field"],
+    )
+    def test_bad_random_pattern(self, capsys, pattern, message):
+        for argv in (
+            ["generate", "--pattern", pattern, "--length", "4", "--n-pos", "1", "--n-neg", "1"],
+            ["bench", "--patterns", pattern, "--lengths", "4", "--repetitions", "1"],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {message}"), captured.err
 
 
 class TestTrainCli:

@@ -7,6 +7,7 @@ were merged into one plan.
 """
 
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -115,6 +116,7 @@ def automata(driving, events):
         "shared-roots": validate_and_compile(shared_roots_sfa()),
         # 37 transitions, above FLOW_MAX_TRANSITIONS: the gather loops
         "random:16x6:0": random_pattern(16, 6, 0).compiled,
+        "random:64x12:0": random_pattern(64, 12, 0).compiled,
     }
 
 
@@ -152,7 +154,7 @@ def test_matches_reference(automata, name, shape):
         (BLOCK_ROWS + 1, 3),  # one step per block, carried across three blocks
     ],
 )
-@pytest.mark.parametrize("name", ["driving", "shared-roots", "random:8x10:2"])
+@pytest.mark.parametrize("name", ["driving", "shared-roots", "random:8x10:2", "random:16x6:0"])
 def test_block_boundaries(automata, name, shape):
     check_against_reference(automata[name], shape, seed=shape[0])
 
@@ -235,6 +237,31 @@ def test_plan_of_guards_compiled_one_by_one_is_the_same(automata, name):
             assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
 
 
+PLAN_SHA256 = {
+    "driving": "cb79821867183e591fbe499b15948cc9c5a38d207613b158319176d8274b0c78",
+    "events": "acff78bf5a68fac8e3e4bb14e6fdaaafb7cb23225afbe8f98be3164e6ea8d85b",
+    "random:8x10:2": "0bc993296e4c01bdd56f2b137885e60ac75f27fa79d2191d0d484bf783fb8734",
+    "random:16x6:0": "5e0874416f1bb0fd5b25e9eed7f2fbf787dc03ce58fe18494371e04809c197a2",
+    "random:64x12:0": "69b482a9377328bd7d7298d446067fe24d1312b73353a27e63e6305a57939fcb",
+}
+
+
+@pytest.mark.parametrize("name", PLAN_SHA256)
+def test_plan_arrays_are_pinned(automata, name):
+    # one digest over every plan array, with its dtype and shape, so that a
+    # rewrite of the plan build is checked against the layout it replaces
+    plan = automata[name]._plan.circuit
+    arrays = [plan.roots]
+    for lev in plan.levels:
+        arrays += [lev.var, lev.hi, lev.lo, lev.edge_src, lev.edge_weight, lev.edge_sum]
+    arrays.append(plan._var_sum)
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(f"{a.dtype.str}{a.shape}".encode())
+        digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == PLAN_SHA256[name]
+
+
 def test_plan_is_built_on_first_run_only(driving):
     c = validate_and_compile(driving.sfa)
     assert "_plan" not in vars(c)
@@ -315,9 +342,9 @@ def test_repeated_calls_are_bitwise_identical(automata, name):
 
 
 @pytest.mark.parametrize("pattern", ["driving", "random:64x12:0"])
-def test_gradients_of_the_last_steps_are_the_zero_padded_call(driving, pattern):
+def test_gradients_of_the_last_steps_are_the_zero_padded_call(automata, pattern):
     # random:64x12:0 has 156 transitions, so it takes the gather loops
-    c = driving.compiled if pattern == "driving" else random_pattern(64, 12, 0).compiled
+    c = automata[pattern]
     rng = np.random.default_rng(12)
     # 40 sequences of 60 steps: blocks of 25 steps, so S = 30 starts inside one
     ps = rng.uniform(size=(40, 60, len(c.vocab)))
