@@ -635,8 +635,15 @@ def parse_sfa(text: str) -> Sfa:
                     raise SfaFileError(f"unknown {key} state '{name}'", lineno)
         headers[key] = names
         if key == "vars":
+            for name in names:
+                # a guard's variables are ASCII identifiers; true and false are its constants
+                if not (name.isascii() and name.isidentifier()) or name in ("true", "false"):
+                    raise SfaFileError(f"vars name '{name}' cannot be used in a guard", lineno)
             vocab = Vocabulary(tuple(names))
         elif key == "states":
+            for name in names:
+                if ":" in name:  # a transition line's first ':' ends its states
+                    raise SfaFileError(f"state name '{name}' holds ':'", lineno)
             index = {name: i for i, name in enumerate(names)}
 
     for key in _SFA_HEADERS:

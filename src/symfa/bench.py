@@ -232,7 +232,7 @@ def generate_dataset(
     construction. Raises UnsatisfiablePatternError when a class has no
     trace of the requested length.
     """
-    for name, value in (("length", length), ("n_pos", n_pos), ("n_neg", n_neg)):
+    for name, value in (("length", length), ("n_pos", n_pos), ("n_neg", n_neg), ("seed", seed)):
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
     if not (np.isfinite(noise) and noise >= 0):

@@ -144,26 +144,23 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def _named(k: int, exc: Exception) -> InputError:
-    """`exc` as an input error that names record k, 0-based in file order."""
-    return InputError(f"sequence {k}: {exc}")
-
-
 def _records(path, convert):
     """convert(record) for each JSON-lines record of `path`, as its line is read.
 
-    A record's decoded JSON dies with its line. A ValueError raised while
-    converting record k becomes an InputError that names it.
+    A record's decoded JSON dies with its line. A ValueError or InputError
+    raised while converting record k becomes an InputError that names it,
+    so the first bad record in file order is the one reported.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for k, record in enumerate(bench_mod.iter_sequences_jsonl(fh)):
             try:
                 yield convert(record)
-            except ValueError as exc:
-                raise _named(k, exc) from None
+            except (InputError, ValueError) as exc:
+                raise InputError(f"sequence {k}: {exc}") from None
 
 
-def _sequence_probs(record, extractor, n_vars: int) -> np.ndarray:
+def _sequence_probs(record, extractor, compiled) -> np.ndarray:
+    """The record's (steps, vars) probabilities, range-checked."""
     if "probs" in record:
         ps = learn_mod.float_array(record["probs"], "probs")
     elif "features" in record:
@@ -177,7 +174,8 @@ def _sequence_probs(record, extractor, n_vars: int) -> np.ndarray:
         ps = extractor.extract(features)
     else:
         raise ValueError("has neither 'probs' nor 'features'")
-    return automaton_mod.one_sequence(ps, n_vars)
+    ps = automaton_mod.one_sequence(ps, len(compiled.vocab))
+    return automaton_mod._check_probs(compiled, ps, 2)
 
 
 @functools.cache
@@ -244,45 +242,29 @@ def _tag_csv(ks, alphas: np.ndarray) -> dict[int, str]:
 def cmd_infer(args) -> int:
     """Acceptance or per-step state distributions of every record.
 
-    Each line becomes its (steps, vars) array as it is read; an empty list
-    is the zero-step sequence. The first bad record in file order is the
-    one reported, out-of-range ones included. Every record is converted
-    before anything runs or is written, so an input error writes nothing.
-    Records of one length share one forward recursion; rows keep the
-    file's order.
+    Each line becomes its (steps, vars) array, range-checked, as it is read;
+    an empty list is the zero-step sequence. So the first bad record in file
+    order is the one reported, and an input error writes nothing. Records
+    of one length share one forward recursion; rows keep the file's order.
     """
     compiled = validate_and_compile(load_sfa(args.sfa))
     extractor = learn_mod.load_extractor(args.model, compiled.vocab.names) if args.model else None
-    convert = functools.partial(_sequence_probs, extractor=extractor, n_vars=len(compiled.vocab))
+    convert = functools.partial(_sequence_probs, extractor=extractor, compiled=compiled)
     by_length: dict[int, dict[int, np.ndarray]] = {}  # record index -> array, per length
+    for k, ps in enumerate(_records(args.dataset, convert)):
+        by_length.setdefault(len(ps), {})[k] = ps
     results: dict[int, str] = {}  # record index -> its CSV rows
-    ks, stacked = [], []  # the group being run
-    try:
-        for k, ps in enumerate(_records(args.dataset, convert)):
-            by_length.setdefault(len(ps), {})[k] = ps
-        for group in by_length.values():
-            ks, stacked = list(group), np.stack(list(group.values()))
-            group.clear()  # the stack is the only copy now
-            if args.mode == "accept":
-                # one value a record: Python formats 100 of them faster than a numpy pass
-                values = automaton_mod.acceptance_batch(compiled, stacked).tolist()
-                results.update((k, f"{k},{value:.6f}\n") for k, value in zip(ks, values))
-            else:  # the group's rows replace its alphas
-                alphas = automaton_mod.forward_alphas(compiled, stacked)
-                results.update(_tag_csv(ks, alphas))
-                del alphas
-    except (InputError, ValueError):
-        # reading stopped at a bad line, or a group held an out-of-range
-        # record; the groups run before held none, so the first one in file
-        # order is in the group being run or in those not yet run
-        pending = {k: ps for group in by_length.values() for k, ps in group.items()}
-        pending.update(zip(ks, stacked))
-        for k in sorted(pending):
-            try:
-                automaton_mod._check_probs(compiled, pending[k], 2)
-            except InputError as exc:
-                raise _named(k, exc) from None
-        raise
+    for group in by_length.values():
+        ks, stacked = list(group), np.stack(list(group.values()))
+        group.clear()  # the stack is the only copy now
+        if args.mode == "accept":
+            # one value a record: Python formats 100 of them faster than a numpy pass
+            values = automaton_mod.acceptance_batch(compiled, stacked).tolist()
+            results.update((k, f"{k},{value:.6f}\n") for k, value in zip(ks, values))
+        else:  # the group's rows replace its alphas
+            alphas = automaton_mod.forward_alphas(compiled, stacked)
+            results.update(_tag_csv(ks, alphas))
+            del alphas
     states = ",".join(compiled.states)
     header = "index,acceptance\n" if args.mode == "accept" else f"index,step,{states}\n"
     with _output(args) as out:

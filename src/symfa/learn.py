@@ -175,6 +175,8 @@ class TrainConfig:
             raise ValueError("batch size and max epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -532,7 +534,10 @@ def load_extractor(path, symbols: Sequence[str] | None = None) -> LinearExtracto
     if len(blob) != expect:
         raise ValueError(f"{path}: truncated checkpoint ({len(blob)} of {expect} bytes)")
     if version == 2 and symbols is not None:
-        stored = json.loads(blob[b_end + 4 :])
+        try:
+            stored = json.loads(blob[b_end + 4 :])
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ValueError(f"{path}: damaged symbol names ({exc})") from None
         if stored != list(symbols):
             raise ValueError(
                 f"{path}: checkpoint symbols {stored} differ from the automaton's {list(symbols)}"

@@ -494,6 +494,13 @@ class TestSfaFiles:
             ("vars: a\nstates: s, t\ninitial: s\naccepting: t, u", "unknown accepting state 'u'", 4),
             ("vars: a, b, a\nstates: s\ninitial: s\naccepting:", "vars header lists 'a' more than once", 1),
             ("vars: a\nstates: s, t, t\ninitial: s\naccepting:", "states header lists 't' more than once", 2),
+            ("vars: true, a\nstates: s\ninitial: s\naccepting: s\ns -> s : true", "vars name 'true' cannot", 1),
+            ("vars: a, false\nstates: s\ninitial: s\naccepting:", "vars name 'false' cannot", 1),
+            ("vars: a b\nstates: s\ninitial: s\naccepting:", "vars name 'a b' cannot", 1),
+            ("vars: 1a\nstates: s\ninitial: s\naccepting:", "vars name '1a' cannot", 1),
+            ("vars: a)\nstates: s\ninitial: s\naccepting:", "vars name 'a)' cannot", 1),
+            ("vars: \u00e9t\u00e9\nstates: s\ninitial: s\naccepting:", "vars name '\u00e9t\u00e9' cannot", 1),
+            ("vars: a\nstates: q:0, q1\ninitial: q1\naccepting: q1\nq:0 -> q1 : a", "state name 'q:0' holds ':'", 2),
         ],
     )
     def test_malformed_files(self, text, fragment, line):

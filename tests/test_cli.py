@@ -162,8 +162,8 @@ class TestInfer:
             assert main(["infer", driving_path, str(data), "--mode", mode]) == 2
             assert "[0, 1]" in capsys.readouterr().err
 
-    # records of one length share one run, in first-seen order: the range
-    # error is raised for a whole group, yet names the first bad record
+    # each record is range-checked as it is read, so the first bad record in
+    # file order is named, whichever length group it would have run in
     @pytest.mark.parametrize(
         "records",
         [
@@ -803,6 +803,14 @@ class TestTrainCli:
         assert f"learning rate must be finite and >= 0, got {float(rate)}" in capsys.readouterr().err
         assert not model.exists()
 
+    def test_negative_seed_is_an_input_error(self, driving_path, tmp_path, capsys):
+        data = self._make_dataset(tmp_path, capsys, n=4)
+        model = tmp_path / "m.bin"
+        rc = main(["train", driving_path, str(data), "--out", str(model), "--seed", "-1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not model.exists()
+
     def test_unknown_config_key_rejected(self, driving_path, tmp_path, capsys):
         data = self._make_dataset(tmp_path, capsys)
         config = tmp_path / "run.conf"
@@ -854,6 +862,8 @@ class TestEndToEnd:
         (["generate", "--sigma", "-1"], "noise"),
         (["generate", "--sigma", "nan"], "noise"),
         (["generate", "--sigma", "inf"], "noise"),
+        (["generate", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["bench", "--lengths", "4", "--seed", "-1"], "seed must be >= 0, got -1"),
     ],
 )
 def test_sizes_out_of_range_are_an_input_error(capsys, args, name):

@@ -580,6 +580,8 @@ class TestTraining:
             TrainConfig(patience=0)
         with pytest.raises(ValueError):
             TrainConfig(optimizer="adagrad")
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            TrainConfig(seed=-1)
 
 
 class TestCheckpoints:
@@ -643,3 +645,14 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(ValueError, match="truncated checkpoint"):
             load_extractor(path, ("a", "b"))
+
+    # names of the stored length that are not JSON, or not UTF-8
+    @pytest.mark.parametrize("names", [b'["a" "b"]', b'["a", "\xff"]'], ids=["json", "utf-8"])
+    def test_damaged_checkpoint_names_name_the_file(self, tmp_path, names):
+        ext = LinearExtractor(np.ones((2, 3)), np.zeros(2))
+        path = tmp_path / "model.bin"
+        save_extractor(ext, path, ("a", "b"))
+        path.write_bytes(path.read_bytes()[:80] + struct.pack("<I", len(names)) + names)
+        with pytest.raises(ValueError) as err:
+            load_extractor(path, ("a", "b"))
+        assert str(err.value).startswith(f"{path}: damaged symbol names (")
