@@ -20,9 +20,12 @@ equals the probability-weighted sum over all accepted boolean traces.
 Runs never build the dense matrices. On first use a CompiledSfa builds,
 and caches on itself, one evaluation plan: the transition list (src, dst)
 and all guards merged into one levelized circuit (circuit.Plan).
-Validation alone never pays for it. Each block of about BLOCK_ROWS
-probability rows (whole steps, t-major) is evaluated in one pass over the
-plan, giving every transition's guard value W_t, and the recursion runs
+Validation alone never pays for it. The recursion cores take
+probabilities as (V, T, N) and state arrays as (T, N, Q); the public
+functions, which take (..., T, V), pass them transposed views. Each block
+of about BLOCK_ROWS probability rows (whole steps, t-major) is evaluated
+in one pass over the plan, giving every transition's guard value W_t, and
+the recursion runs
 sparsely over the transitions: alpha_t[j] = sum over transitions i -> j
 of alpha_{t-1}[i] · W_t. On short, narrow batches a step costs its numpy
 calls, not its arithmetic, so automata of at most FLOW_MAX_TRANSITIONS
@@ -246,10 +249,16 @@ def validate_and_compile(sfa: Sfa, complete: bool = True) -> CompiledSfa:
 
 # --- probabilistic runs ----------------------------------------------------
 #
-# Probability rows are laid out t-major, p[:, t·N + n] for step t of
-# sequence n, and evaluated in blocks of whole steps of about BLOCK_ROWS
-# rows, so a pass's working memory is bounded by the block whatever T
-# is; only outputs that hold every step grow with T.
+# The recursion cores, _run_forward and _run_backward, share one layout:
+# probabilities are pt (V, T, N), state arrays (the alphas and their
+# gradients) (T, N, Q), and the gradient comes back as (V, T, N). The
+# rows of steps t0..t1-1 are then pt[:, t0:t1].reshape(V, -1), t-major
+# (row t·N + n is step t of sequence n): a view when pt is contiguous,
+# as training builds it, and one copy when pt is the transposed view of
+# an (N, T, V) array, which the public functions pass. A block holds
+# whole steps, about BLOCK_ROWS rows, so a pass's working memory is
+# bounded by the block whatever T is; only outputs that hold every step
+# grow with T.
 
 class _Plan:
     """Transition list of a CompiledSfa and the merged circuit of its guards."""
@@ -289,11 +298,6 @@ def _step_blocks(steps: int, width: int):
     """(t0, t1) ranges of whole steps, about BLOCK_ROWS rows each."""
     per_block = max(1, BLOCK_ROWS // max(width, 1))
     return [(t0, min(t0 + per_block, steps)) for t0 in range(0, steps, per_block)]
-
-
-def _block_rows(ps3: np.ndarray, t0: int, t1: int) -> np.ndarray:
-    """Rows of steps t0..t1-1 of ps3 (N, T, V), t-major: (V, (t1 − t0)·N)."""
-    return ps3[:, t0:t1, :].transpose(2, 1, 0).reshape(ps3.shape[2], -1)
 
 
 def _check_row_sums(plan: _Plan, roots: np.ndarray) -> None:
@@ -340,8 +344,8 @@ def _initial_alpha(c: CompiledSfa, lead_shape: tuple) -> np.ndarray:
     return alpha
 
 
-def _run_forward(c: CompiledSfa, ps3: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The forward recursion over ps3 (N, T, V); returns alpha_T, (N, Q).
+def _run_forward(c: CompiledSfa, pt: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The forward recursion over pt (V, T, N); returns alpha_T, (N, Q).
 
     The flow of step t is the mass each transition carries,
     alpha_{t-1}[src] · W_t, where W_t holds the guard value of every
@@ -353,13 +357,13 @@ def _run_forward(c: CompiledSfa, ps3: np.ndarray, out: np.ndarray | None = None)
     to out[t]; otherwise only the running state is kept.
     """
     plan = c._plan
-    width, steps = ps3.shape[:2]
+    steps, width = pt.shape[1:]
     n_trans = len(plan.src)
     alpha = _initial_alpha(c, (width,))
     # alpha_{t-1}[src], carried across blocks on the flow path
     incoming = alpha.take(plan.src, axis=1)
     for t0, t1 in _step_blocks(steps, width):
-        roots = plan.circuit.forward(_block_rows(ps3, t0, t1))
+        roots = plan.circuit.forward(pt[:, t0:t1].reshape(len(pt), -1))
         _check_row_sums(plan, roots)
         if plan.next is None:
             weights = roots.T.reshape(t1 - t0, width, n_trans)
@@ -382,6 +386,74 @@ def _run_forward(c: CompiledSfa, ps3: np.ndarray, out: np.ndarray | None = None)
     return alpha
 
 
+def _run_backward(c: CompiledSfa, pt: np.ndarray, grads: np.ndarray, alphas: np.ndarray):
+    """The reverse recursion over pt (V, T, N); returns dLoss/dpt, (V, T, N).
+
+    `grads` (S, N, Q), S <= T, holds dLoss/dalpha_t of the last S steps;
+    `alphas` (T, N, Q) holds every alpha_t of the forward recursion.
+    Walking the blocks from the last step back, the adjoint recursion
+    abar_{t-1} = (W_t · abar_t[dst]) summed per source state seeds each
+    transition root with alpha_{t-1}[src] · abar_t[dst], read from
+    `alphas` in place (the initial one-hot for t = 0), and one reverse
+    pass over the merged circuit turns those seeds into dLoss/dp_t. On
+    automata of at most FLOW_MAX_TRANSITIONS transitions the loop carries
+    a_t = abar_t[dst] itself, three calls per step
+    (a_{t-1} = grads_{t-1}[dst] + (W_t · a_t) @ next.T), with every
+    grads[dst] of a block gathered in one call; larger automata gather
+    abar_t[dst] at every step instead.
+    """
+    plan = c._plan
+    steps, width = pt.shape[1:]
+    n_trans = len(plan.src)
+    # grads[t - first] is the gradient of step t >= first
+    first = steps - len(grads)
+    # the initial one-hot, read per transition
+    initial_src = (plan.src == c.sfa.initial).astype(np.float64)
+    out = np.empty(pt.shape)
+    # carried across blocks: abar_t on the gather path; on the flow path
+    # abar_t[dst] − grads_t[dst], that is W_{t+1} · a_{t+1} summed over
+    # the transitions leaving the state where each one ends
+    carry = np.zeros((width, c.num_states if plan.next is None else n_trans))
+    moved = np.empty((width, n_trans))
+    for t0, t1 in reversed(_step_blocks(steps, width)):
+        rows = pt[:, t0:t1].reshape(len(pt), -1)
+        # the root values are the guard weights, (n_trans, rows)
+        weights, tape = plan.circuit.forward(rows, keep=True)
+        if plan.next is None:
+            weights = weights.T.reshape(t1 - t0, width, n_trans)
+            at_dst = np.empty((t1 - t0, width, n_trans))
+            for t in range(t1 - 1, t0 - 1, -1):
+                if t >= first:
+                    carry += grads[t - first]
+                carry.take(plan.dst, axis=1, out=at_dst[t - t0])
+                np.multiply(weights[t - t0], at_dst[t - t0], out=moved)
+                np.dot(moved, plan.from_src, out=carry)
+        else:
+            weights = np.ascontiguousarray(weights.T).reshape(t1 - t0, width, n_trans)
+            # grads[dst] of the block's steps, zero before `first`
+            lo = min(max(t0, first), t1)
+            graded = grads[lo - first : t1 - first].take(plan.dst, axis=2)
+            if lo == t0:
+                at_dst = graded
+            else:
+                at_dst = np.zeros((t1 - t0, width, n_trans))
+                at_dst[lo - t0 :] = graded
+            back = plan.next.T
+            for w, a in zip(weights[::-1], at_dst[::-1]):
+                a += carry
+                np.multiply(w, a, out=moved)
+                np.dot(moved, back, out=carry)
+        # root seeds alpha_{t-1}[src] · abar_t[dst], alpha_{t-1} read from
+        # `alphas` in place, or the initial one-hot for t = 0
+        if t0 == 0:
+            at_dst[0] *= initial_src
+        a0 = max(t0, 1)
+        at_dst[a0 - t0 :] *= alphas[a0 - 1 : t1 - 1].take(plan.src, axis=2)
+        grad = plan.circuit.backward(rows, tape, at_dst.reshape(-1, n_trans).T)
+        out[:, t0:t1] = grad.reshape(len(pt), t1 - t0, width)
+    return out
+
+
 def forward_alphas(c: CompiledSfa, ps) -> np.ndarray:
     """State distributions after each step, batched: (..., T, V) -> (..., T, Q).
 
@@ -391,7 +463,7 @@ def forward_alphas(c: CompiledSfa, ps) -> np.ndarray:
     lead, steps = ps.shape[:-2], ps.shape[-2]
     width = math.prod(lead)
     out = np.empty((steps, width, c.num_states))
-    _run_forward(c, ps.reshape((width,) + ps.shape[-2:]), out)
+    _run_forward(c, ps.reshape((width,) + ps.shape[-2:]).T, out)
     return np.ascontiguousarray(out.transpose(1, 0, 2)).reshape(lead + (steps, c.num_states))
 
 
@@ -438,7 +510,7 @@ def acceptance_batch(c: CompiledSfa, ps) -> np.ndarray:
     """
     ps = _check_probs(c, ps, 2)
     lead = ps.shape[:-2]
-    alpha = _run_forward(c, ps.reshape((math.prod(lead),) + ps.shape[-2:]))
+    alpha = _run_forward(c, ps.reshape((math.prod(lead),) + ps.shape[-2:]).T)
     return alpha.reshape(lead + (c.num_states,)) @ _accepting_mask(c)
 
 
@@ -450,18 +522,8 @@ def backward_gradient(c: CompiledSfa, ps, alpha_grads, alphas=None) -> np.ndarra
     the loss reads no earlier step, so their gradient is zero (S = T
     covers every step). `alphas`, when given, must be
     forward_alphas(c, ps); otherwise the forward pass is run here. The
-    result is dLoss/dps, same shape as ps.
-
-    Walking the blocks from the last step back, the adjoint recursion
-    abar_{t-1} = (W_t · abar_t[dst]) summed per source state seeds each
-    transition root with alpha_{t-1}[src] · abar_t[dst], read from
-    `alphas` in place (the initial one-hot for t = 0), and one reverse
-    pass over the merged circuit turns those seeds into dLoss/dp_t. On
-    automata of at most FLOW_MAX_TRANSITIONS transitions the loop carries
-    a_t = abar_t[dst] itself, three calls per step
-    (a_{t-1} = grads_{t-1}[dst] + (W_t · a_t) @ next.T), with every
-    grads[dst] of a block gathered in one call; larger automata gather
-    abar_t[dst] at every step instead.
+    result is dLoss/dps, same shape as ps, from the reverse recursion of
+    _run_backward.
     """
     ps = _check_probs(c, ps, 2)
     alpha_grads = np.asarray(alpha_grads, dtype=np.float64)
@@ -479,59 +541,14 @@ def backward_gradient(c: CompiledSfa, ps, alpha_grads, alphas=None) -> np.ndarra
         alphas = forward_alphas(c, ps)
     elif np.shape(alphas) != lead + (steps, c.num_states):
         raise ValueError(f"alphas shape {np.shape(alphas)} does not match sequence shape")
-    plan = c._plan
     width = math.prod(lead)
-    n_trans = len(plan.src)
-    ps3 = ps.reshape((width,) + ps.shape[-2:])
-    alphas3 = np.asarray(alphas, dtype=np.float64).reshape(width, steps, c.num_states)
-    # grads3[:, t - first] is the gradient of step t >= first
-    first = steps - alpha_grads.shape[-2]
-    grads3 = alpha_grads.reshape(width, steps - first, c.num_states)
-    # the initial one-hot, read per transition
-    initial_src = (plan.src == c.sfa.initial).astype(np.float64)
-    out = np.empty(ps3.shape)
-    # carried across blocks: abar_t on the gather path; on the flow path
-    # abar_t[dst] − grads_t[dst], that is W_{t+1} · a_{t+1} summed over
-    # the transitions leaving the state where each one ends
-    carry = np.zeros((width, c.num_states if plan.next is None else n_trans))
-    moved = np.empty((width, n_trans))
-    for t0, t1 in reversed(_step_blocks(steps, width)):
-        rows = _block_rows(ps3, t0, t1)
-        # the root values are the guard weights, (n_trans, rows)
-        weights, tape = plan.circuit.forward(rows, keep=True)
-        if plan.next is None:
-            weights = weights.T.reshape(t1 - t0, width, n_trans)
-            at_dst = np.empty((t1 - t0, width, n_trans))
-            for t in range(t1 - 1, t0 - 1, -1):
-                if t >= first:
-                    carry += grads3[:, t - first, :]
-                carry.take(plan.dst, axis=1, out=at_dst[t - t0])
-                np.multiply(weights[t - t0], at_dst[t - t0], out=moved)
-                np.dot(moved, plan.from_src, out=carry)
-        else:
-            weights = np.ascontiguousarray(weights.T).reshape(t1 - t0, width, n_trans)
-            # grads[dst] of the block's steps, zero before `first`
-            lo = min(max(t0, first), t1)
-            graded = grads3.transpose(1, 0, 2)[lo - first : t1 - first].take(plan.dst, axis=2)
-            if lo == t0:
-                at_dst = graded
-            else:
-                at_dst = np.zeros((t1 - t0, width, n_trans))
-                at_dst[lo - t0 :] = graded
-            back = plan.next.T
-            for w, a in zip(weights[::-1], at_dst[::-1]):
-                a += carry
-                np.multiply(w, a, out=moved)
-                np.dot(moved, back, out=carry)
-        # root seeds alpha_{t-1}[src] · abar_t[dst], alpha_{t-1} read from
-        # `alphas` in place, or the initial one-hot for t = 0
-        if t0 == 0:
-            at_dst[0] *= initial_src
-        a0 = max(t0, 1)
-        at_dst[a0 - t0 :] *= alphas3[:, a0 - 1 : t1 - 1].take(plan.src, axis=2).transpose(1, 0, 2)
-        grad = plan.circuit.backward(rows, tape, at_dst.reshape(-1, n_trans).T)
-        out[:, t0:t1, :] = grad.reshape(ps.shape[-1], t1 - t0, width).transpose(2, 1, 0)
-    return out.reshape(lead + (steps, ps.shape[-1]))
+    grad = _run_backward(
+        c,
+        ps.reshape((width,) + ps.shape[-2:]).T,
+        alpha_grads.reshape(width, alpha_grads.shape[-2], c.num_states).transpose(1, 0, 2),
+        np.asarray(alphas, dtype=np.float64).reshape(width, steps, c.num_states).transpose(1, 0, 2),
+    )
+    return np.ascontiguousarray(grad.T).reshape(ps.shape)
 
 
 # --- boolean runs ----------------------------------------------------------
@@ -591,11 +608,15 @@ def parse_sfa(text: str) -> Sfa:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "->" in line:
+        # a header keyword decides first: a header's names may hold '->'
+        head, sep, body = line.partition(":")
+        key = head.strip().lower()
+        if not sep or key not in _SFA_HEADERS:
+            if "->" not in line:
+                raise SfaFileError(f"unrecognized line {line!r}", lineno)
             if vocab is None or "states" not in headers:
                 raise SfaFileError("transition listed before vars/states headers", lineno)
-            head, _, guard_text = line.partition(":")
-            if not guard_text.strip():
+            if not body.strip():
                 raise SfaFileError("transition needs ': <guard>'", lineno)
             src_name, _, dst_name = head.partition("->")
             src_name, dst_name = src_name.strip(), dst_name.strip()
@@ -608,14 +629,10 @@ def parse_sfa(text: str) -> Sfa:
                     f"duplicate transition {src_name} -> {dst_name}", lineno
                 )
             try:
-                transitions[(src, dst)] = parse_formula(guard_text.strip(), vocab)
+                transitions[(src, dst)] = parse_formula(body.strip(), vocab)
             except Exception as exc:
                 raise SfaFileError(f"bad guard: {exc}", lineno) from exc
             continue
-        key, sep, body = line.partition(":")
-        key = key.strip().lower()
-        if not sep or key not in _SFA_HEADERS:
-            raise SfaFileError(f"unrecognized line {line!r}", lineno)
         if key in headers:
             raise SfaFileError(f"duplicate {key} header", lineno)
         if key == "initial":
@@ -642,8 +659,10 @@ def parse_sfa(text: str) -> Sfa:
             vocab = Vocabulary(tuple(names))
         elif key == "states":
             for name in names:
-                if ":" in name:  # a transition line's first ':' ends its states
-                    raise SfaFileError(f"state name '{name}' holds ':'", lineno)
+                # a transition line's first ':' ends its states, '->' splits them
+                for mark in (":", "->"):
+                    if mark in name:
+                        raise SfaFileError(f"state name '{name}' holds '{mark}'", lineno)
             index = {name: i for i, name in enumerate(names)}
 
     for key in _SFA_HEADERS:

@@ -13,11 +13,19 @@ index into a small table of 0/1 masks over the states, not a mask per
 step. The loss is differentiated exactly through the circuit evaluations
 and the state recursion, so training is plain gradient descent; no
 sampling or approximation is involved anywhere.
+
+Training stacks each group of equal-length sequences step-major, as
+features (T, B, m). The symbol probabilities are then (V, T·B), from one
+product with the weights, and reshaped they are the (V, T, B) array the
+recursion cores in automaton take, so every block they evaluate is a view
+and no step of training transposes. dW is one product of the logistic
+slope (V, T·B) with the feature rows (T·B, m).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -25,13 +33,9 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .automaton import (
-    CompiledSfa,
-    _accepting_mask,
-    backward_gradient,
-    forward_alphas,
-)
+from .automaton import CompiledSfa, _accepting_mask, _run_backward, _run_forward
 from .automaton import acceptance_batch  # noqa: F401  (perfbench/layers.py traces this name)
+from .automaton import backward_gradient, forward_alphas  # noqa: F401  (traced there too)
 from .errors import DivergenceError
 
 LOG_CLAMP = 1e-7
@@ -44,10 +48,15 @@ CHECKPOINT_MAGIC = b"SYMF"
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; 1 / (1 + e) for x >= 0 and e / (1 + e)
-    # for x < 0 are the stable forms, divided in place
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e)
+    # for x < 0 are the stable forms, and the numerator exp(min(x, 0)) is
+    # exactly 1 or e. Each of the two arrays is worked on in place, so no
+    # third one of x's size is alive.
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     e += 1.0
+    out = np.minimum(x, 0.0)
+    np.exp(out, out=out)
     out /= e
     return out
 
@@ -57,8 +66,9 @@ class LinearExtractor:
     """Per-symbol logistic units: p[i] = sigmoid(weights[i] . o + bias[i]).
 
     Scoring needs only extract(), so any model with the same contract can
-    stand in for this class there. Training takes the logistic slope into
-    `weights` and `bias` itself, in _param_grads.
+    stand in for this class there. Training reads extract()'s
+    (num_symbols, rows) layout and takes the logistic slope into `weights`
+    and `bias` itself, in _batch_loss.
     """
 
     weights: np.ndarray  # (num_symbols, feature_dim)
@@ -89,15 +99,24 @@ class LinearExtractor:
         return LinearExtractor(self.weights.copy(), self.bias.copy())
 
     def extract(self, features):
-        """Symbol probabilities for observations of shape (..., feature_dim)."""
+        """Symbol probabilities for observations of shape (..., feature_dim).
+
+        The units run on the rows as columns, one product weights @ rows.T
+        of shape (num_symbols, rows), and the result is a transposed view
+        of it, so training reads it as (num_symbols, rows) without a copy.
+        """
         features = np.asarray(features, dtype=np.float64)
         if features.shape[-1] != self.feature_dim:
             raise ValueError(
                 f"feature dimension {features.shape[-1]} != extractor's {self.feature_dim}"
             )
+        lead = features.shape[:-1]
+        rows = features.reshape(math.prod(lead), self.feature_dim)
         # overflowing logits give 0 or 1, inf − inf a NaN the caller refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            return _sigmoid(features @ self.weights.T + self.bias)
+            logits = self.weights @ rows.T
+            logits += self.bias[:, None]
+            return _sigmoid(logits).T.reshape(lead + (self.num_symbols,))
 
 
 # what a refused array holds, by numpy dtype kind
@@ -198,16 +217,9 @@ def _clamped_log_grad(prob: float | np.ndarray):
     return np.log(clamped), np.where(inside, 1.0 / clamped, 0.0)
 
 
-def _param_grads(features, probs, dloss_dprobs):
-    """Chain per-step probability gradients into (dW, db)."""
-    slope = probs * (1.0 - probs) * dloss_dprobs  # (..., num_symbols)
-    flat_s = slope.reshape(-1, slope.shape[-1])
-    flat_f = features.reshape(-1, features.shape[-1])
-    return flat_s.T @ flat_f, flat_s.sum(axis=0)
-
-
-def _symbol_probs(extractor, features) -> np.ndarray:
-    probs = extractor.extract(features)
+def _symbol_probs(extractor, rows) -> np.ndarray:
+    """Symbol probabilities (V, R) of feature rows (R, m), as extract lays them out."""
+    probs = extractor.extract(rows).T
     if not np.isfinite(probs).all():
         raise DivergenceError("extractor produced non-finite symbol probabilities")
     return probs
@@ -273,36 +285,43 @@ def _targets(c: CompiledSfa, data: Sequence[LabeledSequence], state_to_label):
 def _batch_loss(c: CompiledSfa, extractor, features, table, codes, by_sequence=False):
     """Summed cross entropy of the alpha mass on labeled states, with gradients.
 
-    features: (B, T, m). codes (B, S) label the last S steps with rows of
-    `table`, 0/1 masks over the states (see _targets): a step costs -log
-    of the mass alpha_t holds on its row, clamped inside the log, and
-    code 0, the empty row, costs nothing. Per-step labels pass S = T;
-    sequence labels pass S = 1 and `by_sequence`. Returns (loss, dW, db,
-    correct), loss and gradients averaged over the batch. `correct`
-    counts the sequences whose acceptance is on the label's side of 0.5
-    when `by_sequence`, else the labeled steps whose most probable state
-    carries the step's label. One forward recursion serves all four.
+    features: (T, B, m), step-major, so that its rows, the symbol
+    probabilities (V, T·B) and the recursion cores' arrays (see automaton)
+    share one order and nothing is transposed. codes (S, B) label the last
+    S steps with rows of `table`, 0/1 masks over the states (see
+    _targets): a step costs -log of the mass alpha_t holds on its row,
+    clamped inside the log, and code 0, the empty row, costs nothing.
+    Per-step labels pass S = T; sequence labels pass S = 1 and
+    `by_sequence`. Returns (loss, dW, db, correct), loss and gradients
+    averaged over the batch. `correct` counts the sequences whose
+    acceptance is on the label's side of 0.5 when `by_sequence`, else the
+    labeled steps whose most probable state carries the step's label. One
+    forward recursion serves all four.
     """
-    probs = _symbol_probs(extractor, features)
-    alphas = forward_alphas(c, probs)  # (B, T, Q)
-    read = alphas[:, -codes.shape[1]:]
-    masks = table[codes]  # (B, S, Q)
+    steps, batch, m = features.shape
+    rows = features.reshape(steps * batch, m)
+    probs = _symbol_probs(extractor, rows)  # (V, T·B)
+    pt = probs.reshape(len(probs), steps, batch)
+    alphas = np.empty((steps, batch, c.num_states))
+    _run_forward(c, pt, alphas)
+    read = alphas[steps - len(codes) :]  # (S, B, Q)
+    masks = table[codes]  # (S, B, Q)
     active = codes != 0
-    step_probs = (read * masks).sum(axis=-1)  # (B, S)
+    step_probs = (read * masks).sum(axis=-1)  # (S, B)
     log_p, dlog_p = _clamped_log_grad(step_probs)
-    per_seq = -(log_p * active).sum(axis=-1)
-    batch = features.shape[0]
-    dstep = -(dlog_p * active) / batch  # (B, S)
+    per_seq = -(log_p * active).sum(axis=0)
+    dstep = -(dlog_p * active) / batch  # (S, B)
     masks *= dstep[..., None]  # now dLoss/dalpha of the last S steps
-    dprobs = backward_gradient(c, probs, masks, alphas)
-    dw, db = _param_grads(features, probs, dprobs)
+    dprobs = _run_backward(c, pt, masks, alphas).reshape(probs.shape)
+    slope = probs * (1.0 - probs)  # the logistic slope, (V, T·B)
+    slope *= dprobs
     if by_sequence:
         # acceptance >= 0.5 for label 1 (row 2); rejection > 0.5 for label 0
-        side = step_probs[:, 0]
-        correct = int(np.where(codes[:, 0] == 2, side >= 0.5, side > 0.5).sum())
+        side = step_probs[0]
+        correct = int(np.where(codes[0] == 2, side >= 0.5, side > 0.5).sum())
     else:
         correct = int(table[codes, read.argmax(axis=-1)][active].sum())
-    return float(per_seq.mean()), dw, db, correct
+    return float(per_seq.mean()), slope @ rows, slope.sum(axis=1), correct
 
 
 def _sequence_loss(c: CompiledSfa, extractor, seq: LabeledSequence, state_to_label=None):
@@ -310,7 +329,7 @@ def _sequence_loss(c: CompiledSfa, extractor, seq: LabeledSequence, state_to_lab
     table, codes, missing = _targets(c, [seq], state_to_label)
     if missing is not None:
         raise ValueError(missing[1])
-    loss, dw, db, _ = _batch_loss(c, extractor, seq.features[None], table, codes[0][None])
+    loss, dw, db, _ = _batch_loss(c, extractor, seq.features[:, None], table, codes[0][:, None])
     return loss, (dw, db)
 
 
@@ -447,9 +466,9 @@ def train(
             db = np.zeros_like(extractor.bias)
             batch_loss = 0.0
             for group in _group_equal_length(data, batch):
-                feats = np.stack([data[k].features for k in group])
+                feats = np.stack([data[k].features for k in group], axis=1)
                 share = len(group) / len(batch)
-                group_codes = np.stack([codes[k] for k in group])
+                group_codes = np.stack([codes[k] for k in group], axis=1)
                 loss, gdw, gdb, hits = _batch_loss(
                     c, extractor, feats, table, group_codes, by_sequence
                 )

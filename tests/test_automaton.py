@@ -501,6 +501,10 @@ class TestSfaFiles:
             ("vars: a)\nstates: s\ninitial: s\naccepting:", "vars name 'a)' cannot", 1),
             ("vars: \u00e9t\u00e9\nstates: s\ninitial: s\naccepting:", "vars name '\u00e9t\u00e9' cannot", 1),
             ("vars: a\nstates: q:0, q1\ninitial: q1\naccepting: q1\nq:0 -> q1 : a", "state name 'q:0' holds ':'", 2),
+            # a header line that holds '->' is still a header
+            ("vars: a\nstates: s, t->u\ninitial: s\naccepting:", "state name 't->u' holds '->'", 2),
+            ("vars: a, b->c\nstates: s\ninitial: s\naccepting:", "vars name 'b->c' cannot", 1),
+            ("vars: a\nstates: s, t\ninitial: s->t\naccepting:", "unknown initial state 's->t'", 3),
         ],
     )
     def test_malformed_files(self, text, fragment, line):

@@ -336,9 +336,11 @@ class TestInferByLength:
         calls = []
         run = automaton._run_forward
 
-        def counted(c, ps3, out=None):
-            calls.append(np.shape(ps3))
-            return run(c, ps3, out)
+        def counted(c, pt, out=None):
+            # the core reads probabilities as (V, T, N); record (N, T)
+            _, steps, width = np.shape(pt)
+            calls.append((width, steps))
+            return run(c, pt, out)
 
         monkeypatch.setattr(automaton, "_run_forward", counted)
         return calls

@@ -22,6 +22,8 @@ from symfa import (
     train,
     validate_and_compile,
 )
+from symfa import bench
+from symfa.automaton import backward_gradient, forward_alphas
 from symfa.bench import generate_dataset
 from symfa.errors import DivergenceError
 from symfa.learn import _sigmoid
@@ -46,6 +48,7 @@ def masked_sigmoid(x):
 def test_sigmoid_is_bitwise_the_masked_formula():
     tiny = np.finfo(np.float64).tiny
     special = [800.0, -800.0, 0.0, -0.0, 5e-324, -5e-324, tiny / 3, -tiny / 3, tiny, -tiny]
+    special += [np.inf, -np.inf]
     rng = np.random.default_rng(3)
     x = np.concatenate([special, rng.normal(scale=5.0, size=2000), rng.uniform(-750, 750, 500)])
     for shape in (x.shape, (50, 50)):
@@ -561,8 +564,11 @@ class TestTraining:
             else:
                 data.append(LabeledSequence(feats, label=k % 2))
         calls = []
-        real = learn.forward_alphas
-        monkeypatch.setattr(learn, "forward_alphas", lambda *a: calls.append(1) or real(*a))
+        for core in ("_run_forward", "_run_backward"):
+            real = getattr(learn, core)
+            monkeypatch.setattr(
+                learn, core, lambda *a, core=core, real=real: calls.append(core) or real(*a)
+            )
 
         def forbidden(*args):
             raise AssertionError("train() must reuse the loss's forward pass")
@@ -570,7 +576,8 @@ class TestTraining:
         monkeypatch.setattr(learn, "acceptance_batch", forbidden)
         cfg = TrainConfig(max_epochs=3, batch_size=len(data), seed=0)
         train(driving.compiled, data, cfg)
-        assert len(calls) == 3 * 2
+        # one forward and one reverse recursion per group, 2 groups, 3 epochs
+        assert calls == ["_run_forward", "_run_backward"] * 3 * 2
 
     def test_invalid_configs_rejected(self):
         for rate in (-0.1, float("nan"), float("inf")):
@@ -582,6 +589,122 @@ class TestTraining:
             TrainConfig(optimizer="adagrad")
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             TrainConfig(seed=-1)
+
+
+def reference_batch_loss(c, extractor, features, table, codes, by_sequence):
+    """_batch_loss's results from the public extract and recursions.
+
+    features (B, T, m) and codes (B, S), the layout the public functions
+    take; the loss is the one _batch_loss documents.
+    """
+    batch, steps = features.shape[:2]
+    probs = extractor.extract(features)
+    alphas = forward_alphas(c, probs)
+    read = alphas[:, steps - codes.shape[1] :]
+    masks = table[codes]
+    mass = (read * masks).sum(axis=-1)
+    active = codes != 0
+    # capped at 1 - LOG_CLAMP; only a mass of exactly 0 is raised to LOG_CLAMP
+    cap = 1.0 - learn.LOG_CLAMP
+    clamped = np.where(mass > 0, np.minimum(mass, cap), learn.LOG_CLAMP)
+    loss = -(np.log(clamped) * active).sum(axis=-1).mean()
+    dmass = -np.where(active & (mass > 0) & (mass < cap), 1.0 / clamped, 0.0) / batch
+    dprobs = backward_gradient(c, probs, masks * dmass[..., None], alphas)
+    slope = probs * (1.0 - probs) * dprobs
+    dw = np.einsum("btv,btm->vm", slope, features)
+    db = slope.sum(axis=(0, 1))
+    if by_sequence:
+        correct = np.where(codes[:, 0] == 2, mass[:, 0] >= 0.5, mass[:, 0] > 0.5).sum()
+    else:
+        correct = table[codes, read.argmax(axis=-1)][active].sum()
+    return loss, dw, db, int(correct)
+
+
+def assert_close_to_scale(actual, expected, rel=1e-12):
+    """Every entry within `rel` of the largest magnitude in `expected`."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max(initial=0.0) <= rel * np.abs(expected).max(initial=0.0)
+
+
+LAYOUT_PATTERNS = {
+    # at most FLOW_MAX_TRANSITIONS transitions: the flow loops
+    "driving": bench.driving_pattern,
+    "events": bench.events_pattern,
+    "random:8x10:2": lambda: bench.random_pattern(8, 10, 2),
+    # 156 transitions: the gather loops
+    "random:64x12:0": lambda: bench.random_pattern(64, 12, 0),
+}
+
+
+class TestLayoutContract:
+    """Training runs the recursion cores on its own (T, B) layout.
+
+    _batch_loss takes features (T, B, m) and codes (S, B), and hands the
+    cores views of its arrays; the public functions take (B, T) arrays and
+    pass transposed views. Both must give one loss and one gradient.
+    """
+
+    @pytest.mark.parametrize("pattern", list(LAYOUT_PATTERNS))
+    @pytest.mark.parametrize(
+        "tagging,batch,steps",
+        # 40 × 60 crosses block boundaries; 0 steps is a tagging sequence only
+        [(False, 40, 60), (False, 3, 7), (True, 40, 60), (True, 3, 7), (True, 4, 0)],
+    )
+    def test_batch_loss_matches_the_public_functions(self, pattern, tagging, batch, steps):
+        c = LAYOUT_PATTERNS[pattern]().compiled
+        rng = np.random.default_rng(batch * 100 + steps)
+        features = rng.normal(size=(batch, steps, 5))
+        ext = LinearExtractor(rng.normal(size=(len(c.vocab), 5)), rng.normal(size=len(c.vocab)))
+        if tagging:
+            # four labels over the states; label 4 marks an unlabeled step
+            state_to_label = {q: q % 4 for q in range(c.num_states)}
+            data = []
+            for f in features:
+                labels = [None if k == 4 else k for k in rng.integers(0, 5, steps).tolist()]
+                data.append(LabeledSequence(f, step_labels=labels))
+        else:
+            state_to_label = None
+            data = [LabeledSequence(f, label=int(rng.integers(0, 2))) for f in features]
+        table, codes, _ = learn._targets(c, data, state_to_label)
+        codes = np.stack(codes)
+        got = learn._batch_loss(
+            c, ext, np.ascontiguousarray(features.transpose(1, 0, 2)), table, codes.T, not tagging
+        )
+        want = reference_batch_loss(c, ext, features, table, codes, not tagging)
+        for actual, expected in zip(got[:3], want[:3]):
+            assert_close_to_scale(actual, expected)
+        assert got[3] == want[3]
+
+    @pytest.mark.parametrize("tagging", [False, True])
+    def test_train_evaluates_views_of_its_probabilities(self, driving, monkeypatch, tagging):
+        # every block the plan evaluates is a view of the batch's symbol
+        # probabilities, never a copy; 40 × 60 rows take three blocks
+        from symfa import circuit
+
+        made, views = [], []
+        symbol_probs = learn._symbol_probs
+        monkeypatch.setattr(
+            learn, "_symbol_probs", lambda *a: made.append(symbol_probs(*a)) or made[-1]
+        )
+        forward = circuit.Plan.forward
+
+        def checked(plan, p, keep=False):
+            views.append(np.shares_memory(p, made[-1]))
+            return forward(plan, p, keep)
+
+        monkeypatch.setattr(circuit.Plan, "forward", checked)
+        rng = np.random.default_rng(4)
+        data = []
+        for k in range(40):
+            feats = rng.normal(size=(60, 6))
+            if tagging:
+                data.append(LabeledSequence(feats, step_labels=[k % 3] * 60))
+            else:
+                data.append(LabeledSequence(feats, label=k % 2))
+        train(driving.compiled, data, TrainConfig(max_epochs=2, batch_size=40, seed=0))
+        # per epoch, three blocks forward and three in the reverse pass
+        assert len(views) == 2 * 6 and all(views)
 
 
 class TestCheckpoints:
