@@ -14,8 +14,12 @@ step. The loss is differentiated exactly through the circuit evaluations
 and the state recursion, so training is plain gradient descent; no
 sampling or approximation is involved anywhere.
 
-Training stacks each group of equal-length sequences step-major, as
-features (T, B, m). The symbol probabilities are then (V, T·B), from one
+Training gathers a minibatch one length group at a time, each with one
+numpy call per input: np.unique groups the indices by length, one
+np.concatenate lays the group's (T, m) feature arrays side by side, which
+reshaped is the step-major (T, B, m) batch, and one fancy index reads its
+(S, B) row codes from the flat codes. Only that group is copied, never
+the whole dataset. The symbol probabilities are then (V, T·B), from one
 product with the weights, and reshaped they are the (V, T, B) array the
 recursion cores in automaton take, so every block they evaluate is a view
 and no step of training transposes. dW is one product of the logistic
@@ -244,14 +248,15 @@ def _targets(c: CompiledSfa, data: Sequence[LabeledSequence], state_to_label):
     by one dict lookup each. A bool, float or unhashable label matches no
     state: == makes True, False and 1.0 equal to 1, 0 and 1, but they are
     not labels, and it makes a list equal to no state label.
-    Returns (table, codes, missing): codes[k] is sequence k's int array,
-    and `missing` is None or (k, message) for the first step label that
-    matches no state.
+    Returns (table, codes, offsets, missing): codes is one flat int array,
+    sequence k's codes start at offsets[k] (so offsets is arange(n) for
+    sequence labels), and `missing` is None or (k, message) for the first
+    step label that matches no state.
     """
     if data[0].label is not None:
         accepting = _accepting_mask(c)
         table = np.stack([np.zeros(c.num_states), 1.0 - accepting, accepting])
-        return table, np.array([[seq.label + 1] for seq in data]), None
+        return table, np.array([seq.label + 1 for seq in data]), np.arange(len(data)), None
     states = {}
     for q in range(c.num_states):
         states.setdefault(state_to_label[q], []).append(q)
@@ -272,14 +277,15 @@ def _targets(c: CompiledSfa, data: Sequence[LabeledSequence], state_to_label):
             absent if isinstance(lab, _NOT_LABELS) or not _hashable(lab) else lab for lab in flat
         ]
     codes = np.fromiter(map(index.get, flat, repeat(-1)), dtype=np.intp, count=len(flat))
-    ends = np.cumsum([len(seq.step_labels) for seq in data])
+    offsets = np.cumsum([0] + [len(seq.step_labels) for seq in data[:-1]])
     missing = None
     unmatched = np.flatnonzero(codes < 0)
     if unmatched.size:
-        k = int(np.searchsorted(ends, unmatched[0], side="right"))
-        t = int(unmatched[0] - ends[k] + len(data[k].step_labels))
+        # the last sequence starting at or before the step: zero-step ones hold none
+        k = int(np.searchsorted(offsets, unmatched[0], side="right")) - 1
+        t = int(unmatched[0] - offsets[k])
         missing = k, f"label {data[k].step_labels[t]!r} at step {t} matches no state"
-    return table, np.split(codes, ends[:-1]), missing
+    return table, codes, offsets, missing
 
 
 def _batch_loss(c: CompiledSfa, extractor, features, table, codes, by_sequence=False):
@@ -326,10 +332,10 @@ def _batch_loss(c: CompiledSfa, extractor, features, table, codes, by_sequence=F
 
 def _sequence_loss(c: CompiledSfa, extractor, seq: LabeledSequence, state_to_label=None):
     """The loss of one sequence and its (dW, db)."""
-    table, codes, missing = _targets(c, [seq], state_to_label)
+    table, codes, _, missing = _targets(c, [seq], state_to_label)
     if missing is not None:
         raise ValueError(missing[1])
-    loss, dw, db, _ = _batch_loss(c, extractor, seq.features[:, None], table, codes[0][:, None])
+    loss, dw, db, _ = _batch_loss(c, extractor, seq.features[:, None], table, codes[:, None])
     return loss, (dw, db)
 
 
@@ -391,12 +397,14 @@ class _Adam:
             p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def _group_equal_length(data: Sequence[LabeledSequence], batch) -> list[list[int]]:
-    """Bucket a minibatch of data indices by sequence length, in first-seen order."""
-    groups: dict[int, list[int]] = {}
-    for k in batch:
-        groups.setdefault(len(data[k].features), []).append(k)
-    return list(groups.values())
+def _group_equal_length(lengths: np.ndarray, batch: np.ndarray) -> list[np.ndarray]:
+    """Bucket a minibatch of data indices by sequence length, in first-seen order.
+
+    lengths[k] is sequence k's length; each group keeps the batch's order.
+    """
+    sizes = lengths[batch]
+    _, first = np.unique(sizes, return_index=True)
+    return [batch[sizes == n] for n in sizes[np.sort(first)]]
 
 
 @dataclass
@@ -434,7 +442,7 @@ def train(
     feature_dim = data[0].features.shape[1] if init is None else init.feature_dim
     if state_to_label is None:
         state_to_label = {q: q for q in range(c.num_states)}
-    table, codes, missing = _targets(c, data, state_to_label)
+    table, codes, offsets, missing = _targets(c, data, state_to_label)
     # the first failing sequence is reported, its feature width first
     last = len(data) - 1 if missing is None else missing[0]
     for k, seq in enumerate(data[: last + 1]):
@@ -445,6 +453,7 @@ def train(
     if missing is not None:
         raise ValueError(f"sequence {missing[0]}: {missing[1]}")
     by_sequence = data[0].label is not None
+    lengths = np.array([len(seq.features) for seq in data])
 
     rng = np.random.default_rng(cfg.seed)
     extractor = (init or LinearExtractor.init_random(len(c.vocab), feature_dim, rng)).copy()
@@ -465,13 +474,15 @@ def train(
             dw = np.zeros_like(extractor.weights)
             db = np.zeros_like(extractor.bias)
             batch_loss = 0.0
-            for group in _group_equal_length(data, batch):
-                feats = np.stack([data[k].features for k in group], axis=1)
+            for group in _group_equal_length(lengths, batch):
+                steps = lengths[group[0]]
+                # side by side along the feature axis, row t holds every
+                # sequence's step t: reshaped, that is the (T, B, m) batch
+                feats = np.concatenate([data[k].features for k in group], axis=1)
+                feats = feats.reshape(steps, len(group), feature_dim)
                 share = len(group) / len(batch)
-                group_codes = np.stack([codes[k] for k in group], axis=1)
-                loss, gdw, gdb, hits = _batch_loss(
-                    c, extractor, feats, table, group_codes, by_sequence
-                )
+                group_codes = codes[offsets[group] + np.arange(1 if by_sequence else steps)[:, None]]
+                loss, gdw, gdb, hits = _batch_loss(c, extractor, feats, table, group_codes, by_sequence)
                 correct += hits
                 total += int(np.count_nonzero(group_codes))
                 # group losses/grads are means over the group; reweight to
@@ -480,9 +491,7 @@ def train(
                 dw += gdw * len(group) / len(batch)
                 db += gdb * len(group) / len(batch)
             if not np.isfinite(batch_loss):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}: {batch_loss}"
-                )
+                raise DivergenceError(f"non-finite loss at epoch {epoch}: {batch_loss}")
             opt.step([extractor.weights, extractor.bias], [dw, db])
             if not (
                 np.all(np.isfinite(extractor.weights)) and np.all(np.isfinite(extractor.bias))

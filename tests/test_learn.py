@@ -298,15 +298,16 @@ def dense_step_labels(c, state_to_label, step_labels, num_steps):
 def assert_targets_match_the_oracle(c, state_to_label, label_lists):
     """learn._targets on sequences with these step labels against the dense oracle."""
     data = [LabeledSequence(np.zeros((len(labels), 1)), step_labels=labels) for labels in label_lists]
-    table, codes, missing = learn._targets(c, data, state_to_label)
+    table, codes, offsets, missing = learn._targets(c, data, state_to_label)
     for k, labels in enumerate(label_lists):
         try:
             sel, active = dense_step_labels(c, state_to_label, labels, len(labels))
         except ValueError as exc:
             assert missing == (k, str(exc))
             return
-        assert np.array_equal(table[codes[k]], sel)
-        assert np.array_equal(codes[k] != 0, active)
+        own = codes[offsets[k] : offsets[k] + len(labels)]
+        assert np.array_equal(table[own], sel)
+        assert np.array_equal(own != 0, active)
     assert missing is None
 
 
@@ -342,10 +343,11 @@ class TestStepLabelCodes:
 
     def test_table_has_an_empty_row_and_one_per_label(self, driving):
         data = [LabeledSequence(np.zeros((3, 1)), step_labels=["busy", None, "idle"])]
-        table, codes, missing = learn._targets(driving.compiled, data, SHARED)
+        table, codes, offsets, missing = learn._targets(driving.compiled, data, SHARED)
         assert missing is None
         assert table.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 1]]
-        assert codes[0].tolist() == [2, 0, 1]
+        assert offsets.tolist() == [0]
+        assert codes.tolist() == [2, 0, 1]
 
     @settings(max_examples=150)
     @given(
@@ -579,6 +581,55 @@ class TestTraining:
         # one forward and one reverse recursion per group, 2 groups, 3 epochs
         assert calls == ["_run_forward", "_run_backward"] * 3 * 2
 
+    @pytest.mark.parametrize("tagging", [False, True])
+    @pytest.mark.parametrize("batch_size", [1, 7, 25])
+    def test_loss_gets_each_length_group_stacked(self, driving, monkeypatch, tagging, batch_size):
+        # _batch_loss gets, per minibatch, np.stack(..., axis=1) of each
+        # length group's features and codes: groups in first-seen order,
+        # sequences in minibatch order
+        rng = np.random.default_rng(9)
+        data = []
+        for k in range(20):
+            feats = rng.normal(size=((3, 5, 9)[k % 3], 4))
+            if tagging:
+                labels = [None if x == 3 else x for x in rng.integers(0, 4, len(feats)).tolist()]
+                data.append(LabeledSequence(feats, step_labels=labels))
+            else:
+                data.append(LabeledSequence(feats, label=int(rng.integers(0, 2))))
+        batches, calls = [], []
+        group, loss = learn._group_equal_length, learn._batch_loss
+
+        def grouping(lengths, batch):
+            batches.append(list(batch))
+            return group(lengths, batch)
+
+        def recording(*args):
+            calls.append((args[2].copy(), args[4].copy()))
+            return loss(*args)
+
+        monkeypatch.setattr(learn, "_group_equal_length", grouping)
+        monkeypatch.setattr(learn, "_batch_loss", recording)
+        train(driving.compiled, data, TrainConfig(max_epochs=2, batch_size=batch_size, seed=0))
+        assert len(batches) == 2 * math.ceil(len(data) / batch_size)
+        want = []
+        for batch in batches:
+            groups = {}
+            for k in batch:
+                groups.setdefault(len(data[k].features), []).append(k)
+            for g in groups.values():
+                if tagging:  # the identity map codes label q as row q + 1
+                    codes = [[0 if x is None else x + 1 for x in data[k].step_labels] for k in g]
+                    codes = [np.array(row, dtype=np.intp) for row in codes]
+                else:
+                    codes = [np.array([data[k].label + 1]) for k in g]
+                feats = np.stack([data[k].features for k in g], axis=1)
+                want.append((feats, np.stack(codes, axis=1)))
+        assert len(calls) == len(want)
+        for got, expected in zip(calls, want):
+            for actual, wanted in zip(got, expected):
+                assert actual.shape == wanted.shape and actual.dtype == wanted.dtype
+                assert np.array_equal(actual, wanted)
+
     def test_invalid_configs_rejected(self):
         for rate in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="^learning rate must be finite and >= 0"):
@@ -666,8 +717,8 @@ class TestLayoutContract:
         else:
             state_to_label = None
             data = [LabeledSequence(f, label=int(rng.integers(0, 2))) for f in features]
-        table, codes, _ = learn._targets(c, data, state_to_label)
-        codes = np.stack(codes)
+        table, codes, offsets, _ = learn._targets(c, data, state_to_label)
+        codes = codes[offsets[:, None] + np.arange(steps if tagging else 1)]
         got = learn._batch_loss(
             c, ext, np.ascontiguousarray(features.transpose(1, 0, 2)), table, codes.T, not tagging
         )

@@ -1,0 +1,132 @@
+"""Whether two checkouts of symfa train bitwise alike.
+
+    python3 tools/same_training.py OLD NEW
+
+Runs one child Python per checkout, with PYTHONPATH=<checkout>/src, so
+each imports its own symfa and nothing of the benchmark. Each child
+trains the benchmark's train-wide and train-long configurations, built
+with symfa.bench, and mixed-length sets (lengths 3, 5 and 9 interleaved)
+on driving, random:8x10:2 and random:64x12:0, with both label kinds and
+batch sizes 1, 7, 32 and 100. It prints one sha256 over the weights, the
+bias and every EpochRecord of every run. Exits 0 when the two digests
+agree, 1 when they differ, and 2 when a child fails.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent
+
+
+def _path_labels(c, truth, skip: int | None = None) -> list:
+    """The states a (steps, symbols) boolean trace visits; with `skip`,
+    steps t with t % 4 == skip are unlabeled."""
+    from symfa import automaton
+    from symfa.logic import Interpretation
+
+    masks = [sum(1 << i for i, bit in enumerate(row) if bit) for row in truth]
+    path = automaton.boolean_run(c, [Interpretation(m, len(c.vocab)) for m in masks])
+    return [None if t % 4 == skip else q for t, q in enumerate(path)]
+
+
+def _mixed(c, tagging: bool, rng):
+    """60 noisy random boolean traces of lengths 3, 5 and 9 interleaved,
+    labeled by the states they visit, or by a coin for sequence labels."""
+    from symfa import bench
+    from symfa.learn import LabeledSequence
+
+    data = []
+    for k in range(60):
+        truth = rng.random(((3, 5, 9)[k % 3], len(c.vocab))) < 0.5
+        features = bench.encode_trace(truth, bench.DEFAULT_NOISE, rng)
+        if tagging:
+            data.append(LabeledSequence(features, step_labels=_path_labels(c, truth, k % 4)))
+        else:
+            data.append(LabeledSequence(features, label=int(rng.integers(0, 2))))
+    return data
+
+
+def _runs():
+    """(compiled automaton, labeled data, TrainConfig) for every run."""
+    import numpy as np
+    from symfa import bench
+    from symfa.learn import LabeledSequence, TrainConfig
+
+    wide = bench.random_pattern(8, 10, 2)
+    data = bench.generate_dataset(wide, 30, 256, 256, seed=1).labeled()
+    yield wide.compiled, data, TrainConfig(batch_size=256, max_epochs=2, patience=2, seed=1)
+    c = bench.driving_pattern().compiled
+    data = [
+        LabeledSequence(seq.features, step_labels=_path_labels(c, seq.clean_trace))
+        for seq in bench.generate_dataset(bench.driving_pattern(), 300, 32, 32, seed=1).sequences
+    ]
+    yield c, data, TrainConfig(batch_size=16, max_epochs=2, patience=2, seed=1)
+    rng = np.random.default_rng(0)
+    for pattern in (bench.driving_pattern(), wide, bench.random_pattern(64, 12, 0)):
+        for tagging in (False, True):
+            data = _mixed(pattern.compiled, tagging, rng)
+            for batch in (1, 7, 32, 100):
+                cfg = TrainConfig(batch_size=batch, max_epochs=3, patience=3)
+                yield pattern.compiled, data, cfg
+
+
+def digest() -> str:
+    """sha256 over every run's trained weights, bias and epoch history."""
+    from symfa import learn
+
+    h = hashlib.sha256()
+    for c, data, cfg in _runs():
+        result = learn.train(c, data, cfg)
+        h.update(result.extractor.weights.tobytes())
+        h.update(result.extractor.bias.tobytes())
+        for rec in result.history:
+            h.update(struct.pack("<qdd", rec.epoch, rec.loss, rec.metric))
+    return h.hexdigest()
+
+
+def _child(checkout: Path) -> str | None:
+    """The digest a child Python computes on `checkout`'s symfa, or None."""
+    src = checkout.resolve() / "src"
+    if not (src / "symfa").is_dir():
+        print(f"{checkout}: no src/symfa package", file=sys.stderr)
+        return None
+    code = (
+        f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import symfa, same_training; "
+        "print(symfa.__file__); print(same_training.digest())"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, env=env, capture_output=True, text=True
+    )
+    lines = proc.stdout.split()
+    if proc.returncode != 0 or len(lines) != 2:
+        print(f"{checkout}: child failed\n{proc.stderr}", file=sys.stderr)
+        return None
+    if not Path(lines[0]).resolve().is_relative_to(src):
+        print(f"{checkout}: child imported symfa from {lines[0]}", file=sys.stderr)
+        return None
+    return lines[1]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 3:
+        print("usage: python3 tools/same_training.py OLD NEW", file=sys.stderr)
+        return 2
+    digests = []
+    for checkout in argv[1:]:
+        found = _child(Path(checkout))
+        if found is None:
+            return 2
+        print(f"{found}  {checkout}")
+        digests.append(found)
+    return 0 if digests[0] == digests[1] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
