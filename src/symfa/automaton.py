@@ -17,11 +17,13 @@ each observation follows the recursion
 Acceptance probability is the final alpha mass on accepting states, which
 equals the probability-weighted sum over all accepted boolean traces.
 
-Runs never build the dense matrices. On first use a CompiledSfa builds,
-and caches on itself, one evaluation plan: the transition list (src, dst)
-and all guards merged into one levelized circuit (circuit.Plan).
-Validation alone never pays for it. The recursion cores take
-probabilities as (V, T, N) and state arrays as (T, N, Q); the public
+Runs never build the dense matrices. A CompiledSfa keeps the one
+decision-diagram table that validated it and each transition's node in
+it. On first use it builds, and caches on itself, one evaluation plan:
+the transition list (src, dst) and the nodes below every transition's
+root, read straight from that table into one levelized circuit
+(circuit.Plan). Validation alone never pays for it. The recursion cores
+take probabilities as (V, T, N) and state arrays as (T, N, Q); the public
 functions, which take (..., T, V), pass them transposed views. Each block
 of about BLOCK_ROWS probability rows (whole steps, t-major) is evaluated
 in one pass over the plan, giving every transition's guard value W_t, and
@@ -40,16 +42,18 @@ product costs more than a gather, gather alpha_{t-1}[src] at every step.
 The gradient walks the blocks backwards with the adjoint recursion, in
 the same two forms, and one reverse pass over the plan per block.
 
-Compiled automata are immutable apart from that cache; two threads that
-race to build it build equal plans, so forward runs and gradients stay
-pure functions and safe to call concurrently.
+Compiled automata are immutable apart from two first-use caches, the
+plan and the extracted `guards`; nothing builds into a compiled
+automaton's table after validation, and two threads that race to fill a
+cache fill it with equal values, so forward runs and gradients stay pure
+functions and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -127,15 +131,21 @@ class Sfa:
 
 @dataclass(frozen=True)
 class CompiledSfa:
-    """Validated automaton with one compiled circuit per transition.
+    """Validated automaton: its validation table and each transition's node in it.
 
     Only produced by validate_and_compile, so holders may assume the
     determinism and exhaustiveness invariants; `completed_states` lists
     states whose implicit self-loop was synthesized during validation.
+    `table` is the decision-diagram table validation filled, and
+    `roots[(src, dst)]` the transition's node in it; nothing builds into
+    the table after validation, and equality ignores it, so two
+    validations of one automaton compare equal. Two caches are filled
+    from it on first use and kept: `guards`, and `_plan` for the runs.
     """
 
     sfa: Sfa
-    guards: Mapping[tuple[int, int], CompiledGuard]
+    table: circuit.DiagramTable = field(compare=False)
+    roots: Mapping[tuple[int, int], int]
     completed_states: tuple[str, ...]
 
     @property
@@ -155,8 +165,13 @@ class CompiledSfa:
         return self.sfa.accepting
 
     @cached_property
+    def guards(self) -> Mapping[tuple[int, int], CompiledGuard]:
+        """Each transition's guard, extracted from `table` on first use and kept."""
+        return {pair: self.table.guard(u) for pair, u in self.roots.items()}
+
+    @cached_property
     def _plan(self) -> "_Plan":
-        """Merged evaluation plan, built on first use and kept."""
+        """Evaluation plan, read from `table` on first use and kept."""
         return _Plan(self)
 
 
@@ -212,9 +227,10 @@ def validate_and_compile(sfa: Sfa, complete: bool = True) -> CompiledSfa:
     Guards out of each state must be pairwise unsatisfiable in conjunction
     and their disjunction valid. Each declared guard is built once, into
     one decision-diagram table for the whole automaton (at most
-    circuit.MAX_NODES nodes); completion, both checks and the extracted
-    guards all read those roots. A conjunction is node 0, the disjunction
-    node 1, and a counterexample is one walk down the offending diagram.
+    circuit.MAX_NODES nodes); completion, both checks and the runs' plan
+    all read those roots, and no guard is extracted here. A conjunction
+    is node 0, the disjunction node 1, and a counterexample is one walk
+    down the offending diagram.
     With `complete` (the default) missing coverage becomes a self-loop
     first, made from node ids by complete_self_loops; without it,
     uncovered states raise IncompleteError.
@@ -225,7 +241,6 @@ def validate_and_compile(sfa: Sfa, complete: bool = True) -> CompiledSfa:
         roots = {pair: table.build(f) for pair, f in sfa.transitions.items()}
         if complete:
             sfa, completed_states = complete_self_loops(sfa, table, roots)
-        guards = {pair: table.guard(roots[pair]) for pair in sfa.transitions}
 
         for q, dsts in enumerate(_targets(sfa)):
             out = sorted((dst, roots[(q, dst)]) for dst in dsts)
@@ -244,7 +259,9 @@ def validate_and_compile(sfa: Sfa, complete: bool = True) -> CompiledSfa:
                 witness = circuit.witness(table.guard(cover), False)
                 raise IncompleteError(sfa.states[q], witness.describe(sfa.vocab))
 
-    return CompiledSfa(sfa, guards, completed_states)
+    # completion adds each new self-loop to `roots` and the transitions alike,
+    # so both list the transitions in one order
+    return CompiledSfa(sfa, table, roots, completed_states)
 
 
 # --- probabilistic runs ----------------------------------------------------
@@ -261,10 +278,10 @@ def validate_and_compile(sfa: Sfa, complete: bool = True) -> CompiledSfa:
 # grow with T.
 
 class _Plan:
-    """Transition list of a CompiledSfa and the merged circuit of its guards."""
+    """Transition list of a CompiledSfa and the circuit of its guards."""
 
     def __init__(self, c: CompiledSfa):
-        pairs = list(c.guards)
+        pairs = list(c.roots)
         self.src = np.array([i for i, _ in pairs], dtype=np.intp)
         self.dst = np.array([j for _, j in pairs], dtype=np.intp)
         eye = np.eye(c.num_states)
@@ -278,7 +295,7 @@ class _Plan:
         self.next = None
         if len(pairs) <= FLOW_MAX_TRANSITIONS:
             self.next = (self.dst[:, None] == self.src).astype(np.float64)
-        self.circuit = circuit.Plan(list(c.guards.values()), len(c.vocab))
+        self.circuit = circuit.Plan(c.table, list(c.roots.values()))
 
 
 def _check_probs(c: CompiledSfa, ps: np.ndarray, min_dims: int) -> np.ndarray:

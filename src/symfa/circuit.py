@@ -18,11 +18,12 @@ is canonical for the order, so validity (the root is node 1),
 satisfiability (the root is not node 0) and a witness (one walk from the
 root) are exact at any number of variables and need no arithmetic.
 
-`Plan` merges the guards of one automaton through a table of its own and
-levelizes the result by height, so that evaluating every guard on a block
-of probability rows, and the reverse pass for its gradient, cost a few
-numpy calls per level instead of interpreting each guard node by node
-(the layered evaluation of KLay, Maene et al. 2024). `wmc`/`wmc_batch`
+`Plan` is read straight from the table that validated the guards of one
+automaton: `DiagramTable.extract` renumbers the nodes below their roots,
+and the plan levelizes them by height, so that evaluating every guard on
+a block of probability rows, and the reverse pass for its gradient, cost
+a few numpy calls per level instead of interpreting each guard node by
+node (the layered evaluation of KLay, Maene et al. 2024). `wmc`/`wmc_batch`
 interpret one guard; tests use them as the reference for the plan.
 
 Circuits and plans are immutable after construction; evaluation
@@ -142,11 +143,11 @@ class DiagramTable:
     each pair once. `build` keeps no memo of its own: hashing a formula
     walks all of it, while building a subformula again is a chain of memo
     hits that adds no node. `_node` is the one place a decision node is
-    made, here and when `Plan` merges guards, and `MAX_NODES` bounds each
-    table, constants included.
+    made, and `MAX_NODES` bounds each table, constants included.
 
     The operations recurse once per level; callers turn a RecursionError
-    into CircuitSizeError with `too_deep_is_size_error`.
+    into CircuitSizeError with `too_deep_is_size_error`, and `extract` does
+    so itself.
     """
 
     def __init__(self, num_vars: int):
@@ -229,13 +230,15 @@ class DiagramTable:
             return self.conj(*map(self.build, f.children))
         return self.disj(*map(self.build, f.children))
 
-    def guard(self, root: int) -> CompiledGuard:
-        """The diagram below `root` on its own.
+    def extract(self, roots: Sequence[int]) -> tuple[list[tuple], list[int]]:
+        """The nodes below `roots` on their own, and each root's id among them.
 
-        Its decision nodes are numbered from 2 in hi-first post-order, the
+        Nodes 0 and 1 are the constants, as in a CompiledGuard. The decision
+        nodes are numbered from 2 in hi-first post-order, one root after the
+        other, and a node below several roots is numbered once. That is the
         order in which Shannon expansion along the variable order creates
-        them, so equal functions give equal guards whatever else
-        the table holds.
+        them, so equal functions give equal diagrams whatever else the
+        table holds. Nothing is added to the table.
         """
         ids = {0: 0, 1: 1}
         nodes: list[tuple] = [(KIND_CONST, 0), (KIND_CONST, 1)]
@@ -249,7 +252,12 @@ class DiagramTable:
                 nodes.append(node)
             return found
 
-        root = visit(root)
+        with too_deep_is_size_error():
+            return nodes, [visit(u) for u in roots]
+
+    def guard(self, root: int) -> CompiledGuard:
+        """The diagram below `root` on its own: `extract` of one root."""
+        nodes, (root,) = self.extract([root])
         return CompiledGuard(tuple(nodes), root, self.num_vars)
 
 
@@ -353,34 +361,27 @@ class _Level:
 
 
 class Plan:
-    """Merged, levelized decision diagram of several guards over one vocabulary.
+    """Levelized decision diagram of several guards over one vocabulary.
 
-    The decision nodes of all guards are rebuilt, each guard's in its
-    topological (array) order, into one DiagramTable, so a subdiagram
-    shared by several guards is stored once and MAX_NODES bounds the
-    merge. The nodes are grouped into levels by height above the
-    constants. Evaluating p of shape (num_vars, rows) then costs a few
-    numpy calls per level, not per node or per guard, and a reverse pass
-    over the same levels yields the gradient of any weighted sum of roots.
+    It is read straight from the table that validated the guards:
+    `table.extract(roots)` numbers the nodes below every root once, so a
+    subdiagram shared by several guards is stored once, and the table's
+    MAX_NODES already bounds them. The nodes are grouped into levels by
+    height above the constants. Evaluating p of shape (num_vars, rows)
+    then costs a few numpy calls per level, not per node or per guard, and
+    a reverse pass over the same levels yields the gradient of any
+    weighted sum of roots.
 
-    Node 0 is the constant 0, node 1 the constant 1; `roots[k]` is the
-    node of guard k. Plans are immutable; evaluation allocates only local
-    buffers and is safe to run concurrently.
+    Node 0 is the constant 0, node 1 the constant 1; `self.roots[k]` is
+    the node of the k-th given root. Plans are immutable; evaluation
+    allocates only local buffers and is safe to run concurrently.
     """
 
-    def __init__(self, guards: Sequence[CompiledGuard], num_vars: int):
-        if any(g.num_vars != num_vars for g in guards):
-            raise ValueError(f"every guard must range over {num_vars} variables")
-        self.num_vars = num_vars
-        table = DiagramTable(num_vars)
-        roots = []
-        for g in guards:
-            merged = [0, 1]
-            for var, hi, lo in g.nodes[2:]:
-                merged.append(table._node(var, merged[hi], merged[lo]))
-            roots.append(merged[g.root])
+    def __init__(self, table: DiagramTable, roots: Sequence[int]):
+        self.num_vars = num_vars = table.num_vars
+        nodes, roots = table.extract(roots)
         heights = [0, 0]
-        for _, hi, lo in table._nodes[2:]:
+        for _, hi, lo in nodes[2:]:
             heights.append(1 + max(heights[hi], heights[lo]))
         heights = np.array(heights)
 
@@ -392,7 +393,8 @@ class Plan:
         renum = np.empty(n, dtype=np.intp)
         renum[by_height] = np.arange(n)
         self.roots = renum[roots]
-        var, hi, lo = np.array(table._nodes, dtype=np.intp)[by_height].T.copy()
+        triples = [(num_vars, 0, 0), (num_vars, 1, 1)] + nodes[2:]
+        var, hi, lo = np.array(triples, dtype=np.intp)[by_height].T.copy()
         hi, lo = renum[hi], renum[lo]
 
         # adjoint edges (receiving node, source row, weight row), each node's

@@ -124,7 +124,7 @@ def cmd_validate(args) -> int:
     compiled = validate_and_compile(sfa, complete=not args.no_complete)
     completed = ", ".join(compiled.completed_states) or "none"
     print(
-        f"valid: {len(compiled.states)} states, {len(compiled.guards)} transitions, "
+        f"valid: {len(compiled.states)} states, {len(compiled.roots)} transitions, "
         f"deterministic and complete (synthesized self-loops: {completed})"
     )
     return 0

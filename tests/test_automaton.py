@@ -15,7 +15,6 @@ from symfa import (
     acceptance,
     acceptance_batch,
     accepts_trace,
-    compile_guard,
     complete_self_loops,
     format_sfa,
     forward,
@@ -26,6 +25,7 @@ from symfa import (
 )
 from symfa.automaton import backward_gradient, boolean_run, forward_alphas
 from symfa.bench import random_pattern
+from symfa.circuit import DiagramTable
 from symfa.errors import (
     ConsistencyError,
     IncompleteError,
@@ -237,7 +237,8 @@ class TestTransitionMatrix:
         # bypass validation: the only declared transition covers half the mass
         guard = parse_formula("tired", tbf_vocab)
         sfa = Sfa(tbf_vocab, ("q0",), 0, {(0, 0): guard}, frozenset({0}))
-        broken = CompiledSfa(sfa, {(0, 0): compile_guard(guard, 3)}, ())
+        table = DiagramTable(3)
+        broken = CompiledSfa(sfa, table, {(0, 0): table.build(guard)}, ())
         with pytest.raises(ConsistencyError):
             transition_matrix(broken, [0.5, 0.5, 0.5])
 

@@ -1,0 +1,56 @@
+"""tools/bench_pairs.py, which runs the benchmark on two checkouts in pairs."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def result_line(setup_s: float, throughput: float) -> str:
+    """The last stdout line of a benchmark run, as perfbench/run.py prints it."""
+    metrics = {
+        "setup_s": {"value": setup_s, "unit": "s"},
+        "throughput_per_s": {"value": throughput, "unit": "1/s"},
+    }
+    return json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": metrics})
+
+
+def test_table_gives_medians_quartiles_ratio_and_pairs_won():
+    parent = [json.loads(result_line(s, t)) for s, t in [(4.0, 100.0), (2.0, 300.0), (3.0, 200.0)]]
+    change = [json.loads(result_line(s, t)) for s, t in [(2.0, 150.0), (3.0, 250.0), (1.0, 200.0)]]
+    better = {"setup_s": "lower", "throughput_per_s": "higher"}
+    header, rule, setup, throughput = bench_pairs.table(parent, change, better)
+    assert header.count("|") == rule.count("|") == setup.count("|") == 7
+    # setup: parent 2, 3, 4 and change 1, 2, 3; the change is lower in pairs 1 and 3
+    assert setup == "| setup_s | 3 | 3 [2.5, 3.5] | 2 [1.5, 2.5] | 0.667 | 2/3 |"
+    # throughput: a tie is no win, so only pair 1 counts
+    assert throughput.endswith("| 1.000 | 1/3 |")
+
+
+def test_one_value_is_its_own_quartiles():
+    assert bench_pairs.summary([0.5]) == "0.5 [0.5, 0.5]"
+
+
+def test_a_checkout_against_itself_on_validate_wide():
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), str(ROOT), "--workload", "validate-wide"]
+        + ["--pairs", "1", "--seconds", "0.3"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    out = proc.stdout
+    for layout in bench_pairs.LAYOUTS:
+        for side in bench_pairs.SIDES:
+            assert f"{layout} seed 1 {side}: # calibration: interpreter kernel" in out
+        assert f"validate-wide, layout {layout}, --seconds 0.3:" in out
+    rows = [line for line in out.splitlines() if line.startswith("| setup_s | 1 |")]
+    assert len(rows) == 2 and all(row.endswith(("| 0/1 |", "| 1/1 |")) for row in rows)

@@ -11,9 +11,21 @@ import random
 import sys
 import time
 
+import numpy as np
 import pytest
 
-from symfa import Sfa, Vocabulary, compile_guard, is_valid, parse_sfa, validate_and_compile
+from symfa import (
+    Sfa,
+    Vocabulary,
+    acceptance,
+    cli,
+    compile_guard,
+    format_sfa,
+    is_valid,
+    load_sfa,
+    parse_sfa,
+    validate_and_compile,
+)
 from symfa.bench import random_pattern
 from symfa.circuit import DiagramTable
 from symfa.cli import main
@@ -124,6 +136,32 @@ def test_validation_builds_each_declared_guard_once(name, request, monkeypatch):
     assert built == list(sfa.transitions.values())
 
 
+@pytest.mark.parametrize("name", ["driving", "events", "wide"])
+def test_validation_extracts_no_guard(name, request, monkeypatch, tmp_path):
+    # `symfa validate` reads only the roots: no guard is extracted from the
+    # table, and neither the guards nor the plan is cached on the automaton
+    spec = tmp_path / "spec.sfa"
+    sfa = parse_sfa(wide_spec(30)) if name == "wide" else request.getfixturevalue(name).sfa
+    spec.write_text(format_sfa(sfa))
+
+    def refuse(*args):
+        raise AssertionError("validation extracted a guard")
+
+    monkeypatch.setattr(DiagramTable, "extract", refuse)
+    monkeypatch.setattr(DiagramTable, "guard", refuse)
+    validated = [validate_and_compile(load_sfa(spec))]
+
+    def keep(*args, **kwargs):
+        validated.append(validate_and_compile(*args, **kwargs))
+        return validated[-1]
+
+    monkeypatch.setattr(cli, "validate_and_compile", keep)
+    assert main(["validate", str(spec)]) == 0
+    assert len(validated) == 2
+    for c in validated:
+        assert "guards" not in vars(c) and "_plan" not in vars(c)
+
+
 def conjunction_spec(path, width: int) -> str:
     """Two states; a moves to b on the conjunction of all `width` variables."""
     names = [f"v{i}" for i in range(width)]
@@ -151,6 +189,19 @@ def test_wide_conjunction_compiles_and_validates_in_linear_time(tmp_path, capsys
         assert main(["validate", spec]) == 0
     assert len(g.nodes) == width + 2
     assert capsys.readouterr().out.startswith("valid: 2 states, 3 transitions")
+
+
+def test_wide_conjunction_validates_and_scores_at_the_default_recursion_limit(tmp_path):
+    # the plan build's walk down the 900-level diagram is the deepest
+    # recursion from the spec to a score
+    assert sys.getrecursionlimit() == 1000
+    width = 900
+    c = validate_and_compile(load_sfa(conjunction_spec(tmp_path / "wide.sfa", width)))
+    # a moves to b only where every variable is true
+    ps = np.ones((1, width))
+    assert acceptance(c, ps) == 1.0
+    ps[0, width // 2] = 0.0
+    assert acceptance(c, ps) == 0.0
 
 
 def test_guard_deeper_than_the_recursion_limit_is_a_domain_error(tmp_path, capsys):

@@ -19,7 +19,6 @@ from symfa import (
     Sfa,
     Vocabulary,
     automaton,
-    compile_guard,
     parse_formula,
     validate_and_compile,
 )
@@ -36,7 +35,8 @@ from symfa.automaton import (
     transition_tensor,
 )
 from symfa.bench import random_pattern
-from symfa.circuit import Plan, wmc_batch
+from symfa.circuit import DiagramTable, Plan, wmc_batch
+from symfa.logic import Var
 
 TOL = 1e-12
 
@@ -225,11 +225,15 @@ def test_transition_tensor_matches_reference(automata, name):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_plan_of_guards_compiled_one_by_one_is_the_same(automata, name):
-    # a guard's diagram does not depend on the table it was built in, so
-    # merging separately compiled guards gives the same plan arrays
+    # the extracted diagram does not depend on what else its table holds, so
+    # guards built into a fresh table, in reverse order after an unrelated
+    # conjunction, give the same plan arrays as the validation table
     c = automata[name]
-    guards = [compile_guard(c.sfa.transitions[pair], len(c.vocab)) for pair in c.guards]
-    got, want = Plan(guards, len(c.vocab)), c._plan.circuit
+    n = len(c.vocab)
+    table = DiagramTable(n)
+    table.conj(*(table.neg(table.build(Var(i))) for i in reversed(range(n))))
+    roots = {pair: table.build(c.sfa.transitions[pair]) for pair in reversed(list(c.roots))}
+    got, want = Plan(table, [roots[pair] for pair in c.roots]), c._plan.circuit
     assert np.array_equal(got.roots, want.roots)
     assert len(got.levels) == len(want.levels)
     for a, b in zip(got.levels, want.levels):
@@ -271,14 +275,26 @@ def test_plan_is_built_on_first_run_only(driving):
     assert c._plan is plan
 
 
+def test_guards_are_extracted_on_first_read_and_kept(driving):
+    c = validate_and_compile(driving.sfa)
+    assert "guards" not in vars(c)
+    assert c.guards is c.guards
+    assert list(c.guards) == list(c.sfa.transitions)
+
+
+def test_two_validations_of_one_automaton_compare_equal(driving, events):
+    # events gets synthesized self-loops; its two validations build two tables
+    for sfa in (driving.sfa, events.sfa, shared_roots_sfa()):
+        a, b = validate_and_compile(sfa), validate_and_compile(sfa)
+        assert a is not b and a == b
+
+
 def test_unvalidated_automaton_fails_the_row_sum_check():
     vocab = Vocabulary.of("a", "b")
     guard = parse_formula("a", vocab)
-    broken = CompiledSfa(
-        Sfa(vocab, ("q0",), 0, {(0, 0): guard}, frozenset({0})),
-        {(0, 0): compile_guard(guard, 2)},
-        (),
-    )
+    table = DiagramTable(2)
+    sfa = Sfa(vocab, ("q0",), 0, {(0, 0): guard}, frozenset({0}))
+    broken = CompiledSfa(sfa, table, {(0, 0): table.build(guard)}, ())
     with pytest.raises(ConsistencyError):
         forward_alphas(broken, np.full((3, 2), 0.5))
 
