@@ -27,20 +27,20 @@ take probabilities as (V, T, N) and state arrays as (T, N, Q); the public
 functions, which take (..., T, V), pass them transposed views. Each block
 of about BLOCK_ROWS probability rows (whole steps, t-major) is evaluated
 in one pass over the plan, giving every transition's guard value W_t, and
-the recursion runs
-sparsely over the transitions: alpha_t[j] = sum over transitions i -> j
-of alpha_{t-1}[i] · W_t. On short, narrow batches a step costs its numpy
-calls, not its arithmetic, so automata of at most FLOW_MAX_TRANSITIONS
-transitions carry the per-transition flow alpha_{t-1}[src] · W_t through
-the loop instead of the state distribution: the flow into the next step's
-transitions is one product with the 0/1 matrix `next` (e ends where f
-starts), two calls per step. forward_alphas gets a block's alphas from
-one product of its flows with `into_dst`; acceptance_batch keeps only
-the running flow and reads alpha_T off the last one, so scoring memory
-is bounded by the block whatever T is. Larger automata, where that
-product costs more than a gather, gather alpha_{t-1}[src] at every step.
-The gradient walks the blocks backwards with the adjoint recursion, in
-the same two forms, and one reverse pass over the plan per block.
+the recursion runs sparsely over the transitions: alpha_t[j] = sum over
+transitions i -> j of alpha_{t-1}[i] · W_t. Each direction is one step
+loop that carries one value per transition: the forward loop carries
+alpha_{t-1}[src] and turns W_t into the flow alpha_{t-1}[src] · W_t in
+place; the reverse loop carries the adjoint read at each transition's
+target. Only the step that moves that array to the next step has two
+forms. On short, narrow batches a step costs its numpy calls, not its
+arithmetic, so automata of at most FLOW_MAX_TRANSITIONS transitions move
+it with one product with the 0/1 matrix `next` (e ends where f starts),
+or its transpose; larger automata, where that product costs more than a
+gather, sum it per state and gather the sums, one call more per step.
+acceptance_batch keeps only the running state, so scoring memory is
+bounded by the block whatever T is. The gradient walks the blocks
+backwards, with one reverse pass over the plan per block.
 
 Compiled automata are immutable apart from two first-use caches, the
 plan and the extracted `guards`; nothing builds into a compiled
@@ -138,9 +138,10 @@ class CompiledSfa:
     states whose implicit self-loop was synthesized during validation.
     `table` is the decision-diagram table validation filled, and
     `roots[(src, dst)]` the transition's node in it; nothing builds into
-    the table after validation, and equality ignores it, so two
-    validations of one automaton compare equal. Two caches are filled
-    from it on first use and kept: `guards`, and `_plan` for the runs.
+    the table after validation, which drops its memos, and equality
+    ignores it, so two validations of one automaton compare equal. Two
+    caches are filled from it on first use and kept: `guards`, and
+    `_plan` for the runs.
     """
 
     sfa: Sfa
@@ -259,6 +260,9 @@ def validate_and_compile(sfa: Sfa, complete: bool = True) -> CompiledSfa:
                 witness = circuit.witness(table.guard(cover), False)
                 raise IncompleteError(sfa.states[q], witness.describe(sfa.vocab))
 
+    # nothing builds into the table after validation: its memos would only be
+    # kept memory
+    table.drop_memos()
     # completion adds each new self-loop to `roots` and the transitions alike,
     # so both list the transitions in one order
     return CompiledSfa(sfa, table, roots, completed_states)
@@ -290,8 +294,9 @@ class _Plan:
         self.from_src = eye[self.src]
         self.into_dst = eye[self.dst]
         # (n_trans, n_trans) 0/1 matrix, next[e, f] = 1 when e ends where f
-        # starts: flow @ next is alpha_t[src] of the following step. None
-        # above FLOW_MAX_TRANSITIONS, where the recursions gather instead.
+        # starts: flow @ next is alpha_t[src] of the following step, in one
+        # product where the gather form sums per state and gathers. None
+        # above FLOW_MAX_TRANSITIONS, where the recursion steps gather.
         self.next = None
         if len(pairs) <= FLOW_MAX_TRANSITIONS:
             self.next = (self.dst[:, None] == self.src).astype(np.float64)
@@ -366,40 +371,44 @@ def _run_forward(c: CompiledSfa, pt: np.ndarray, out: np.ndarray | None = None) 
 
     The flow of step t is the mass each transition carries,
     alpha_{t-1}[src] · W_t, where W_t holds the guard value of every
-    transition at step t; alpha_t is the flow summed per target state. On
-    automata of at most FLOW_MAX_TRANSITIONS transitions the loop carries
-    the flow itself, two calls per step (flow_t = W_t · flow_{t-1} @ next),
-    and alpha_t is flow_t @ into_dst. Larger automata gather alpha_{t-1}[src]
-    at every step instead. Given `out` (T, N, Q), every alpha_t is written
-    to out[t]; otherwise only the running state is kept.
+    transition at step t; alpha_t is the flow summed per target state. The
+    loop carries incoming_t = alpha_t[src] and turns each step's weights
+    into its flow in place (flow_t = W_t · incoming_{t-1}). Only the
+    propagation to the next step depends on the plan's form: on automata
+    of at most FLOW_MAX_TRANSITIONS transitions incoming_t is flow_t @ next,
+    two calls per step, and a block's alphas come from one product of its
+    flows with `into_dst`; larger automata take alpha_t = flow_t @ into_dst
+    and gather alpha_t[src] from it, three calls per step. Given `out`
+    (T, N, Q), every alpha_t is written to out[t]; otherwise only the
+    running state is kept.
     """
     plan = c._plan
     steps, width = pt.shape[1:]
-    n_trans = len(plan.src)
+    src, into_dst, nxt = plan.src, plan.into_dst, plan.next
+    gather = nxt is None
+    n_trans = len(src)
     alpha = _initial_alpha(c, (width,))
-    # alpha_{t-1}[src], carried across blocks on the flow path
-    incoming = alpha.take(plan.src, axis=1)
+    incoming = alpha.take(src, axis=1)
     for t0, t1 in _step_blocks(steps, width):
         roots = plan.circuit.forward(pt[:, t0:t1].reshape(len(pt), -1))
         _check_row_sums(plan, roots)
-        if plan.next is None:
-            weights = roots.T.reshape(t1 - t0, width, n_trans)
-            for t in range(t0, t1):
-                alpha.take(plan.src, axis=1, out=incoming)
-                incoming *= weights[t - t0]
-                alpha = np.dot(incoming, plan.into_dst, out=alpha if out is None else out[t])
-        else:
-            # the block's weights, turned into its flows in place
-            flow = np.ascontiguousarray(roots.T).reshape(t1 - t0, width, n_trans)
-            for w in flow:
-                w *= incoming
-                np.dot(w, plan.next, out=incoming)
-            if out is None:
-                alpha = flow[-1] @ plan.into_dst
+        # the block's weights, turned into its flows in place
+        flow = np.ascontiguousarray(roots.T).reshape(t1 - t0, width, n_trans)
+        for t, w in enumerate(flow, t0):
+            w *= incoming
+            if gather:
+                alpha = np.dot(w, into_dst, out=alpha if out is None else out[t])
+                alpha.take(src, axis=1, out=incoming)
             else:
-                alphas = out[t0:t1].reshape(-1, c.num_states)
-                np.dot(flow.reshape(-1, n_trans), plan.into_dst, out=alphas)
-                alpha = out[t1 - 1]
+                np.dot(w, nxt, out=incoming)
+        if gather:
+            continue
+        # a flow block's alphas, from one product of its flows
+        if out is None:
+            alpha = flow[-1] @ into_dst
+        else:
+            np.dot(flow.reshape(-1, n_trans), into_dst, out=out[t0:t1].reshape(-1, c.num_states))
+            alpha = out[t1 - 1]
     return alpha
 
 
@@ -409,63 +418,62 @@ def _run_backward(c: CompiledSfa, pt: np.ndarray, grads: np.ndarray, alphas: np.
     `grads` (S, N, Q), S <= T, holds dLoss/dalpha_t of the last S steps;
     `alphas` (T, N, Q) holds every alpha_t of the forward recursion.
     Walking the blocks from the last step back, the adjoint recursion
-    abar_{t-1} = (W_t · abar_t[dst]) summed per source state seeds each
-    transition root with alpha_{t-1}[src] · abar_t[dst], read from
-    `alphas` in place (the initial one-hot for t = 0), and one reverse
-    pass over the merged circuit turns those seeds into dLoss/dp_t. On
-    automata of at most FLOW_MAX_TRANSITIONS transitions the loop carries
-    a_t = abar_t[dst] itself, three calls per step
-    (a_{t-1} = grads_{t-1}[dst] + (W_t · a_t) @ next.T), with every
-    grads[dst] of a block gathered in one call; larger automata gather
-    abar_t[dst] at every step instead.
+    abar_{t-1} = grads_{t-1} + (W_t · abar_t[dst]) summed per source state
+    seeds each transition root with alpha_{t-1}[src] · abar_t[dst], read
+    from `alphas` in place (the initial one-hot for t = 0), and one reverse
+    pass over the merged circuit turns those seeds into dLoss/dp_t. The
+    loop carries a_t = abar_t[dst] per transition: every grads_t[dst] of a
+    block is gathered in one call, and each step adds the carry to it and
+    moves W_t · a_t back. Only that move depends on the plan's form: on
+    automata of at most FLOW_MAX_TRANSITIONS transitions it is one product
+    with next.T, three calls per step; larger automata sum it per source
+    state and gather the sums at `dst`, four calls per step.
     """
     plan = c._plan
     steps, width = pt.shape[1:]
-    n_trans = len(plan.src)
+    src, dst, from_src, nxt = plan.src, plan.dst, plan.from_src, plan.next
+    gather = nxt is None
+    back = None if gather else nxt.T
+    n_trans = len(src)
     # grads[t - first] is the gradient of step t >= first
     first = steps - len(grads)
     # the initial one-hot, read per transition
-    initial_src = (plan.src == c.sfa.initial).astype(np.float64)
+    initial_src = (src == c.sfa.initial).astype(np.float64)
     out = np.empty(pt.shape)
-    # carried across blocks: abar_t on the gather path; on the flow path
-    # abar_t[dst] − grads_t[dst], that is W_{t+1} · a_{t+1} summed over
-    # the transitions leaving the state where each one ends
-    carry = np.zeros((width, c.num_states if plan.next is None else n_trans))
+    # abar_t[dst] − grads_t[dst], carried across steps and blocks:
+    # W_{t+1} · a_{t+1} summed over the transitions leaving the state where
+    # each one ends
+    carry = np.zeros((width, n_trans))
     moved = np.empty((width, n_trans))
+    # the per-state sums of a gather step
+    abar = np.empty((width, c.num_states)) if gather else None
     for t0, t1 in reversed(_step_blocks(steps, width)):
         rows = pt[:, t0:t1].reshape(len(pt), -1)
         # the root values are the guard weights, (n_trans, rows)
         weights, tape = plan.circuit.forward(rows, keep=True)
-        if plan.next is None:
-            weights = weights.T.reshape(t1 - t0, width, n_trans)
-            at_dst = np.empty((t1 - t0, width, n_trans))
-            for t in range(t1 - 1, t0 - 1, -1):
-                if t >= first:
-                    carry += grads[t - first]
-                carry.take(plan.dst, axis=1, out=at_dst[t - t0])
-                np.multiply(weights[t - t0], at_dst[t - t0], out=moved)
-                np.dot(moved, plan.from_src, out=carry)
+        weights = np.ascontiguousarray(weights.T).reshape(t1 - t0, width, n_trans)
+        # grads[dst] of the block's steps, zero before `first`
+        lo = min(max(t0, first), t1)
+        graded = grads[lo - first : t1 - first].take(dst, axis=2)
+        if lo == t0:
+            at_dst = graded
         else:
-            weights = np.ascontiguousarray(weights.T).reshape(t1 - t0, width, n_trans)
-            # grads[dst] of the block's steps, zero before `first`
-            lo = min(max(t0, first), t1)
-            graded = grads[lo - first : t1 - first].take(plan.dst, axis=2)
-            if lo == t0:
-                at_dst = graded
+            at_dst = np.zeros((t1 - t0, width, n_trans))
+            at_dst[lo - t0 :] = graded
+        for w, a in zip(weights[::-1], at_dst[::-1]):
+            a += carry
+            np.multiply(w, a, out=moved)
+            if gather:
+                np.dot(moved, from_src, out=abar)
+                abar.take(dst, axis=1, out=carry)
             else:
-                at_dst = np.zeros((t1 - t0, width, n_trans))
-                at_dst[lo - t0 :] = graded
-            back = plan.next.T
-            for w, a in zip(weights[::-1], at_dst[::-1]):
-                a += carry
-                np.multiply(w, a, out=moved)
                 np.dot(moved, back, out=carry)
         # root seeds alpha_{t-1}[src] · abar_t[dst], alpha_{t-1} read from
         # `alphas` in place, or the initial one-hot for t = 0
         if t0 == 0:
             at_dst[0] *= initial_src
         a0 = max(t0, 1)
-        at_dst[a0 - t0 :] *= alphas[a0 - 1 : t1 - 1].take(plan.src, axis=2)
+        at_dst[a0 - t0 :] *= alphas[a0 - 1 : t1 - 1].take(src, axis=2)
         grad = plan.circuit.backward(rows, tape, at_dst.reshape(-1, n_trans).T)
         out[:, t0:t1] = grad.reshape(len(pt), t1 - t0, width)
     return out

@@ -158,6 +158,13 @@ class DiagramTable:
         self._neg = {0: 1, 1: 0}
         self._and: dict[tuple[int, int], int] = {}
 
+    def drop_memos(self) -> None:
+        """Forget the negation and conjunction memos. The nodes and `_unique`
+        stay, so ids stay canonical and later operations, recomputed, still
+        give equal functions equal ids."""
+        self._neg = {0: 1, 1: 0}
+        self._and = {}
+
     def _node(self, level: int, hi: int, lo: int) -> int:
         # p·x + (1 − p)·x == x, so equal branches are no decision
         if hi == lo:

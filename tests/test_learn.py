@@ -679,11 +679,11 @@ def assert_close_to_scale(actual, expected, rel=1e-12):
 
 
 LAYOUT_PATTERNS = {
-    # at most FLOW_MAX_TRANSITIONS transitions: the flow loops
+    # at most FLOW_MAX_TRANSITIONS transitions: the flow steps
     "driving": bench.driving_pattern,
     "events": bench.events_pattern,
     "random:8x10:2": lambda: bench.random_pattern(8, 10, 2),
-    # 156 transitions: the gather loops
+    # 156 transitions: the gather steps
     "random:64x12:0": lambda: bench.random_pattern(64, 12, 0),
 }
 

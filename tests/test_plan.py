@@ -8,6 +8,7 @@ were merged into one plan.
 
 import dataclasses
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -35,8 +36,8 @@ from symfa.automaton import (
     transition_tensor,
 )
 from symfa.bench import random_pattern
-from symfa.circuit import DiagramTable, Plan, wmc_batch
-from symfa.logic import Var
+from symfa.circuit import DiagramTable, Plan, witness, wmc_batch
+from symfa.logic import Var, evaluate
 
 TOL = 1e-12
 
@@ -114,7 +115,7 @@ def automata(driving, events):
         "events": events.compiled,
         "random:8x10:2": random_pattern(8, 10, 2).compiled,
         "shared-roots": validate_and_compile(shared_roots_sfa()),
-        # 37 transitions, above FLOW_MAX_TRANSITIONS: the gather loops
+        # 37 transitions, above FLOW_MAX_TRANSITIONS: the gather steps
         "random:16x6:0": random_pattern(16, 6, 0).compiled,
         "random:64x12:0": random_pattern(64, 12, 0).compiled,
     }
@@ -164,7 +165,7 @@ def test_flow_and_gather_loops_agree(automata, monkeypatch, name):
     flow = automata[name]
     assert flow._plan.next is not None
     monkeypatch.setattr(automaton, "FLOW_MAX_TRANSITIONS", 0)
-    # the plan is cached on the automaton, so the gather loops need a fresh copy
+    # the plan is cached on the automaton, so the gather steps need a fresh copy
     gather = validate_and_compile(flow.sfa)
     assert gather._plan.next is None
     rng = np.random.default_rng(4)
@@ -289,6 +290,27 @@ def test_two_validations_of_one_automaton_compare_equal(driving, events):
         assert a is not b and a == b
 
 
+def test_validation_drops_the_table_memos(driving, events):
+    for sfa in (driving.sfa, events.sfa, shared_roots_sfa()):
+        c = validate_and_compile(sfa)
+        table = c.table
+        assert table._neg == {0: 1, 1: 0} and table._and == {}
+        # `_unique` is kept: validation's own checks, done again in its
+        # order, land on the same canonical nodes and add none
+        size = len(table._nodes)
+        for q, dsts in enumerate(automaton._targets(c.sfa)):
+            roots = [c.roots[(q, dst)] for dst in sorted(dsts)]
+            assert all(table.conj(u, v) == 0 for u, v in itertools.combinations(roots, 2))
+            assert table.disj(*roots) == 1
+        assert len(table._nodes) == size
+        for pair, guard in c.guards.items():
+            found = witness(guard, True)
+            assert found is not None and evaluate(c.sfa.transitions[pair], found)
+        ps = np.random.default_rng(11).uniform(size=(3, 5, len(c.vocab)))
+        assert_close(forward_alphas(c, ps), reference_alphas(c, ps))
+        assert c == validate_and_compile(sfa)
+
+
 def test_unvalidated_automaton_fails_the_row_sum_check():
     vocab = Vocabulary.of("a", "b")
     guard = parse_formula("a", vocab)
@@ -359,7 +381,7 @@ def test_repeated_calls_are_bitwise_identical(automata, name):
 
 @pytest.mark.parametrize("pattern", ["driving", "random:64x12:0"])
 def test_gradients_of_the_last_steps_are_the_zero_padded_call(automata, pattern):
-    # random:64x12:0 has 156 transitions, so it takes the gather loops
+    # random:64x12:0 has 156 transitions, so it takes the gather steps
     c = automata[pattern]
     rng = np.random.default_rng(12)
     # 40 sequences of 60 steps: blocks of 25 steps, so S = 30 starts inside one
@@ -375,3 +397,19 @@ def test_gradients_of_the_last_steps_are_the_zero_padded_call(automata, pattern)
         assert np.array_equal(backward_gradient(c, ps, grads), want)
     with pytest.raises(ValueError, match="alpha_grads shape"):
         backward_gradient(c, ps, np.zeros((40, steps + 1, c.num_states)))
+
+
+@pytest.mark.parametrize("name", ["driving", "random:16x6:0"])
+def test_gradients_of_the_last_steps_match_the_reference(automata, name):
+    # driving runs the flow steps, random:16x6:0 the gather steps. 20
+    # sequences of 60 steps make blocks of 51 and 9 steps: S = 5 starts
+    # inside the last block, S = 9 on its first step, S = 30 in the block
+    # before it
+    c = automata[name]
+    rng = np.random.default_rng(13)
+    ps = rng.uniform(size=(20, 60, len(c.vocab)))
+    for last in (5, 9, 30):
+        grads = rng.normal(size=(20, last, c.num_states))
+        padded = np.zeros((20, 60, c.num_states))
+        padded[:, 60 - last :] = grads
+        assert_close(backward_gradient(c, ps, grads), reference_gradient(c, ps, padded))

@@ -1,15 +1,25 @@
-"""Whether two checkouts of symfa train bitwise alike.
+"""Whether two checkouts of symfa run and train bitwise alike.
 
     python3 tools/same_training.py OLD NEW
 
 Runs one child Python per checkout, with PYTHONPATH=<checkout>/src, so
 each imports its own symfa and nothing of the benchmark. Each child
-trains the benchmark's train-wide and train-long configurations, built
-with symfa.bench, and mixed-length sets (lengths 3, 5 and 9 interleaved)
-on driving, random:8x10:2 and random:64x12:0, with both label kinds and
-batch sizes 1, 7, 32 and 100. It prints one sha256 over the weights, the
-bias and every EpochRecord of every run. Exits 0 when the two digests
-agree, 1 when they differ, and 2 when a child fails.
+prints two sha256 digests:
+
+- recursions: the outputs of forward_alphas, acceptance_batch and
+  backward_gradient (with S = T and with S = T // 2 gradient steps) at
+  16 × 300 and 256 × 30, on driving, events, random:8x10:2,
+  random:16x6:0 and random:64x12:0 as the runs pick their form, and on
+  driving and random:8x10:2 with FLOW_MAX_TRANSITIONS forced to 0, so
+  that both forms of each recursion are covered;
+- training: the benchmark's train-wide and train-long configurations,
+  built with symfa.bench, and mixed-length sets (lengths 3, 5 and 9
+  interleaved) on driving, random:8x10:2 and random:64x12:0, with both
+  label kinds and batch sizes 1, 7, 32 and 100, hashed over the weights,
+  the bias and every EpochRecord of every run.
+
+Exits 0 when both digests agree, 1 when either differs, and 2 when a
+child fails.
 """
 
 from __future__ import annotations
@@ -76,7 +86,52 @@ def _runs():
                 yield pattern.compiled, data, cfg
 
 
-def digest() -> str:
+def _recursion_cases():
+    """Compiled automata for the recursion digest: five in the form their
+    runs pick, then driving and random:8x10:2 compiled with
+    FLOW_MAX_TRANSITIONS forced to 0."""
+    from symfa import automaton, bench
+
+    driving, wide = bench.driving_pattern(), bench.random_pattern(8, 10, 2)
+    for pattern in (
+        driving,
+        bench.events_pattern(),
+        wide,
+        bench.random_pattern(16, 6, 0),
+        bench.random_pattern(64, 12, 0),
+    ):
+        yield pattern.compiled
+    saved = automaton.FLOW_MAX_TRANSITIONS
+    automaton.FLOW_MAX_TRANSITIONS = 0
+    try:
+        for pattern in (driving, wide):
+            c = automaton.validate_and_compile(pattern.sfa)
+            c._plan  # the plan is built on first use: build it inside the override
+            yield c
+    finally:
+        automaton.FLOW_MAX_TRANSITIONS = saved
+
+
+def recursion_digest() -> str:
+    """sha256 over the recursion cores' outputs on every recursion case."""
+    import numpy as np
+    from symfa import automaton
+
+    h = hashlib.sha256()
+    for c in _recursion_cases():
+        rng = np.random.default_rng(0)
+        for width, steps in ((16, 300), (256, 30)):
+            ps = rng.uniform(size=(width, steps, len(c.vocab)))
+            alphas = automaton.forward_alphas(c, ps)
+            h.update(alphas.tobytes())
+            h.update(automaton.acceptance_batch(c, ps).tobytes())
+            for last in (steps, steps // 2):
+                grads = rng.normal(size=(width, last, c.num_states))
+                h.update(automaton.backward_gradient(c, ps, grads, alphas).tobytes())
+    return h.hexdigest()
+
+
+def training_digest() -> str:
     """sha256 over every run's trained weights, bias and epoch history."""
     from symfa import learn
 
@@ -90,28 +145,30 @@ def digest() -> str:
     return h.hexdigest()
 
 
-def _child(checkout: Path) -> str | None:
-    """The digest a child Python computes on `checkout`'s symfa, or None."""
+def _child(checkout: Path) -> tuple[str, str] | None:
+    """The recursion and training digests a child Python computes on
+    `checkout`'s symfa, or None."""
     src = checkout.resolve() / "src"
     if not (src / "symfa").is_dir():
         print(f"{checkout}: no src/symfa package", file=sys.stderr)
         return None
     code = (
         f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import symfa, same_training; "
-        "print(symfa.__file__); print(same_training.digest())"
+        "print(symfa.__file__); print(same_training.recursion_digest()); "
+        "print(same_training.training_digest())"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=src, env=env, capture_output=True, text=True
     )
     lines = proc.stdout.split()
-    if proc.returncode != 0 or len(lines) != 2:
+    if proc.returncode != 0 or len(lines) != 3:
         print(f"{checkout}: child failed\n{proc.stderr}", file=sys.stderr)
         return None
     if not Path(lines[0]).resolve().is_relative_to(src):
         print(f"{checkout}: child imported symfa from {lines[0]}", file=sys.stderr)
         return None
-    return lines[1]
+    return lines[1], lines[2]
 
 
 def main(argv: list[str]) -> int:
@@ -123,8 +180,11 @@ def main(argv: list[str]) -> int:
         found = _child(Path(checkout))
         if found is None:
             return 2
-        print(f"{found}  {checkout}")
+        print(f"{found[0]}  {found[1]}  {checkout}")
         digests.append(found)
+    for part, old, new in zip(("recursions", "training"), *digests):
+        if old != new:
+            print(f"{part} differ", file=sys.stderr)
     return 0 if digests[0] == digests[1] else 1
 
 
