@@ -19,10 +19,16 @@ equals the probability-weighted sum over all accepted boolean traces.
 
 Runs never build the dense matrices. A CompiledSfa keeps the one
 decision-diagram table that validated it and each transition's node in
-it. On first use it builds, and caches on itself, one evaluation plan:
-the transition list (src, dst) and the nodes below every transition's
-root, read straight from that table into one levelized circuit
-(circuit.Plan). Validation alone never pays for it. The recursion cores
+it. On first use it builds, and caches on itself, one evaluation plan of
+the transitions that can carry mass: a transition whose guard is `false`
+(node 0), or whose source the initial state cannot reach over guards
+that are not, carries exactly 0 at every step, so the plan leaves it
+out; the state arrays keep all Q columns, and a state no kept transition
+enters reads 0.0. The plan is the kept transition list (src, dst) and
+the nodes below their roots, read straight from that table into one
+levelized circuit (circuit.Plan). Validation alone never pays for it;
+transition_tensor builds a plan of every transition on each call, so
+that every state's row is there to check. The recursion cores
 take probabilities as (V, T, N) and state arrays as (T, N, Q); the public
 functions, which take (..., T, V), pass them transposed views. Each block
 of about BLOCK_ROWS probability rows (whole steps, t-major) is evaluated
@@ -141,7 +147,8 @@ class CompiledSfa:
     the table after validation, which drops its memos, and equality
     ignores it, so two validations of one automaton compare equal. Two
     caches are filled from it on first use and kept: `guards`, and
-    `_plan` for the runs.
+    `_plan` for the runs, which holds only the transitions that can carry
+    mass (see _Plan); `roots` and `guards` keep every transition.
     """
 
     sfa: Sfa
@@ -172,7 +179,7 @@ class CompiledSfa:
 
     @cached_property
     def _plan(self) -> "_Plan":
-        """Evaluation plan, read from `table` on first use and kept."""
+        """Run plan of the transitions that can carry mass, read from `table` on first use and kept."""
         return _Plan(self)
 
 
@@ -281,18 +288,57 @@ def validate_and_compile(sfa: Sfa, complete: bool = True) -> CompiledSfa:
 # bounded by the block whatever T is; only outputs that hold every step
 # grow with T.
 
-class _Plan:
-    """Transition list of a CompiledSfa and the circuit of its guards."""
+def reachable_states(c: CompiledSfa) -> list[int]:
+    """The states the initial state reaches over guards that are not `false`.
 
-    def __init__(self, c: CompiledSfa):
-        pairs = list(c.roots)
+    A `false` guard is root node 0. Returns state indices in order.
+    """
+    after: list[list[int]] = [[] for _ in c.states]
+    for (src, dst), root in c.roots.items():
+        if root != 0:
+            after[src].append(dst)
+    seen = {c.sfa.initial}
+    todo = [c.sfa.initial]
+    while todo:
+        for q in after[todo.pop()]:
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return sorted(seen)
+
+
+class _Plan:
+    """Transition list of a CompiledSfa and the circuit of its guards.
+
+    The run plan (`trim`, as CompiledSfa._plan builds it) keeps only the
+    transitions that can carry mass: those whose guard is not `false` out
+    of a reachable state. Every other transition carries exactly 0 at
+    every step, so the runs skip it, and a state no kept transition enters
+    reads 0.0 in the Q state columns as before. Without `trim` the plan
+    holds every declared transition, as transition_tensor needs.
+    """
+
+    def __init__(self, c: CompiledSfa, trim: bool = True):
+        n = c.num_states
+        # the states whose outgoing guards must sum to 1 on every row
+        states = reachable_states(c) if trim else list(range(n))
+        live = set(states)
+        pairs = [
+            pair for pair, root in c.roots.items() if not trim or (root != 0 and pair[0] in live)
+        ]
+        # every index of src and dst is checked to be a state here, so the
+        # runs gather with them unchecked (np.take's mode="clip")
+        if not all(0 <= q < n for pair in pairs for q in pair):
+            raise ValueError(f"a transition references a state outside 0..{n - 1}")
         self.src = np.array([i for i, _ in pairs], dtype=np.intp)
         self.dst = np.array([j for _, j in pairs], dtype=np.intp)
-        eye = np.eye(c.num_states)
+        eye = np.eye(n)
         # (n_trans, Q) 0/1 matrices: x @ from_src sums per source state,
         # x @ into_dst per target state
         self.from_src = eye[self.src]
         self.into_dst = eye[self.dst]
+        # (S, n_trans): the rows of from_src.T of the checked states
+        self.out_of = self.from_src.T[states]
         # (n_trans, n_trans) 0/1 matrix, next[e, f] = 1 when e ends where f
         # starts: flow @ next is alpha_t[src] of the following step, in one
         # product where the gather form sums per state and gathers. None
@@ -300,7 +346,7 @@ class _Plan:
         self.next = None
         if len(pairs) <= FLOW_MAX_TRANSITIONS:
             self.next = (self.dst[:, None] == self.src).astype(np.float64)
-        self.circuit = circuit.Plan(c.table, list(c.roots.values()))
+        self.circuit = circuit.Plan(c.table, [c.roots[pair] for pair in pairs])
 
 
 def _check_probs(c: CompiledSfa, ps: np.ndarray, min_dims: int) -> np.ndarray:
@@ -323,10 +369,14 @@ def _step_blocks(steps: int, width: int):
 
 
 def _check_row_sums(plan: _Plan, roots: np.ndarray) -> None:
-    """Every state's outgoing guard values must sum to 1 on every row."""
-    if roots.size == 0:
+    """Each checked state's outgoing guard values must sum to 1 on every row.
+
+    The run plan checks every reachable state, so one whose kept guards
+    are all `false` (no kept transition at all) sums to 0 and fails.
+    """
+    if roots.shape[1] == 0:
         return
-    sums = plan.from_src.T @ roots
+    sums = plan.out_of @ roots
     # NaN fails both comparisons, so a NaN guard value fails the check too
     tol = ROW_SUM_RUNTIME_TOL
     if not (sums.max() - 1.0 <= tol and 1.0 - sums.min() <= tol):
@@ -339,12 +389,14 @@ def _check_row_sums(plan: _Plan, roots: np.ndarray) -> None:
 def transition_tensor(c: CompiledSfa, ps):
     """Stack of transition matrices for probability rows ps (..., num_vars).
 
-    Returns (..., Q, Q) matrices from one evaluation of the plan on all
-    rows, so its node buffer grows with the rows as the output does. Row
-    sums are checked against the runtime tolerance.
+    Returns (..., Q, Q) matrices from one evaluation on all rows, so its
+    node buffer grows with the rows as the output does. Every declared
+    transition is kept, so every state's row, reachable or not, is checked
+    to sum to 1 within the runtime tolerance. The plan of all transitions
+    is built on each call and not kept: no run calls this.
     """
     ps = _check_probs(c, ps, 1)
-    plan = c._plan
+    plan = _Plan(c, trim=False)
     roots = plan.circuit.forward(ps.reshape(-1, ps.shape[-1]).T)
     _check_row_sums(plan, roots)
     mats = np.zeros((roots.shape[1], c.num_states, c.num_states))
@@ -388,7 +440,7 @@ def _run_forward(c: CompiledSfa, pt: np.ndarray, out: np.ndarray | None = None) 
     gather = nxt is None
     n_trans = len(src)
     alpha = _initial_alpha(c, (width,))
-    incoming = alpha.take(src, axis=1)
+    incoming = alpha.take(src, axis=1, mode="clip")
     for t0, t1 in _step_blocks(steps, width):
         roots = plan.circuit.forward(pt[:, t0:t1].reshape(len(pt), -1))
         _check_row_sums(plan, roots)
@@ -398,7 +450,7 @@ def _run_forward(c: CompiledSfa, pt: np.ndarray, out: np.ndarray | None = None) 
             w *= incoming
             if gather:
                 alpha = np.dot(w, into_dst, out=alpha if out is None else out[t])
-                alpha.take(src, axis=1, out=incoming)
+                alpha.take(src, axis=1, out=incoming, mode="clip")
             else:
                 np.dot(w, nxt, out=incoming)
         if gather:
@@ -454,7 +506,7 @@ def _run_backward(c: CompiledSfa, pt: np.ndarray, grads: np.ndarray, alphas: np.
         weights = np.ascontiguousarray(weights.T).reshape(t1 - t0, width, n_trans)
         # grads[dst] of the block's steps, zero before `first`
         lo = min(max(t0, first), t1)
-        graded = grads[lo - first : t1 - first].take(dst, axis=2)
+        graded = grads[lo - first : t1 - first].take(dst, axis=2, mode="clip")
         if lo == t0:
             at_dst = graded
         else:
@@ -465,7 +517,7 @@ def _run_backward(c: CompiledSfa, pt: np.ndarray, grads: np.ndarray, alphas: np.
             np.multiply(w, a, out=moved)
             if gather:
                 np.dot(moved, from_src, out=abar)
-                abar.take(dst, axis=1, out=carry)
+                abar.take(dst, axis=1, out=carry, mode="clip")
             else:
                 np.dot(moved, back, out=carry)
         # root seeds alpha_{t-1}[src] · abar_t[dst], alpha_{t-1} read from
@@ -473,7 +525,7 @@ def _run_backward(c: CompiledSfa, pt: np.ndarray, grads: np.ndarray, alphas: np.
         if t0 == 0:
             at_dst[0] *= initial_src
         a0 = max(t0, 1)
-        at_dst[a0 - t0 :] *= alphas[a0 - 1 : t1 - 1].take(src, axis=2)
+        at_dst[a0 - t0 :] *= alphas[a0 - 1 : t1 - 1].take(src, axis=2, mode="clip")
         grad = plan.circuit.backward(rows, tape, at_dst.reshape(-1, n_trans).T)
         out[:, t0:t1] = grad.reshape(len(pt), t1 - t0, width)
     return out

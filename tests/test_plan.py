@@ -33,6 +33,8 @@ from symfa.automaton import (
     backward_gradient,
     forward,
     forward_alphas,
+    reachable_states,
+    transition_matrix,
     transition_tensor,
 )
 from symfa.bench import random_pattern
@@ -227,14 +229,16 @@ def test_transition_tensor_matches_reference(automata, name):
 @pytest.mark.parametrize("name", NAMES)
 def test_plan_of_guards_compiled_one_by_one_is_the_same(automata, name):
     # the extracted diagram does not depend on what else its table holds, so
-    # guards built into a fresh table, in reverse order after an unrelated
-    # conjunction, give the same plan arrays as the validation table
+    # the run plan's guards built into a fresh table, in reverse order after
+    # an unrelated conjunction, give the same plan arrays as the validation
+    # table
     c = automata[name]
+    kept = list(zip(c._plan.src.tolist(), c._plan.dst.tolist()))
     n = len(c.vocab)
     table = DiagramTable(n)
     table.conj(*(table.neg(table.build(Var(i))) for i in reversed(range(n))))
-    roots = {pair: table.build(c.sfa.transitions[pair]) for pair in reversed(list(c.roots))}
-    got, want = Plan(table, [roots[pair] for pair in c.roots]), c._plan.circuit
+    roots = {pair: table.build(c.sfa.transitions[pair]) for pair in reversed(kept)}
+    got, want = Plan(table, [roots[pair] for pair in kept]), c._plan.circuit
     assert np.array_equal(got.roots, want.roots)
     assert len(got.levels) == len(want.levels)
     for a, b in zip(got.levels, want.levels):
@@ -242,6 +246,7 @@ def test_plan_of_guards_compiled_one_by_one_is_the_same(automata, name):
             assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
 
 
+# the plan of every declared transition, which transition_tensor builds
 PLAN_SHA256 = {
     "driving": "cb79821867183e591fbe499b15948cc9c5a38d207613b158319176d8274b0c78",
     "events": "acff78bf5a68fac8e3e4bb14e6fdaaafb7cb23225afbe8f98be3164e6ea8d85b",
@@ -250,12 +255,19 @@ PLAN_SHA256 = {
     "random:64x12:0": "69b482a9377328bd7d7298d446067fe24d1312b73353a27e63e6305a57939fcb",
 }
 
+# the run plan; driving and events have nothing to trim
+RUN_PLAN_SHA256 = {
+    "driving": PLAN_SHA256["driving"],
+    "events": PLAN_SHA256["events"],
+    "random:8x10:2": "ef999aab51729e49de64e6f8a738697996f98ed1b3adf6ed1eb56efe1a0d6566",
+    "random:16x6:0": "f8f46e05b0b49bc4251509788c662b161db028809e48a6d8205cf096cd96fbf0",
+    "random:64x12:0": "cab54ee356563a2444a1394ef72bf9b515021df938ce5d04727b1bdb49191210",
+}
 
-@pytest.mark.parametrize("name", PLAN_SHA256)
-def test_plan_arrays_are_pinned(automata, name):
+
+def plan_digest(plan: Plan) -> str:
     # one digest over every plan array, with its dtype and shape, so that a
     # rewrite of the plan build is checked against the layout it replaces
-    plan = automata[name]._plan.circuit
     arrays = [plan.roots]
     for lev in plan.levels:
         arrays += [lev.var, lev.hi, lev.lo, lev.edge_src, lev.edge_weight, lev.edge_sum]
@@ -264,7 +276,18 @@ def test_plan_arrays_are_pinned(automata, name):
     for a in arrays:
         digest.update(f"{a.dtype.str}{a.shape}".encode())
         digest.update(np.ascontiguousarray(a).tobytes())
-    assert digest.hexdigest() == PLAN_SHA256[name]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", PLAN_SHA256)
+def test_plan_arrays_are_pinned(automata, name):
+    plan = automaton._Plan(automata[name], trim=False).circuit
+    assert plan_digest(plan) == PLAN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", RUN_PLAN_SHA256)
+def test_run_plan_arrays_are_pinned(automata, name):
+    assert plan_digest(automata[name]._plan.circuit) == RUN_PLAN_SHA256[name]
 
 
 def test_plan_is_built_on_first_run_only(driving):
@@ -319,6 +342,49 @@ def test_unvalidated_automaton_fails_the_row_sum_check():
     broken = CompiledSfa(sfa, table, {(0, 0): table.build(guard)}, ())
     with pytest.raises(ConsistencyError):
         forward_alphas(broken, np.full((3, 2), 0.5))
+
+
+def unvalidated(states, transitions):
+    """A CompiledSfa over a, b built without validation; q0 is initial and accepting."""
+    vocab = Vocabulary.of("a", "b")
+    guards = {pair: parse_formula(text, vocab) for pair, text in transitions.items()}
+    table = DiagramTable(2)
+    sfa = Sfa(vocab, states, 0, guards, frozenset({0}))
+    return CompiledSfa(sfa, table, {pair: table.build(g) for pair, g in guards.items()}, ())
+
+
+@pytest.mark.parametrize(
+    "states, transitions",
+    [
+        # q1 is reachable, and its only guard is `false`: the run plan keeps
+        # no transition out of it, and its row sums to 0
+        (("q0", "q1"), {(0, 1): "true", (1, 1): "false"}),
+        # the run plan keeps no transition at all
+        (("q0",), {(0, 0): "false"}),
+    ],
+)
+def test_a_reachable_state_with_only_false_guards_fails_the_row_sum_check(states, transitions):
+    broken = unvalidated(states, transitions)
+    ps = np.full((4, 3, 2), 0.5)
+    with pytest.raises(ConsistencyError):
+        forward_alphas(broken, ps)
+    with pytest.raises(ConsistencyError):
+        acceptance_batch(broken, ps)
+    with pytest.raises(ConsistencyError):
+        transition_matrix(broken, [0.5, 0.5])
+
+
+def test_a_broken_row_of_an_unreachable_state_fails_only_the_matrix():
+    # q1, whose row sums to P(a), cannot be reached: the runs step only q0,
+    # and transition_matrix checks every state's row
+    broken = unvalidated(("q0", "q1"), {(0, 0): "true", (1, 1): "a"})
+    ps = np.full((4, 3, 2), 0.5)
+    want = np.zeros((4, 3, 2))
+    want[..., 0] = 1.0
+    assert np.array_equal(forward_alphas(broken, ps), want)
+    assert np.array_equal(acceptance_batch(broken, ps), np.ones(4))
+    with pytest.raises(ConsistencyError):
+        transition_matrix(broken, [0.5, 0.5])
 
 
 def test_a_nan_guard_value_fails_the_row_sum_check(automata):
@@ -413,3 +479,61 @@ def test_gradients_of_the_last_steps_match_the_reference(automata, name):
         padded = np.zeros((20, 60, c.num_states))
         padded[:, 60 - last :] = grads
         assert_close(backward_gradient(c, ps, grads), reference_gradient(c, ps, padded))
+
+
+# accepting state q2 has no incoming transition; completion adds q0's
+# self-loop !a
+UNREACHABLE_ACCEPTING_SFA = """\
+vars: a, b
+states: q0, q1, q2
+initial: q0
+accepting: q2
+q0 -> q1 : a
+q1 -> q1 : a | !a
+q2 -> q2 : a | !a
+"""
+
+# name -> (reachable states, transitions the run plan keeps out of all)
+TRIMMED = {
+    "random:8x10:2": (4, 8, 19),
+    "random:8x6:4": (1, 1, 19),
+    "random:64x12:0": (53, 125, 156),
+    # 37 transitions run in the gather form, the 27 kept in the flow form
+    "random:16x6:0": (12, 27, 37),
+    "unreachable-accepting": (2, 3, 4),
+}
+
+
+@pytest.mark.parametrize("name", TRIMMED)
+def test_the_trimmed_runs_match_the_runs_of_every_transition(automata, name):
+    if name in automata:
+        c = automata[name]
+    elif name == "random:8x6:4":
+        c = random_pattern(8, 6, 4).compiled
+    else:
+        c = validate_and_compile(automaton.parse_sfa(UNREACHABLE_ACCEPTING_SFA))
+    reachable = reachable_states(c)
+    kept = [pair for pair, root in c.roots.items() if root != 0 and pair[0] in reachable]
+    plan = c._plan
+    assert list(zip(plan.src.tolist(), plan.dst.tolist())) == kept
+    assert (len(reachable), len(kept), len(c.roots)) == TRIMMED[name]
+    # the same automaton, run on the plan of every declared transition
+    every = dataclasses.replace(c)
+    vars(every)["_plan"] = automaton._Plan(c, trim=False)
+    flow = len(kept) <= automaton.FLOW_MAX_TRANSITIONS
+    assert (plan.next is not None) == flow
+    rng = np.random.default_rng(14)
+    for shape in [(64, 30), (3, 700)]:
+        ps = rng.uniform(size=shape + (len(c.vocab),))
+        alphas = forward_alphas(c, ps)
+        assert np.array_equal(alphas, forward_alphas(every, ps))
+        assert np.array_equal(acceptance_batch(c, ps), acceptance_batch(every, ps))
+        for last in (shape[1], shape[1] // 3):
+            grads = rng.normal(size=(shape[0], last, c.num_states))
+            got = backward_gradient(c, ps, grads, alphas)
+            want = backward_gradient(every, ps, grads, alphas)
+            # a gather step sums over the kept transitions only: over six
+            # seeds, random:64x12:0's gradient moved by at most 5.4e-16 of
+            # its largest entry, and the others' not at all
+            scale = max(1.0, float(np.abs(want).max()))
+            assert float(np.abs(got - want).max()) <= 1e-15 * scale

@@ -1,45 +1,80 @@
-"""tools/same_training.py, which tells whether two checkouts run and train bitwise alike."""
+"""tools/same_training.py, which tells whether checkouts run and train bitwise alike."""
 
+import importlib.util
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "same_training.py"
+spec = importlib.util.spec_from_file_location("same_training", TOOL)
+same_training = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(same_training)
+
+START = "alpha[..., c.sfa.initial] = 1.0"
+# each copy of src/symfa the tool compares with ROOT, and its one edit
+COPIES = {
+    "unchanged": None,
+    "optimizer": ("learn.py", "eps=1e-8", "eps=1e-7"),
+    "recursion": ("automaton.py", START, START + " + 2.0**-52"),
+}
 
 
-def same_training(old: Path, new: Path) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, str(TOOL), str(old), str(new)], capture_output=True, text=True, timeout=600
+@pytest.fixture(scope="module")
+def compared(tmp_path_factory):
+    """One run of the tool on ROOT and every copy: one child per checkout.
+
+    Returns the finished process, each copy's path by name, and each
+    checkout's digest line (its recursion and training digests)."""
+    paths = {}
+    for name, edit in COPIES.items():
+        path = paths[name] = tmp_path_factory.mktemp(name)
+        shutil.copytree(ROOT / "src" / "symfa", path / "src" / "symfa")
+        if edit is not None:
+            module, old, new = edit
+            source = path / "src" / "symfa" / module
+            text = source.read_text()
+            assert old in text
+            source.write_text(text.replace(old, new))
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), *map(str, paths.values())],
+        capture_output=True,
+        text=True,
+        timeout=600,
     )
-
-
-def test_a_checkout_trains_like_itself():
-    proc = same_training(ROOT, ROOT)
-    assert proc.returncode == 0, proc.stderr
-    digests = [line.split()[:2] for line in proc.stdout.splitlines()]
-    assert len(digests) == 2 and digests[0] == digests[1]
-
-
-def test_a_different_optimizer_step_is_told_apart(tmp_path):
-    shutil.copytree(ROOT / "src" / "symfa", tmp_path / "src" / "symfa")
-    learn = tmp_path / "src" / "symfa" / "learn.py"
-    text = learn.read_text()
-    assert "eps=1e-8" in text
-    learn.write_text(text.replace("eps=1e-8", "eps=1e-7"))
-    proc = same_training(ROOT, tmp_path)
     assert proc.returncode == 1, proc.stderr
-    assert "training differ" in proc.stderr and "recursions differ" not in proc.stderr
+    lines = {line.split()[2]: line.split()[:2] for line in proc.stdout.splitlines()}
+    return proc, paths, lines
 
 
-def test_a_different_recursion_is_told_apart(tmp_path):
-    shutil.copytree(ROOT / "src" / "symfa", tmp_path / "src" / "symfa")
-    automaton = tmp_path / "src" / "symfa" / "automaton.py"
-    text = automaton.read_text()
-    start = "alpha[..., c.sfa.initial] = 1.0"
-    assert start in text
-    automaton.write_text(text.replace(start, start + " + 2.0**-52"))
-    proc = same_training(ROOT, tmp_path)
-    assert proc.returncode == 1, proc.stderr
-    assert "recursions differ" in proc.stderr
+def test_a_checkout_trains_like_itself(compared):
+    proc, paths, lines = compared
+    assert len(lines) == 1 + len(COPIES)
+    assert lines[str(paths["unchanged"])] == lines[str(ROOT)]
+    assert f"{paths['unchanged']}: " not in proc.stderr
+
+
+def test_a_different_optimizer_step_is_told_apart(compared):
+    proc, paths, _ = compared
+    assert f"{paths['optimizer']}: training differ" in proc.stderr
+    assert f"{paths['optimizer']}: recursions differ" not in proc.stderr
+
+
+def test_a_different_recursion_is_told_apart(compared):
+    proc, paths, _ = compared
+    assert f"{paths['recursion']}: recursions differ" in proc.stderr
+
+
+def test_the_exit_status_says_whether_every_new_checkout_agrees(monkeypatch, capsys):
+    # children stubbed by checkout name: "a" and "b" agree, "c" differs
+    digests = {"a": ("r", "t"), "b": ("r", "t"), "c": ("r", "u")}
+    monkeypatch.setattr(same_training, "_child", lambda path: digests[str(path)])
+    assert same_training.main(["same_training.py", "a", "b"]) == 0
+    assert same_training.main(["same_training.py", "a", "b", "c"]) == 1
+    assert capsys.readouterr().err == "c: training differ\n"
+    monkeypatch.setattr(same_training, "_child", lambda path: None)
+    assert same_training.main(["same_training.py", "a", "b"]) == 2
+    assert same_training.main(["same_training.py", "a"]) == 2

@@ -1,10 +1,10 @@
-"""Whether two checkouts of symfa run and train bitwise alike.
+"""Whether checkouts of symfa run and train bitwise alike.
 
-    python3 tools/same_training.py OLD NEW
+    python3 tools/same_training.py OLD NEW [NEW ...]
 
 Runs one child Python per checkout, with PYTHONPATH=<checkout>/src, so
-each imports its own symfa and nothing of the benchmark. Each child
-prints two sha256 digests:
+each imports its own symfa and nothing of the benchmark, and compares
+each NEW checkout with OLD. Each child prints two sha256 digests:
 
 - recursions: the outputs of forward_alphas, acceptance_batch and
   backward_gradient (with S = T and with S = T // 2 gradient steps) at
@@ -18,8 +18,10 @@ prints two sha256 digests:
   label kinds and batch sizes 1, 7, 32 and 100, hashed over the weights,
   the bias and every EpochRecord of every run.
 
-Exits 0 when both digests agree, 1 when either differs, and 2 when a
-child fails.
+Prints one line of digests per checkout, and on stderr
+`NEW: recursions differ` or `NEW: training differ` for each digest of a
+NEW checkout that is not OLD's. Exits 0 when every NEW checkout agrees
+with OLD, 1 when one differs, and 2 when a child fails.
 """
 
 from __future__ import annotations
@@ -172,8 +174,8 @@ def _child(checkout: Path) -> tuple[str, str] | None:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 3:
-        print("usage: python3 tools/same_training.py OLD NEW", file=sys.stderr)
+    if len(argv) < 3:
+        print("usage: python3 tools/same_training.py OLD NEW [NEW ...]", file=sys.stderr)
         return 2
     digests = []
     for checkout in argv[1:]:
@@ -182,10 +184,11 @@ def main(argv: list[str]) -> int:
             return 2
         print(f"{found[0]}  {found[1]}  {checkout}")
         digests.append(found)
-    for part, old, new in zip(("recursions", "training"), *digests):
-        if old != new:
-            print(f"{part} differ", file=sys.stderr)
-    return 0 if digests[0] == digests[1] else 1
+    for checkout, found in zip(argv[2:], digests[1:]):
+        for part, old, new in zip(("recursions", "training"), digests[0], found):
+            if old != new:
+                print(f"{checkout}: {part} differ", file=sys.stderr)
+    return 0 if all(found == digests[0] for found in digests) else 1
 
 
 if __name__ == "__main__":
