@@ -28,14 +28,17 @@ enters reads 0.0. The plan is the kept transition list (src, dst) and
 the nodes below their roots, read straight from that table into one
 levelized circuit (circuit.Plan). Validation alone never pays for it;
 transition_tensor builds a plan of every transition on each call, so
-that every state's row is there to check. The recursion cores
-take probabilities as (V, T, N) and state arrays as (T, N, Q); the public
-functions, which take (..., T, V), pass them transposed views. Each block
-of about BLOCK_ROWS probability rows (whole steps, t-major) is evaluated
-in one pass over the plan, giving every transition's guard value W_t, and
-the recursion runs sparsely over the transitions: alpha_t[j] = sum over
-transitions i -> j of alpha_{t-1}[i] · W_t. Each direction is one step
-loop that carries one value per transition: the forward loop carries
+that every state's row is there to check. The forward core runs one
+packed batch of any lengths: the sequences sorted longest first, and
+step t's rows those of the n_t sequences still running, a prefix of
+them, so a sequence ends where n_t falls and reads its alpha there. An
+equal-length batch is the case n_t = N; `symfa infer` runs every record
+in one such batch. Each block of about BLOCK_ROWS probability rows (whole
+steps, step-major) is evaluated in one pass over the plan, giving every
+transition's guard value W_t, and the recursion runs sparsely over the
+transitions: alpha_t[j] = sum over transitions i -> j of
+alpha_{t-1}[i] · W_t. Each direction is one step loop that carries one
+value per transition: the forward loop carries
 alpha_{t-1}[src] and turns W_t into the flow alpha_{t-1}[src] · W_t in
 place; the reverse loop carries the adjoint read at each transition's
 target. Only the step that moves that array to the next step has two
@@ -61,6 +64,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -277,16 +281,18 @@ def validate_and_compile(sfa: Sfa, complete: bool = True) -> CompiledSfa:
 
 # --- probabilistic runs ----------------------------------------------------
 #
-# The recursion cores, _run_forward and _run_backward, share one layout:
-# probabilities are pt (V, T, N), state arrays (the alphas and their
-# gradients) (T, N, Q), and the gradient comes back as (V, T, N). The
-# rows of steps t0..t1-1 are then pt[:, t0:t1].reshape(V, -1), t-major
-# (row t·N + n is step t of sequence n): a view when pt is contiguous,
-# as training builds it, and one copy when pt is the transposed view of
-# an (N, T, V) array, which the public functions pass. A block holds
-# whole steps, about BLOCK_ROWS rows, so a pass's working memory is
-# bounded by the block whatever T is; only outputs that hold every step
-# grow with T.
+# The recursion cores, _run_forward and _run_backward, share one layout
+# on equal-length batches: probabilities are pt (V, T, N), state arrays
+# (the alphas and their gradients) (T, N, Q), and the gradient comes back
+# as (V, T, N). The rows of steps t0..t1-1 are then
+# pt[:, t0:t1].reshape(V, -1), t-major (row t·N + n is step t of sequence
+# n): a view when pt is contiguous, as training builds it, and one copy
+# when pt is the transposed view of an (N, T, V) array, which the public
+# functions pass. _run_forward reads that layout as the packed one with
+# n_t = N (_dense); a ragged list of sequences packs its rows block by
+# block (_ragged). A block holds whole steps, about BLOCK_ROWS rows, so a
+# pass's working memory is bounded by the block whatever T is; only
+# outputs that hold every step grow with T.
 
 def reachable_states(c: CompiledSfa) -> list[int]:
     """The states the initial state reaches over guards that are not `false`.
@@ -297,13 +303,11 @@ def reachable_states(c: CompiledSfa) -> list[int]:
     for (src, dst), root in c.roots.items():
         if root != 0:
             after[src].append(dst)
-    seen = {c.sfa.initial}
-    todo = [c.sfa.initial]
+    seen, todo = {c.sfa.initial}, [c.sfa.initial]
     while todo:
-        for q in after[todo.pop()]:
-            if q not in seen:
-                seen.add(q)
-                todo.append(q)
+        new = set(after[todo.pop()]) - seen
+        seen |= new
+        todo += new
     return sorted(seen)
 
 
@@ -362,28 +366,34 @@ def _check_probs(c: CompiledSfa, ps: np.ndarray, min_dims: int) -> np.ndarray:
     return ps
 
 
+def _step_widths(lengths: np.ndarray) -> np.ndarray:
+    """n_t, how many of `lengths` exceed t, for t = 0..T, T the longest: n_T = 0."""
+    return len(lengths) - np.cumsum(np.bincount(lengths, minlength=1))
+
+
 def _step_blocks(steps: int, width: int):
     """(t0, t1) ranges of whole steps, about BLOCK_ROWS rows each."""
     per_block = max(1, BLOCK_ROWS // max(width, 1))
     return [(t0, min(t0 + per_block, steps)) for t0 in range(0, steps, per_block)]
 
 
-def _check_row_sums(plan: _Plan, roots: np.ndarray) -> None:
+def _check_row_sums(plan: _Plan, roots: np.ndarray) -> np.ndarray:
     """Each checked state's outgoing guard values must sum to 1 on every row.
 
     The run plan checks every reachable state, so one whose kept guards
     are all `false` (no kept transition at all) sums to 0 and fails.
+    Returns `roots`.
     """
-    if roots.shape[1] == 0:
-        return
     sums = plan.out_of @ roots
-    # NaN fails both comparisons, so a NaN guard value fails the check too
+    # NaN fails both comparisons, so a NaN guard value fails the check too;
+    # no rows pass
     tol = ROW_SUM_RUNTIME_TOL
-    if not (sums.max() - 1.0 <= tol and 1.0 - sums.min() <= tol):
+    if not (sums.max(initial=1.0) - 1.0 <= tol and 1.0 - sums.min(initial=1.0) <= tol):
         worst = float(np.abs(sums - 1.0).max())
         raise ConsistencyError(
             f"transition-matrix row sums off by {worst:.3e}; automaton was not validated correctly"
         )
+    return roots
 
 
 def transition_tensor(c: CompiledSfa, ps):
@@ -397,8 +407,7 @@ def transition_tensor(c: CompiledSfa, ps):
     """
     ps = _check_probs(c, ps, 1)
     plan = _Plan(c, trim=False)
-    roots = plan.circuit.forward(ps.reshape(-1, ps.shape[-1]).T)
-    _check_row_sums(plan, roots)
+    roots = _check_row_sums(plan, plan.circuit.forward(ps.reshape(-1, ps.shape[-1]).T))
     mats = np.zeros((roots.shape[1], c.num_states, c.num_states))
     mats[:, plan.src, plan.dst] = roots.T
     return mats.reshape(ps.shape[:-1] + (c.num_states, c.num_states))
@@ -418,50 +427,96 @@ def _initial_alpha(c: CompiledSfa, lead_shape: tuple) -> np.ndarray:
     return alpha
 
 
-def _run_forward(c: CompiledSfa, pt: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The forward recursion over pt (V, T, N); returns alpha_T, (N, Q).
+def _dense(pt: np.ndarray):
+    """The packed form of pt (V, T, N): N sequences of T steps, and the rows
+    of steps t0..t1-1, pt[:, t0:t1] as (V, (t1 - t0)·N)."""
+    return np.full(pt.shape[2], pt.shape[1]), lambda t0, t1: pt[:, t0:t1].reshape(len(pt), -1)
+
+
+def _ragged(seqs: list):
+    """The packed form of `seqs`, (T_i, V) arrays sorted longest first.
+
+    A block's rows are gathered from the arrays: one slice per running
+    sequence, joined, then put in step-major order. Once a block starts
+    past a sequence's end, the list drops it, so a caller that keeps no
+    other reference frees it there.
+    """
+    lengths = np.array([len(ps) for ps in seqs], dtype=np.intp)
+
+    def rows(t0, t1):
+        del seqs[int(np.count_nonzero(lengths > t0)) :]
+        part = np.minimum(lengths[: len(seqs)], t1) - t0
+        joined = np.concatenate([ps[t0:t1] for ps in seqs])
+        step = np.arange(t1 - t0)[:, None]
+        # the joined row of step t0 + step of each sequence that runs then, step-major
+        return joined.T.take((np.cumsum(part) - part + step)[step < part], axis=1)
+
+    return lengths, rows
+
+
+def _run_forward(c: CompiledSfa, lengths, rows, out: np.ndarray | None = None):
+    """The forward recursion over a packed batch of N sequences.
+
+    The sequences are sorted longest first: `lengths` (N,) does not grow,
+    and step t runs the n_t sequences longer than t, a prefix of them.
+    rows(t0, t1) gives the probability rows (V, R) of steps t0..t1-1,
+    step-major: step t's n_t rows, then step t + 1's (_dense and _ragged
+    make both). An equal-length batch is the case n_t = N.
 
     The flow of step t is the mass each transition carries,
     alpha_{t-1}[src] · W_t, where W_t holds the guard value of every
     transition at step t; alpha_t is the flow summed per target state. The
     loop carries incoming_t = alpha_t[src] and turns each step's weights
-    into its flow in place (flow_t = W_t · incoming_{t-1}). Only the
-    propagation to the next step depends on the plan's form: on automata
-    of at most FLOW_MAX_TRANSITIONS transitions incoming_t is flow_t @ next,
-    two calls per step, and a block's alphas come from one product of its
-    flows with `into_dst`; larger automata take alpha_t = flow_t @ into_dst
-    and gather alpha_t[src] from it, three calls per step. Given `out`
-    (T, N, Q), every alpha_t is written to out[t]; otherwise only the
-    running state is kept.
+    into its flow in place (flow_t = W_t · incoming_{t-1}), on the prefix
+    of the running sequences. Only the propagation to the next step
+    depends on the plan's form: on automata of at most FLOW_MAX_TRANSITIONS
+    transitions incoming_t is flow_t @ next, two calls per step, and a
+    block's alphas come from one product of its flows with `into_dst`;
+    larger automata take alpha_t = flow_t @ into_dst and gather
+    alpha_t[src] from it, three calls per step. Each run of steps of one
+    width is one (steps, n_t, ·) view, so a step makes no call more than
+    on an equal-length batch. A block takes BLOCK_ROWS // n_t0 whole steps
+    from its first step t0, the blocks _step_blocks gives an equal-length
+    batch. Given `out` (sum of lengths, Q), every alpha_t is written to
+    it, in the rows' order. Otherwise only the running state is kept, and
+    the result is each sequence's alpha at its last step (N, Q), read
+    where it ends: the initial one for a zero-step sequence.
     """
     plan = c._plan
-    steps, width = pt.shape[1:]
     src, into_dst, nxt = plan.src, plan.into_dst, plan.next
     gather = nxt is None
-    n_trans = len(src)
-    alpha = _initial_alpha(c, (width,))
+    widths = _step_widths(lengths).tolist()
+    alpha = _initial_alpha(c, (len(lengths),))
     incoming = alpha.take(src, axis=1, mode="clip")
-    for t0, t1 in _step_blocks(steps, width):
-        roots = plan.circuit.forward(pt[:, t0:t1].reshape(len(pt), -1))
-        _check_row_sums(plan, roots)
+    done = t1 = 0  # the rows of the steps before the block, and its first step
+    while widths[t1]:
+        # whole steps, about BLOCK_ROWS rows at most: widths do not grow
+        t0, t1 = t1, min(t1 + max(1, BLOCK_ROWS // widths[t1]), len(widths) - 1)
         # the block's weights, turned into its flows in place
-        flow = np.ascontiguousarray(roots.T).reshape(t1 - t0, width, n_trans)
-        for t, w in enumerate(flow, t0):
-            w *= incoming
+        flow = np.ascontiguousarray(_check_row_sums(plan, plan.circuit.forward(rows(t0, t1))).T)
+        r, t = 0, t0
+        # each run of k steps of one width n works on one (k, n, ·) view
+        for n, run in groupby(widths[t0:t1]):
+            k = len(list(run))
+            inc, flows = incoming[:n], flow[r : r + k * n].reshape(k, n, -1)
             if gather:
-                alpha = np.dot(w, into_dst, out=alpha if out is None else out[t])
-                alpha.take(src, axis=1, out=incoming, mode="clip")
+                ats = [alpha[:n]] * k if out is None else out[done + r :][: k * n].reshape(k, n, -1)
+                for w, at in zip(flows, ats):
+                    w *= inc
+                    np.dot(w, into_dst, out=at).take(src, axis=1, out=inc, mode="clip")
             else:
-                np.dot(w, nxt, out=incoming)
-        if gather:
-            continue
-        # a flow block's alphas, from one product of its flows
-        if out is None:
-            alpha = flow[-1] @ into_dst
-        else:
-            np.dot(flow.reshape(-1, n_trans), into_dst, out=out[t0:t1].reshape(-1, c.num_states))
-            alpha = out[t1 - 1]
-    return alpha
+                for w in flows:
+                    w *= inc
+                    np.dot(w, nxt, out=inc)
+            r, t = r + k * n, t + k
+            # a flow run's last step: the sequences that end there read their alpha
+            if out is None and not gather and widths[t] < n:
+                np.dot(w[widths[t] :], into_dst, out=alpha[widths[t] : n])
+        if out is not None and not gather:
+            # a flow block's alphas, from one product of its flows
+            np.dot(flow, into_dst, out=out[done : done + r])
+        done += r
+    return alpha if out is None else None
 
 
 def _run_backward(c: CompiledSfa, pt: np.ndarray, grads: np.ndarray, alphas: np.ndarray):
@@ -540,7 +595,7 @@ def forward_alphas(c: CompiledSfa, ps) -> np.ndarray:
     lead, steps = ps.shape[:-2], ps.shape[-2]
     width = math.prod(lead)
     out = np.empty((steps, width, c.num_states))
-    _run_forward(c, ps.reshape((width,) + ps.shape[-2:]).T, out)
+    _run_forward(c, *_dense(ps.reshape((width,) + ps.shape[-2:]).T), out.reshape(-1, c.num_states))
     return np.ascontiguousarray(out.transpose(1, 0, 2)).reshape(lead + (steps, c.num_states))
 
 
@@ -587,7 +642,7 @@ def acceptance_batch(c: CompiledSfa, ps) -> np.ndarray:
     """
     ps = _check_probs(c, ps, 2)
     lead = ps.shape[:-2]
-    alpha = _run_forward(c, ps.reshape((math.prod(lead),) + ps.shape[-2:]).T)
+    alpha = _run_forward(c, *_dense(ps.reshape((math.prod(lead),) + ps.shape[-2:]).T))
     return alpha.reshape(lead + (c.num_states,)) @ _accepting_mask(c)
 
 
@@ -635,11 +690,8 @@ def boolean_run(c: CompiledSfa, trace: Sequence[Interpretation]) -> list[int]:
     state = c.sfa.initial
     path = []
     for omega in trace:
-        nxt = None
-        for (src, dst), f in c.sfa.transitions.items():
-            if src == state and evaluate(f, omega):
-                nxt = dst
-                break
+        out_of = ((dst, f) for (src, dst), f in c.sfa.transitions.items() if src == state)
+        nxt = next((dst for dst, f in out_of if evaluate(f, omega)), None)
         if nxt is None:  # unreachable on a validated automaton
             raise ConsistencyError(
                 f"no transition out of '{c.states[state]}' fires on {omega.describe(c.vocab)}"

@@ -12,7 +12,7 @@ import argparse
 import functools
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -83,14 +83,9 @@ def _resolve(args, key: str, default):
     return _given(args, key).get(key, default)
 
 
-@contextmanager
 def _output(args):
     """The --out file, opened for writing and closed on exit, or stdout."""
-    if not getattr(args, "out", None):
-        yield sys.stdout
-        return
-    with open(args.out, "w", encoding="utf-8") as out:
-        yield out
+    return open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
 
 
 def _resolve_pattern(text: str, seed: int) -> bench_mod.PatternSpec:
@@ -219,24 +214,26 @@ def _labels(numbers) -> np.ndarray:
     return text.view(np.uint8).reshape(len(text), text.itemsize)
 
 
-def _tag_csv(ks, alphas: np.ndarray) -> dict[int, str]:
-    """Record index -> its tag-mode CSV: a row "k,t," and the cells of alphas[i, t]
-    for each step t of record ks[i].
+def _write_tag_rows(out, alphas: np.ndarray, lengths: np.ndarray, order: np.ndarray) -> None:
+    """Write a row "k,t," and the cells of alpha_t for each step t of each
+    record k, in file order, about BLOCK_ROWS rows at a time.
 
-    About BLOCK_ROWS rows at a time are laid out in one NUL-padded uint8 array.
+    `alphas` holds the packed rows of one recursion over the records in
+    `order` (see automaton._run_forward): step t's rows start at first[t],
+    and record k is place[k] rows into them. Each block's cells are
+    gathered from it, and its labels from one "k," and one "t," array.
     """
-    steps = alphas.shape[1]
-    per, step_labels = max(1, automaton_mod.BLOCK_ROWS // max(1, steps)), _labels(range(steps))
-    texts = {}
-    for i in range(0, len(ks), per):
-        part, cells = ks[i : i + per], _csv_cells(alphas[i : i + per])
-        labels = (_labels(part)[:, None], step_labels)
-        rows = [np.broadcast_to(lead, cells.shape[:2] + lead.shape[-1:]) for lead in labels]
-        rows = np.concatenate(rows + [cells], -1)
-        text = rows.tobytes().translate(None, b"\0").decode()
-        ends = (rows.reshape(len(part), -1) != 0).sum(1).cumsum().tolist()
-        texts.update(zip(part, (text[s:e] for s, e in zip([0] + ends, ends))))
-    return texts
+    widths = automaton_mod._step_widths(lengths)
+    first, place = np.cumsum(widths) - widths, np.argsort(order)
+    ends = np.cumsum(lengths)  # one past each record's last row, record-major
+    labels = _labels(range(len(lengths))), _labels(range(len(widths)))
+    for r0 in range(0, int(lengths.sum()), automaton_mod.BLOCK_ROWS):
+        row = np.arange(r0, min(r0 + automaton_mod.BLOCK_ROWS, ends[-1]))
+        k = np.searchsorted(ends, row, side="right")
+        t = row - ends[k] + lengths[k]
+        cells = _csv_cells(alphas[first[t] + place[k]])
+        text = np.concatenate([labels[0][k], labels[1][t], cells], axis=1)
+        out.write(text.tobytes().translate(None, b"\0").decode())
 
 
 def cmd_infer(args) -> int:
@@ -244,32 +241,29 @@ def cmd_infer(args) -> int:
 
     Each line becomes its (steps, vars) array, range-checked, as it is read;
     an empty list is the zero-step sequence. So the first bad record in file
-    order is the one reported, and an input error writes nothing. Records
-    of one length share one forward recursion; rows keep the file's order.
+    order is the one reported, and an input error writes nothing. Then one
+    forward recursion runs every record, whatever the lengths: longest
+    first, records of one length in file order, each freed once it has
+    ended. Rows are written in file order.
     """
     compiled = validate_and_compile(load_sfa(args.sfa))
     extractor = learn_mod.load_extractor(args.model, compiled.vocab.names) if args.model else None
     convert = functools.partial(_sequence_probs, extractor=extractor, compiled=compiled)
-    by_length: dict[int, dict[int, np.ndarray]] = {}  # record index -> array, per length
-    for k, ps in enumerate(_records(args.dataset, convert)):
-        by_length.setdefault(len(ps), {})[k] = ps
-    results: dict[int, str] = {}  # record index -> its CSV rows
-    for group in by_length.values():
-        ks, stacked = list(group), np.stack(list(group.values()))
-        group.clear()  # the stack is the only copy now
-        if args.mode == "accept":
-            # one value a record: Python formats 100 of them faster than a numpy pass
-            values = automaton_mod.acceptance_batch(compiled, stacked).tolist()
-            results.update((k, f"{k},{value:.6f}\n") for k, value in zip(ks, values))
-        else:  # the group's rows replace its alphas
-            alphas = automaton_mod.forward_alphas(compiled, stacked)
-            results.update(_tag_csv(ks, alphas))
-            del alphas
-    states = ",".join(compiled.states)
-    header = "index,acceptance\n" if args.mode == "accept" else f"index,step,{states}\n"
+    records = list(_records(args.dataset, convert))
+    lengths = np.array([len(ps) for ps in records], dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")  # the file index of each packed record
+    records.sort(key=len, reverse=True)  # the same order: both sorts are stable
+    alphas = np.empty((int(lengths.sum()), compiled.num_states)) if args.mode == "tag" else None
+    final = automaton_mod._run_forward(compiled, *automaton_mod._ragged(records), alphas)
     with _output(args) as out:
-        out.write(header)
-        out.writelines(results[k] for k in sorted(results))
+        if alphas is not None:
+            out.write(f"index,step,{','.join(compiled.states)}\n")
+            _write_tag_rows(out, alphas, lengths, order)
+            return 0
+        values = (final @ automaton_mod._accepting_mask(compiled))[np.argsort(order)]
+        out.write("index,acceptance\n")
+        # one value a record: Python formats them faster than a numpy pass
+        out.writelines(f"{k},{value:.6f}\n" for k, value in enumerate(values.tolist()))
     return 0
 
 

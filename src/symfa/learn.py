@@ -37,7 +37,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .automaton import CompiledSfa, _accepting_mask, _run_backward, _run_forward
+from .automaton import CompiledSfa, _accepting_mask, _dense, _run_backward, _run_forward
 from .automaton import acceptance_batch  # noqa: F401  (perfbench/layers.py traces this name)
 from .automaton import backward_gradient, forward_alphas  # noqa: F401  (traced there too)
 from .errors import DivergenceError
@@ -309,7 +309,7 @@ def _batch_loss(c: CompiledSfa, extractor, features, table, codes, by_sequence=F
     probs = _symbol_probs(extractor, rows)  # (V, T·B)
     pt = probs.reshape(len(probs), steps, batch)
     alphas = np.empty((steps, batch, c.num_states))
-    _run_forward(c, pt, alphas)
+    _run_forward(c, *_dense(pt), alphas.reshape(-1, c.num_states))
     read = alphas[steps - len(codes) :]  # (S, B, Q)
     masks = table[codes]  # (S, B, Q)
     active = codes != 0

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import symfa
 from symfa import acceptance, automaton, format_sfa, forward, learn, load_sfa
-from symfa.cli import _csv_cells, _load_labeled, _tag_csv, main
+from symfa.cli import _csv_cells, _load_labeled, main
 
 P1 = [0.8, 0.3, 0.6]
 P2 = [0.7, 0.9, 0.3]
@@ -326,21 +326,19 @@ class TestBackToBackCalls:
 
 
 class TestInferByLength:
-    """Records of one length share one forward recursion; rows keep file order."""
+    """One forward recursion runs every record, whatever the lengths; rows keep file order."""
 
     LENGTHS = (3, 1, 7, 7, 3, 1, 1, 3, 7, 3)
 
     @pytest.fixture()
     def recursions(self, monkeypatch):
-        # the core that forward_alphas and acceptance_batch both run
+        # the core that forward_alphas, acceptance_batch and `symfa infer` run
         calls = []
         run = automaton._run_forward
 
-        def counted(c, pt, out=None):
-            # the core reads probabilities as (V, T, N); record (N, T)
-            _, steps, width = np.shape(pt)
-            calls.append((width, steps))
-            return run(c, pt, out)
+        def counted(c, lengths, rows, out=None):
+            calls.append(np.asarray(lengths).tolist())
+            return run(c, lengths, rows, out)
 
         monkeypatch.setattr(automaton, "_run_forward", counted)
         return calls
@@ -357,8 +355,8 @@ class TestInferByLength:
         sequences = [rng.uniform(size=(t, 3)) for t in self.LENGTHS]
         data = self.write(tmp_path / "mixed.jsonl", "probs", sequences)
         assert main(["infer", driving_path, data, "--mode", mode]) == 0
-        assert len(recursions) == 3
-        assert sorted(shape[:2] for shape in recursions) == [(3, 1), (3, 7), (4, 3)]
+        # longest first, records of one length in file order
+        assert recursions == [sorted(self.LENGTHS, reverse=True)]
         assert capsys.readouterr().out == reference_csv(driving.compiled, sequences, mode)
 
     @pytest.mark.parametrize("mode", ["accept", "tag"])
@@ -391,11 +389,17 @@ class TestInferByLength:
         self, driving, driving_path, tmp_path, capsys, monkeypatch, mode, block_rows
     ):
         # 120 records, so `index` has 1, 2 and 3 digits, and lengths on both
-        # sides of the step's digit widths; 64-row blocks split tag mode's
-        # writes, down to one 100-step record a block
+        # sides of the step's digit widths; then one record of each length
+        # 0..130 and five more of zero steps, shuffled in, so that the
+        # packed batch narrows at every step, and ties and zero-step records
+        # fall anywhere in the file. 64-row blocks split tag mode's writes,
+        # down to one 100-step record a block, and the recursion's blocks
+        # inside a run of steps of one width
         monkeypatch.setattr(automaton, "BLOCK_ROWS", block_rows)
         rng = np.random.default_rng(9)
         lengths = [(1, 9, 10, 11, 100, 101)[k % 6] for k in range(120)]
+        lengths += rng.permutation(list(range(131)) + [0] * 5).tolist()
+        rng.shuffle(lengths)
         sequences = [rng.uniform(size=(t, 3)) for t in lengths]
         # every fifth record holds 0s and 1s moved by up to PROB_RANGE_TOL,
         # whose state masses drift further outside [0, 1] step by step
@@ -403,15 +407,13 @@ class TestInferByLength:
         for ps in sequences[::5]:
             ps[:] = rng.integers(0, 2, size=ps.shape) + rng.uniform(-tol, tol, size=ps.shape)
         data = self.write(tmp_path / "widths.jsonl", "probs", sequences)
-        assert main(["infer", driving_path, data, "--mode", mode]) == 0
+        argv, out = ["infer", driving_path, data, "--mode", mode], tmp_path / "out.csv"
+        assert main(argv) == 0
         text = capsys.readouterr().out
         assert text == reference_csv(driving.compiled, sequences, mode)
-        assert "\n119," in text and ",-0.00000" in text
-
-    def test_records_without_steps_have_no_rows(self):
-        # the writer alone, on records of zero steps
-        texts = _tag_csv([4, 7], np.zeros((2, 0, 3)))
-        assert texts == {4: "", 7: ""}
+        assert "\n255," in text and ",-0.00000" in text
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == text
 
     @pytest.mark.parametrize("mode", ["accept", "tag"])
     @pytest.mark.parametrize("bad", [{"probs": [[1.5, 0.2, 0.3]]}, {"steps": 2}])
@@ -438,7 +440,7 @@ class TestInferByLength:
         features = [rng.normal(size=(t, 4)) for t in self.LENGTHS]
         data = self.write(tmp_path / "features.jsonl", "features", features)
         assert main(["infer", driving_path, data, "--model", str(model), "--mode", mode]) == 0
-        assert len(recursions) == 3
+        assert recursions == [sorted(self.LENGTHS, reverse=True)]
         sequences = [extractor.extract(f) for f in features]
         assert capsys.readouterr().out == reference_csv(driving.compiled, sequences, mode)
 
@@ -501,12 +503,21 @@ class TestTagAgreesWithAccept:
 class TestStreamedInput:
     """A record's JSON lists die once its array is built, so peaks follow the arrays kept."""
 
+    @staticmethod
+    def write(path, probs):
+        path.write_text("".join(json.dumps({"probs": p.tolist()}) + "\n" for p in probs))
+        return path, sum(p.nbytes for p in probs)
+
     @pytest.fixture(scope="class")
     def uniform_probs(self, tmp_path_factory):
         probs = np.random.default_rng(0).uniform(size=(2000, 30, 3))
-        path = tmp_path_factory.mktemp("streamed") / "probs.jsonl"
-        path.write_text("".join(json.dumps({"probs": p}) + "\n" for p in probs.tolist()))
-        return path, probs.nbytes
+        return self.write(tmp_path_factory.mktemp("streamed") / "probs.jsonl", probs)
+
+    @pytest.fixture(scope="class")
+    def drawn_probs(self, tmp_path_factory):
+        rng = np.random.default_rng(0)
+        probs = [rng.uniform(size=(t, 3)) for t in rng.integers(1, 61, size=2000)]
+        return self.write(tmp_path_factory.mktemp("streamed") / "drawn.jsonl", probs)
 
     @staticmethod
     def peak(call):
@@ -519,13 +530,15 @@ class TestStreamedInput:
 
     @pytest.mark.parametrize("mode", ["accept", "tag"])
     def test_infer_peak_is_below_four_times_the_arrays(
-        self, driving_path, tmp_path, uniform_probs, mode
+        self, driving_path, tmp_path, uniform_probs, drawn_probs, mode
     ):
-        path, nbytes = uniform_probs
-        argv = ["infer", driving_path, str(path), "--mode", mode, "--out", str(tmp_path / "o.csv")]
-        code, peak = self.peak(lambda: main(argv))
-        assert code == 0
-        assert peak < 4 * nbytes, f"peak {peak / nbytes:.2f} x the records' float64 bytes"
+        # 2,000 records of 30 steps, then of lengths drawn from 1–60
+        out = str(tmp_path / "o.csv")
+        for path, nbytes in (uniform_probs, drawn_probs):
+            argv = ["infer", driving_path, str(path), "--mode", mode, "--out", out]
+            code, peak = self.peak(lambda: main(argv))
+            assert code == 0
+            assert peak < 4 * nbytes, f"{path.name}: {peak / nbytes:.2f} x the records' float64 bytes"
 
     def test_training_load_peak_is_below_twice_the_features(self, tmp_path):
         data = tmp_path / "train.jsonl"

@@ -537,3 +537,59 @@ def test_the_trimmed_runs_match_the_runs_of_every_transition(automata, name):
             # its largest entry, and the others' not at all
             scale = max(1.0, float(np.abs(want).max()))
             assert float(np.abs(got - want).max()) <= 1e-15 * scale
+
+
+# numpy's products sum a row in an order that may depend on how many rows
+# the product has, once it sums more than a few terms: against their length
+# groups' runs, the ragged runs of random:16x6:0 (27 transitions) and
+# random:64x12:0 (125) moved by at most 4.4e-16 over six seeds, those of
+# the automata of at most 8 transitions not at all
+RAGGED = {
+    "driving": 0,
+    "events": 0,
+    "random:8x10:2": 0,
+    "random:16x6:0": 1e-15,
+    "random:64x12:0": 1e-15,
+}
+
+
+@pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 16])
+@pytest.mark.parametrize("form", ["as run", "gather"])
+@pytest.mark.parametrize("name", RAGGED)
+def test_a_ragged_batch_runs_like_its_length_groups(automata, monkeypatch, name, form, block_rows):
+    c = automata[name]
+    if form == "gather":
+        monkeypatch.setattr(automaton, "FLOW_MAX_TRANSITIONS", 0)
+        c = validate_and_compile(c.sfa)
+        assert c._plan.next is None
+    monkeypatch.setattr(automaton, "BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(15)
+    # 64 sequences, longest first: drawn lengths with ties, and zero-step ones
+    lengths = sorted(rng.integers(0, 50, size=60).tolist() + [0, 0, 17, 17], reverse=True)
+    seqs = [rng.uniform(size=(t, len(c.vocab))) for t in lengths]
+    want = {t: forward_alphas(c, np.stack([ps for ps in seqs if len(ps) == t])) for t in lengths}
+    alphas = np.empty((sum(lengths), c.num_states))
+    assert automaton._run_forward(c, *automaton._ragged(list(seqs)), alphas) is None
+    final = automaton._run_forward(c, *automaton._ragged(list(seqs)))
+    widths = automaton._step_widths(np.array(lengths))
+    first = np.cumsum(widths) - widths
+    initial = _initial_alpha(c, ())
+    for i, t in enumerate(lengths):
+        # the sequences of one length keep their order, so i is that group's j-th
+        j = i - lengths.index(t)
+        assert float(np.abs(alphas[first[:t] + i] - want[t][j]).max(initial=0)) <= RAGGED[name]
+        assert float(np.abs(final[i] - (want[t][j, -1] if t else initial)).max()) <= RAGGED[name]
+
+
+def test_ragged_rows_are_step_major_and_the_list_drops_ended_sequences():
+    steps = (4, 2, 2, 1, 0)
+    # sequence i's row t holds (100·i + t, -t)
+    seqs = [np.stack([100.0 * i + np.arange(n), -np.arange(n)], 1) for i, n in enumerate(steps)]
+    lengths, rows = automaton._ragged(seqs)
+    assert lengths.tolist() == [4, 2, 2, 1, 0]
+    # step 0 of the four sequences that have one, then step 1 of three
+    step_0, step_1 = [[0, 0], [100, 0], [200, 0], [300, 0]], [[1, -1], [101, -1], [201, -1]]
+    assert rows(0, 2).T.tolist() == step_0 + step_1
+    assert len(seqs) == 4  # the zero-step sequence ended before step 0
+    assert rows(2, 4).T.tolist() == [[2, -2], [3, -3]]
+    assert len(seqs) == 1

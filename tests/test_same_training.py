@@ -1,4 +1,4 @@
-"""tools/same_training.py, which tells whether checkouts run and train bitwise alike."""
+"""tools/same_training.py, which tells whether checkouts run, train and infer bitwise alike."""
 
 import importlib.util
 import shutil
@@ -28,7 +28,7 @@ def compared(tmp_path_factory):
     """One run of the tool on ROOT and every copy: one child per checkout.
 
     Returns the finished process, each copy's path by name, and each
-    checkout's digest line (its recursion and training digests)."""
+    checkout's digest line (its recursion, training and infer digests)."""
     paths = {}
     for name, edit in COPIES.items():
         path = paths[name] = tmp_path_factory.mktemp(name)
@@ -46,7 +46,7 @@ def compared(tmp_path_factory):
         timeout=600,
     )
     assert proc.returncode == 1, proc.stderr
-    lines = {line.split()[2]: line.split()[:2] for line in proc.stdout.splitlines()}
+    lines = {line.split()[3]: line.split()[:3] for line in proc.stdout.splitlines()}
     return proc, paths, lines
 
 
@@ -70,11 +70,22 @@ def test_a_different_recursion_is_told_apart(compared):
 
 def test_the_exit_status_says_whether_every_new_checkout_agrees(monkeypatch, capsys):
     # children stubbed by checkout name: "a" and "b" agree, "c" differs
-    digests = {"a": ("r", "t"), "b": ("r", "t"), "c": ("r", "u")}
+    digests = {"a": ("r", "t", "i"), "b": ("r", "t", "i"), "c": ("r", "u", "j")}
     monkeypatch.setattr(same_training, "_child", lambda path: digests[str(path)])
     assert same_training.main(["same_training.py", "a", "b"]) == 0
     assert same_training.main(["same_training.py", "a", "b", "c"]) == 1
-    assert capsys.readouterr().err == "c: training differ\n"
+    assert capsys.readouterr().err == "c: training differ\nc: infer differ\n"
     monkeypatch.setattr(same_training, "_child", lambda path: None)
     assert same_training.main(["same_training.py", "a", "b"]) == 2
     assert same_training.main(["same_training.py", "a"]) == 2
+
+
+def test_a_different_infer_output_is_told_apart(monkeypatch):
+    # in-process, on this checkout's symfa: half the accepting mass in accept mode
+    from symfa import automaton
+
+    before = same_training.infer_digest()
+    assert same_training.infer_digest() == before
+    mask = automaton._accepting_mask
+    monkeypatch.setattr(automaton, "_accepting_mask", lambda c: mask(c) / 2)
+    assert same_training.infer_digest() != before

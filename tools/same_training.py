@@ -1,10 +1,10 @@
-"""Whether checkouts of symfa run and train bitwise alike.
+"""Whether checkouts of symfa run, train and infer bitwise alike.
 
     python3 tools/same_training.py OLD NEW [NEW ...]
 
 Runs one child Python per checkout, with PYTHONPATH=<checkout>/src, so
 each imports its own symfa and nothing of the benchmark, and compares
-each NEW checkout with OLD. Each child prints two sha256 digests:
+each NEW checkout with OLD. Each child prints three sha256 digests:
 
 - recursions: the outputs of forward_alphas, acceptance_batch and
   backward_gradient (with S = T and with S = T // 2 gradient steps) at
@@ -16,21 +16,27 @@ each NEW checkout with OLD. Each child prints two sha256 digests:
   built with symfa.bench, and mixed-length sets (lengths 3, 5 and 9
   interleaved) on driving, random:8x10:2 and random:64x12:0, with both
   label kinds and batch sizes 1, 7, 32 and 100, hashed over the weights,
-  the bias and every EpochRecord of every run.
+  the bias and every EpochRecord of every run;
+- infer: the CSV bytes `symfa infer` writes on events, in both modes, on
+  a file of 40 records of 30 steps and on one of 102 records of lengths
+  drawn from 0–300, zero-step records among them.
 
 Prints one line of digests per checkout, and on stderr
-`NEW: recursions differ` or `NEW: training differ` for each digest of a
-NEW checkout that is not OLD's. Exits 0 when every NEW checkout agrees
-with OLD, 1 when one differs, and 2 when a child fails.
+`NEW: recursions differ`, `NEW: training differ` or `NEW: infer differ`
+for each digest of a NEW checkout that is not OLD's. Exits 0 when every
+NEW checkout agrees with OLD, 1 when one differs, and 2 when a child
+fails.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
@@ -147,9 +153,33 @@ def training_digest() -> str:
     return h.hexdigest()
 
 
-def _child(checkout: Path) -> tuple[str, str] | None:
-    """The recursion and training digests a child Python computes on
-    `checkout`'s symfa, or None."""
+def infer_digest() -> str:
+    """sha256 over the CSV `symfa infer` writes, both modes, on both files."""
+    import numpy as np
+    from symfa import bench, cli, format_sfa
+
+    rng = np.random.default_rng(0)
+    sfa = bench.events_pattern().sfa
+    width = len(sfa.vocab)
+    equal = [rng.uniform(size=(30, width)) for _ in range(40)]
+    lengths = rng.permutation(rng.integers(0, 301, size=99).tolist() + [0, 0, 0])
+    drawn = [rng.uniform(size=(t, width)) for t in lengths]
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, data, out = (Path(tmp) / name for name in ("events.sfa", "records.jsonl", "out.csv"))
+        spec.write_text(format_sfa(sfa))
+        for records in (equal, drawn):
+            data.write_text("".join(json.dumps({"probs": ps.tolist()}) + "\n" for ps in records))
+            for mode in ("accept", "tag"):
+                if cli.main(["infer", str(spec), str(data), "--mode", mode, "--out", str(out)]):
+                    raise RuntimeError(f"symfa infer --mode {mode} failed")
+                h.update(out.read_bytes())
+    return h.hexdigest()
+
+
+def _child(checkout: Path) -> tuple[str, str, str] | None:
+    """The recursion, training and infer digests a child Python computes
+    on `checkout`'s symfa, or None."""
     src = checkout.resolve() / "src"
     if not (src / "symfa").is_dir():
         print(f"{checkout}: no src/symfa package", file=sys.stderr)
@@ -157,20 +187,20 @@ def _child(checkout: Path) -> tuple[str, str] | None:
     code = (
         f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import symfa, same_training; "
         "print(symfa.__file__); print(same_training.recursion_digest()); "
-        "print(same_training.training_digest())"
+        "print(same_training.training_digest()); print(same_training.infer_digest())"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=src, env=env, capture_output=True, text=True
     )
     lines = proc.stdout.split()
-    if proc.returncode != 0 or len(lines) != 3:
+    if proc.returncode != 0 or len(lines) != 4:
         print(f"{checkout}: child failed\n{proc.stderr}", file=sys.stderr)
         return None
     if not Path(lines[0]).resolve().is_relative_to(src):
         print(f"{checkout}: child imported symfa from {lines[0]}", file=sys.stderr)
         return None
-    return lines[1], lines[2]
+    return lines[1], lines[2], lines[3]
 
 
 def main(argv: list[str]) -> int:
@@ -182,10 +212,10 @@ def main(argv: list[str]) -> int:
         found = _child(Path(checkout))
         if found is None:
             return 2
-        print(f"{found[0]}  {found[1]}  {checkout}")
+        print(f"{found[0]}  {found[1]}  {found[2]}  {checkout}")
         digests.append(found)
     for checkout, found in zip(argv[2:], digests[1:]):
-        for part, old, new in zip(("recursions", "training"), digests[0], found):
+        for part, old, new in zip(("recursions", "training", "infer"), digests[0], found):
             if old != new:
                 print(f"{checkout}: {part} differ", file=sys.stderr)
     return 0 if all(found == digests[0] for found in digests) else 1
