@@ -28,16 +28,16 @@ enters reads 0.0. The plan is the kept transition list (src, dst) and
 the nodes below their roots, read straight from that table into one
 levelized circuit (circuit.Plan). Validation alone never pays for it;
 transition_tensor builds a plan of every transition on each call, so
-that every state's row is there to check. The forward core runs one
+that every state's row is there to check. Both recursion cores run one
 packed batch of any lengths: the sequences sorted longest first, and
 step t's rows those of the n_t sequences still running, a prefix of
 them, so a sequence ends where n_t falls and reads its alpha there. An
 equal-length batch is the case n_t = N; `symfa infer` runs every record
-in one such batch. Each block of about BLOCK_ROWS probability rows (whole
-steps, step-major) is evaluated in one pass over the plan, giving every
-transition's guard value W_t, and the recursion runs sparsely over the
-transitions: alpha_t[j] = sum over transitions i -> j of
-alpha_{t-1}[i] · W_t. Each direction is one step loop that carries one
+in one such batch, and training each minibatch. Each block of about
+BLOCK_ROWS probability rows (whole steps, step-major) is evaluated in
+one pass over the plan, giving every transition's guard value W_t, and
+the recursion runs sparsely over the transitions: alpha_t[j] = sum over
+transitions i -> j of alpha_{t-1}[i] · W_t. Each direction is one step loop that carries one
 value per transition: the forward loop carries
 alpha_{t-1}[src] and turns W_t into the flow alpha_{t-1}[src] · W_t in
 place; the reverse loop carries the adjoint read at each transition's
@@ -281,17 +281,23 @@ def validate_and_compile(sfa: Sfa, complete: bool = True) -> CompiledSfa:
 
 # --- probabilistic runs ----------------------------------------------------
 #
-# The recursion cores, _run_forward and _run_backward, share one layout
-# on equal-length batches: probabilities are pt (V, T, N), state arrays
-# (the alphas and their gradients) (T, N, Q), and the gradient comes back
-# as (V, T, N). The rows of steps t0..t1-1 are then
-# pt[:, t0:t1].reshape(V, -1), t-major (row t·N + n is step t of sequence
-# n): a view when pt is contiguous, as training builds it, and one copy
-# when pt is the transposed view of an (N, T, V) array, which the public
-# functions pass. _run_forward reads that layout as the packed one with
-# n_t = N (_dense); a ragged list of sequences packs its rows block by
-# block (_ragged). A block holds whole steps, about BLOCK_ROWS rows, so a
-# pass's working memory is bounded by the block whatever T is; only
+# The recursion cores, _run_forward and _run_backward, share one packed
+# layout of N sequences sorted longest first: step t holds the n_t
+# sequences longer than t, a prefix of them, and its rows follow step
+# t - 1's, so row first[t] + i is step t of sequence i, first[t] the sum
+# of n_s over s < t (_step_widths gives n_t). The
+# probability rows are (V, R), state arrays (the alphas and their
+# gradients) (R, Q), and the reverse core's gradient comes back as
+# (V, R). Both walk the same blocks (_blocks), the forward core from the
+# first step and the reverse core from the last, where a sequence joins
+# the walk at its own last step. An equal-length batch is the case
+# n_t = N: pt (V, T, N) gives steps t0..t1-1 as
+# pt[:, t0:t1].reshape(V, -1) (_dense), a view when pt is contiguous and
+# one copy when pt is the transposed view of an (N, T, V) array, which
+# the public functions pass. Training passes its minibatch's rows packed
+# once (learn._pack), and a ragged list of sequences packs its rows block
+# by block (_ragged). A block holds whole steps, about BLOCK_ROWS rows,
+# so a pass's working memory is bounded by the block whatever T is; only
 # outputs that hold every step grow with T.
 
 def reachable_states(c: CompiledSfa) -> list[int]:
@@ -371,10 +377,31 @@ def _step_widths(lengths: np.ndarray) -> np.ndarray:
     return len(lengths) - np.cumsum(np.bincount(lengths, minlength=1))
 
 
-def _step_blocks(steps: int, width: int):
-    """(t0, t1) ranges of whole steps, about BLOCK_ROWS rows each."""
-    per_block = max(1, BLOCK_ROWS // max(width, 1))
-    return [(t0, min(t0 + per_block, steps)) for t0 in range(0, steps, per_block)]
+def _blocks(widths: list) -> list:
+    """The blocks of whole steps of a packed batch, in step order, as
+    (t0, t1, lo, hi): steps t0..t1-1, packed rows lo..hi-1.
+
+    A block takes BLOCK_ROWS // n_t0 steps from its first step t0, and at
+    least one: widths do not grow, so it holds about BLOCK_ROWS rows at
+    most. Both recursion cores walk these blocks, one each way.
+    """
+    blocks, t1 = [], 0
+    while widths[t1]:
+        t0, t1 = t1, min(t1 + max(1, BLOCK_ROWS // widths[t1]), len(widths) - 1)
+        lo = blocks[-1][3] if blocks else 0
+        blocks.append((t0, t1, lo, lo + sum(widths[t0:t1])))
+    return blocks
+
+
+def _runs(widths: list, t0: int, t1: int) -> list:
+    """Each run of steps of one width in t0..t1-1, as (t, k, n, r): k steps
+    of n rows each from step t, r rows after step t0's first."""
+    runs, r = [], 0
+    for n, run in groupby(widths[t0:t1]):
+        k = len(list(run))
+        runs.append((t0, k, n, r))
+        t0, r = t0 + k, r + k * n
+    return runs
 
 
 def _check_row_sums(plan: _Plan, roots: np.ndarray) -> np.ndarray:
@@ -439,7 +466,8 @@ def _ragged(seqs: list):
     A block's rows are gathered from the arrays: one slice per running
     sequence, joined, then put in step-major order. Once a block starts
     past a sequence's end, the list drops it, so a caller that keeps no
-    other reference frees it there.
+    other reference frees it there, and the blocks must be asked for in
+    step order: _run_forward can take this form, _run_backward cannot.
     """
     lengths = np.array([len(ps) for ps in seqs], dtype=np.intp)
 
@@ -475,12 +503,11 @@ def _run_forward(c: CompiledSfa, lengths, rows, out: np.ndarray | None = None):
     larger automata take alpha_t = flow_t @ into_dst and gather
     alpha_t[src] from it, three calls per step. Each run of steps of one
     width is one (steps, n_t, ·) view, so a step makes no call more than
-    on an equal-length batch. A block takes BLOCK_ROWS // n_t0 whole steps
-    from its first step t0, the blocks _step_blocks gives an equal-length
-    batch. Given `out` (sum of lengths, Q), every alpha_t is written to
-    it, in the rows' order. Otherwise only the running state is kept, and
-    the result is each sequence's alpha at its last step (N, Q), read
-    where it ends: the initial one for a zero-step sequence.
+    on an equal-length batch. The blocks are _blocks'. Given `out` (sum
+    of lengths, Q), every alpha_t is written to it, in the rows' order.
+    Otherwise only the running state is kept, and the result is each
+    sequence's alpha at its last step (N, Q), read where it ends: the
+    initial one for a zero-step sequence.
     """
     plan = c._plan
     src, into_dst, nxt = plan.src, plan.into_dst, plan.next
@@ -488,19 +515,14 @@ def _run_forward(c: CompiledSfa, lengths, rows, out: np.ndarray | None = None):
     widths = _step_widths(lengths).tolist()
     alpha = _initial_alpha(c, (len(lengths),))
     incoming = alpha.take(src, axis=1, mode="clip")
-    done = t1 = 0  # the rows of the steps before the block, and its first step
-    while widths[t1]:
-        # whole steps, about BLOCK_ROWS rows at most: widths do not grow
-        t0, t1 = t1, min(t1 + max(1, BLOCK_ROWS // widths[t1]), len(widths) - 1)
+    for t0, t1, lo, hi in _blocks(widths):
         # the block's weights, turned into its flows in place
         flow = np.ascontiguousarray(_check_row_sums(plan, plan.circuit.forward(rows(t0, t1))).T)
-        r, t = 0, t0
         # each run of k steps of one width n works on one (k, n, ·) view
-        for n, run in groupby(widths[t0:t1]):
-            k = len(list(run))
+        for t, k, n, r in _runs(widths, t0, t1):
             inc, flows = incoming[:n], flow[r : r + k * n].reshape(k, n, -1)
             if gather:
-                ats = [alpha[:n]] * k if out is None else out[done + r :][: k * n].reshape(k, n, -1)
+                ats = [alpha[:n]] * k if out is None else out[lo + r :][: k * n].reshape(k, n, -1)
                 for w, at in zip(flows, ats):
                     w *= inc
                     np.dot(w, into_dst, out=at).take(src, axis=1, out=inc, mode="clip")
@@ -508,81 +530,80 @@ def _run_forward(c: CompiledSfa, lengths, rows, out: np.ndarray | None = None):
                 for w in flows:
                     w *= inc
                     np.dot(w, nxt, out=inc)
-            r, t = r + k * n, t + k
             # a flow run's last step: the sequences that end there read their alpha
-            if out is None and not gather and widths[t] < n:
-                np.dot(w[widths[t] :], into_dst, out=alpha[widths[t] : n])
+            if out is None and not gather and widths[t + k] < n:
+                np.dot(w[widths[t + k] :], into_dst, out=alpha[widths[t + k] : n])
         if out is not None and not gather:
             # a flow block's alphas, from one product of its flows
-            np.dot(flow, into_dst, out=out[done : done + r])
-        done += r
+            np.dot(flow, into_dst, out=out[lo:hi])
     return alpha if out is None else None
 
 
-def _run_backward(c: CompiledSfa, pt: np.ndarray, grads: np.ndarray, alphas: np.ndarray):
-    """The reverse recursion over pt (V, T, N); returns dLoss/dpt, (V, T, N).
+def _run_backward(c: CompiledSfa, lengths, rows, alphas, grads, at_last: bool = False):
+    """The reverse recursion over a packed batch; returns dLoss/drows (V, R).
 
-    `grads` (S, N, Q), S <= T, holds dLoss/dalpha_t of the last S steps;
-    `alphas` (T, N, Q) holds every alpha_t of the forward recursion.
-    Walking the blocks from the last step back, the adjoint recursion
-    abar_{t-1} = grads_{t-1} + (W_t · abar_t[dst]) summed per source state
-    seeds each transition root with alpha_{t-1}[src] · abar_t[dst], read
-    from `alphas` in place (the initial one-hot for t = 0), and one reverse
-    pass over the merged circuit turns those seeds into dLoss/dp_t. The
-    loop carries a_t = abar_t[dst] per transition: every grads_t[dst] of a
-    block is gathered in one call, and each step adds the carry to it and
-    moves W_t · a_t back. Only that move depends on the plan's form: on
-    automata of at most FLOW_MAX_TRANSITIONS transitions it is one product
-    with next.T, three calls per step; larger automata sum it per source
-    state and gather the sums at `dst`, four calls per step.
+    `lengths` and `rows` are a packed batch of R rows, as _run_forward
+    takes it, and `alphas` (R, Q) holds every alpha_t of its forward
+    recursion, in the rows' order. `grads` holds dLoss/dalpha_t: of every
+    row (R, Q), or with `at_last` of each sequence's last step only
+    (N, Q). Walking _blocks' blocks from the last step back, the adjoint
+    recursion abar_{t-1} = grads_{t-1} + (W_t · abar_t[dst]) summed per
+    source state seeds each transition root with
+    alpha_{t-1}[src] · abar_t[dst], read from `alphas` in place (the
+    initial one-hot for t = 0), and one reverse pass over the merged
+    circuit turns those seeds into dLoss/dp_t. The loop carries
+    a_t = abar_t[dst] per transition: every grads_t[dst] of a block is
+    gathered in one call, and each step adds the carry to it and moves
+    W_t · a_t back, on the prefix of the n_t running sequences. A sequence
+    joins the walk at its own last step, where its carry is still the one
+    it started with: zero, or with `at_last` its grads row at `dst`. Only
+    the move depends on the plan's form: on automata of at most
+    FLOW_MAX_TRANSITIONS transitions it is one product with next.T, three
+    calls per step; larger automata sum it per source state and gather
+    the sums at `dst`, four calls per step.
     """
     plan = c._plan
-    steps, width = pt.shape[1:]
     src, dst, from_src, nxt = plan.src, plan.dst, plan.from_src, plan.next
     gather = nxt is None
     back = None if gather else nxt.T
-    n_trans = len(src)
-    # grads[t - first] is the gradient of step t >= first
-    first = steps - len(grads)
+    widths = _step_widths(lengths).tolist()
     # the initial one-hot, read per transition
     initial_src = (src == c.sfa.initial).astype(np.float64)
-    out = np.empty(pt.shape)
+    out = np.empty((len(c.vocab), sum(widths)))
     # abar_t[dst] − grads_t[dst], carried across steps and blocks:
     # W_{t+1} · a_{t+1} summed over the transitions leaving the state where
     # each one ends
-    carry = np.zeros((width, n_trans))
-    moved = np.empty((width, n_trans))
+    carry = grads.take(dst, axis=1, mode="clip") if at_last else np.zeros((len(lengths), len(src)))
+    moved = np.empty(carry.shape)
     # the per-state sums of a gather step
-    abar = np.empty((width, c.num_states)) if gather else None
-    for t0, t1 in reversed(_step_blocks(steps, width)):
-        rows = pt[:, t0:t1].reshape(len(pt), -1)
+    abar = np.empty((len(lengths), c.num_states))
+    for t0, t1, lo, hi in reversed(_blocks(widths)):
+        block = rows(t0, t1)
         # the root values are the guard weights, (n_trans, rows)
-        weights, tape = plan.circuit.forward(rows, keep=True)
-        weights = np.ascontiguousarray(weights.T).reshape(t1 - t0, width, n_trans)
-        # grads[dst] of the block's steps, zero before `first`
-        lo = min(max(t0, first), t1)
-        graded = grads[lo - first : t1 - first].take(dst, axis=2, mode="clip")
-        if lo == t0:
-            at_dst = graded
-        else:
-            at_dst = np.zeros((t1 - t0, width, n_trans))
-            at_dst[lo - t0 :] = graded
-        for w, a in zip(weights[::-1], at_dst[::-1]):
-            a += carry
-            np.multiply(w, a, out=moved)
-            if gather:
-                np.dot(moved, from_src, out=abar)
-                abar.take(dst, axis=1, out=carry, mode="clip")
-            else:
-                np.dot(moved, back, out=carry)
-        # root seeds alpha_{t-1}[src] · abar_t[dst], alpha_{t-1} read from
-        # `alphas` in place, or the initial one-hot for t = 0
-        if t0 == 0:
-            at_dst[0] *= initial_src
-        a0 = max(t0, 1)
-        at_dst[a0 - t0 :] *= alphas[a0 - 1 : t1 - 1].take(src, axis=2, mode="clip")
-        grad = plan.circuit.backward(rows, tape, at_dst.reshape(-1, n_trans).T)
-        out[:, t0:t1] = grad.reshape(len(pt), t1 - t0, width)
+        weights, tape = plan.circuit.forward(block, keep=True)
+        weights = np.ascontiguousarray(weights.T)
+        # grads[dst] of the block's rows
+        at_dst = np.zeros(weights.shape) if at_last else grads[lo:hi].take(dst, axis=1, mode="clip")
+        for t, k, n, r in reversed(_runs(widths, t0, t1)):
+            seeds = at_dst[r : r + k * n].reshape(k, n, -1)
+            run_carry, run_moved, run_abar = carry[:n], moved[:n], abar[:n]
+            for w, a in zip(weights[r : r + k * n].reshape(k, n, -1)[::-1], seeds[::-1]):
+                a += run_carry
+                np.multiply(w, a, out=run_moved)
+                if gather:
+                    np.dot(run_moved, from_src, out=run_abar)
+                    run_abar.take(dst, axis=1, out=run_carry, mode="clip")
+                else:
+                    np.dot(run_moved, back, out=run_carry)
+            # root seeds alpha_{t-1}[src] · abar_t[dst], alpha_{t-1} read from
+            # `alphas` in place, or the initial one-hot for t = 0; step t's
+            # sequences are a prefix of step t - 1's, whose rows end where
+            # the run's start
+            prev = alphas[lo + r - widths[t - 1] :][:n] if t else None
+            seeds[0] *= prev.take(src, axis=1, mode="clip") if t else initial_src
+            before = alphas[lo + r :][: (k - 1) * n].reshape(k - 1, n, alphas.shape[1])
+            seeds[1:] *= before.take(src, axis=2, mode="clip")
+        out[:, lo:hi] = plan.circuit.backward(block, tape, at_dst.T)
     return out
 
 
@@ -673,14 +694,15 @@ def backward_gradient(c: CompiledSfa, ps, alpha_grads, alphas=None) -> np.ndarra
         alphas = forward_alphas(c, ps)
     elif np.shape(alphas) != lead + (steps, c.num_states):
         raise ValueError(f"alphas shape {np.shape(alphas)} does not match sequence shape")
-    width = math.prod(lead)
-    grad = _run_backward(
-        c,
-        ps.reshape((width,) + ps.shape[-2:]).T,
-        alpha_grads.reshape(width, alpha_grads.shape[-2], c.num_states).transpose(1, 0, 2),
-        np.asarray(alphas, dtype=np.float64).reshape(width, steps, c.num_states).transpose(1, 0, 2),
-    )
-    return np.ascontiguousarray(grad.T).reshape(ps.shape)
+    width, nq = math.prod(lead), c.num_states
+    # the packed rows are step-major: (T, N, Q), and grads zero before the last S steps
+    last = alpha_grads.shape[-2]
+    grads = np.zeros((steps, width, nq))
+    grads[steps - last :] = alpha_grads.reshape(width, last, nq).transpose(1, 0, 2)
+    alphas = np.asarray(alphas, dtype=np.float64).reshape(width, steps, nq).transpose(1, 0, 2)
+    pt = ps.reshape((width,) + ps.shape[-2:]).T
+    grad = _run_backward(c, *_dense(pt), alphas.reshape(-1, nq), grads.reshape(-1, nq))
+    return np.ascontiguousarray(grad.reshape(pt.shape).T).reshape(ps.shape)
 
 
 # --- boolean runs ----------------------------------------------------------

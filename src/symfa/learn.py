@@ -14,16 +14,18 @@ step. The loss is differentiated exactly through the circuit evaluations
 and the state recursion, so training is plain gradient descent; no
 sampling or approximation is involved anywhere.
 
-Training gathers a minibatch one length group at a time, each with one
-numpy call per input: np.unique groups the indices by length, one
-np.concatenate lays the group's (T, m) feature arrays side by side, which
-reshaped is the step-major (T, B, m) batch, and one fancy index reads its
-(S, B) row codes from the flat codes. Only that group is copied, never
-the whole dataset. The symbol probabilities are then (V, T·B), from one
-product with the weights, and reshaped they are the (V, T, B) array the
-recursion cores in automaton take, so every block they evaluate is a view
-and no step of training transposes. dW is one product of the logistic
-slope (V, T·B) with the feature rows (T·B, m).
+Training runs each minibatch as one packed batch, whatever its lengths
+(see automaton._run_forward): sorted longest first by a stable sort, so
+sequences of one length keep their order, with step t's rows those of
+the n_t sequences longer than t. Its (R, m) feature rows are gathered
+step-major with one np.concatenate per run of steps of one width, each
+written in place into one array, and its row codes from the flat codes
+with one fancy index. Only the minibatch is copied, never the whole
+dataset. The symbol probabilities are then (V, R), from one product with
+the weights, and each block the recursion cores evaluate is a view of
+them, so no step of training transposes. One forward and one reverse
+recursion serve the minibatch, and dW is one product of the logistic
+slope (V, R) with the feature rows (R, m).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .automaton import CompiledSfa, _accepting_mask, _dense, _run_backward, _run_forward
+from .automaton import CompiledSfa, _accepting_mask, _run_backward, _run_forward, _runs, _step_widths
 from .automaton import acceptance_batch  # noqa: F401  (perfbench/layers.py traces this name)
 from .automaton import backward_gradient, forward_alphas  # noqa: F401  (traced there too)
 from .errors import DivergenceError
@@ -288,46 +290,54 @@ def _targets(c: CompiledSfa, data: Sequence[LabeledSequence], state_to_label):
     return table, codes, offsets, missing
 
 
-def _batch_loss(c: CompiledSfa, extractor, features, table, codes, by_sequence=False):
+def _batch_loss(c: CompiledSfa, extractor, rows, lengths, table, codes, by_sequence=False):
     """Summed cross entropy of the alpha mass on labeled states, with gradients.
 
-    features: (T, B, m), step-major, so that its rows, the symbol
-    probabilities (V, T·B) and the recursion cores' arrays (see automaton)
-    share one order and nothing is transposed. codes (S, B) label the last
-    S steps with rows of `table`, 0/1 masks over the states (see
-    _targets): a step costs -log of the mass alpha_t holds on its row,
-    clamped inside the log, and code 0, the empty row, costs nothing.
-    Per-step labels pass S = T; sequence labels pass S = 1 and
-    `by_sequence`. Returns (loss, dW, db, correct), loss and gradients
-    averaged over the batch. `correct` counts the sequences whose
-    acceptance is on the label's side of 0.5 when `by_sequence`, else the
-    labeled steps whose most probable state carries the step's label. One
-    forward recursion serves all four.
+    rows (R, m) are the feature rows of a packed batch of sequences of
+    `lengths`, longest first (see automaton._run_forward), so that they,
+    the symbol probabilities (V, R) and the recursion cores' arrays share
+    one order and nothing is transposed. `codes` label states with rows of
+    `table`, 0/1 masks over the states (see _targets): a step costs -log
+    of the mass alpha_t holds on its row, clamped inside the log, and code
+    0, the empty row, costs nothing. Per-step labels pass one code per row
+    (R,); sequence labels pass `by_sequence` and one code per sequence
+    (N,), for its last step, which reads its alpha at its own last row.
+    Returns (loss, dW, db, correct), loss and gradients averaged over the
+    batch. `correct` counts the sequences whose acceptance is on the
+    label's side of 0.5 when `by_sequence`, else the labeled steps whose
+    most probable state carries the step's label. One forward and one
+    reverse recursion serve all four.
     """
-    steps, batch, m = features.shape
-    rows = features.reshape(steps * batch, m)
-    probs = _symbol_probs(extractor, rows)  # (V, T·B)
-    pt = probs.reshape(len(probs), steps, batch)
-    alphas = np.empty((steps, batch, c.num_states))
-    _run_forward(c, *_dense(pt), alphas.reshape(-1, c.num_states))
-    read = alphas[steps - len(codes) :]  # (S, B, Q)
-    masks = table[codes]  # (S, B, Q)
+    batch = len(lengths)
+    widths = _step_widths(lengths)
+    first = np.cumsum(widths) - widths  # the packed row where each step starts
+    probs = _symbol_probs(extractor, rows)  # (V, R)
+    packed = lengths, lambda t0, t1: probs[:, first[t0] : first[t1]]
+    alphas = np.empty((len(rows), c.num_states))
+    _run_forward(c, *packed, alphas)
+    # a sequence label reads each sequence's alpha at its own last row
+    read = alphas[first[lengths - 1] + np.arange(batch)] if by_sequence else alphas
+    masks = table[codes]
     active = codes != 0
-    step_probs = (read * masks).sum(axis=-1)  # (S, B)
+    step_probs = (read * masks).sum(axis=-1)
     log_p, dlog_p = _clamped_log_grad(step_probs)
-    per_seq = -(log_p * active).sum(axis=0)
-    dstep = -(dlog_p * active) / batch  # (S, B)
-    masks *= dstep[..., None]  # now dLoss/dalpha of the last S steps
-    dprobs = _run_backward(c, pt, masks, alphas).reshape(probs.shape)
-    slope = probs * (1.0 - probs)  # the logistic slope, (V, T·B)
+    dstep = -(dlog_p * active) / batch
+    masks *= dstep[:, None]  # now dLoss/dalpha of each labeled row
+    dprobs = _run_backward(c, *packed, alphas, masks, by_sequence)
+    slope = probs * (1.0 - probs)  # the logistic slope, (V, R)
     slope *= dprobs
+    lost = log_p * active
+    if not by_sequence:
+        # summed per sequence over its steps, laid out (T, N) with 0 past its end
+        by_step = np.zeros((lengths[0], batch))
+        by_step[np.arange(lengths[0])[:, None] < lengths] = lost
+        lost = by_step.sum(axis=0)
     if by_sequence:
         # acceptance >= 0.5 for label 1 (row 2); rejection > 0.5 for label 0
-        side = step_probs[0]
-        correct = int(np.where(codes[0] == 2, side >= 0.5, side > 0.5).sum())
+        correct = int(np.where(codes == 2, step_probs >= 0.5, step_probs > 0.5).sum())
     else:
         correct = int(table[codes, read.argmax(axis=-1)][active].sum())
-    return float(per_seq.mean()), slope @ rows, slope.sum(axis=1), correct
+    return float((-lost).mean()), slope @ rows, slope.sum(axis=1), correct
 
 
 def _sequence_loss(c: CompiledSfa, extractor, seq: LabeledSequence, state_to_label=None):
@@ -335,7 +345,8 @@ def _sequence_loss(c: CompiledSfa, extractor, seq: LabeledSequence, state_to_lab
     table, codes, _, missing = _targets(c, [seq], state_to_label)
     if missing is not None:
         raise ValueError(missing[1])
-    loss, dw, db, _ = _batch_loss(c, extractor, seq.features[:, None], table, codes[:, None])
+    packed = seq.features, np.array([len(seq.features)])
+    loss, dw, db, _ = _batch_loss(c, extractor, *packed, table, codes, seq.label is not None)
     return loss, (dw, db)
 
 
@@ -397,14 +408,21 @@ class _Adam:
             p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def _group_equal_length(lengths: np.ndarray, batch: np.ndarray) -> list[np.ndarray]:
-    """Bucket a minibatch of data indices by sequence length, in first-seen order.
+def _pack(features: list, lengths: np.ndarray, m: int) -> np.ndarray:
+    """(T_i, m) arrays, longest first, as the rows of one packed batch.
 
-    lengths[k] is sequence k's length; each group keeps the batch's order.
+    Step t's rows are step t of the n_t arrays longer than t (see
+    automaton._run_forward). A run of k steps of one width n is one
+    np.concatenate of the n arrays' k-step slices side by side, written in
+    place into its rows: reshaped (k, n·m), they are those rows.
     """
-    sizes = lengths[batch]
-    _, first = np.unique(sizes, return_index=True)
-    return [batch[sizes == n] for n in sizes[np.sort(first)]]
+    widths = _step_widths(lengths).tolist()
+    rows = np.empty((sum(widths), m))
+    for t, k, n, r in _runs(widths, 0, len(widths) - 1):
+        # a run of every step holds the whole of its n arrays: no slices
+        parts = features[:n] if k == len(widths) - 1 else [f[t : t + k] for f in features[:n]]
+        np.concatenate(parts, axis=1, out=rows[r : r + k * n].reshape(k, n * m))
+    return rows
 
 
 @dataclass
@@ -471,33 +489,25 @@ def train(
         total = 0
         for start in range(0, len(data), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            dw = np.zeros_like(extractor.weights)
-            db = np.zeros_like(extractor.bias)
-            batch_loss = 0.0
-            for group in _group_equal_length(lengths, batch):
-                steps = lengths[group[0]]
-                # side by side along the feature axis, row t holds every
-                # sequence's step t: reshaped, that is the (T, B, m) batch
-                feats = np.concatenate([data[k].features for k in group], axis=1)
-                feats = feats.reshape(steps, len(group), feature_dim)
-                share = len(group) / len(batch)
-                group_codes = codes[offsets[group] + np.arange(1 if by_sequence else steps)[:, None]]
-                loss, gdw, gdb, hits = _batch_loss(c, extractor, feats, table, group_codes, by_sequence)
-                correct += hits
-                total += int(np.count_nonzero(group_codes))
-                # group losses/grads are means over the group; reweight to
-                # make the minibatch objective the mean over the minibatch
-                batch_loss += loss * share
-                dw += gdw * len(group) / len(batch)
-                db += gdb * len(group) / len(batch)
-            if not np.isfinite(batch_loss):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}: {batch_loss}")
+            # longest first; the sort is stable, so a length keeps its order
+            batch = batch[np.argsort(-lengths[batch], kind="stable")]
+            sizes = lengths[batch]
+            rows = _pack([data[k].features for k in batch], sizes, feature_dim)
+            # each row's code, step t of the sequences longer than t: a
+            # sequence label codes the sequence, with one code at offsets[k]
+            step = np.arange(1 if by_sequence else sizes[0])[:, None]
+            coded = codes[(offsets[batch] + step)[step < sizes]]
+            loss, dw, db, hits = _batch_loss(c, extractor, rows, sizes, table, coded, by_sequence)
+            correct += hits
+            total += int(np.count_nonzero(coded))
+            if not np.isfinite(loss):
+                raise DivergenceError(f"non-finite loss at epoch {epoch}: {loss}")
             opt.step([extractor.weights, extractor.bias], [dw, db])
             if not (
                 np.all(np.isfinite(extractor.weights)) and np.all(np.isfinite(extractor.bias))
             ):
                 raise DivergenceError(f"non-finite parameters at epoch {epoch}")
-            epoch_loss += batch_loss * len(batch)
+            epoch_loss += loss * len(batch)
         epoch_loss /= len(data)
         history.append(EpochRecord(epoch, epoch_loss, correct / max(total, 1)))
         if epoch_loss < best_loss:

@@ -54,3 +54,34 @@ def test_a_checkout_against_itself_on_validate_wide():
         assert f"validate-wide, layout {layout}, --seconds 0.3:" in out
     rows = [line for line in out.splitlines() if line.startswith("| setup_s | 1 |")]
     assert len(rows) == 2 and all(row.endswith(("| 0/1 |", "| 1/1 |")) for row in rows)
+    for name in bench_pairs.REPORTED:
+        assert sum(line.startswith(f"| {name} | 1 |") for line in out.splitlines()) == 2
+
+
+# report lines as perfbench/run.py prints them in an end-to-end run
+REPORT = [
+    "# rounds: 12 in 6.010 s",
+    "# calibration: arrays kernel, last times [410, 400, 555, 420, 430] ns, reference 500 ns",
+    "# setup_s: median of 12; wall-clock median 0.000731 s",
+    "# throughput: median over 12 rounds of sequences per busy second, p90 5.1e+04, min 4.9e+04",
+    "# latency: 300 samples of train; wall-clock p50 0.8123 ms, p90 0.95 ms",
+]
+
+
+def test_report_lines_give_the_kernel_and_wall_clock_rows():
+    found = bench_pairs.reported(REPORT)
+    # the kernel's row is the median of its last times
+    assert found == {
+        "calibration_kernel_ns": {"value": 420.0},
+        "setup_wall_s": {"value": 0.000731},
+        "latency_wall_ms_p50": {"value": 0.8123},
+    }
+    assert bench_pairs.reported(REPORT[:1]) == {}
+    # a table row each, lower better; a metric some result lacks has no row
+    parent = [{"metrics": dict(found, setup_s={"value": 2.0})}]
+    change = [{"metrics": dict(bench_pairs.reported(REPORT[1:2]), setup_s={"value": 1.0})}]
+    better = {"setup_s": "lower"} | dict.fromkeys(bench_pairs.REPORTED, "lower")
+    rows = bench_pairs.table(parent, change, better)[2:]
+    assert [row.split(" | ")[0] for row in rows] == ["| setup_s", "| calibration_kernel_ns"]
+    kernel = "| calibration_kernel_ns | 1 | 420 [420, 420] | 420 [420, 420] | 1.000 | 0/1 |"
+    assert rows[1] == kernel

@@ -581,6 +581,63 @@ def test_a_ragged_batch_runs_like_its_length_groups(automata, monkeypatch, name,
         assert float(np.abs(final[i] - (want[t][j, -1] if t else initial)).max()) <= RAGGED[name]
 
 
+# The reverse pass is bitwise alike across batch widths on none of these:
+# Plan.backward's products sum in an order that depends on the rows of
+# the block, so one sequence's gradient moves with the other sequences of
+# its equal-length batch too (by up to 8.2e-17 of the largest entry on
+# events, 5.5e-16 on random:16x6:0). Over 20 seeds, both forms and block
+# sizes, the ragged runs moved against their length groups' by at most
+# 1.6e-24 (driving), 3.2e-16 (events), 1.1e-16 (random:8x10:2), 1.1e-15
+# (random:16x6:0) and 9.8e-16 (random:64x12:0) of the largest entry.
+RAGGED_REVERSE = dict.fromkeys(RAGGED, 1e-15) | {"random:16x6:0": 4e-15, "random:64x12:0": 4e-15}
+
+
+@pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 16])
+@pytest.mark.parametrize("form", ["as run", "gather"])
+@pytest.mark.parametrize("name", RAGGED_REVERSE)
+def test_a_ragged_reverse_recursion_runs_like_its_length_groups(
+    automata, monkeypatch, name, form, block_rows
+):
+    c = automata[name]
+    if form == "gather":
+        monkeypatch.setattr(automaton, "FLOW_MAX_TRANSITIONS", 0)
+        c = validate_and_compile(c.sfa)
+        assert c._plan.next is None
+    monkeypatch.setattr(automaton, "BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(16)
+    # 64 sequences, longest first: drawn lengths with ties, and zero-step ones
+    lengths = sorted(rng.integers(0, 50, size=60).tolist() + [0, 0, 17, 17], reverse=True)
+    seqs = [rng.uniform(size=(t, len(c.vocab))) for t in lengths]
+    widths = automaton._step_widths(np.array(lengths))
+    first = np.cumsum(widths) - widths
+    # sequence i's step t is packed row first[t] + i
+    rows_of = [first[:t] + i for i, t in enumerate(lengths)]
+    probs = np.empty((len(c.vocab), first[-1]))
+    for i, ps in enumerate(seqs):
+        probs[:, rows_of[i]] = ps.T
+    packed = np.array(lengths), lambda t0, t1: probs[:, first[t0] : first[t1]]
+    alphas = np.empty((first[-1], c.num_states))
+    automaton._run_forward(c, *packed, alphas)
+    grads = rng.normal(size=alphas.shape)
+    ends = rng.normal(size=(len(lengths), c.num_states))
+    every = automaton._run_backward(c, *packed, alphas, grads)
+    last = automaton._run_backward(c, *packed, alphas, ends, at_last=True)
+    for t in set(lengths) - {0}:
+        group = [i for i, n in enumerate(lengths) if n == t]
+        ps = np.stack([seqs[i] for i in group])
+        group_alphas = forward_alphas(c, ps)
+        # every step's gradient, and the last step's only (S = 1)
+        for got, upstream in (
+            (every, np.stack([grads[rows_of[i]] for i in group])),
+            (last, ends[group][:, None]),
+        ):
+            want = backward_gradient(c, ps, upstream, group_alphas)
+            scale = max(1.0, float(np.abs(want).max()))
+            for j, i in enumerate(group):
+                diff = float(np.abs(got[:, rows_of[i]].T - want[j]).max())
+                assert diff <= RAGGED_REVERSE[name] * scale
+
+
 def test_ragged_rows_are_step_major_and_the_list_drops_ended_sequences():
     steps = (4, 2, 2, 1, 0)
     # sequence i's row t holds (100·i + t, -t)

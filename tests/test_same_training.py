@@ -28,7 +28,8 @@ def compared(tmp_path_factory):
     """One run of the tool on ROOT and every copy: one child per checkout.
 
     Returns the finished process, each copy's path by name, and each
-    checkout's digest line (its recursion, training and infer digests)."""
+    checkout's digest line (its recursion, training, mixed and infer
+    digests)."""
     paths = {}
     for name, edit in COPIES.items():
         path = paths[name] = tmp_path_factory.mktemp(name)
@@ -46,7 +47,8 @@ def compared(tmp_path_factory):
         timeout=600,
     )
     assert proc.returncode == 1, proc.stderr
-    lines = {line.split()[3]: line.split()[:3] for line in proc.stdout.splitlines()}
+    parts = len(same_training.PARTS)
+    lines = {line.split()[parts]: line.split()[:parts] for line in proc.stdout.splitlines()}
     return proc, paths, lines
 
 
@@ -60,6 +62,7 @@ def test_a_checkout_trains_like_itself(compared):
 def test_a_different_optimizer_step_is_told_apart(compared):
     proc, paths, _ = compared
     assert f"{paths['optimizer']}: training differ" in proc.stderr
+    assert f"{paths['optimizer']}: mixed differ" in proc.stderr
     assert f"{paths['optimizer']}: recursions differ" not in proc.stderr
 
 
@@ -69,12 +72,14 @@ def test_a_different_recursion_is_told_apart(compared):
 
 
 def test_the_exit_status_says_whether_every_new_checkout_agrees(monkeypatch, capsys):
-    # children stubbed by checkout name: "a" and "b" agree, "c" differs
-    digests = {"a": ("r", "t", "i"), "b": ("r", "t", "i"), "c": ("r", "u", "j")}
+    # children stubbed by checkout name: "a" and "b" agree, "c" and "d"
+    # differ, "d" in its mixed-length training only
+    digests = {"a": ("r", "t", "m", "i"), "b": ("r", "t", "m", "i"), "c": ("r", "u", "m", "j")}
+    digests["d"] = ("r", "t", "n", "i")
     monkeypatch.setattr(same_training, "_child", lambda path: digests[str(path)])
     assert same_training.main(["same_training.py", "a", "b"]) == 0
-    assert same_training.main(["same_training.py", "a", "b", "c"]) == 1
-    assert capsys.readouterr().err == "c: training differ\nc: infer differ\n"
+    assert same_training.main(["same_training.py", "a", "b", "c", "d"]) == 1
+    assert capsys.readouterr().err == "c: training differ\nc: infer differ\nd: mixed differ\n"
     monkeypatch.setattr(same_training, "_child", lambda path: None)
     assert same_training.main(["same_training.py", "a", "b"]) == 2
     assert same_training.main(["same_training.py", "a"]) == 2

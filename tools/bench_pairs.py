@@ -10,9 +10,14 @@ nothing, in the child, which moves where the interpreter's stack and
 early allocations land. Each run's `# calibration:` line and, on the
 train workloads, its `# train_epoch_s:` line are printed as they come.
 Then, per layout, a markdown table has one row per end-to-end metric of
-PARENT's BENCHMARK.json: the median [q1, q3] of each side, the
-change/parent ratio of the medians and in how many pairs the change was
-better.
+PARENT's BENCHMARK.json, and three more read from each run's report
+lines: the median of the calibration kernel's last times (ns), by which
+the benchmark divides every time it reports, and the wall-clock setup
+and latency p50 medians, which it does not divide. A metric that moves
+with the kernel while the wall-clock times stay put points at the
+process layout, not at the code. Each row gives the median [q1, q3] of
+each side, the change/parent ratio of the medians and in how many pairs
+the change was better.
 
 Exits 1 when a run fails or reports a failed operation; the tables then
 cover the pairs whose two runs both gave a result. Stdlib only; the
@@ -24,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -32,12 +38,31 @@ from pathlib import Path
 SIDES = ("parent", "change")
 LAYOUTS = {"as-is": {}, "extra-env": {"BENCH_PAIRS_UNUSED": "1"}}
 ECHOED = ("# calibration:", "# train_epoch_s:")
+# the rows read from a run's report lines, and the value each line holds:
+# lower is better for all three
+REPORTED = {
+    "calibration_kernel_ns": re.compile(r"# calibration: .*last times \[([^\]]*)\] ns"),
+    "setup_wall_s": re.compile(r"# setup_s: .*wall-clock median (\S+) s"),
+    "latency_wall_ms_p50": re.compile(r"# latency: .*wall-clock p50 (\S+) ms"),
+}
 
 
 def directions(checkout: Path) -> dict[str, str]:
     """Each end-to-end metric of `checkout`'s benchmark: "lower" or "higher" is better."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
     return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+
+
+def reported(lines: list[str]) -> dict[str, dict]:
+    """The REPORTED metrics of a run's stdout lines, each as {"value": the
+    median of the numbers its line holds}."""
+    found = {}
+    for line in lines:
+        for name, pattern in REPORTED.items():
+            match = pattern.match(line)
+            if match:
+                found[name] = {"value": statistics.median(map(float, match[1].split(",")))}
+    return found
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, env: dict):
@@ -54,6 +79,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, env: dict
         result = json.loads(lines[-1]) if proc.returncode == 0 else None
     except (IndexError, ValueError):
         result = None
+    if result is not None:
+        result["metrics"].update(reported(lines))
     if result is None:
         tail = proc.stderr.splitlines()[-3:]
         echoed += [f"run failed ({proc.returncode}): {line}" for line in tail]
@@ -69,14 +96,17 @@ def summary(values: list[float]) -> str:
 
 
 def table(parent: list[dict], change: list[dict], better: dict[str, str]) -> list[str]:
-    """Markdown rows, one per metric of `better`, over the result objects
-    of the pairs, parent[k] against change[k]."""
+    """Markdown rows, one per metric of `better` that every result object
+    holds, over the result objects of the pairs, parent[k] against
+    change[k]."""
     lines = [
         "| metric | pairs | parent median [q1, q3] | change median [q1, q3] "
         "| change/parent | change better |",
         "|---|---|---|---|---|---|",
     ]
     for name, direction in better.items():
+        if any(name not in result["metrics"] for result in parent + change):
+            continue
         old = [result["metrics"][name]["value"] for result in parent]
         new = [result["metrics"][name]["value"] for result in change]
         sign = 1 if direction == "lower" else -1
@@ -97,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    better = directions(args.parent)
+    better = directions(args.parent) | dict.fromkeys(REPORTED, "lower")
     checkouts = {"parent": args.parent, "change": args.change}
     # results[layout][k] maps each side to the result of its run in pair k
     results = {layout: [] for layout in LAYOUTS}

@@ -4,7 +4,7 @@
 
 Runs one child Python per checkout, with PYTHONPATH=<checkout>/src, so
 each imports its own symfa and nothing of the benchmark, and compares
-each NEW checkout with OLD. Each child prints three sha256 digests:
+each NEW checkout with OLD. Each child prints four sha256 digests:
 
 - recursions: the outputs of forward_alphas, acceptance_batch and
   backward_gradient (with S = T and with S = T // 2 gradient steps) at
@@ -13,19 +13,24 @@ each NEW checkout with OLD. Each child prints three sha256 digests:
   driving and random:8x10:2 with FLOW_MAX_TRANSITIONS forced to 0, so
   that both forms of each recursion are covered;
 - training: the benchmark's train-wide and train-long configurations,
-  built with symfa.bench, and mixed-length sets (lengths 3, 5 and 9
-  interleaved) on driving, random:8x10:2 and random:64x12:0, with both
-  label kinds and batch sizes 1, 7, 32 and 100, hashed over the weights,
-  the bias and every EpochRecord of every run;
+  built with symfa.bench, whose minibatches each hold one length;
+- mixed: mixed-length sets (lengths 3, 5 and 9 interleaved) on driving,
+  random:8x10:2 and random:64x12:0, with both label kinds and batch
+  sizes 1, 7, 32 and 100;
 - infer: the CSV bytes `symfa infer` writes on events, in both modes, on
   a file of 40 records of 30 steps and on one of 102 records of lengths
   drawn from 0–300, zero-step records among them.
 
+Both training digests hash the weights, the bias and every EpochRecord
+of every run. Kept apart, they let a change to how minibatches of
+several lengths train show the equal-length digest unchanged while the
+mixed one moves.
+
 Prints one line of digests per checkout, and on stderr
-`NEW: recursions differ`, `NEW: training differ` or `NEW: infer differ`
-for each digest of a NEW checkout that is not OLD's. Exits 0 when every
-NEW checkout agrees with OLD, 1 when one differs, and 2 when a child
-fails.
+`NEW: recursions differ`, `NEW: training differ`, `NEW: mixed differ` or
+`NEW: infer differ` for each digest of a NEW checkout that is not OLD's.
+Exits 0 when every NEW checkout agrees with OLD, 1 when one differs, and
+2 when a child fails.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ import tempfile
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
+# the digests, in the order each line prints them
+PARTS = ("recursions", "training", "mixed", "infer")
 
 
 def _path_labels(c, truth, skip: int | None = None) -> list:
@@ -70,9 +77,9 @@ def _mixed(c, tagging: bool, rng):
     return data
 
 
-def _runs():
-    """(compiled automaton, labeled data, TrainConfig) for every run."""
-    import numpy as np
+def _equal_runs():
+    """(compiled automaton, labeled data, TrainConfig) of the benchmark's
+    train-wide and train-long configurations: one length per minibatch."""
     from symfa import bench
     from symfa.learn import LabeledSequence, TrainConfig
 
@@ -85,8 +92,17 @@ def _runs():
         for seq in bench.generate_dataset(bench.driving_pattern(), 300, 32, 32, seed=1).sequences
     ]
     yield c, data, TrainConfig(batch_size=16, max_epochs=2, patience=2, seed=1)
+
+
+def _mixed_runs():
+    """(compiled automaton, labeled data, TrainConfig) of every mixed-length run."""
+    import numpy as np
+    from symfa import bench
+    from symfa.learn import TrainConfig
+
     rng = np.random.default_rng(0)
-    for pattern in (bench.driving_pattern(), wide, bench.random_pattern(64, 12, 0)):
+    patterns = (bench.driving_pattern(), bench.random_pattern(8, 10, 2))
+    for pattern in patterns + (bench.random_pattern(64, 12, 0),):
         for tagging in (False, True):
             data = _mixed(pattern.compiled, tagging, rng)
             for batch in (1, 7, 32, 100):
@@ -139,18 +155,23 @@ def recursion_digest() -> str:
     return h.hexdigest()
 
 
-def training_digest() -> str:
-    """sha256 over every run's trained weights, bias and epoch history."""
+def training_digest(runs=_equal_runs) -> str:
+    """sha256 over each of `runs`' trained weights, bias and epoch history."""
     from symfa import learn
 
     h = hashlib.sha256()
-    for c, data, cfg in _runs():
+    for c, data, cfg in runs():
         result = learn.train(c, data, cfg)
         h.update(result.extractor.weights.tobytes())
         h.update(result.extractor.bias.tobytes())
         for rec in result.history:
             h.update(struct.pack("<qdd", rec.epoch, rec.loss, rec.metric))
     return h.hexdigest()
+
+
+def mixed_digest() -> str:
+    """training_digest over the mixed-length runs."""
+    return training_digest(_mixed_runs)
 
 
 def infer_digest() -> str:
@@ -177,9 +198,9 @@ def infer_digest() -> str:
     return h.hexdigest()
 
 
-def _child(checkout: Path) -> tuple[str, str, str] | None:
-    """The recursion, training and infer digests a child Python computes
-    on `checkout`'s symfa, or None."""
+def _child(checkout: Path) -> tuple[str, ...] | None:
+    """The PARTS digests a child Python computes on `checkout`'s symfa,
+    or None."""
     src = checkout.resolve() / "src"
     if not (src / "symfa").is_dir():
         print(f"{checkout}: no src/symfa package", file=sys.stderr)
@@ -187,20 +208,21 @@ def _child(checkout: Path) -> tuple[str, str, str] | None:
     code = (
         f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import symfa, same_training; "
         "print(symfa.__file__); print(same_training.recursion_digest()); "
-        "print(same_training.training_digest()); print(same_training.infer_digest())"
+        "print(same_training.training_digest()); print(same_training.mixed_digest()); "
+        "print(same_training.infer_digest())"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=src, env=env, capture_output=True, text=True
     )
     lines = proc.stdout.split()
-    if proc.returncode != 0 or len(lines) != 4:
+    if proc.returncode != 0 or len(lines) != 1 + len(PARTS):
         print(f"{checkout}: child failed\n{proc.stderr}", file=sys.stderr)
         return None
     if not Path(lines[0]).resolve().is_relative_to(src):
         print(f"{checkout}: child imported symfa from {lines[0]}", file=sys.stderr)
         return None
-    return lines[1], lines[2], lines[3]
+    return tuple(lines[1:])
 
 
 def main(argv: list[str]) -> int:
@@ -212,10 +234,10 @@ def main(argv: list[str]) -> int:
         found = _child(Path(checkout))
         if found is None:
             return 2
-        print(f"{found[0]}  {found[1]}  {found[2]}  {checkout}")
+        print("  ".join(found + (checkout,)))
         digests.append(found)
     for checkout, found in zip(argv[2:], digests[1:]):
-        for part, old, new in zip(("recursions", "training", "infer"), digests[0], found):
+        for part, old, new in zip(PARTS, digests[0], found):
             if old != new:
                 print(f"{checkout}: {part} differ", file=sys.stderr)
     return 0 if all(found == digests[0] for found in digests) else 1
