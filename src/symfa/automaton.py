@@ -29,7 +29,8 @@ the nodes below their roots, read straight from that table into one
 levelized circuit (circuit.Plan). Validation alone never pays for it;
 transition_tensor builds a plan of every transition on each call, so
 that every state's row is there to check. Both recursion cores run one
-packed batch of any lengths: the sequences sorted longest first, and
+packed batch of any lengths, laid out once per batch (_Packed) and read
+by both: the sequences sorted longest first, and
 step t's rows those of the n_t sequences still running, a prefix of
 them, so a sequence ends where n_t falls and reads its alpha there. An
 equal-length batch is the case n_t = N; `symfa infer` runs every record
@@ -64,7 +65,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -281,24 +281,27 @@ def validate_and_compile(sfa: Sfa, complete: bool = True) -> CompiledSfa:
 
 # --- probabilistic runs ----------------------------------------------------
 #
-# The recursion cores, _run_forward and _run_backward, share one packed
-# layout of N sequences sorted longest first: step t holds the n_t
-# sequences longer than t, a prefix of them, and its rows follow step
-# t - 1's, so row first[t] + i is step t of sequence i, first[t] the sum
-# of n_s over s < t (_step_widths gives n_t). The
+# The recursion cores, _run_forward and _run_backward, read one packed
+# layout of N sequences sorted longest first, a _Packed made once per
+# batch from their lengths: step t holds the n_t sequences longer than t,
+# a prefix of them, and its rows follow step t - 1's, so row
+# first[t] + i is step t of sequence i. The layout also holds the blocks
+# both cores walk, each with its runs of steps of one width, and the one
+# rule that reads a record-major array step-major. The
 # probability rows are (V, R), state arrays (the alphas and their
 # gradients) (R, Q), and the reverse core's gradient comes back as
-# (V, R). Both walk the same blocks (_blocks), the forward core from the
-# first step and the reverse core from the last, where a sequence joins
-# the walk at its own last step. An equal-length batch is the case
-# n_t = N: pt (V, T, N) gives steps t0..t1-1 as
-# pt[:, t0:t1].reshape(V, -1) (_dense), a view when pt is contiguous and
-# one copy when pt is the transposed view of an (N, T, V) array, which
-# the public functions pass. Training passes its minibatch's rows packed
-# once (learn._pack), and a ragged list of sequences packs its rows block
-# by block (_ragged). A block holds whole steps, about BLOCK_ROWS rows,
-# so a pass's working memory is bounded by the block whatever T is; only
-# outputs that hold every step grow with T.
+# (V, R). The forward core walks the blocks from the first step and the
+# reverse core from the last, where a sequence joins the walk at its own
+# last step. A core asks `rows` for each block's probability rows. An
+# equal-length batch is the case n_t = N: pt (V, T, N) gives steps
+# t0..t1-1 as pt[:, t0:t1].reshape(V, -1) (_dense), a view when pt is
+# contiguous and one copy when pt is the transposed view of an (N, T, V)
+# array, which the public functions pass. Training packs its minibatch's
+# rows once (learn._pack) and hands the cores views of them, and a ragged
+# list of sequences packs its rows block by block (_ragged). A block holds
+# whole steps, about BLOCK_ROWS rows, so a pass's working memory is
+# bounded by the block whatever T is; only outputs that hold every step
+# grow with T.
 
 def reachable_states(c: CompiledSfa) -> list[int]:
     """The states the initial state reaches over guards that are not `false`.
@@ -372,36 +375,59 @@ def _check_probs(c: CompiledSfa, ps: np.ndarray, min_dims: int) -> np.ndarray:
     return ps
 
 
-def _step_widths(lengths: np.ndarray) -> np.ndarray:
-    """n_t, how many of `lengths` exceed t, for t = 0..T, T the longest: n_T = 0."""
-    return len(lengths) - np.cumsum(np.bincount(lengths, minlength=1))
+class _Packed:
+    """The packed layout of a batch of sequences of `lengths`, longest first.
 
-
-def _blocks(widths: list) -> list:
-    """The blocks of whole steps of a packed batch, in step order, as
-    (t0, t1, lo, hi): steps t0..t1-1, packed rows lo..hi-1.
-
-    A block takes BLOCK_ROWS // n_t0 steps from its first step t0, and at
-    least one: widths do not grow, so it holds about BLOCK_ROWS rows at
-    most. Both recursion cores walk these blocks, one each way.
+    Made once per batch, and read by both recursion cores and by whatever
+    packs rows for them or reads rows from them (see the comment above
+    reachable_states). `lengths` and `widths` are lists: the lengths, and
+    n_t, the number of sequences longer than t, for t = 0..T, so n_T = 0.
+    `first` (T + 1,) is the row where each step starts, first[T] being the
+    row count R, and `last` (N,) each sequence's last row; a zero-step
+    sequence has none, and its entry is no row. `blocks` walk the steps in
+    order, each as (t0, t1, lo, hi, runs): steps t0..t1-1, rows lo..hi-1,
+    and its runs of steps of one width. A block takes BLOCK_ROWS // n_t0
+    steps from its first step t0, and at least one, so as widths do not
+    grow it holds at most max(BLOCK_ROWS, n_t0) rows. runs() gives the
+    runs of any span of steps; learn._pack reads the whole batch's.
     """
-    blocks, t1 = [], 0
-    while widths[t1]:
-        t0, t1 = t1, min(t1 + max(1, BLOCK_ROWS // widths[t1]), len(widths) - 1)
-        lo = blocks[-1][3] if blocks else 0
-        blocks.append((t0, t1, lo, lo + sum(widths[t0:t1])))
-    return blocks
 
+    def __init__(self, lengths):
+        lengths = np.asarray(lengths, dtype=np.intp)
+        widths = len(lengths) - np.cumsum(np.bincount(lengths, minlength=1))
+        self.first = first = np.cumsum(widths) - widths
+        self.last = self.row(np.arange(len(lengths)), lengths - 1)
+        self.lengths, self.widths = lengths.tolist(), widths.tolist()
+        self.blocks, t1 = [], 0
+        while self.widths[t1]:
+            t0, t1 = t1, min(t1 + max(1, BLOCK_ROWS // self.widths[t1]), len(widths) - 1)
+            self.blocks.append((t0, t1, int(first[t0]), int(first[t1]), list(self.runs(t0, t1))))
 
-def _runs(widths: list, t0: int, t1: int) -> list:
-    """Each run of steps of one width in t0..t1-1, as (t, k, n, r): k steps
-    of n rows each from step t, r rows after step t0's first."""
-    runs, r = [], 0
-    for n, run in groupby(widths[t0:t1]):
-        k = len(list(run))
-        runs.append((t0, k, n, r))
-        t0, r = t0 + k, r + k * n
-    return runs
+    def runs(self, t0: int, t1: int):
+        """Each run of steps of one width in t0..t1-1, as (t, k, n, r): k
+        steps of n rows each from step t, r rows after step t0's first. A
+        run of width n ends where the n-th longest sequence does."""
+        t, r = t0, 0
+        while t < t1:
+            n = self.widths[t]
+            k = min(self.lengths[n - 1], t1) - t
+            yield t, k, n, r
+            t, r = t + k, r + k * n
+
+    def row(self, i, t):
+        """The packed row of step t of sequence i."""
+        return self.first[t] + i
+
+    def step_major(self, starts, counts) -> np.ndarray:
+        """Positions in a record-major array, in step-major order.
+
+        Sequence i's entries start at starts[i], and it has counts[i] of
+        them, its length or fewer; counts do not grow. Step j reads entry
+        j of each sequence that has one, in order, as the packed rows read
+        the sequences' steps.
+        """
+        step = np.arange(counts[0])[:, None]
+        return (starts + step)[step < counts]
 
 
 def _check_row_sums(plan: _Plan, roots: np.ndarray) -> np.ndarray:
@@ -455,41 +481,42 @@ def _initial_alpha(c: CompiledSfa, lead_shape: tuple) -> np.ndarray:
 
 
 def _dense(pt: np.ndarray):
-    """The packed form of pt (V, T, N): N sequences of T steps, and the rows
-    of steps t0..t1-1, pt[:, t0:t1] as (V, (t1 - t0)·N)."""
-    return np.full(pt.shape[2], pt.shape[1]), lambda t0, t1: pt[:, t0:t1].reshape(len(pt), -1)
+    """The packed layout of pt (V, T, N), N sequences of T steps, and the
+    rows of a block of steps t0..t1-1, pt[:, t0:t1] as (V, (t1 - t0)·N)."""
+    return _Packed(np.full(pt.shape[2], pt.shape[1])), lambda t0, t1: pt[:, t0:t1].reshape(len(pt), -1)
 
 
 def _ragged(seqs: list):
-    """The packed form of `seqs`, (T_i, V) arrays sorted longest first.
+    """The packed layout of `seqs`, (T_i, V) arrays sorted longest first,
+    and the rows of a block of steps t0..t1-1.
 
     A block's rows are gathered from the arrays: one slice per running
-    sequence, joined, then put in step-major order. Once a block starts
-    past a sequence's end, the list drops it, so a caller that keeps no
-    other reference frees it there, and the blocks must be asked for in
-    step order: _run_forward can take this form, _run_backward cannot.
+    sequence, its n_t0 from the layout, joined, then read step-major by
+    the layout's rule. Once a block starts past a sequence's end, the list
+    drops it, so a caller that keeps no other reference frees it there,
+    and the blocks must be asked for in step order: _run_forward can take
+    this form, _run_backward cannot.
     """
-    lengths = np.array([len(ps) for ps in seqs], dtype=np.intp)
+    packed = _Packed([len(ps) for ps in seqs])
 
     def rows(t0, t1):
-        del seqs[int(np.count_nonzero(lengths > t0)) :]
-        part = np.minimum(lengths[: len(seqs)], t1) - t0
+        del seqs[packed.widths[t0] :]
+        part = np.minimum(packed.lengths[: len(seqs)], t1) - t0
         joined = np.concatenate([ps[t0:t1] for ps in seqs])
-        step = np.arange(t1 - t0)[:, None]
-        # the joined row of step t0 + step of each sequence that runs then, step-major
-        return joined.T.take((np.cumsum(part) - part + step)[step < part], axis=1)
+        return joined.T.take(packed.step_major(np.cumsum(part) - part, part), axis=1)
 
-    return lengths, rows
+    return packed, rows
 
 
-def _run_forward(c: CompiledSfa, lengths, rows, out: np.ndarray | None = None):
+def _run_forward(c: CompiledSfa, packed: _Packed, rows, out: np.ndarray | None = None):
     """The forward recursion over a packed batch of N sequences.
 
-    The sequences are sorted longest first: `lengths` (N,) does not grow,
-    and step t runs the n_t sequences longer than t, a prefix of them.
-    rows(t0, t1) gives the probability rows (V, R) of steps t0..t1-1,
-    step-major: step t's n_t rows, then step t + 1's (_dense and _ragged
-    make both). An equal-length batch is the case n_t = N.
+    `packed` is the batch's layout (_Packed): the sequences sorted longest
+    first, step t running the n_t sequences longer than t, a prefix of
+    them. rows(t0, t1) gives the probability rows (V, hi - lo) of the
+    block of steps t0..t1-1, rows lo..hi-1, step-major: step t's n_t rows,
+    then step t + 1's (_dense and _ragged make both). An equal-length
+    batch is the case n_t = N.
 
     The flow of step t is the mass each transition carries,
     alpha_{t-1}[src] · W_t, where W_t holds the guard value of every
@@ -501,25 +528,25 @@ def _run_forward(c: CompiledSfa, lengths, rows, out: np.ndarray | None = None):
     transitions incoming_t is flow_t @ next, two calls per step, and a
     block's alphas come from one product of its flows with `into_dst`;
     larger automata take alpha_t = flow_t @ into_dst and gather
-    alpha_t[src] from it, three calls per step. Each run of steps of one
-    width is one (steps, n_t, ·) view, so a step makes no call more than
-    on an equal-length batch. The blocks are _blocks'. Given `out` (sum
-    of lengths, Q), every alpha_t is written to it, in the rows' order.
-    Otherwise only the running state is kept, and the result is each
-    sequence's alpha at its last step (N, Q), read where it ends: the
-    initial one for a zero-step sequence.
+    alpha_t[src] from it, three calls per step. Each of the layout's runs
+    of steps of one width is one (steps, n_t, ·) view, so a step makes no
+    call more than on an equal-length batch. Given `out` (R, Q), every
+    alpha_t is written to it, in the rows' order. Otherwise only the
+    running state is kept, and the result is each sequence's alpha at its
+    last step (N, Q), read where it ends: the initial one for a zero-step
+    sequence.
     """
     plan = c._plan
     src, into_dst, nxt = plan.src, plan.into_dst, plan.next
     gather = nxt is None
-    widths = _step_widths(lengths).tolist()
-    alpha = _initial_alpha(c, (len(lengths),))
+    widths = packed.widths
+    alpha = _initial_alpha(c, (len(packed.lengths),))
     incoming = alpha.take(src, axis=1, mode="clip")
-    for t0, t1, lo, hi in _blocks(widths):
+    for t0, t1, lo, hi, runs in packed.blocks:
         # the block's weights, turned into its flows in place
         flow = np.ascontiguousarray(_check_row_sums(plan, plan.circuit.forward(rows(t0, t1))).T)
         # each run of k steps of one width n works on one (k, n, ·) view
-        for t, k, n, r in _runs(widths, t0, t1):
+        for t, k, n, r in runs:
             inc, flows = incoming[:n], flow[r : r + k * n].reshape(k, n, -1)
             if gather:
                 ats = [alpha[:n]] * k if out is None else out[lo + r :][: k * n].reshape(k, n, -1)
@@ -539,16 +566,17 @@ def _run_forward(c: CompiledSfa, lengths, rows, out: np.ndarray | None = None):
     return alpha if out is None else None
 
 
-def _run_backward(c: CompiledSfa, lengths, rows, alphas, grads, at_last: bool = False):
+def _run_backward(c: CompiledSfa, packed: _Packed, rows, alphas, grads, at_last: bool = False):
     """The reverse recursion over a packed batch; returns dLoss/drows (V, R).
 
-    `lengths` and `rows` are a packed batch of R rows, as _run_forward
-    takes it, and `alphas` (R, Q) holds every alpha_t of its forward
-    recursion, in the rows' order. `grads` holds dLoss/dalpha_t: of every
-    row (R, Q), or with `at_last` of each sequence's last step only
-    (N, Q). Walking _blocks' blocks from the last step back, the adjoint
-    recursion abar_{t-1} = grads_{t-1} + (W_t · abar_t[dst]) summed per
-    source state seeds each transition root with
+    `packed` and `rows` are a batch's layout and the rows of its blocks,
+    as _run_forward takes them, and `alphas` (R, Q) holds every alpha_t of
+    its forward recursion, in the rows' order. `grads` holds
+    dLoss/dalpha_t: of every row (R, Q), or with `at_last` of each
+    sequence's last step only (N, Q). Walking the layout's blocks from the
+    last step back, the adjoint recursion
+    abar_{t-1} = grads_{t-1} + (W_t · abar_t[dst]) summed per source state
+    seeds each transition root with
     alpha_{t-1}[src] · abar_t[dst], read from `alphas` in place (the
     initial one-hot for t = 0), and one reverse pass over the merged
     circuit turns those seeds into dLoss/dp_t. The loop carries
@@ -566,25 +594,25 @@ def _run_backward(c: CompiledSfa, lengths, rows, alphas, grads, at_last: bool = 
     src, dst, from_src, nxt = plan.src, plan.dst, plan.from_src, plan.next
     gather = nxt is None
     back = None if gather else nxt.T
-    widths = _step_widths(lengths).tolist()
+    widths = packed.widths
     # the initial one-hot, read per transition
     initial_src = (src == c.sfa.initial).astype(np.float64)
-    out = np.empty((len(c.vocab), sum(widths)))
+    out = np.empty((len(c.vocab), len(alphas)))
     # abar_t[dst] − grads_t[dst], carried across steps and blocks:
     # W_{t+1} · a_{t+1} summed over the transitions leaving the state where
     # each one ends
-    carry = grads.take(dst, axis=1, mode="clip") if at_last else np.zeros((len(lengths), len(src)))
+    carry = grads.take(dst, axis=1, mode="clip") if at_last else np.zeros((widths[0], len(src)))
     moved = np.empty(carry.shape)
     # the per-state sums of a gather step
-    abar = np.empty((len(lengths), c.num_states))
-    for t0, t1, lo, hi in reversed(_blocks(widths)):
+    abar = np.empty((len(carry), c.num_states))
+    for t0, t1, lo, hi, runs in reversed(packed.blocks):
         block = rows(t0, t1)
         # the root values are the guard weights, (n_trans, rows)
         weights, tape = plan.circuit.forward(block, keep=True)
         weights = np.ascontiguousarray(weights.T)
         # grads[dst] of the block's rows
         at_dst = np.zeros(weights.shape) if at_last else grads[lo:hi].take(dst, axis=1, mode="clip")
-        for t, k, n, r in reversed(_runs(widths, t0, t1)):
+        for t, k, n, r in reversed(runs):
             seeds = at_dst[r : r + k * n].reshape(k, n, -1)
             run_carry, run_moved, run_abar = carry[:n], moved[:n], abar[:n]
             for w, a in zip(weights[r : r + k * n].reshape(k, n, -1)[::-1], seeds[::-1]):

@@ -214,24 +214,24 @@ def _labels(numbers) -> np.ndarray:
     return text.view(np.uint8).reshape(len(text), text.itemsize)
 
 
-def _write_tag_rows(out, alphas: np.ndarray, lengths: np.ndarray, order: np.ndarray) -> None:
+def _write_tag_rows(out, alphas: np.ndarray, packed, order: np.ndarray) -> None:
     """Write a row "k,t," and the cells of alpha_t for each step t of each
     record k, in file order, about BLOCK_ROWS rows at a time.
 
-    `alphas` holds the packed rows of one recursion over the records in
-    `order` (see automaton._run_forward): step t's rows start at first[t],
-    and record k is place[k] rows into them. Each block's cells are
-    gathered from it, and its labels from one "k," and one "t," array.
+    `alphas` holds the rows of one recursion over the records in `order`,
+    packed as `packed` lays them out (see automaton._Packed), so record k
+    is sequence place[k] there. Each block's cells are gathered from it at
+    the layout's rows, and its labels from one "k," and one "t," array.
     """
-    widths = automaton_mod._step_widths(lengths)
-    first, place = np.cumsum(widths) - widths, np.argsort(order)
+    place = np.argsort(order)
+    lengths = np.take(packed.lengths, place)  # in file order
     ends = np.cumsum(lengths)  # one past each record's last row, record-major
-    labels = _labels(range(len(lengths))), _labels(range(len(widths)))
-    for r0 in range(0, int(lengths.sum()), automaton_mod.BLOCK_ROWS):
-        row = np.arange(r0, min(r0 + automaton_mod.BLOCK_ROWS, ends[-1]))
+    labels = _labels(range(len(lengths))), _labels(range(len(packed.widths)))
+    for r0 in range(0, len(alphas), automaton_mod.BLOCK_ROWS):
+        row = np.arange(r0, min(r0 + automaton_mod.BLOCK_ROWS, len(alphas)))
         k = np.searchsorted(ends, row, side="right")
         t = row - ends[k] + lengths[k]
-        cells = _csv_cells(alphas[first[t] + place[k]])
+        cells = _csv_cells(alphas[packed.row(place[k], t)])
         text = np.concatenate([labels[0][k], labels[1][t], cells], axis=1)
         out.write(text.tobytes().translate(None, b"\0").decode())
 
@@ -244,21 +244,23 @@ def cmd_infer(args) -> int:
     order is the one reported, and an input error writes nothing. Then one
     forward recursion runs every record, whatever the lengths: longest
     first, records of one length in file order, each freed once it has
-    ended. Rows are written in file order.
+    ended. One layout of that batch serves the recursion and the rows,
+    which are written in file order.
     """
     compiled = validate_and_compile(load_sfa(args.sfa))
     extractor = learn_mod.load_extractor(args.model, compiled.vocab.names) if args.model else None
     convert = functools.partial(_sequence_probs, extractor=extractor, compiled=compiled)
     records = list(_records(args.dataset, convert))
-    lengths = np.array([len(ps) for ps in records], dtype=np.intp)
-    order = np.argsort(-lengths, kind="stable")  # the file index of each packed record
+    # the file index of each packed record
+    order = np.argsort([-len(ps) for ps in records], kind="stable")
     records.sort(key=len, reverse=True)  # the same order: both sorts are stable
-    alphas = np.empty((int(lengths.sum()), compiled.num_states)) if args.mode == "tag" else None
-    final = automaton_mod._run_forward(compiled, *automaton_mod._ragged(records), alphas)
+    packed, rows = automaton_mod._ragged(records)
+    alphas = np.empty((packed.first[-1], compiled.num_states)) if args.mode == "tag" else None
+    final = automaton_mod._run_forward(compiled, packed, rows, alphas)
     with _output(args) as out:
         if alphas is not None:
             out.write(f"index,step,{','.join(compiled.states)}\n")
-            _write_tag_rows(out, alphas, lengths, order)
+            _write_tag_rows(out, alphas, packed, order)
             return 0
         values = (final @ automaton_mod._accepting_mask(compiled))[np.argsort(order)]
         out.write("index,acceptance\n")

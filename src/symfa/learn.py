@@ -14,18 +14,20 @@ step. The loss is differentiated exactly through the circuit evaluations
 and the state recursion, so training is plain gradient descent; no
 sampling or approximation is involved anywhere.
 
-Training runs each minibatch as one packed batch, whatever its lengths
-(see automaton._run_forward): sorted longest first by a stable sort, so
-sequences of one length keep their order, with step t's rows those of
-the n_t sequences longer than t. Its (R, m) feature rows are gathered
-step-major with one np.concatenate per run of steps of one width, each
-written in place into one array, and its row codes from the flat codes
-with one fancy index. Only the minibatch is copied, never the whole
-dataset. The symbol probabilities are then (V, R), from one product with
-the weights, and each block the recursion cores evaluate is a view of
-them, so no step of training transposes. One forward and one reverse
-recursion serve the minibatch, and dW is one product of the logistic
-slope (V, R) with the feature rows (R, m).
+Training runs each minibatch as one packed batch, whatever its lengths:
+sorted longest first by a stable sort, so sequences of one length keep
+their order, with step t's rows those of the n_t sequences longer than
+t. One layout of that batch (automaton._Packed) is made from its
+lengths, and everything after reads it. Its (R, m) feature rows are
+gathered step-major with one np.concatenate per run of steps of one
+width, each written in place into one array (_pack). Step labels read
+their row codes from the flat codes through the layout's step-major
+rule, sequence labels one code per sequence. Only the minibatch is
+copied, never the whole dataset. The symbol probabilities are then
+(V, R), from one product with the weights, and each block of the layout
+is a view of them, so no step of training transposes. One forward and
+one reverse recursion serve the minibatch, and dW is one product of the
+logistic slope (V, R) with the feature rows (R, m).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .automaton import CompiledSfa, _accepting_mask, _run_backward, _run_forward, _runs, _step_widths
+from .automaton import CompiledSfa, _accepting_mask, _Packed, _run_backward, _run_forward
 from .automaton import acceptance_batch  # noqa: F401  (perfbench/layers.py traces this name)
 from .automaton import backward_gradient, forward_alphas  # noqa: F401  (traced there too)
 from .errors import DivergenceError
@@ -290,52 +292,51 @@ def _targets(c: CompiledSfa, data: Sequence[LabeledSequence], state_to_label):
     return table, codes, offsets, missing
 
 
-def _batch_loss(c: CompiledSfa, extractor, rows, lengths, table, codes, by_sequence=False):
+def _batch_loss(c: CompiledSfa, extractor, rows, packed, table, codes, by_sequence=False):
     """Summed cross entropy of the alpha mass on labeled states, with gradients.
 
-    rows (R, m) are the feature rows of a packed batch of sequences of
-    `lengths`, longest first (see automaton._run_forward), so that they,
-    the symbol probabilities (V, R) and the recursion cores' arrays share
-    one order and nothing is transposed. `codes` label states with rows of
-    `table`, 0/1 masks over the states (see _targets): a step costs -log
-    of the mass alpha_t holds on its row, clamped inside the log, and code
-    0, the empty row, costs nothing. Per-step labels pass one code per row
-    (R,); sequence labels pass `by_sequence` and one code per sequence
-    (N,), for its last step, which reads its alpha at its own last row.
+    rows (R, m) are the feature rows of a packed batch of sequences,
+    longest first, and `packed` its layout (see automaton._Packed), so
+    that they, the symbol probabilities (V, R) and the recursion cores'
+    arrays share one order and nothing is transposed: both cores read the
+    layout, and each block's probabilities are a view of them. `codes`
+    label states with rows of `table`, 0/1 masks over the states (see
+    _targets): a step costs -log of the mass alpha_t holds on its row,
+    clamped inside the log, and code 0, the empty row, costs nothing.
+    Per-step labels pass one code per row (R,); sequence labels pass
+    `by_sequence` and one code per sequence (N,), for its last step, which
+    reads its alpha at its own last row.
     Returns (loss, dW, db, correct), loss and gradients averaged over the
     batch. `correct` counts the sequences whose acceptance is on the
     label's side of 0.5 when `by_sequence`, else the labeled steps whose
     most probable state carries the step's label. One forward and one
     reverse recursion serve all four.
     """
-    batch = len(lengths)
-    widths = _step_widths(lengths)
-    first = np.cumsum(widths) - widths  # the packed row where each step starts
     probs = _symbol_probs(extractor, rows)  # (V, R)
-    packed = lengths, lambda t0, t1: probs[:, first[t0] : first[t1]]
+    # each block's probabilities, a view: a block's rows are contiguous
+    packed_probs = packed, lambda t0, t1: probs[:, packed.first[t0] : packed.first[t1]]
     alphas = np.empty((len(rows), c.num_states))
-    _run_forward(c, *packed, alphas)
+    _run_forward(c, *packed_probs, alphas)
     # a sequence label reads each sequence's alpha at its own last row
-    read = alphas[first[lengths - 1] + np.arange(batch)] if by_sequence else alphas
+    read = alphas[packed.last] if by_sequence else alphas
     masks = table[codes]
     active = codes != 0
     step_probs = (read * masks).sum(axis=-1)
     log_p, dlog_p = _clamped_log_grad(step_probs)
-    dstep = -(dlog_p * active) / batch
+    dstep = -(dlog_p * active) / len(packed.lengths)
     masks *= dstep[:, None]  # now dLoss/dalpha of each labeled row
-    dprobs = _run_backward(c, *packed, alphas, masks, by_sequence)
+    dprobs = _run_backward(c, *packed_probs, alphas, masks, by_sequence)
     slope = probs * (1.0 - probs)  # the logistic slope, (V, R)
     slope *= dprobs
     lost = log_p * active
-    if not by_sequence:
-        # summed per sequence over its steps, laid out (T, N) with 0 past its end
-        by_step = np.zeros((lengths[0], batch))
-        by_step[np.arange(lengths[0])[:, None] < lengths] = lost
-        lost = by_step.sum(axis=0)
     if by_sequence:
         # acceptance >= 0.5 for label 1 (row 2); rejection > 0.5 for label 0
         correct = int(np.where(codes == 2, step_probs >= 0.5, step_probs > 0.5).sum())
     else:
+        # summed per sequence over its steps, laid out (T, N) with 0 past its end
+        by_step = np.zeros((len(packed.widths) - 1, len(packed.lengths)))
+        by_step[np.arange(len(by_step))[:, None] < packed.lengths] = lost
+        lost = by_step.sum(axis=0)
         correct = int(table[codes, read.argmax(axis=-1)][active].sum())
     return float((-lost).mean()), slope @ rows, slope.sum(axis=1), correct
 
@@ -345,7 +346,7 @@ def _sequence_loss(c: CompiledSfa, extractor, seq: LabeledSequence, state_to_lab
     table, codes, _, missing = _targets(c, [seq], state_to_label)
     if missing is not None:
         raise ValueError(missing[1])
-    packed = seq.features, np.array([len(seq.features)])
+    packed = seq.features, _Packed([len(seq.features)])
     loss, dw, db, _ = _batch_loss(c, extractor, *packed, table, codes, seq.label is not None)
     return loss, (dw, db)
 
@@ -408,19 +409,19 @@ class _Adam:
             p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def _pack(features: list, lengths: np.ndarray, m: int) -> np.ndarray:
+def _pack(features: list, packed: _Packed, m: int) -> np.ndarray:
     """(T_i, m) arrays, longest first, as the rows of one packed batch.
 
     Step t's rows are step t of the n_t arrays longer than t (see
-    automaton._run_forward). A run of k steps of one width n is one
+    automaton._Packed). Each run of steps of one width over the whole
+    batch, k steps of width n, read from the layout, is one
     np.concatenate of the n arrays' k-step slices side by side, written in
     place into its rows: reshaped (k, n·m), they are those rows.
     """
-    widths = _step_widths(lengths).tolist()
-    rows = np.empty((sum(widths), m))
-    for t, k, n, r in _runs(widths, 0, len(widths) - 1):
+    rows = np.empty((packed.first[-1], m))
+    for t, k, n, r in packed.runs(0, len(packed.widths) - 1):
         # a run of every step holds the whole of its n arrays: no slices
-        parts = features[:n] if k == len(widths) - 1 else [f[t : t + k] for f in features[:n]]
+        parts = features[:n] if k == len(features[0]) else [f[t : t + k] for f in features[:n]]
         np.concatenate(parts, axis=1, out=rows[r : r + k * n].reshape(k, n * m))
     return rows
 
@@ -491,13 +492,12 @@ def train(
             batch = order[start : start + cfg.batch_size]
             # longest first; the sort is stable, so a length keeps its order
             batch = batch[np.argsort(-lengths[batch], kind="stable")]
-            sizes = lengths[batch]
-            rows = _pack([data[k].features for k in batch], sizes, feature_dim)
-            # each row's code, step t of the sequences longer than t: a
-            # sequence label codes the sequence, with one code at offsets[k]
-            step = np.arange(1 if by_sequence else sizes[0])[:, None]
-            coded = codes[(offsets[batch] + step)[step < sizes]]
-            loss, dw, db, hits = _batch_loss(c, extractor, rows, sizes, table, coded, by_sequence)
+            packed = _Packed(lengths[batch])
+            rows = _pack([data[k].features for k in batch], packed, feature_dim)
+            # a sequence label codes the sequence (offsets is arange(n));
+            # step labels code each row, read step-major from the flat codes
+            coded = codes[batch if by_sequence else packed.step_major(offsets[batch], packed.lengths)]
+            loss, dw, db, hits = _batch_loss(c, extractor, rows, packed, table, coded, by_sequence)
             correct += hits
             total += int(np.count_nonzero(coded))
             if not np.isfinite(loss):

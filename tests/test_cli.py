@@ -332,15 +332,21 @@ class TestInferByLength:
 
     @pytest.fixture()
     def recursions(self, monkeypatch):
-        # the core that forward_alphas, acceptance_batch and `symfa infer` run
+        # each packed layout made, and each run of the core that
+        # forward_alphas, acceptance_batch and `symfa infer` run, in order
         calls = []
-        run = automaton._run_forward
+        run, init = automaton._run_forward, automaton._Packed.__init__
 
-        def counted(c, lengths, rows, out=None):
-            calls.append(np.asarray(lengths).tolist())
-            return run(c, lengths, rows, out)
+        def counted(c, packed, rows, out=None):
+            calls.append(("forward", list(packed.lengths)))
+            return run(c, packed, rows, out)
+
+        def made(packed, lengths):
+            init(packed, lengths)
+            calls.append(("layout", list(packed.lengths)))
 
         monkeypatch.setattr(automaton, "_run_forward", counted)
+        monkeypatch.setattr(automaton._Packed, "__init__", made)
         return calls
 
     def write(self, path, key, sequences):
@@ -355,8 +361,10 @@ class TestInferByLength:
         sequences = [rng.uniform(size=(t, 3)) for t in self.LENGTHS]
         data = self.write(tmp_path / "mixed.jsonl", "probs", sequences)
         assert main(["infer", driving_path, data, "--mode", mode]) == 0
-        # longest first, records of one length in file order
-        assert recursions == [sorted(self.LENGTHS, reverse=True)]
+        # one layout and one recursion, longest first, records of one length
+        # in file order
+        lengths = sorted(self.LENGTHS, reverse=True)
+        assert recursions == [("layout", lengths), ("forward", lengths)]
         assert capsys.readouterr().out == reference_csv(driving.compiled, sequences, mode)
 
     @pytest.mark.parametrize("mode", ["accept", "tag"])
@@ -440,7 +448,8 @@ class TestInferByLength:
         features = [rng.normal(size=(t, 4)) for t in self.LENGTHS]
         data = self.write(tmp_path / "features.jsonl", "features", features)
         assert main(["infer", driving_path, data, "--model", str(model), "--mode", mode]) == 0
-        assert recursions == [sorted(self.LENGTHS, reverse=True)]
+        lengths = sorted(self.LENGTHS, reverse=True)
+        assert recursions == [("layout", lengths), ("forward", lengths)]
         sequences = [extractor.extract(f) for f in features]
         assert capsys.readouterr().out == reference_csv(driving.compiled, sequences, mode)
 

@@ -567,12 +567,16 @@ class TestTraining:
                 data.append(LabeledSequence(feats, step_labels=[0] * len(feats)))
             else:
                 data.append(LabeledSequence(feats, label=k % 2))
-        calls = []
+        calls, layouts = [], []
         for core in ("_run_forward", "_run_backward"):
             real = getattr(learn, core)
             monkeypatch.setattr(
-                learn, core, lambda *a, core=core, real=real: calls.append(core) or real(*a)
+                learn, core, lambda *a, core=core, real=real: calls.append((core, a[1])) or real(*a)
             )
+        init = automaton._Packed.__init__
+        monkeypatch.setattr(
+            automaton._Packed, "__init__", lambda p, n: layouts.append(p) or init(p, n)
+        )
 
         def forbidden(*args):
             raise AssertionError("train() must reuse the loss's forward pass")
@@ -580,8 +584,11 @@ class TestTraining:
         monkeypatch.setattr(learn, "acceptance_batch", forbidden)
         cfg = TrainConfig(max_epochs=3, batch_size=5, seed=0)
         train(driving.compiled, data, cfg)
-        # one forward and one reverse recursion per minibatch, 3 minibatches, 3 epochs
-        assert calls == ["_run_forward", "_run_backward"] * 3 * 3
+        # one layout, one forward and one reverse recursion per minibatch, 3
+        # minibatches, 3 epochs; both recursions read the minibatch's layout
+        assert [core for core, _ in calls] == ["_run_forward", "_run_backward"] * 3 * 3
+        assert len(layouts) == 3 * 3
+        assert all(packed is layouts[k // 2] for k, (_, packed) in enumerate(calls))
 
     @pytest.mark.parametrize("tagging", [False, True])
     @pytest.mark.parametrize("batch_size", [1, 7, 25])
@@ -604,7 +611,7 @@ class TestTraining:
         loss = learn._batch_loss
 
         def recording(*args):
-            calls.append(tuple(np.copy(args[k]) for k in (2, 3, 5)))
+            calls.append((np.copy(args[2]), np.copy(args[3].lengths), np.copy(args[5])))
             return loss(*args)
 
         monkeypatch.setattr(learn, "_batch_loss", recording)
@@ -727,8 +734,8 @@ class TestLayoutContract:
         # an equal-length packed batch: rows and row codes step-major
         rows = np.ascontiguousarray(features.transpose(1, 0, 2)).reshape(-1, 5)
         packed_codes = codes.T.ravel() if tagging else codes[:, 0]
-        lengths = np.full(batch, steps)
-        got = learn._batch_loss(c, ext, rows, lengths, table, packed_codes, not tagging)
+        packed = automaton._Packed(np.full(batch, steps))
+        got = learn._batch_loss(c, ext, rows, packed, table, packed_codes, not tagging)
         want = reference_batch_loss(c, ext, features, table, codes, not tagging)
         for actual, expected in zip(got[:3], want[:3]):
             assert_close_to_scale(actual, expected)
@@ -816,7 +823,8 @@ class TestPackedLoss:
         table, codes, offsets, _ = learn._targets(c, data, state_to_label)
         if tagging:
             codes = np.array([codes[offsets[i] + t] for i, t in steps], dtype=np.intp)
-        loss, dw, db, hits = learn._batch_loss(c, ext, rows, lengths, table, codes, not tagging)
+        packed = automaton._Packed(lengths)
+        loss, dw, db, hits = learn._batch_loss(c, ext, rows, packed, table, codes, not tagging)
 
         losses, dws, dbs, want_hits = [], [], [], 0
         for seq in data:

@@ -10,9 +10,12 @@ import dataclasses
 import hashlib
 import itertools
 import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symfa import (
     CompiledSfa,
@@ -569,15 +572,15 @@ def test_a_ragged_batch_runs_like_its_length_groups(automata, monkeypatch, name,
     seqs = [rng.uniform(size=(t, len(c.vocab))) for t in lengths]
     want = {t: forward_alphas(c, np.stack([ps for ps in seqs if len(ps) == t])) for t in lengths}
     alphas = np.empty((sum(lengths), c.num_states))
-    assert automaton._run_forward(c, *automaton._ragged(list(seqs)), alphas) is None
+    packed, rows = automaton._ragged(list(seqs))
+    assert automaton._run_forward(c, packed, rows, alphas) is None
     final = automaton._run_forward(c, *automaton._ragged(list(seqs)))
-    widths = automaton._step_widths(np.array(lengths))
-    first = np.cumsum(widths) - widths
     initial = _initial_alpha(c, ())
     for i, t in enumerate(lengths):
         # the sequences of one length keep their order, so i is that group's j-th
         j = i - lengths.index(t)
-        assert float(np.abs(alphas[first[:t] + i] - want[t][j]).max(initial=0)) <= RAGGED[name]
+        got = alphas[packed.row(i, np.arange(t))]
+        assert float(np.abs(got - want[t][j]).max(initial=0)) <= RAGGED[name]
         assert float(np.abs(final[i] - (want[t][j, -1] if t else initial)).max()) <= RAGGED[name]
 
 
@@ -608,20 +611,19 @@ def test_a_ragged_reverse_recursion_runs_like_its_length_groups(
     # 64 sequences, longest first: drawn lengths with ties, and zero-step ones
     lengths = sorted(rng.integers(0, 50, size=60).tolist() + [0, 0, 17, 17], reverse=True)
     seqs = [rng.uniform(size=(t, len(c.vocab))) for t in lengths]
-    widths = automaton._step_widths(np.array(lengths))
-    first = np.cumsum(widths) - widths
+    packed = automaton._Packed(lengths)
     # sequence i's step t is packed row first[t] + i
-    rows_of = [first[:t] + i for i, t in enumerate(lengths)]
-    probs = np.empty((len(c.vocab), first[-1]))
+    rows_of = [packed.row(i, np.arange(t)) for i, t in enumerate(lengths)]
+    probs = np.empty((len(c.vocab), packed.first[-1]))
     for i, ps in enumerate(seqs):
         probs[:, rows_of[i]] = ps.T
-    packed = np.array(lengths), lambda t0, t1: probs[:, first[t0] : first[t1]]
-    alphas = np.empty((first[-1], c.num_states))
-    automaton._run_forward(c, *packed, alphas)
+    batch = packed, lambda t0, t1: probs[:, packed.first[t0] : packed.first[t1]]
+    alphas = np.empty((packed.first[-1], c.num_states))
+    automaton._run_forward(c, *batch, alphas)
     grads = rng.normal(size=alphas.shape)
     ends = rng.normal(size=(len(lengths), c.num_states))
-    every = automaton._run_backward(c, *packed, alphas, grads)
-    last = automaton._run_backward(c, *packed, alphas, ends, at_last=True)
+    every = automaton._run_backward(c, *batch, alphas, grads)
+    last = automaton._run_backward(c, *batch, alphas, ends, at_last=True)
     for t in set(lengths) - {0}:
         group = [i for i, n in enumerate(lengths) if n == t]
         ps = np.stack([seqs[i] for i in group])
@@ -638,15 +640,78 @@ def test_a_ragged_reverse_recursion_runs_like_its_length_groups(
                 assert diff <= RAGGED_REVERSE[name] * scale
 
 
-def test_ragged_rows_are_step_major_and_the_list_drops_ended_sequences():
+def test_ragged_rows_are_step_major_and_the_list_drops_ended_sequences(monkeypatch):
+    # 8-row blocks: steps 0..1 (seven rows), then steps 2..3 of one sequence
+    monkeypatch.setattr(automaton, "BLOCK_ROWS", 8)
     steps = (4, 2, 2, 1, 0)
     # sequence i's row t holds (100·i + t, -t)
     seqs = [np.stack([100.0 * i + np.arange(n), -np.arange(n)], 1) for i, n in enumerate(steps)]
-    lengths, rows = automaton._ragged(seqs)
-    assert lengths.tolist() == [4, 2, 2, 1, 0]
+    packed, rows = automaton._ragged(seqs)
+    assert packed.lengths == [4, 2, 2, 1, 0]
+    assert [block[:4] for block in packed.blocks] == [(0, 2, 0, 7), (2, 4, 7, 9)]
     # step 0 of the four sequences that have one, then step 1 of three
     step_0, step_1 = [[0, 0], [100, 0], [200, 0], [300, 0]], [[1, -1], [101, -1], [201, -1]]
     assert rows(0, 2).T.tolist() == step_0 + step_1
     assert len(seqs) == 4  # the zero-step sequence ended before step 0
     assert rows(2, 4).T.tolist() == [[2, -2], [3, -3]]
     assert len(seqs) == 1
+
+
+def _layout_by_loop(lengths):
+    """The packed rows of `lengths`, longest first, as (sequence, step) pairs in row order."""
+    steps = max(lengths, default=0)
+    return [(i, t) for t in range(steps) for i, n in enumerate(lengths) if t < n]
+
+
+def _tiles(parts, start, end):
+    """Whether (a, b) parts, none empty, cover start..end-1 once, in order."""
+    edges = [start] + [b for _, b in parts]
+    return [a for a, _ in parts] == edges[:-1] and edges[-1] == end and all(a < b for a, b in parts)
+
+
+def _assert_runs(runs, widths, t0, t1):
+    """`runs` tile steps t0..t1-1, one width each and a new width each,
+    with r rows after step t0's first."""
+    assert _tiles([(t, t + k) for t, k, _, _ in runs], t0, t1)
+    assert all(set(widths[t : t + k]) == {n} for t, k, n, _ in runs)
+    assert all(a[2] != b[2] for a, b in zip(runs, runs[1:]))
+    assert [r for *_, r in runs] == [sum(widths[t0:t]) for t, *_ in runs]
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(0, 40) | st.sampled_from([0, 7, 7, 20]), min_size=1, max_size=40),
+    st.sampled_from([1024, 8]),
+    st.integers(0, 50),
+)
+def test_the_packed_layout_matches_a_loop_over_the_steps(lengths, block_rows, cap):
+    lengths.sort(reverse=True)
+    with unittest.mock.patch.object(automaton, "BLOCK_ROWS", block_rows):
+        packed = automaton._Packed(lengths)
+    pairs = _layout_by_loop(lengths)
+    row_of = {pair: row for row, pair in enumerate(pairs)}
+    steps, total = max(lengths), len(pairs)
+    widths = [sum(n > t for n in lengths) for t in range(steps + 1)]
+    assert packed.lengths == lengths and packed.widths == widths
+    assert packed.first.tolist() == [sum(widths[:t]) for t in range(steps + 1)]
+    assert all(packed.row(i, t) == row for (i, t), row in row_of.items())
+    with_steps = [i for i, n in enumerate(lengths) if n]
+    assert packed.last[with_steps].tolist() == [row_of[i, lengths[i] - 1] for i in with_steps]
+    # the blocks tile the steps and the rows once, in step order, each
+    # holding at most max(BLOCK_ROWS, n_t0) rows
+    blocks = packed.blocks
+    assert _tiles([b[:2] for b in blocks], 0, steps) and _tiles([b[2:4] for b in blocks], 0, total)
+    for t0, t1, lo, hi, runs in blocks:
+        assert hi - lo == sum(widths[t0:t1]) <= max(block_rows, widths[t0])
+        _assert_runs(runs, widths, t0, t1)
+    _assert_runs(list(packed.runs(0, steps)), widths, 0, steps)
+    # the index rule reads a record-major array step-major: entry t of
+    # sequence i, of at most counts[i], sits at starts[i] + t
+    counts = np.minimum(packed.lengths, cap)
+    starts = np.cumsum(lengths) - lengths + 3
+    for want_counts, got in (
+        (lengths, packed.step_major(starts, packed.lengths)),
+        (counts.tolist(), packed.step_major(starts, counts)),
+    ):
+        want = [starts[i] + t for i, t in _layout_by_loop(want_counts)]
+        assert np.asarray(got).tolist() == want
