@@ -25,8 +25,10 @@ their row codes from the flat codes through the layout's step-major
 rule, sequence labels one code per sequence. Only the minibatch is
 copied, never the whole dataset. The symbol probabilities are then
 (V, R), from one product with the weights, and each block of the layout
-is a view of them, so no step of training transposes. One forward and
-one reverse recursion serve the minibatch, and dW is one product of the
+is a view of them, so no step of training transposes. The loss stops at
+those probabilities: one forward and one reverse recursion serve the
+minibatch and give dLoss/dp (V, R), and the extractor takes its own
+gradient from it (LinearExtractor.backward), dW one product of the
 logistic slope (V, R) with the feature rows (R, m).
 """
 
@@ -73,10 +75,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 class LinearExtractor:
     """Per-symbol logistic units: p[i] = sigmoid(weights[i] . o + bias[i]).
 
-    Scoring needs only extract(), so any model with the same contract can
-    stand in for this class there. Training reads extract()'s
-    (num_symbols, rows) layout and takes the logistic slope into `weights`
-    and `bias` itself, in _batch_loss.
+    Scoring needs only extract(), and training extract() and backward(),
+    so any model with the same contract can stand in for this class. The
+    automaton's loss ends at the symbol probabilities, laid out as
+    extract() gives them (num_symbols, rows); backward() turns its
+    gradient there into the gradient in `weights` and `bias`.
     """
 
     weights: np.ndarray  # (num_symbols, feature_dim)
@@ -125,6 +128,16 @@ class LinearExtractor:
             logits = self.weights @ rows.T
             logits += self.bias[:, None]
             return _sigmoid(logits).T.reshape(lead + (self.num_symbols,))
+
+    def backward(self, rows, probs, dprobs):
+        """(dW, db) of a loss whose gradient is `dprobs` in the probabilities
+        `probs` extract() gave for the feature rows (R, feature_dim), both
+        laid out (num_symbols, R): the logistic slope p(1 - p) times dprobs,
+        one product with the rows for dW and one sum over them for db.
+        """
+        slope = probs * (1.0 - probs)
+        slope *= dprobs
+        return slope @ rows, slope.sum(axis=1)
 
 
 # what a refused array holds, by numpy dtype kind
@@ -249,9 +262,11 @@ def _targets(c: CompiledSfa, data: Sequence[LabeledSequence], state_to_label):
     sequence label codes its last step, 1 (the rejecting states) for
     label 0 and 2 (the accepting states) for label 1. Step labels code
     every step through one row per distinct label in `state_to_label`,
-    by one dict lookup each. A bool, float or unhashable label matches no
-    state: == makes True, False and 1.0 equal to 1, 0 and 1, but they are
-    not labels, and it makes a list equal to no state label.
+    by one dict lookup each. A `state_to_label` of None maps each state q
+    to label q, in train and in tagging_loss alike, and one that gives a
+    state no label is a ValueError. A bool, float or unhashable label
+    matches no state: == makes True, False and 1.0 equal to 1, 0 and 1,
+    but they are not labels, and it makes a list equal to no state label.
     Returns (table, codes, offsets, missing): codes is one flat int array,
     sequence k's codes start at offsets[k] (so offsets is arange(n) for
     sequence labels), and `missing` is None or (k, message) for the first
@@ -263,7 +278,11 @@ def _targets(c: CompiledSfa, data: Sequence[LabeledSequence], state_to_label):
         return table, np.array([seq.label + 1 for seq in data]), np.arange(len(data)), None
     states = {}
     for q in range(c.num_states):
-        states.setdefault(state_to_label[q], []).append(q)
+        try:
+            label = q if state_to_label is None else state_to_label[q]
+        except (KeyError, IndexError):
+            raise ValueError(f"state_to_label maps no label to state {q} ({c.states[q]})") from None
+        states.setdefault(label, []).append(q)
     states.pop(None, None)  # None marks an unlabeled step, never a state's label
     table = np.zeros((len(states) + 1, c.num_states))
     index = {None: 0}
@@ -292,30 +311,34 @@ def _targets(c: CompiledSfa, data: Sequence[LabeledSequence], state_to_label):
     return table, codes, offsets, missing
 
 
-def _batch_loss(c: CompiledSfa, extractor, rows, packed, table, codes, by_sequence=False):
-    """Summed cross entropy of the alpha mass on labeled states, with gradients.
+def _batch_loss(c: CompiledSfa, probs, packed, table, codes, by_sequence=False):
+    """Summed cross entropy of the alpha mass on labeled states, and its
+    gradient in the symbol probabilities.
 
-    rows (R, m) are the feature rows of a packed batch of sequences,
-    longest first, and `packed` its layout (see automaton._Packed), so
-    that they, the symbol probabilities (V, R) and the recursion cores'
-    arrays share one order and nothing is transposed: both cores read the
-    layout, and each block's probabilities are a view of them. `codes`
-    label states with rows of `table`, 0/1 masks over the states (see
-    _targets): a step costs -log of the mass alpha_t holds on its row,
-    clamped inside the log, and code 0, the empty row, costs nothing.
+    probs (V, R) are the symbol probabilities of the rows of a packed
+    batch of sequences, longest first, and `packed` its layout (see
+    automaton._Packed), so that they and the recursion cores' arrays share
+    one order and nothing is transposed: both cores read the layout, and
+    each block's probabilities are a view of them. `codes` label states
+    with rows of `table`, 0/1 masks over the states (see _targets): a step
+    costs -log of the mass alpha_t holds on its row, clamped inside the
+    log, and code 0, the empty row, costs nothing.
     Per-step labels pass one code per row (R,); sequence labels pass
     `by_sequence` and one code per sequence (N,), for its last step, which
     reads its alpha at its own last row.
-    Returns (loss, dW, db, correct), loss and gradients averaged over the
-    batch. `correct` counts the sequences whose acceptance is on the
-    label's side of 0.5 when `by_sequence`, else the labeled steps whose
-    most probable state carries the step's label. One forward and one
-    reverse recursion serve all four.
+    Returns (loss, dprobs, correct): the loss averaged over the batch's
+    sequences, and dprobs (V, R) its gradient in each entry of probs; for
+    sequence labels that is -dlog P(label)/dp over the batch size. How
+    probs were made is the extractor's business: it turns dprobs into its
+    own gradient (LinearExtractor.backward). `correct` counts the
+    sequences whose acceptance is on the label's side of 0.5 when
+    `by_sequence`, else the labeled steps whose most probable state
+    carries the step's label. One forward and one reverse recursion serve
+    all three.
     """
-    probs = _symbol_probs(extractor, rows)  # (V, R)
     # each block's probabilities, a view: a block's rows are contiguous
     packed_probs = packed, lambda t0, t1: probs[:, packed.first[t0] : packed.first[t1]]
-    alphas = np.empty((len(rows), c.num_states))
+    alphas = np.empty((probs.shape[1], c.num_states))
     _run_forward(c, *packed_probs, alphas)
     # a sequence label reads each sequence's alpha at its own last row
     read = alphas[packed.last] if by_sequence else alphas
@@ -326,8 +349,6 @@ def _batch_loss(c: CompiledSfa, extractor, rows, packed, table, codes, by_sequen
     dstep = -(dlog_p * active) / len(packed.lengths)
     masks *= dstep[:, None]  # now dLoss/dalpha of each labeled row
     dprobs = _run_backward(c, *packed_probs, alphas, masks, by_sequence)
-    slope = probs * (1.0 - probs)  # the logistic slope, (V, R)
-    slope *= dprobs
     lost = log_p * active
     if by_sequence:
         # acceptance >= 0.5 for label 1 (row 2); rejection > 0.5 for label 0
@@ -338,7 +359,7 @@ def _batch_loss(c: CompiledSfa, extractor, rows, packed, table, codes, by_sequen
         by_step[np.arange(len(by_step))[:, None] < packed.lengths] = lost
         lost = by_step.sum(axis=0)
         correct = int(table[codes, read.argmax(axis=-1)][active].sum())
-    return float((-lost).mean()), slope @ rows, slope.sum(axis=1), correct
+    return float((-lost).mean()), dprobs, correct
 
 
 def _sequence_loss(c: CompiledSfa, extractor, seq: LabeledSequence, state_to_label=None):
@@ -346,9 +367,10 @@ def _sequence_loss(c: CompiledSfa, extractor, seq: LabeledSequence, state_to_lab
     table, codes, _, missing = _targets(c, [seq], state_to_label)
     if missing is not None:
         raise ValueError(missing[1])
-    packed = seq.features, _Packed([len(seq.features)])
-    loss, dw, db, _ = _batch_loss(c, extractor, *packed, table, codes, seq.label is not None)
-    return loss, (dw, db)
+    probs = _symbol_probs(extractor, seq.features)
+    packed = _Packed([len(seq.features)])
+    loss, dprobs, _ = _batch_loss(c, probs, packed, table, codes, seq.label is not None)
+    return loss, extractor.backward(seq.features, probs, dprobs)
 
 
 def sequence_loss(c: CompiledSfa, extractor, seq: LabeledSequence):
@@ -368,9 +390,10 @@ def sequence_loss(c: CompiledSfa, extractor, seq: LabeledSequence):
 def tagging_loss(c: CompiledSfa, extractor, seq: LabeledSequence, state_to_label):
     """Per-step cross entropy on the state distribution.
 
-    `state_to_label` maps each state index to its emitted label; the
-    probability of the step's label is the summed mass of the matching
-    states, clamped inside the log. Steps labeled None contribute nothing.
+    `state_to_label` maps each state index to its emitted label (None:
+    the identity map, as in train); the probability of the step's label is
+    the summed mass of the matching states, clamped inside the log. Steps
+    labeled None contribute nothing.
     Returns (loss, (dW, db)).
     """
     if seq.step_labels is None:
@@ -459,8 +482,6 @@ def train(
             f"extractor emits {init.num_symbols} symbols, automaton has {len(c.vocab)}"
         )
     feature_dim = data[0].features.shape[1] if init is None else init.feature_dim
-    if state_to_label is None:
-        state_to_label = {q: q for q in range(c.num_states)}
     table, codes, offsets, missing = _targets(c, data, state_to_label)
     # the first failing sequence is reported, its feature width first
     last = len(data) - 1 if missing is None else missing[0]
@@ -497,12 +518,15 @@ def train(
             # a sequence label codes the sequence (offsets is arange(n));
             # step labels code each row, read step-major from the flat codes
             coded = codes[batch if by_sequence else packed.step_major(offsets[batch], packed.lengths)]
-            loss, dw, db, hits = _batch_loss(c, extractor, rows, packed, table, coded, by_sequence)
+            probs = _symbol_probs(extractor, rows)
+            loss, dprobs, hits = _batch_loss(c, probs, packed, table, coded, by_sequence)
             correct += hits
             total += int(np.count_nonzero(coded))
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}: {loss}")
-            opt.step([extractor.weights, extractor.bias], [dw, db])
+            opt.step([extractor.weights, extractor.bias], extractor.backward(rows, probs, dprobs))
+            # free this minibatch's (V, R) arrays before the next one's are made
+            del probs, dprobs
             if not (
                 np.all(np.isfinite(extractor.weights)) and np.all(np.isfinite(extractor.bias))
             ):

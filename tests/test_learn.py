@@ -3,6 +3,7 @@
 import math
 import re
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -253,6 +254,26 @@ class TestTaggingLoss:
         seq = LabeledSequence(rng.normal(size=(2, 3)), step_labels=[0, 7])
         with pytest.raises(ValueError):
             tagging_loss(driving.compiled, ext, seq, {0: 0, 1: 1, 2: 2})
+
+    def test_no_map_is_the_identity_map(self, driving):
+        # as train() reads it
+        rng = np.random.default_rng(2)
+        ext = make_extractor(rng, 3, 3)
+        seq = LabeledSequence(rng.normal(size=(4, 3)), step_labels=[0, 2, None, 1])
+        loss, (dw, db) = tagging_loss(driving.compiled, ext, seq, None)
+        want, (want_dw, want_db) = tagging_loss(driving.compiled, ext, seq, {0: 0, 1: 1, 2: 2})
+        assert loss == want
+        assert np.array_equal(dw, want_dw) and np.array_equal(db, want_db)
+
+    @pytest.mark.parametrize("mapping", [{0: 0, 2: 2}, [0]])
+    def test_a_state_with_no_label_is_named(self, driving, mapping):
+        ext = make_extractor(np.random.default_rng(2), 3, 3)
+        seq = LabeledSequence(np.zeros((2, 3)), step_labels=[0, 0])
+        message = r"^state_to_label maps no label to state 1 \(q1\)$"
+        with pytest.raises(ValueError, match=message):
+            tagging_loss(driving.compiled, ext, seq, mapping)
+        with pytest.raises(ValueError, match=message):
+            train(driving.compiled, [seq], TrainConfig(max_epochs=1), state_to_label=mapping)
 
     @pytest.mark.parametrize("label", [True, False, 1.0, np.float64(0.0), np.True_])
     def test_bool_or_float_label_matches_no_state(self, driving, label):
@@ -594,10 +615,11 @@ class TestTraining:
     @pytest.mark.parametrize("batch_size", [1, 7, 25])
     def test_loss_gets_each_length_group_stacked(self, driving, monkeypatch, tagging, batch_size):
         # a minibatch's length groups are stacked into one packed batch:
-        # _batch_loss gets, per minibatch, its sequences sorted longest
+        # per minibatch, _symbol_probs gets its sequences sorted longest
         # first (a length keeps the minibatch's order), their feature rows
-        # step-major, and one code per row (per-step labels) or per
-        # sequence (sequence labels)
+        # step-major, and _batch_loss the probabilities of those rows, their
+        # lengths and one code per row (per-step labels) or per sequence
+        # (sequence labels)
         rng = np.random.default_rng(9)
         data = []
         for k in range(20):
@@ -607,13 +629,20 @@ class TestTraining:
                 data.append(LabeledSequence(feats, step_labels=labels))
             else:
                 data.append(LabeledSequence(feats, label=int(rng.integers(0, 2))))
-        calls = []
-        loss = learn._batch_loss
+        calls, made = [], []
+        symbol_probs, loss = learn._symbol_probs, learn._batch_loss
 
-        def recording(*args):
-            calls.append((np.copy(args[2]), np.copy(args[3].lengths), np.copy(args[5])))
-            return loss(*args)
+        def recording_rows(extractor, rows):
+            made.append((np.copy(rows), symbol_probs(extractor, rows)))
+            return made[-1][1]
 
+        def recording(c, probs, packed, table, codes, by_sequence):
+            rows, made_probs = made.pop()
+            assert probs is made_probs
+            calls.append((rows, np.copy(packed.lengths), np.copy(codes)))
+            return loss(c, probs, packed, table, codes, by_sequence)
+
+        monkeypatch.setattr(learn, "_symbol_probs", recording_rows)
         monkeypatch.setattr(learn, "_batch_loss", recording)
         cfg = TrainConfig(max_epochs=2, batch_size=batch_size, seed=0)
         init = make_extractor(np.random.default_rng(1), 3, 4)
@@ -640,6 +669,40 @@ class TestTraining:
             for actual, wanted in zip(got, expected):
                 assert actual.shape == wanted.shape and actual.dtype == wanted.dtype
                 assert np.array_equal(actual, wanted)
+
+    @pytest.mark.parametrize("tagging", [False, True])
+    def test_no_minibatch_keeps_its_probabilities_alive(self, driving, monkeypatch, tagging):
+        # a minibatch's symbol probabilities and their gradient, both (V, R),
+        # are freed before the next minibatch's probabilities are made; kept
+        # alive, they would add their size to the peak of the next step
+        refs = []
+        symbol_probs, loss = learn._symbol_probs, learn._batch_loss
+
+        def made(extractor, rows):
+            assert [ref() for ref in refs] == [None] * len(refs)
+            probs = symbol_probs(extractor, rows)
+            refs.append(weakref.ref(probs))
+            return probs
+
+        def lost(*args):
+            result = loss(*args)
+            refs.append(weakref.ref(result[1]))
+            return result
+
+        monkeypatch.setattr(learn, "_symbol_probs", made)
+        monkeypatch.setattr(learn, "_batch_loss", lost)
+        rng = np.random.default_rng(5)
+        data = []
+        for k in range(12):
+            feats = rng.normal(size=((3, 5, 9)[k % 3], 4))
+            if tagging:
+                data.append(LabeledSequence(feats, step_labels=[k % 3] * len(feats)))
+            else:
+                data.append(LabeledSequence(feats, label=k % 2))
+        train(driving.compiled, data, TrainConfig(max_epochs=2, batch_size=5, seed=0))
+        # 3 minibatches in each of 2 epochs, two arrays each
+        assert len(refs) == 2 * 3 * 2
+        assert [ref() for ref in refs] == [None] * len(refs)
 
     def test_invalid_configs_rejected(self):
         for rate in (-0.1, float("nan"), float("inf")):
@@ -702,10 +765,10 @@ LAYOUT_PATTERNS = {
 class TestLayoutContract:
     """Training runs the recursion cores on its own packed layout.
 
-    _batch_loss takes packed step-major feature rows (T·B, m) and codes,
-    and hands the cores views of its arrays; the public functions take
-    (B, T) arrays and pass transposed views. Both must give one loss and
-    one gradient.
+    _batch_loss takes the symbol probabilities of packed step-major
+    feature rows (T·B, m) and codes, and hands the cores views of its
+    arrays; the public functions take (B, T) arrays and pass transposed
+    views. Both must give one loss and one gradient.
     """
 
     @pytest.mark.parametrize("pattern", list(LAYOUT_PATTERNS))
@@ -735,11 +798,13 @@ class TestLayoutContract:
         rows = np.ascontiguousarray(features.transpose(1, 0, 2)).reshape(-1, 5)
         packed_codes = codes.T.ravel() if tagging else codes[:, 0]
         packed = automaton._Packed(np.full(batch, steps))
-        got = learn._batch_loss(c, ext, rows, packed, table, packed_codes, not tagging)
+        probs = learn._symbol_probs(ext, rows)
+        loss, dprobs, hits = learn._batch_loss(c, probs, packed, table, packed_codes, not tagging)
+        got = (loss, *ext.backward(rows, probs, dprobs))
         want = reference_batch_loss(c, ext, features, table, codes, not tagging)
-        for actual, expected in zip(got[:3], want[:3]):
+        for actual, expected in zip(got, want[:3]):
             assert_close_to_scale(actual, expected)
-        assert got[3] == want[3]
+        assert hits == want[3]
 
     @pytest.mark.parametrize("tagging", [False, True])
     def test_train_evaluates_views_of_its_probabilities(self, driving, monkeypatch, tagging):
@@ -770,6 +835,47 @@ class TestLayoutContract:
         train(driving.compiled, data, TrainConfig(max_epochs=2, batch_size=40, seed=0))
         # per epoch, three blocks forward and three in the reverse pass
         assert len(views) == 2 * 6 and all(views)
+
+
+# a central difference with step FD_STEP errs by about eps·|loss|/FD_STEP
+# from rounding (a few 1e-9 here) plus FD_STEP²·|f'''|/6 from truncation;
+# over six seeds of every case below the largest error was 2.5e-9 of the
+# largest |dprobs|, so the bound is 1e-7 of it
+FD_STEP = 1e-6
+FD_TOL = 1e-7
+
+
+class TestLossGradient:
+    """_batch_loss's dprobs is the derivative of its loss in each symbol probability."""
+
+    @pytest.mark.parametrize("pattern", ["driving", "random:64x12:0"])
+    @pytest.mark.parametrize("tagging", [False, True])
+    def test_dprobs_is_a_central_difference_of_the_loss(self, pattern, tagging):
+        c = LAYOUT_PATTERNS[pattern]().compiled
+        rng = np.random.default_rng(11)
+        packed = automaton._Packed(np.array([6, 4, 4, 1]))
+        # away from 0 and 1, so that no step of FD_STEP leaves (0, 1) or
+        # reaches the clamp inside the log
+        probs = rng.uniform(0.05, 0.95, size=(len(c.vocab), packed.first[-1]))
+        if tagging:
+            seq = LabeledSequence(np.zeros((1, 1)), step_labels=[0])
+            table = learn._targets(c, [seq], {q: q % 3 for q in range(c.num_states)})[0]
+            # one code per row, 0 (unlabeled) among them
+            codes = rng.integers(0, len(table), size=packed.first[-1])
+        else:
+            table = learn._targets(c, [LabeledSequence(np.zeros((1, 1)), label=1)], None)[0]
+            codes = rng.integers(1, 3, size=len(packed.lengths))
+        _, dprobs, _ = learn._batch_loss(c, probs, packed, table, codes, not tagging)
+        fd = np.empty_like(probs)
+        for idx in np.ndindex(*probs.shape):
+            up, down = probs.copy(), probs.copy()
+            up[idx] += FD_STEP
+            down[idx] -= FD_STEP
+            up_loss = learn._batch_loss(c, up, packed, table, codes, not tagging)[0]
+            down_loss = learn._batch_loss(c, down, packed, table, codes, not tagging)[0]
+            fd[idx] = (up_loss - down_loss) / (2 * FD_STEP)
+        assert np.abs(dprobs).max() > 0
+        assert_close_to_scale(dprobs, fd, rel=FD_TOL)
 
 
 # the packed loss sums in another order than the per-sequence calls do, and
@@ -824,7 +930,9 @@ class TestPackedLoss:
         if tagging:
             codes = np.array([codes[offsets[i] + t] for i, t in steps], dtype=np.intp)
         packed = automaton._Packed(lengths)
-        loss, dw, db, hits = learn._batch_loss(c, ext, rows, packed, table, codes, not tagging)
+        probs = learn._symbol_probs(ext, rows)
+        loss, dprobs, hits = learn._batch_loss(c, probs, packed, table, codes, not tagging)
+        dw, db = ext.backward(rows, probs, dprobs)
 
         losses, dws, dbs, want_hits = [], [], [], 0
         for seq in data:
@@ -843,6 +951,49 @@ class TestPackedLoss:
         assert hits == want_hits
         for got, want in ((loss, np.mean(losses)), (dw, np.mean(dws, 0)), (db, np.mean(dbs, 0))):
             assert_close_to_scale(got, want, rel=PACKED_TOL)
+
+
+class TestOptimizers:
+    """Each optimizer step against its textbook formula, over three steps."""
+
+    # per step: the weights' gradient (1, 2) and the bias's (1,)
+    GRADS = [([[0.5, -2.0]], [1.0]), ([[-1.0, -2.0]], [0.0]), ([[4.0, 0.0]], [-3.0])]
+
+    def params(self):
+        return np.array([[1.0, -1.0]]), np.array([0.5])
+
+    def test_sgd_steps_against_the_gradient(self):
+        weights, bias = self.params()
+        opt = learn._Sgd(0.1)
+        for gw, gb in self.GRADS:
+            opt.step([weights, bias], [np.array(gw), np.array(gb)])
+        # by hand: 1 - 0.1·(0.5 - 1 + 4), -1 - 0.1·(-2 - 2 + 0), 0.5 - 0.1·(1 + 0 - 3)
+        np.testing.assert_allclose(weights, [[0.65, -0.6]], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(bias, [0.7], rtol=1e-15, atol=0)
+
+    def test_adam_steps_are_bias_corrected(self):
+        # Kingma & Ba, Adam: A Method for Stochastic Optimization, ICLR 2015,
+        # Algorithm 1, one scalar at a time
+        lr, beta1, beta2, eps = 0.1, 0.9, 0.999, 1e-8
+        weights, bias = self.params()
+        want = [1.0, -1.0, 0.5]
+        m, v = [0.0] * 3, [0.0] * 3
+        opt = learn._Adam(lr)
+        for t, (gw, gb) in enumerate(self.GRADS, start=1):
+            opt.step([weights, bias], [np.array(gw), np.array(gb)])
+            for i, g in enumerate(gw[0] + gb):
+                m[i] = beta1 * m[i] + (1 - beta1) * g
+                v[i] = beta2 * v[i] + (1 - beta2) * g * g
+                mhat, vhat = m[i] / (1 - beta1**t), v[i] / (1 - beta2**t)
+                want[i] -= lr * mhat / (math.sqrt(vhat) + eps)
+            got = np.concatenate([weights[0], bias])
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+            if t == 1:
+                # by hand: corrected, the first step is lr·g / (|g| + eps),
+                # lr against the sign of every gradient; uncorrected, it
+                # would be lr·0.1·g / (sqrt(0.001)·|g| + eps), about 0.32·lr
+                np.testing.assert_allclose(weights, [[0.9, -0.9]], rtol=1e-8, atol=0)
+                np.testing.assert_allclose(bias, [0.4], rtol=1e-8, atol=0)
 
 
 class TestCheckpoints:

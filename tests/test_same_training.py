@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,8 +29,8 @@ def compared(tmp_path_factory):
     """One run of the tool on ROOT and every copy: one child per checkout.
 
     Returns the finished process, each copy's path by name, and each
-    checkout's digest line (its recursion, training, mixed and infer
-    digests)."""
+    checkout's digest line (its recursion, training, mixed, infer and
+    losses digests)."""
     paths = {}
     for name, edit in COPIES.items():
         path = paths[name] = tmp_path_factory.mktemp(name)
@@ -64,22 +65,27 @@ def test_a_different_optimizer_step_is_told_apart(compared):
     assert f"{paths['optimizer']}: training differ" in proc.stderr
     assert f"{paths['optimizer']}: mixed differ" in proc.stderr
     assert f"{paths['optimizer']}: recursions differ" not in proc.stderr
+    assert f"{paths['optimizer']}: losses differ" not in proc.stderr
 
 
 def test_a_different_recursion_is_told_apart(compared):
     proc, paths, _ = compared
     assert f"{paths['recursion']}: recursions differ" in proc.stderr
+    assert f"{paths['recursion']}: losses differ" in proc.stderr
 
 
 def test_the_exit_status_says_whether_every_new_checkout_agrees(monkeypatch, capsys):
-    # children stubbed by checkout name: "a" and "b" agree, "c" and "d"
-    # differ, "d" in its mixed-length training only
-    digests = {"a": ("r", "t", "m", "i"), "b": ("r", "t", "m", "i"), "c": ("r", "u", "m", "j")}
-    digests["d"] = ("r", "t", "n", "i")
+    # children stubbed by checkout name: "a" and "b" agree, "c", "d" and
+    # "e" differ, "d" in its mixed-length training only, "e" in its losses
+    digests = {"a": ("r", "t", "m", "i", "l"), "b": ("r", "t", "m", "i", "l")}
+    digests["c"] = ("r", "u", "m", "j", "l")
+    digests["d"] = ("r", "t", "n", "i", "l")
+    digests["e"] = ("r", "t", "m", "i", "k")
     monkeypatch.setattr(same_training, "_child", lambda path: digests[str(path)])
     assert same_training.main(["same_training.py", "a", "b"]) == 0
-    assert same_training.main(["same_training.py", "a", "b", "c", "d"]) == 1
-    assert capsys.readouterr().err == "c: training differ\nc: infer differ\nd: mixed differ\n"
+    assert same_training.main(["same_training.py", "a", "b", "c", "d", "e"]) == 1
+    err = "c: training differ\nc: infer differ\nd: mixed differ\ne: losses differ\n"
+    assert capsys.readouterr().err == err
     monkeypatch.setattr(same_training, "_child", lambda path: None)
     assert same_training.main(["same_training.py", "a", "b"]) == 2
     assert same_training.main(["same_training.py", "a"]) == 2
@@ -94,3 +100,22 @@ def test_a_different_infer_output_is_told_apart(monkeypatch):
     mask = automaton._accepting_mask
     monkeypatch.setattr(automaton, "_accepting_mask", lambda c: mask(c) / 2)
     assert same_training.infer_digest() != before
+
+
+def test_a_different_loss_is_told_apart(monkeypatch):
+    # in-process, on this checkout's symfa: two clamps inside the log that
+    # only probabilities near 0 or near 1 reach
+    from symfa import learn
+
+    before = same_training.losses_digest()
+    assert same_training.losses_digest() == before
+    # every mass below LOG_CLAMP raised to it, not only a mass of exactly 0
+    clamped_log_grad = learn._clamped_log_grad
+    monkeypatch.setattr(
+        learn, "_clamped_log_grad", lambda p: clamped_log_grad(np.maximum(p, learn.LOG_CLAMP))
+    )
+    assert same_training.losses_digest() != before
+    monkeypatch.undo()
+    # the cap inside the log at 1 - 1e-6, not 1 - 1e-7
+    monkeypatch.setattr(learn, "LOG_CLAMP", 1e-6)
+    assert same_training.losses_digest() != before

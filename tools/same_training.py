@@ -4,7 +4,7 @@
 
 Runs one child Python per checkout, with PYTHONPATH=<checkout>/src, so
 each imports its own symfa and nothing of the benchmark, and compares
-each NEW checkout with OLD. Each child prints four sha256 digests:
+each NEW checkout with OLD. Each child prints five sha256 digests:
 
 - recursions: the outputs of forward_alphas, acceptance_batch and
   backward_gradient (with S = T and with S = T // 2 gradient steps) at
@@ -19,7 +19,12 @@ each NEW checkout with OLD. Each child prints four sha256 digests:
   sizes 1, 7, 32 and 100;
 - infer: the CSV bytes `symfa infer` writes on events, in both modes, on
   a file of 40 records of 30 steps and on one of 102 records of lengths
-  drawn from 0–300, zero-step records among them.
+  drawn from 0–300, zero-step records among them;
+- losses: the loss, dW and db sequence_loss (both labels) and
+  tagging_loss return on driving, events, random:8x10:2 and
+  random:64x12:0, for sequences of 1, 7 and 30 steps, with one extractor
+  whose probabilities are moderate and one whose probabilities mostly lie
+  within 1e-9 of 0 or 1, so that the clamp inside the log is reached.
 
 Both training digests hash the weights, the bias and every EpochRecord
 of every run. Kept apart, they let a change to how minibatches of
@@ -27,8 +32,9 @@ several lengths train show the equal-length digest unchanged while the
 mixed one moves.
 
 Prints one line of digests per checkout, and on stderr
-`NEW: recursions differ`, `NEW: training differ`, `NEW: mixed differ` or
-`NEW: infer differ` for each digest of a NEW checkout that is not OLD's.
+`NEW: recursions differ`, `NEW: training differ`, `NEW: mixed differ`,
+`NEW: infer differ` or `NEW: losses differ` for each digest of a NEW
+checkout that is not OLD's.
 Exits 0 when every NEW checkout agrees with OLD, 1 when one differs, and
 2 when a child fails.
 """
@@ -46,7 +52,7 @@ from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
 # the digests, in the order each line prints them
-PARTS = ("recursions", "training", "mixed", "infer")
+PARTS = ("recursions", "training", "mixed", "infer", "losses")
 
 
 def _path_labels(c, truth, skip: int | None = None) -> list:
@@ -198,6 +204,42 @@ def infer_digest() -> str:
     return h.hexdigest()
 
 
+def losses_digest() -> str:
+    """sha256 over the public losses' (loss, dW, db) on every loss case."""
+    import numpy as np
+    from symfa import bench, learn
+
+    rng = np.random.default_rng(0)
+    h = hashlib.sha256()
+    for pattern in (
+        bench.driving_pattern(),
+        bench.events_pattern(),
+        bench.random_pattern(8, 10, 2),
+        bench.random_pattern(64, 12, 0),
+    ):
+        c, width = pattern.compiled, len(pattern.compiled.vocab)
+        state_to_label = {q: q % 3 for q in range(c.num_states)}
+        # at scale 40 about two logits in three lie beyond ±21, where a
+        # probability is within 1e-9 of 0 or 1
+        for scale in (1.0, 40.0):
+            weights, bias = rng.normal(size=(width, 4)), rng.normal(size=width)
+            ext = learn.LinearExtractor(scale * weights, scale * bias)
+            for steps in (1, 7, 30):
+                features = rng.normal(size=(steps, 4))
+                labels = [None if x == 3 else x for x in rng.integers(0, 4, steps).tolist()]
+                results = [
+                    learn.sequence_loss(c, ext, learn.LabeledSequence(features, label=label))
+                    for label in (0, 1)
+                ]
+                seq = learn.LabeledSequence(features, step_labels=labels)
+                results.append(learn.tagging_loss(c, ext, seq, state_to_label))
+                for loss, (dw, db) in results:
+                    h.update(struct.pack("<d", loss))
+                    h.update(dw.tobytes())
+                    h.update(db.tobytes())
+    return h.hexdigest()
+
+
 def _child(checkout: Path) -> tuple[str, ...] | None:
     """The PARTS digests a child Python computes on `checkout`'s symfa,
     or None."""
@@ -209,7 +251,7 @@ def _child(checkout: Path) -> tuple[str, ...] | None:
         f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import symfa, same_training; "
         "print(symfa.__file__); print(same_training.recursion_digest()); "
         "print(same_training.training_digest()); print(same_training.mixed_digest()); "
-        "print(same_training.infer_digest())"
+        "print(same_training.infer_digest()); print(same_training.losses_digest())"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
