@@ -30,24 +30,26 @@ levelized circuit (circuit.Plan). Validation alone never pays for it;
 transition_tensor builds a plan of every transition on each call, so
 that every state's row is there to check. Both recursion cores run one
 packed batch of any lengths, laid out once per batch (_Packed) and read
-by both: the sequences sorted longest first, and
-step t's rows those of the n_t sequences still running, a prefix of
-them, so a sequence ends where n_t falls and reads its alpha there. An
-equal-length batch is the case n_t = N; `symfa infer` runs every record
-in one such batch, and training each minibatch. Each block of about
-BLOCK_ROWS probability rows (whole steps, step-major) is evaluated in
-one pass over the plan, giving every transition's guard value W_t, and
-the recursion runs sparsely over the transitions: alpha_t[j] = sum over
-transitions i -> j of alpha_{t-1}[i] · W_t. Each direction is one step loop that carries one
-value per transition: the forward loop carries
-alpha_{t-1}[src] and turns W_t into the flow alpha_{t-1}[src] · W_t in
-place; the reverse loop carries the adjoint read at each transition's
-target. Only the step that moves that array to the next step has two
-forms. On short, narrow batches a step costs its numpy calls, not its
-arithmetic, so automata of at most FLOW_MAX_TRANSITIONS transitions move
-it with one product with the 0/1 matrix `next` (e ends where f starts),
-or its transpose; larger automata, where that product costs more than a
-gather, sum it per state and gather the sums, one call more per step.
+by both: the sequences sorted longest first, and step t's rows those of
+the n_t sequences still running, a prefix of them, so a sequence ends
+where n_t falls and reads its alpha there. The layout alone sorts a
+batch, and holds the one rule that reads a record-major array in its row
+order: `symfa infer` packs every record once into one such batch, and
+training each minibatch. An equal-length batch is the case n_t = N. Each
+block of about BLOCK_ROWS probability rows (whole steps, step-major) is
+evaluated in one pass over the plan, giving every transition's guard
+value W_t, and the recursion runs sparsely over the transitions:
+alpha_t[j] = sum over transitions i -> j of alpha_{t-1}[i] · W_t. Each
+direction is one step loop that carries one value per transition: the
+forward loop carries alpha_{t-1}[src] and turns W_t into the flow
+alpha_{t-1}[src] · W_t in place; the reverse loop carries the adjoint
+read at each transition's target. Only the step that moves that array to
+the next step has two forms. On short, narrow batches a step costs its
+numpy calls, not its arithmetic, so automata of at most
+FLOW_MAX_TRANSITIONS transitions move it with one product with the 0/1
+matrix `next` (e ends where f starts), or its transpose; larger
+automata, where that product costs more than a gather, sum it per state
+and gather the sums, one call more per step.
 acceptance_batch keeps only the running state, so scoring memory is
 bounded by the block whatever T is. The gradient walks the blocks
 backwards, with one reverse pass over the plan per block.
@@ -283,25 +285,27 @@ def validate_and_compile(sfa: Sfa, complete: bool = True) -> CompiledSfa:
 #
 # The recursion cores, _run_forward and _run_backward, read one packed
 # layout of N sequences sorted longest first, a _Packed made once per
-# batch from their lengths: step t holds the n_t sequences longer than t,
-# a prefix of them, and its rows follow step t - 1's, so row
-# first[t] + i is step t of sequence i. The layout also holds the blocks
-# both cores walk, each with its runs of steps of one width, and the one
-# rule that reads a record-major array step-major. The
-# probability rows are (V, R), state arrays (the alphas and their
-# gradients) (R, Q), and the reverse core's gradient comes back as
-# (V, R). The forward core walks the blocks from the first step and the
-# reverse core from the last, where a sequence joins the walk at its own
-# last step. A core asks `rows` for each block's probability rows. An
-# equal-length batch is the case n_t = N: pt (V, T, N) gives steps
-# t0..t1-1 as pt[:, t0:t1].reshape(V, -1) (_dense), a view when pt is
-# contiguous and one copy when pt is the transposed view of an (N, T, V)
-# array, which the public functions pass. Training packs its minibatch's
-# rows once (learn._pack) and hands the cores views of them, and a ragged
-# list of sequences packs its rows block by block (_ragged). A block holds
-# whole steps, about BLOCK_ROWS rows, so a pass's working memory is
-# bounded by the block whatever T is; only outputs that hold every step
-# grow with T.
+# batch from their lengths in the caller's order: step t holds the n_t
+# sequences longer than t, a prefix of them, and its rows follow step
+# t - 1's, so row first[t] + i is step t of packed sequence i. The layout
+# is the only code that sorts a batch: it keeps each packed sequence's
+# index in the caller's order, and one rule (step_major) that reads a
+# record-major array in packed row order. It also holds the blocks both
+# cores walk, each with its runs of steps of one width. The probability
+# rows are (V, R), state arrays (the alphas and their gradients) (R, Q),
+# and the reverse core's gradient comes back as (V, R). The forward core
+# walks the blocks from the first step and the reverse core from the
+# last, where a sequence joins the walk at its own last step. A core asks
+# `rows` for each block's probability rows. An equal-length batch is the
+# case n_t = N: pt (V, T, N) gives steps t0..t1-1 as
+# pt[:, t0:t1].reshape(V, -1) (_dense), a view when pt is contiguous and
+# one copy when pt is the transposed view of an (N, T, V) array, which
+# the public functions pass. Any other batch is packed whole once, into
+# one (V, R) array whose blocks are views (_views): training packs each
+# minibatch's feature rows (learn._pack), and `symfa infer` gathers every
+# record's probability rows through the layout's rule. A block holds
+# whole steps, about BLOCK_ROWS rows, so a pass's working memory past its
+# inputs and outputs is bounded by the block whatever T is.
 
 def reachable_states(c: CompiledSfa) -> list[int]:
     """The states the initial state reaches over guards that are not `false`.
@@ -380,20 +384,28 @@ class _Packed:
 
     Made once per batch, and read by both recursion cores and by whatever
     packs rows for them or reads rows from them (see the comment above
-    reachable_states). `lengths` and `widths` are lists: the lengths, and
-    n_t, the number of sequences longer than t, for t = 0..T, so n_T = 0.
-    `first` (T + 1,) is the row where each step starts, first[T] being the
-    row count R, and `last` (N,) each sequence's last row; a zero-step
-    sequence has none, and its entry is no row. `blocks` walk the steps in
-    order, each as (t0, t1, lo, hi, runs): steps t0..t1-1, rows lo..hi-1,
-    and its runs of steps of one width. A block takes BLOCK_ROWS // n_t0
-    steps from its first step t0, and at least one, so as widths do not
-    grow it holds at most max(BLOCK_ROWS, n_t0) rows. runs() gives the
-    runs of any span of steps; learn._pack reads the whole batch's.
+    reachable_states). `lengths` are given in the caller's order and
+    sorted longest first by a stable sort, so sequences of one length keep
+    that order; the layout is the only code that sorts a batch. Packed
+    sequence i is the caller's sequence order[i], and the caller's
+    sequence k is packed sequence place[k]. `lengths` and `widths` are
+    lists: the sorted lengths, and n_t, the number of sequences longer
+    than t, for t = 0..T, so n_T = 0. `first` (T + 1,) is the row where
+    each step starts, first[T] being the row count R, and `last` (N,) each
+    packed sequence's last row; a zero-step sequence has none, and its
+    entry is no row. `blocks` walk the steps in order, each as
+    (t0, t1, lo, hi, runs): steps t0..t1-1, rows lo..hi-1, and its runs
+    of steps of one width. A block takes BLOCK_ROWS // n_t0 steps from its
+    first step t0, and at least one, so as widths do not grow it holds at
+    most max(BLOCK_ROWS, n_t0) rows. runs() gives the runs of any span of
+    steps; learn._pack reads the whole batch's.
     """
 
     def __init__(self, lengths):
         lengths = np.asarray(lengths, dtype=np.intp)
+        self.order = np.argsort(-lengths, kind="stable")
+        self.place = np.argsort(self.order)
+        lengths = lengths[self.order]
         widths = len(lengths) - np.cumsum(np.bincount(lengths, minlength=1))
         self.first = first = np.cumsum(widths) - widths
         self.last = self.row(np.arange(len(lengths)), lengths - 1)
@@ -415,19 +427,18 @@ class _Packed:
             t, r = t + k, r + k * n
 
     def row(self, i, t):
-        """The packed row of step t of sequence i."""
+        """The packed row of step t of packed sequence i."""
         return self.first[t] + i
 
-    def step_major(self, starts, counts) -> np.ndarray:
-        """Positions in a record-major array, in step-major order.
+    def step_major(self, starts) -> np.ndarray:
+        """Positions in a record-major array, in packed row order.
 
-        Sequence i's entries start at starts[i], and it has counts[i] of
-        them, its length or fewer; counts do not grow. Step j reads entry
-        j of each sequence that has one, in order, as the packed rows read
-        the sequences' steps.
+        The caller's sequence k has one entry per step, from starts[k] on.
+        Packed row first[t] + i reads entry t of sequence order[i], so
+        array[step_major(starts)] is the array's entries packed.
         """
-        step = np.arange(counts[0])[:, None]
-        return (starts + step)[step < counts]
+        step = np.arange(len(self.widths) - 1)[:, None]
+        return (np.asarray(starts, dtype=np.intp)[self.order] + step)[step < self.lengths]
 
 
 def _check_row_sums(plan: _Plan, roots: np.ndarray) -> np.ndarray:
@@ -486,26 +497,10 @@ def _dense(pt: np.ndarray):
     return _Packed(np.full(pt.shape[2], pt.shape[1])), lambda t0, t1: pt[:, t0:t1].reshape(len(pt), -1)
 
 
-def _ragged(seqs: list):
-    """The packed layout of `seqs`, (T_i, V) arrays sorted longest first,
-    and the rows of a block of steps t0..t1-1.
-
-    A block's rows are gathered from the arrays: one slice per running
-    sequence, its n_t0 from the layout, joined, then read step-major by
-    the layout's rule. Once a block starts past a sequence's end, the list
-    drops it, so a caller that keeps no other reference frees it there,
-    and the blocks must be asked for in step order: _run_forward can take
-    this form, _run_backward cannot.
-    """
-    packed = _Packed([len(ps) for ps in seqs])
-
-    def rows(t0, t1):
-        del seqs[packed.widths[t0] :]
-        part = np.minimum(packed.lengths[: len(seqs)], t1) - t0
-        joined = np.concatenate([ps[t0:t1] for ps in seqs])
-        return joined.T.take(packed.step_major(np.cumsum(part) - part, part), axis=1)
-
-    return packed, rows
+def _views(packed: _Packed, probs: np.ndarray):
+    """The layout and the rows of a block of steps t0..t1-1 of its packed
+    rows probs (V, R): a view, since a block's rows are contiguous."""
+    return packed, lambda t0, t1: probs[:, packed.first[t0] : packed.first[t1]]
 
 
 def _run_forward(c: CompiledSfa, packed: _Packed, rows, out: np.ndarray | None = None):
@@ -515,7 +510,7 @@ def _run_forward(c: CompiledSfa, packed: _Packed, rows, out: np.ndarray | None =
     first, step t running the n_t sequences longer than t, a prefix of
     them. rows(t0, t1) gives the probability rows (V, hi - lo) of the
     block of steps t0..t1-1, rows lo..hi-1, step-major: step t's n_t rows,
-    then step t + 1's (_dense and _ragged make both). An equal-length
+    then step t + 1's (_dense and _views make both). An equal-length
     batch is the case n_t = N.
 
     The flow of step t is the mass each transition carries,
@@ -532,9 +527,9 @@ def _run_forward(c: CompiledSfa, packed: _Packed, rows, out: np.ndarray | None =
     of steps of one width is one (steps, n_t, ·) view, so a step makes no
     call more than on an equal-length batch. Given `out` (R, Q), every
     alpha_t is written to it, in the rows' order. Otherwise only the
-    running state is kept, and the result is each sequence's alpha at its
-    last step (N, Q), read where it ends: the initial one for a zero-step
-    sequence.
+    running state is kept, and the result is each packed sequence's alpha
+    at its last step (N, Q), read where it ends: the initial one for a
+    zero-step sequence.
     """
     plan = c._plan
     src, into_dst, nxt = plan.src, plan.into_dst, plan.next
@@ -572,7 +567,7 @@ def _run_backward(c: CompiledSfa, packed: _Packed, rows, alphas, grads, at_last:
     `packed` and `rows` are a batch's layout and the rows of its blocks,
     as _run_forward takes them, and `alphas` (R, Q) holds every alpha_t of
     its forward recursion, in the rows' order. `grads` holds
-    dLoss/dalpha_t: of every row (R, Q), or with `at_last` of each
+    dLoss/dalpha_t: of every row (R, Q), or with `at_last` of each packed
     sequence's last step only (N, Q). Walking the layout's blocks from the
     last step back, the adjoint recursion
     abar_{t-1} = grads_{t-1} + (W_t · abar_t[dst]) summed per source state

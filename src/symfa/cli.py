@@ -214,24 +214,23 @@ def _labels(numbers) -> np.ndarray:
     return text.view(np.uint8).reshape(len(text), text.itemsize)
 
 
-def _write_tag_rows(out, alphas: np.ndarray, packed, order: np.ndarray) -> None:
+def _write_tag_rows(out, alphas: np.ndarray, packed, lengths) -> None:
     """Write a row "k,t," and the cells of alpha_t for each step t of each
     record k, in file order, about BLOCK_ROWS rows at a time.
 
-    `alphas` holds the rows of one recursion over the records in `order`,
-    packed as `packed` lays them out (see automaton._Packed), so record k
-    is sequence place[k] there. Each block's cells are gathered from it at
-    the layout's rows, and its labels from one "k," and one "t," array.
+    `alphas` holds the rows of one recursion over the records of
+    `lengths`, in file order, packed as `packed` lays them out (see
+    automaton._Packed), so record k is packed sequence place[k]. Each
+    block's cells are gathered from it at the layout's rows, and its
+    labels from one "k," and one "t," array.
     """
-    place = np.argsort(order)
-    lengths = np.take(packed.lengths, place)  # in file order
     ends = np.cumsum(lengths)  # one past each record's last row, record-major
     labels = _labels(range(len(lengths))), _labels(range(len(packed.widths)))
     for r0 in range(0, len(alphas), automaton_mod.BLOCK_ROWS):
         row = np.arange(r0, min(r0 + automaton_mod.BLOCK_ROWS, len(alphas)))
         k = np.searchsorted(ends, row, side="right")
         t = row - ends[k] + lengths[k]
-        cells = _csv_cells(alphas[packed.row(place[k], t)])
+        cells = _csv_cells(alphas[packed.row(packed.place[k], t)])
         text = np.concatenate([labels[0][k], labels[1][t], cells], axis=1)
         out.write(text.tobytes().translate(None, b"\0").decode())
 
@@ -241,28 +240,32 @@ def cmd_infer(args) -> int:
 
     Each line becomes its (steps, vars) array, range-checked, as it is read;
     an empty list is the zero-step sequence. So the first bad record in file
-    order is the one reported, and an input error writes nothing. Then one
-    forward recursion runs every record, whatever the lengths: longest
-    first, records of one length in file order, each freed once it has
-    ended. One layout of that batch serves the recursion and the rows,
-    which are written in file order.
+    order is the one reported, and an input error writes nothing. Then the
+    records are packed once, whatever their lengths, into the (V, R) rows
+    of one batch: joined in file order, then read in the layout's row
+    order through its one rule, each copy freed once the next is made, so
+    at most two copies are held at once. One forward recursion runs that
+    batch, and its rows are written in file order.
     """
     compiled = validate_and_compile(load_sfa(args.sfa))
     extractor = learn_mod.load_extractor(args.model, compiled.vocab.names) if args.model else None
     convert = functools.partial(_sequence_probs, extractor=extractor, compiled=compiled)
     records = list(_records(args.dataset, convert))
-    # the file index of each packed record
-    order = np.argsort([-len(ps) for ps in records], kind="stable")
-    records.sort(key=len, reverse=True)  # the same order: both sorts are stable
-    packed, rows = automaton_mod._ragged(records)
-    alphas = np.empty((packed.first[-1], compiled.num_states)) if args.mode == "tag" else None
-    final = automaton_mod._run_forward(compiled, packed, rows, alphas)
+    lengths = np.array([len(ps) for ps in records], dtype=np.intp)
+    packed = automaton_mod._Packed(lengths)
+    # (V, steps), record-major: np.take would first copy a transposed view
+    joined = np.concatenate([np.empty((len(compiled.vocab), 0)), *(ps.T for ps in records)], 1)
+    del records
+    probs = joined.take(packed.step_major(np.cumsum(lengths) - lengths), axis=1)
+    del joined
+    alphas = np.empty((probs.shape[1], compiled.num_states)) if args.mode == "tag" else None
+    final = automaton_mod._run_forward(compiled, *automaton_mod._views(packed, probs), alphas)
     with _output(args) as out:
         if alphas is not None:
             out.write(f"index,step,{','.join(compiled.states)}\n")
-            _write_tag_rows(out, alphas, packed, order)
+            _write_tag_rows(out, alphas, packed, lengths)
             return 0
-        values = (final @ automaton_mod._accepting_mask(compiled))[np.argsort(order)]
+        values = (final @ automaton_mod._accepting_mask(compiled))[packed.place]
         out.write("index,acceptance\n")
         # one value a record: Python formats them faster than a numpy pass
         out.writelines(f"{k},{value:.6f}\n" for k, value in enumerate(values.tolist()))

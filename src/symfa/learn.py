@@ -14,18 +14,19 @@ step. The loss is differentiated exactly through the circuit evaluations
 and the state recursion, so training is plain gradient descent; no
 sampling or approximation is involved anywhere.
 
-Training runs each minibatch as one packed batch, whatever its lengths:
-sorted longest first by a stable sort, so sequences of one length keep
-their order, with step t's rows those of the n_t sequences longer than
-t. One layout of that batch (automaton._Packed) is made from its
-lengths, and everything after reads it. Its (R, m) feature rows are
-gathered step-major with one np.concatenate per run of steps of one
-width, each written in place into one array (_pack). Step labels read
-their row codes from the flat codes through the layout's step-major
-rule, sequence labels one code per sequence. Only the minibatch is
-copied, never the whole dataset. The symbol probabilities are then
-(V, R), from one product with the weights, and each block of the layout
-is a view of them, so no step of training transposes. The loss stops at
+Training runs each minibatch as one packed batch, whatever its lengths.
+One layout of that batch (automaton._Packed) is made from its lengths in
+the minibatch's order, and everything after reads it: it sorts them
+longest first by a stable sort, so sequences of one length keep their
+order, with step t's rows those of the n_t sequences longer than t. Its
+(R, m) feature rows are gathered step-major with one np.concatenate per
+run of steps of one width, each written in place into one array (_pack).
+Step labels read their row codes from the flat codes through the
+layout's step-major rule, sequence labels one code per sequence in the
+layout's order. Only the minibatch is copied, never the whole dataset.
+The symbol probabilities are then (V, R), from one product with the
+weights, and each block of the layout is a view of them
+(automaton._views), so no step of training transposes. The loss stops at
 those probabilities: one forward and one reverse recursion serve the
 minibatch and give dLoss/dp (V, R), and the extractor takes its own
 gradient from it (LinearExtractor.backward), dW one product of the
@@ -43,7 +44,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .automaton import CompiledSfa, _accepting_mask, _Packed, _run_backward, _run_forward
+from .automaton import CompiledSfa, _accepting_mask, _Packed, _run_backward, _run_forward, _views
 from .automaton import acceptance_batch  # noqa: F401  (perfbench/layers.py traces this name)
 from .automaton import backward_gradient, forward_alphas  # noqa: F401  (traced there too)
 from .errors import DivergenceError
@@ -336,8 +337,7 @@ def _batch_loss(c: CompiledSfa, probs, packed, table, codes, by_sequence=False):
     carries the step's label. One forward and one reverse recursion serve
     all three.
     """
-    # each block's probabilities, a view: a block's rows are contiguous
-    packed_probs = packed, lambda t0, t1: probs[:, packed.first[t0] : packed.first[t1]]
+    packed_probs = _views(packed, probs)
     alphas = np.empty((probs.shape[1], c.num_states))
     _run_forward(c, *packed_probs, alphas)
     # a sequence label reads each sequence's alpha at its own last row
@@ -511,13 +511,12 @@ def train(
         total = 0
         for start in range(0, len(data), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            # longest first; the sort is stable, so a length keeps its order
-            batch = batch[np.argsort(-lengths[batch], kind="stable")]
             packed = _Packed(lengths[batch])
-            rows = _pack([data[k].features for k in batch], packed, feature_dim)
+            ranked = batch[packed.order]  # the minibatch longest first
+            rows = _pack([data[k].features for k in ranked], packed, feature_dim)
             # a sequence label codes the sequence (offsets is arange(n));
             # step labels code each row, read step-major from the flat codes
-            coded = codes[batch if by_sequence else packed.step_major(offsets[batch], packed.lengths)]
+            coded = codes[ranked if by_sequence else packed.step_major(offsets[batch])]
             probs = _symbol_probs(extractor, rows)
             loss, dprobs, hits = _batch_loss(c, probs, packed, table, coded, by_sequence)
             correct += hits

@@ -7,6 +7,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from symfa import Interpretation, Vocabulary, evaluate
 from symfa.bench import driving_pattern, events_pattern
@@ -134,3 +135,29 @@ def assert_close_rel(actual, expected, rel=1e-5, floor=1e-8, context=""):
         f"{context}: max abs diff {diff.max():.3e} vs scale {scale.max():.3e}\n"
         f"actual={actual}\nexpected={expected}"
     )
+
+
+# bytes a mutation writes: JSON's syntax and digits, and bytes that are
+# not UTF-8
+MUTATION_BYTES = b'0123456789.-+eE[]{},:" \n\tnulltrue\xff\xc3'
+# up to four edits of a file's bytes, each (position, op, byte): "r"
+# replaces the byte at the position, "d" deletes it, "i" inserts one there
+BYTE_EDITS = st.lists(
+    st.tuples(st.integers(0, 2**16), st.sampled_from("rdi"), st.sampled_from(MUTATION_BYTES)),
+    min_size=1,
+    max_size=4,
+)
+
+
+def mutate(blob: bytes, edits) -> bytes:
+    """`blob` with BYTE_EDITS applied, positions taken modulo its length."""
+    out = bytearray(blob)
+    for pos, op, byte in edits:
+        pos %= len(out) + 1
+        if op == "r" and pos < len(out):
+            out[pos] = byte
+        elif op == "d" and pos < len(out):
+            del out[pos]
+        else:
+            out.insert(pos, byte)
+    return bytes(out)

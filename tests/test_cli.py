@@ -17,6 +17,8 @@ import symfa
 from symfa import acceptance, automaton, format_sfa, forward, learn, load_sfa
 from symfa.cli import _csv_cells, _load_labeled, main
 
+from conftest import BYTE_EDITS, mutate
+
 P1 = [0.8, 0.3, 0.6]
 P2 = [0.7, 0.9, 0.3]
 
@@ -122,11 +124,30 @@ class TestInfer:
         assert lines[0] == "index,acceptance"
         assert abs(float(lines[1].split(",")[1]) - 0.742) <= 1e-3
 
-    def test_empty_dataset_prints_header_only(self, driving_path, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "mode, header", [("accept", "index,acceptance\n"), ("tag", "index,step,q0,q1,q2\n")]
+    )
+    def test_empty_dataset_prints_header_only(self, driving_path, tmp_path, capsys, mode, header):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        assert main(["infer", driving_path, str(empty)]) == 0
-        assert capsys.readouterr().out == "index,acceptance\n"
+        assert main(["infer", driving_path, str(empty), "--mode", mode]) == 0
+        assert capsys.readouterr().out == header
+
+    @pytest.mark.parametrize("mode", ["accept", "tag"])
+    def test_a_file_of_zero_step_records_packs_no_rows(
+        self, driving, driving_path, tmp_path, capsys, mode
+    ):
+        # N records and R = 0 packed rows: accept mode prints each initial
+        # acceptance, tag mode the header only
+        data = tmp_path / "zeros.jsonl"
+        data.write_text((json.dumps({"probs": []}) + "\n") * 4)
+        assert main(["infer", driving_path, str(data), "--mode", mode]) == 0
+        initial = acceptance(driving.compiled, [])
+        want = {
+            "accept": "index,acceptance\n" + "".join(f"{k},{initial:.6f}\n" for k in range(4)),
+            "tag": "index,step,q0,q1,q2\n",
+        }
+        assert capsys.readouterr().out == want[mode]
 
     def test_tag_mode_rows_sum_to_one(self, driving_path, tmp_path, capsys):
         data = tmp_path / "one.jsonl"
@@ -603,6 +624,46 @@ class TestAnyJsonlInput:
         if code:
             assert err.startswith("error: ") and err.count("\n") == 1, err
         return code, err
+
+
+def _lines(*records) -> bytes:
+    return "".join(json.dumps(record) + "\n" for record in records).encode()
+
+
+FEATURES = [[0.5, -1.25], [2.0, 0.75]]
+
+
+class TestMutatedJsonl:
+    """A valid file with a few bytes replaced, deleted or inserted: infer and
+    train exit 0 or 2, and nothing raises out of main."""
+
+    SEEDS = {
+        "probs": _lines({"probs": [[0.25, 0.5, 0.75], [0.125, 1.0, 0.0]]}, {"probs": []}),
+        "label": _lines(*({"features": FEATURES, "label": k % 2} for k in range(3))),
+        "step_labels": _lines(*({"features": FEATURES[:1], "step_labels": [k]} for k in range(3))),
+    }
+
+    @staticmethod
+    def check(capsys, argv, data, seed, edits):
+        data.write_bytes(mutate(TestMutatedJsonl.SEEDS[seed], edits))
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        assert (err == "") == (code == 0) and "Traceback" not in err
+
+    # the examples share tmp_path; each one rewrites the file it reads
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=BYTE_EDITS, mode=st.sampled_from(["accept", "tag"]))
+    def test_infer(self, driving_path, tmp_path, capsys, edits, mode):
+        data = tmp_path / "mutated.jsonl"
+        self.check(capsys, ["infer", driving_path, str(data), "--mode", mode], data, "probs", edits)
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=BYTE_EDITS, seed=st.sampled_from(["label", "step_labels"]))
+    def test_train(self, driving_path, tmp_path, capsys, edits, seed):
+        data, out = tmp_path / "mutated.jsonl", str(tmp_path / "m.bin")
+        argv = ["train", driving_path, str(data), "--out", out, "--max-epochs", "2"]
+        self.check(capsys, argv, data, seed, edits)
 
 
 class TestGenerate:

@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from symfa import (
@@ -29,7 +29,7 @@ from symfa.bench import generate_dataset
 from symfa.errors import DivergenceError
 from symfa.learn import _sigmoid
 
-from conftest import assert_close_rel
+from conftest import BYTE_EDITS, assert_close_rel, mutate
 
 
 def make_extractor(rng, num_symbols, feature_dim):
@@ -1057,6 +1057,19 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(ValueError, match="truncated checkpoint"):
             load_extractor(path, ("a", "b"))
+
+    # the examples share tmp_path; each one rewrites the file it reads
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=BYTE_EDITS)
+    def test_mutated_bytes_load_or_raise_value_error(self, tmp_path, edits):
+        path, names = tmp_path / "model.bin", ("a", "b", "c")
+        save_extractor(LinearExtractor(np.arange(6.0).reshape(3, 2), np.ones(3)), path, names)
+        path.write_bytes(mutate(path.read_bytes(), edits))
+        for symbols in (None, names):
+            try:
+                load_extractor(path, symbols)
+            except ValueError:
+                pass
 
     # names of the stored length that are not JSON, or not UTF-8
     @pytest.mark.parametrize("names", [b'["a" "b"]', b'["a", "\xff"]'], ids=["json", "utf-8"])

@@ -544,10 +544,10 @@ def test_the_trimmed_runs_match_the_runs_of_every_transition(automata, name):
 
 # numpy's products sum a row in an order that may depend on how many rows
 # the product has, once it sums more than a few terms: against their length
-# groups' runs, the ragged runs of random:16x6:0 (27 transitions) and
+# groups' runs, the mixed-length runs of random:16x6:0 (27 transitions) and
 # random:64x12:0 (125) moved by at most 4.4e-16 over six seeds, those of
 # the automata of at most 8 transitions not at all
-RAGGED = {
+MIXED = {
     "driving": 0,
     "events": 0,
     "random:8x10:2": 0,
@@ -556,32 +556,53 @@ RAGGED = {
 }
 
 
-@pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 16])
-@pytest.mark.parametrize("form", ["as run", "gather"])
-@pytest.mark.parametrize("name", RAGGED)
-def test_a_ragged_batch_runs_like_its_length_groups(automata, monkeypatch, name, form, block_rows):
-    c = automata[name]
+def _packed_batch(c, rng):
+    """64 sequences in drawn order, drawn lengths with ties and zero-step
+    ones, packed as `symfa infer` packs its records: joined record-major
+    as (V, steps), then read in packed row order through the layout's
+    rule. Returns the sequences, their layout and the packed rows (V, R)."""
+    lengths = rng.permutation(rng.integers(0, 50, size=60).tolist() + [0, 0, 17, 17])
+    seqs = [rng.uniform(size=(t, len(c.vocab))) for t in lengths]
+    packed = automaton._Packed(lengths)
+    joined = np.concatenate([np.empty((len(c.vocab), 0)), *(ps.T for ps in seqs)], 1)
+    probs = joined.take(packed.step_major(np.cumsum(lengths) - lengths), axis=1)
+    # the oracle: sequence k's step t is packed row first[t] + place[k]
+    want = np.empty(probs.shape)
+    for k, ps in enumerate(seqs):
+        want[:, packed.row(packed.place[k], np.arange(len(ps)))] = ps.T
+    assert np.array_equal(probs, want)
+    return seqs, packed, probs
+
+
+def _gather_form(c, monkeypatch, form, block_rows):
+    """`c` as run, or recompiled to run the gather form; BLOCK_ROWS set."""
     if form == "gather":
         monkeypatch.setattr(automaton, "FLOW_MAX_TRANSITIONS", 0)
         c = validate_and_compile(c.sfa)
         assert c._plan.next is None
     monkeypatch.setattr(automaton, "BLOCK_ROWS", block_rows)
-    rng = np.random.default_rng(15)
-    # 64 sequences, longest first: drawn lengths with ties, and zero-step ones
-    lengths = sorted(rng.integers(0, 50, size=60).tolist() + [0, 0, 17, 17], reverse=True)
-    seqs = [rng.uniform(size=(t, len(c.vocab))) for t in lengths]
+    return c
+
+
+@pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 16])
+@pytest.mark.parametrize("form", ["as run", "gather"])
+@pytest.mark.parametrize("name", MIXED)
+def test_a_packed_batch_runs_like_its_length_groups(automata, monkeypatch, name, form, block_rows):
+    c = _gather_form(automata[name], monkeypatch, form, block_rows)
+    seqs, packed, probs = _packed_batch(c, np.random.default_rng(15))
+    lengths = [len(ps) for ps in seqs]
     want = {t: forward_alphas(c, np.stack([ps for ps in seqs if len(ps) == t])) for t in lengths}
-    alphas = np.empty((sum(lengths), c.num_states))
-    packed, rows = automaton._ragged(list(seqs))
-    assert automaton._run_forward(c, packed, rows, alphas) is None
-    final = automaton._run_forward(c, *automaton._ragged(list(seqs)))
+    alphas = np.empty((probs.shape[1], c.num_states))
+    assert automaton._run_forward(c, *automaton._views(packed, probs), alphas) is None
+    final = automaton._run_forward(c, *automaton._views(packed, probs))
     initial = _initial_alpha(c, ())
-    for i, t in enumerate(lengths):
-        # the sequences of one length keep their order, so i is that group's j-th
-        j = i - lengths.index(t)
-        got = alphas[packed.row(i, np.arange(t))]
-        assert float(np.abs(got - want[t][j]).max(initial=0)) <= RAGGED[name]
-        assert float(np.abs(final[i] - (want[t][j, -1] if t else initial)).max()) <= RAGGED[name]
+    for k, t in enumerate(lengths):
+        # the sequences of one length keep their order, so k is that group's j-th
+        j = sum(n == t for n in lengths[:k])
+        got = alphas[packed.row(packed.place[k], np.arange(t))]
+        assert float(np.abs(got - want[t][j]).max(initial=0)) <= MIXED[name]
+        end = final[packed.place[k]]
+        assert float(np.abs(end - (want[t][j, -1] if t else initial)).max()) <= MIXED[name]
 
 
 # The reverse pass is bitwise alike across batch widths on none of these:
@@ -589,72 +610,47 @@ def test_a_ragged_batch_runs_like_its_length_groups(automata, monkeypatch, name,
 # the block, so one sequence's gradient moves with the other sequences of
 # its equal-length batch too (by up to 8.2e-17 of the largest entry on
 # events, 5.5e-16 on random:16x6:0). Over 20 seeds, both forms and block
-# sizes, the ragged runs moved against their length groups' by at most
-# 1.6e-24 (driving), 3.2e-16 (events), 1.1e-16 (random:8x10:2), 1.1e-15
-# (random:16x6:0) and 9.8e-16 (random:64x12:0) of the largest entry.
-RAGGED_REVERSE = dict.fromkeys(RAGGED, 1e-15) | {"random:16x6:0": 4e-15, "random:64x12:0": 4e-15}
+# sizes, the mixed-length runs moved against their length groups' by at
+# most 1.6e-24 (driving), 3.2e-16 (events), 1.1e-16 (random:8x10:2),
+# 1.1e-15 (random:16x6:0) and 9.8e-16 (random:64x12:0) of the largest
+# entry.
+MIXED_REVERSE = dict.fromkeys(MIXED, 1e-15) | {"random:16x6:0": 4e-15, "random:64x12:0": 4e-15}
 
 
 @pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 16])
 @pytest.mark.parametrize("form", ["as run", "gather"])
-@pytest.mark.parametrize("name", RAGGED_REVERSE)
-def test_a_ragged_reverse_recursion_runs_like_its_length_groups(
+@pytest.mark.parametrize("name", MIXED_REVERSE)
+def test_a_packed_reverse_recursion_runs_like_its_length_groups(
     automata, monkeypatch, name, form, block_rows
 ):
-    c = automata[name]
-    if form == "gather":
-        monkeypatch.setattr(automaton, "FLOW_MAX_TRANSITIONS", 0)
-        c = validate_and_compile(c.sfa)
-        assert c._plan.next is None
-    monkeypatch.setattr(automaton, "BLOCK_ROWS", block_rows)
+    c = _gather_form(automata[name], monkeypatch, form, block_rows)
     rng = np.random.default_rng(16)
-    # 64 sequences, longest first: drawn lengths with ties, and zero-step ones
-    lengths = sorted(rng.integers(0, 50, size=60).tolist() + [0, 0, 17, 17], reverse=True)
-    seqs = [rng.uniform(size=(t, len(c.vocab))) for t in lengths]
-    packed = automaton._Packed(lengths)
-    # sequence i's step t is packed row first[t] + i
-    rows_of = [packed.row(i, np.arange(t)) for i, t in enumerate(lengths)]
-    probs = np.empty((len(c.vocab), packed.first[-1]))
-    for i, ps in enumerate(seqs):
-        probs[:, rows_of[i]] = ps.T
-    batch = packed, lambda t0, t1: probs[:, packed.first[t0] : packed.first[t1]]
-    alphas = np.empty((packed.first[-1], c.num_states))
+    seqs, packed, probs = _packed_batch(c, rng)
+    lengths = [len(ps) for ps in seqs]
+    # sequence k's rows, in step order
+    rows_of = [packed.row(packed.place[k], np.arange(t)) for k, t in enumerate(lengths)]
+    batch = automaton._views(packed, probs)
+    alphas = np.empty((probs.shape[1], c.num_states))
     automaton._run_forward(c, *batch, alphas)
     grads = rng.normal(size=alphas.shape)
+    # each sequence's last-step gradient, in file order, and in packed order
     ends = rng.normal(size=(len(lengths), c.num_states))
     every = automaton._run_backward(c, *batch, alphas, grads)
-    last = automaton._run_backward(c, *batch, alphas, ends, at_last=True)
+    last = automaton._run_backward(c, *batch, alphas, ends[packed.order], at_last=True)
     for t in set(lengths) - {0}:
-        group = [i for i, n in enumerate(lengths) if n == t]
-        ps = np.stack([seqs[i] for i in group])
+        group = [k for k, n in enumerate(lengths) if n == t]
+        ps = np.stack([seqs[k] for k in group])
         group_alphas = forward_alphas(c, ps)
         # every step's gradient, and the last step's only (S = 1)
         for got, upstream in (
-            (every, np.stack([grads[rows_of[i]] for i in group])),
+            (every, np.stack([grads[rows_of[k]] for k in group])),
             (last, ends[group][:, None]),
         ):
             want = backward_gradient(c, ps, upstream, group_alphas)
             scale = max(1.0, float(np.abs(want).max()))
-            for j, i in enumerate(group):
-                diff = float(np.abs(got[:, rows_of[i]].T - want[j]).max())
-                assert diff <= RAGGED_REVERSE[name] * scale
-
-
-def test_ragged_rows_are_step_major_and_the_list_drops_ended_sequences(monkeypatch):
-    # 8-row blocks: steps 0..1 (seven rows), then steps 2..3 of one sequence
-    monkeypatch.setattr(automaton, "BLOCK_ROWS", 8)
-    steps = (4, 2, 2, 1, 0)
-    # sequence i's row t holds (100·i + t, -t)
-    seqs = [np.stack([100.0 * i + np.arange(n), -np.arange(n)], 1) for i, n in enumerate(steps)]
-    packed, rows = automaton._ragged(seqs)
-    assert packed.lengths == [4, 2, 2, 1, 0]
-    assert [block[:4] for block in packed.blocks] == [(0, 2, 0, 7), (2, 4, 7, 9)]
-    # step 0 of the four sequences that have one, then step 1 of three
-    step_0, step_1 = [[0, 0], [100, 0], [200, 0], [300, 0]], [[1, -1], [101, -1], [201, -1]]
-    assert rows(0, 2).T.tolist() == step_0 + step_1
-    assert len(seqs) == 4  # the zero-step sequence ended before step 0
-    assert rows(2, 4).T.tolist() == [[2, -2], [3, -3]]
-    assert len(seqs) == 1
+            for j, k in enumerate(group):
+                diff = float(np.abs(got[:, rows_of[k]].T - want[j]).max())
+                assert diff <= MIXED_REVERSE[name] * scale
 
 
 def _layout_by_loop(lengths):
@@ -682,12 +678,16 @@ def _assert_runs(runs, widths, t0, t1):
 @given(
     st.lists(st.integers(0, 40) | st.sampled_from([0, 7, 7, 20]), min_size=1, max_size=40),
     st.sampled_from([1024, 8]),
-    st.integers(0, 50),
 )
-def test_the_packed_layout_matches_a_loop_over_the_steps(lengths, block_rows, cap):
-    lengths.sort(reverse=True)
+def test_the_packed_layout_matches_a_loop_over_the_steps(drawn, block_rows):
     with unittest.mock.patch.object(automaton, "BLOCK_ROWS", block_rows):
-        packed = automaton._Packed(lengths)
+        packed = automaton._Packed(drawn)
+    # the layout's order is the stable sort longest first: a length keeps
+    # the caller's order, and place inverts it
+    order = sorted(range(len(drawn)), key=lambda k: -drawn[k])
+    assert packed.order.tolist() == order
+    assert packed.place[packed.order].tolist() == list(range(len(drawn)))
+    lengths = [drawn[k] for k in order]
     pairs = _layout_by_loop(lengths)
     row_of = {pair: row for row, pair in enumerate(pairs)}
     steps, total = max(lengths), len(pairs)
@@ -705,13 +705,8 @@ def test_the_packed_layout_matches_a_loop_over_the_steps(lengths, block_rows, ca
         assert hi - lo == sum(widths[t0:t1]) <= max(block_rows, widths[t0])
         _assert_runs(runs, widths, t0, t1)
     _assert_runs(list(packed.runs(0, steps)), widths, 0, steps)
-    # the index rule reads a record-major array step-major: entry t of
-    # sequence i, of at most counts[i], sits at starts[i] + t
-    counts = np.minimum(packed.lengths, cap)
-    starts = np.cumsum(lengths) - lengths + 3
-    for want_counts, got in (
-        (lengths, packed.step_major(starts, packed.lengths)),
-        (counts.tolist(), packed.step_major(starts, counts)),
-    ):
-        want = [starts[i] + t for i, t in _layout_by_loop(want_counts)]
-        assert np.asarray(got).tolist() == want
+    # the index rule reads a record-major array in packed row order: entry
+    # t of the caller's sequence k sits at starts[k] + t
+    starts = np.cumsum(drawn) - drawn + 3
+    want = [starts[order[i]] + t for i, t in pairs]
+    assert packed.step_major(starts).tolist() == want

@@ -95,7 +95,23 @@ def test_a_different_infer_output_is_told_apart(monkeypatch):
     # in-process, on this checkout's symfa: half the accepting mass in accept mode
     from symfa import automaton
 
+    # each recursion's form, BLOCK_ROWS, and whether a block ends inside a
+    # run of one width
+    seen, run = set(), automaton._run_forward
+
+    def recording(c, packed, rows, out=None):
+        ends = [t1 for _, t1, *_ in packed.blocks[:-1]]
+        split = any(packed.widths[t - 1] == packed.widths[t] for t in ends)
+        seen.add((c._plan.next is None, automaton.BLOCK_ROWS, split))
+        return run(c, packed, rows, out)
+
+    monkeypatch.setattr(automaton, "_run_forward", recording)
+    block_rows = automaton.BLOCK_ROWS
     before = same_training.infer_digest()
+    assert automaton.BLOCK_ROWS == block_rows
+    # both forms, each with blocks that split runs, at both block sizes
+    assert seen == {(gather, rows, True) for gather in (False, True) for rows in (block_rows, 64)}
+    monkeypatch.undo()
     assert same_training.infer_digest() == before
     mask = automaton._accepting_mask
     monkeypatch.setattr(automaton, "_accepting_mask", lambda c: mask(c) / 2)

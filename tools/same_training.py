@@ -17,9 +17,11 @@ each NEW checkout with OLD. Each child prints five sha256 digests:
 - mixed: mixed-length sets (lengths 3, 5 and 9 interleaved) on driving,
   random:8x10:2 and random:64x12:0, with both label kinds and batch
   sizes 1, 7, 32 and 100;
-- infer: the CSV bytes `symfa infer` writes on events, in both modes, on
-  a file of 40 records of 30 steps and on one of 102 records of lengths
-  drawn from 0–300, zero-step records among them;
+- infer: the CSV bytes `symfa infer` writes in both modes, on events
+  (flow form) and on random:64x12:0 (125 kept transitions, gather form),
+  each on a file of 40 records of 30 steps and on one of 102 records of
+  lengths drawn from 0–300, zero-step records among them, the latter
+  also with BLOCK_ROWS at 64, so that blocks split runs of one width;
 - losses: the loss, dW and db sequence_loss (both labels) and
   tagging_loss return on driving, events, random:8x10:2 and
   random:64x12:0, for sequences of 1, 7 and 30 steps, with one extractor
@@ -181,26 +183,33 @@ def mixed_digest() -> str:
 
 
 def infer_digest() -> str:
-    """sha256 over the CSV `symfa infer` writes, both modes, on both files."""
+    """sha256 over the CSV `symfa infer` writes, both modes, on every file."""
     import numpy as np
-    from symfa import bench, cli, format_sfa
+    from symfa import automaton, bench, cli, format_sfa
 
-    rng = np.random.default_rng(0)
-    sfa = bench.events_pattern().sfa
-    width = len(sfa.vocab)
-    equal = [rng.uniform(size=(30, width)) for _ in range(40)]
-    lengths = rng.permutation(rng.integers(0, 301, size=99).tolist() + [0, 0, 0])
-    drawn = [rng.uniform(size=(t, width)) for t in lengths]
+    block_rows = automaton.BLOCK_ROWS
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        spec, data, out = (Path(tmp) / name for name in ("events.sfa", "records.jsonl", "out.csv"))
-        spec.write_text(format_sfa(sfa))
-        for records in (equal, drawn):
-            data.write_text("".join(json.dumps({"probs": ps.tolist()}) + "\n" for ps in records))
-            for mode in ("accept", "tag"):
-                if cli.main(["infer", str(spec), str(data), "--mode", mode, "--out", str(out)]):
-                    raise RuntimeError(f"symfa infer --mode {mode} failed")
-                h.update(out.read_bytes())
+        spec, data, out = (Path(tmp) / name for name in ("spec.sfa", "records.jsonl", "out.csv"))
+        for pattern in (bench.events_pattern(), bench.random_pattern(64, 12, 0)):
+            rng = np.random.default_rng(0)
+            width = len(pattern.sfa.vocab)
+            equal = [rng.uniform(size=(30, width)) for _ in range(40)]
+            lengths = rng.permutation(rng.integers(0, 301, size=99).tolist() + [0, 0, 0])
+            drawn = [rng.uniform(size=(t, width)) for t in lengths]
+            spec.write_text(format_sfa(pattern.sfa))
+            for records, rows in ((equal, block_rows), (drawn, block_rows), (drawn, 64)):
+                data.write_text("".join(json.dumps({"probs": p.tolist()}) + "\n" for p in records))
+                for mode in ("accept", "tag"):
+                    argv = ["infer", str(spec), str(data), "--mode", mode, "--out", str(out)]
+                    automaton.BLOCK_ROWS = rows
+                    try:
+                        code = cli.main(argv)
+                    finally:
+                        automaton.BLOCK_ROWS = block_rows
+                    if code:
+                        raise RuntimeError(f"symfa infer --mode {mode} failed")
+                    h.update(out.read_bytes())
     return h.hexdigest()
 
 
