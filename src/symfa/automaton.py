@@ -301,9 +301,9 @@ def validate_and_compile(sfa: Sfa, complete: bool = True) -> CompiledSfa:
 # pt[:, t0:t1].reshape(V, -1) (_dense), a view when pt is contiguous and
 # one copy when pt is the transposed view of an (N, T, V) array, which
 # the public functions pass. Any other batch is packed whole once, into
-# one (V, R) array whose blocks are views (_views): training packs each
-# minibatch's feature rows (learn._pack), and `symfa infer` gathers every
-# record's probability rows through the layout's rule. A block holds
+# one (V, R) array whose blocks are views (_views): the layout packs each
+# training minibatch's feature rows (pack), and `symfa infer` gathers
+# every record's probability rows through the layout's rule. A block holds
 # whole steps, about BLOCK_ROWS rows, so a pass's working memory past its
 # inputs and outputs is bounded by the block whatever T is.
 
@@ -398,7 +398,7 @@ class _Packed:
     of steps of one width. A block takes BLOCK_ROWS // n_t0 steps from its
     first step t0, and at least one, so as widths do not grow it holds at
     most max(BLOCK_ROWS, n_t0) rows. runs() gives the runs of any span of
-    steps; learn._pack reads the whole batch's.
+    steps; pack() reads the whole batch's.
     """
 
     def __init__(self, lengths):
@@ -429,6 +429,19 @@ class _Packed:
     def row(self, i, t):
         """The packed row of step t of packed sequence i."""
         return self.first[t] + i
+
+    def pack(self, arrays) -> np.ndarray:
+        """(T_k, m) arrays, in the caller's order, as the batch's packed rows
+        (R, m): each run of k steps of width n is one np.concatenate of the
+        n longest arrays' k-step slices side by side, written in place into
+        its rows reshaped (k, n·m)."""
+        arrays = [arrays[k] for k in self.order]
+        rows = np.empty((self.first[-1], arrays[0].shape[1]))
+        for t, k, n, r in self.runs(0, len(self.widths) - 1):
+            # a run of every step holds the whole of its n arrays: no slices
+            parts = arrays[:n] if k == len(arrays[0]) else [a[t : t + k] for a in arrays[:n]]
+            np.concatenate(parts, axis=1, out=rows[r : r + k * n].reshape(k, -1))
+        return rows
 
     def step_major(self, starts) -> np.ndarray:
         """Positions in a record-major array, in packed row order.

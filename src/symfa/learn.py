@@ -14,16 +14,16 @@ step. The loss is differentiated exactly through the circuit evaluations
 and the state recursion, so training is plain gradient descent; no
 sampling or approximation is involved anywhere.
 
-Training runs each minibatch as one packed batch, whatever its lengths.
-One layout of that batch (automaton._Packed) is made from its lengths in
-the minibatch's order, and everything after reads it: it sorts them
-longest first by a stable sort, so sequences of one length keep their
-order, with step t's rows those of the n_t sequences longer than t. Its
-(R, m) feature rows are gathered step-major with one np.concatenate per
-run of steps of one width, each written in place into one array (_pack).
-Step labels read their row codes from the flat codes through the
-layout's step-major rule, sequence labels one code per sequence in the
-layout's order. Only the minibatch is copied, never the whole dataset.
+Every loss runs one minibatch step (_step): on each minibatch in
+training, on one sequence in sequence_loss and tagging_loss, as one
+packed batch whatever its lengths. Its layout (automaton._Packed), made
+from the lengths in the caller's order, sorts them longest first by a
+stable sort, so sequences of one length keep their order, with step t's
+rows those of the n_t sequences longer than t, and packs the (R, m)
+feature rows, one np.concatenate per run of steps of one width
+(_Packed.pack). Step labels read their row codes from the flat codes
+through the layout's step-major rule, sequence labels one code per
+sequence in the layout's order. Only the minibatch is copied.
 The symbol probabilities are then (V, R), from one product with the
 weights, and each block of the layout is a view of them
 (automaton._views), so no step of training transposes. The loss stops at
@@ -362,15 +362,24 @@ def _batch_loss(c: CompiledSfa, probs, packed, table, codes, by_sequence=False):
     return float((-lost).mean()), dprobs, correct
 
 
+def _step(c: CompiledSfa, extractor, features, table, codes, starts, by_sequence):
+    """One minibatch's loss, (dW, db) and correct count (see _batch_loss):
+    `features` are its (T_k, m) arrays in the caller's order, and sequence
+    k's codes in the flat `codes` start at starts[k] (see _targets)."""
+    packed = _Packed([len(f) for f in features])
+    rows = packed.pack(features)
+    coded = codes[starts[packed.order] if by_sequence else packed.step_major(starts)]
+    probs = _symbol_probs(extractor, rows)
+    loss, dprobs, correct = _batch_loss(c, probs, packed, table, coded, by_sequence)
+    return loss, extractor.backward(rows, probs, dprobs), correct
+
+
 def _sequence_loss(c: CompiledSfa, extractor, seq: LabeledSequence, state_to_label=None):
     """The loss of one sequence and its (dW, db)."""
-    table, codes, _, missing = _targets(c, [seq], state_to_label)
+    table, codes, offsets, missing = _targets(c, [seq], state_to_label)
     if missing is not None:
         raise ValueError(missing[1])
-    probs = _symbol_probs(extractor, seq.features)
-    packed = _Packed([len(seq.features)])
-    loss, dprobs, _ = _batch_loss(c, probs, packed, table, codes, seq.label is not None)
-    return loss, extractor.backward(seq.features, probs, dprobs)
+    return _step(c, extractor, [seq.features], table, codes, offsets, seq.label is not None)[:2]
 
 
 def sequence_loss(c: CompiledSfa, extractor, seq: LabeledSequence):
@@ -432,23 +441,6 @@ class _Adam:
             p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def _pack(features: list, packed: _Packed, m: int) -> np.ndarray:
-    """(T_i, m) arrays, longest first, as the rows of one packed batch.
-
-    Step t's rows are step t of the n_t arrays longer than t (see
-    automaton._Packed). Each run of steps of one width over the whole
-    batch, k steps of width n, read from the layout, is one
-    np.concatenate of the n arrays' k-step slices side by side, written in
-    place into its rows: reshaped (k, n·m), they are those rows.
-    """
-    rows = np.empty((packed.first[-1], m))
-    for t, k, n, r in packed.runs(0, len(packed.widths) - 1):
-        # a run of every step holds the whole of its n arrays: no slices
-        parts = features[:n] if k == len(features[0]) else [f[t : t + k] for f in features[:n]]
-        np.concatenate(parts, axis=1, out=rows[r : r + k * n].reshape(k, n * m))
-    return rows
-
-
 @dataclass
 class TrainResult:
     extractor: LinearExtractor
@@ -493,7 +485,8 @@ def train(
     if missing is not None:
         raise ValueError(f"sequence {missing[0]}: {missing[1]}")
     by_sequence = data[0].label is not None
-    lengths = np.array([len(seq.features) for seq in data])
+    # every sequence sits in one minibatch an epoch: its labeled steps count once
+    total = max(int(np.count_nonzero(codes)), 1)
 
     rng = np.random.default_rng(cfg.seed)
     extractor = (init or LinearExtractor.init_random(len(c.vocab), feature_dim, rng)).copy()
@@ -508,31 +501,21 @@ def train(
         order = rng.permutation(len(data))
         epoch_loss = 0.0
         correct = 0
-        total = 0
         for start in range(0, len(data), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            packed = _Packed(lengths[batch])
-            ranked = batch[packed.order]  # the minibatch longest first
-            rows = _pack([data[k].features for k in ranked], packed, feature_dim)
-            # a sequence label codes the sequence (offsets is arange(n));
-            # step labels code each row, read step-major from the flat codes
-            coded = codes[ranked if by_sequence else packed.step_major(offsets[batch])]
-            probs = _symbol_probs(extractor, rows)
-            loss, dprobs, hits = _batch_loss(c, probs, packed, table, coded, by_sequence)
+            features, starts = [data[k].features for k in batch], offsets[batch]
+            loss, grads, hits = _step(c, extractor, features, table, codes, starts, by_sequence)
             correct += hits
-            total += int(np.count_nonzero(coded))
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}: {loss}")
-            opt.step([extractor.weights, extractor.bias], extractor.backward(rows, probs, dprobs))
-            # free this minibatch's (V, R) arrays before the next one's are made
-            del probs, dprobs
+            opt.step([extractor.weights, extractor.bias], grads)
             if not (
                 np.all(np.isfinite(extractor.weights)) and np.all(np.isfinite(extractor.bias))
             ):
                 raise DivergenceError(f"non-finite parameters at epoch {epoch}")
             epoch_loss += loss * len(batch)
         epoch_loss /= len(data)
-        history.append(EpochRecord(epoch, epoch_loss, correct / max(total, 1)))
+        history.append(EpochRecord(epoch, epoch_loss, correct / total))
         if epoch_loss < best_loss:
             best_loss = epoch_loss
             best = extractor.copy()
@@ -577,7 +560,8 @@ def save_extractor(extractor: LinearExtractor, path, symbols: Sequence[str] | No
 
 def load_extractor(path, symbols: Sequence[str] | None = None) -> LinearExtractor:
     """Read a checkpoint. Given `symbols`, the names a version-2 checkpoint
-    stores must be the same, in the same order; version 1 stores none."""
+    stores must be the same, in the same order; version 1 stores none. A
+    NaN or infinite weight or bias is a ValueError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -587,8 +571,8 @@ def load_extractor(path, symbols: Sequence[str] | None = None) -> LinearExtracto
     version, num_symbols, feature_dim = struct.unpack_from("<III", blob, 4)
     if version not in (1, 2):
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    w_end = 16 + 8 * num_symbols * feature_dim
-    b_end = w_end + 8 * num_symbols
+    n_weights = num_symbols * feature_dim
+    b_end = 16 + 8 * (n_weights + num_symbols)
     expect = b_end + (4 if version == 2 else 0)
     if version == 2 and len(blob) >= expect:
         expect += struct.unpack_from("<I", blob, b_end)[0]
@@ -603,6 +587,7 @@ def load_extractor(path, symbols: Sequence[str] | None = None) -> LinearExtracto
             raise ValueError(
                 f"{path}: checkpoint symbols {stored} differ from the automaton's {list(symbols)}"
             )
-    weights = np.frombuffer(blob[16:w_end], dtype="<f8").reshape(num_symbols, feature_dim)
-    bias = np.frombuffer(blob[w_end:b_end], dtype="<f8")
-    return LinearExtractor(weights.copy(), bias.copy())
+    values = np.frombuffer(blob[16:b_end], dtype="<f8").copy()
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: non-finite weights or bias")
+    return LinearExtractor(values[:n_weights].reshape(num_symbols, feature_dim), values[n_weights:])

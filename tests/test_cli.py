@@ -165,6 +165,20 @@ class TestInfer:
         assert main(["infer", driving_path, str(data)]) == 2
         assert "--model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["weights", "bias"])
+    def test_non_finite_model_is_an_input_error(self, driving_path, tmp_path, capsys, where):
+        # refused at load, before any record is read: an empty file too
+        ext = learn.LinearExtractor(np.zeros((3, 4)), np.zeros(3))
+        getattr(ext, where)[0] = float("nan")
+        model = tmp_path / "nan.bin"
+        learn.save_extractor(ext, model, ("tired", "blocked", "fast"))
+        data = tmp_path / "empty.jsonl"
+        data.write_text("")
+        assert main(["infer", driving_path, str(data), "--model", str(model)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {model}: non-finite weights or bias\n"
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_probabilities_are_an_input_error(
         self, driving_path, tmp_path, capsys, bad

@@ -1033,6 +1033,19 @@ class TestCheckpoints:
             ext = load_extractor(path, symbols)
             assert np.array_equal(ext.weights, weights) and np.array_equal(ext.bias, bias)
 
+    # a corrupted byte can make a weight or the bias NaN or infinite
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("where", ["weights", "bias"])
+    @pytest.mark.parametrize("names", [None, ("a", "b")])
+    def test_non_finite_parameters_rejected(self, tmp_path, bad, where, names):
+        ext = LinearExtractor(np.ones((2, 3)), np.zeros(2))
+        getattr(ext, where)[-1] = bad
+        path = tmp_path / "model.bin"
+        save_extractor(ext, path, names)
+        with pytest.raises(ValueError) as err:
+            load_extractor(path, names)
+        assert str(err.value) == f"{path}: non-finite weights or bias"
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)

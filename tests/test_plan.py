@@ -14,7 +14,7 @@ import unittest.mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symfa import (
@@ -679,6 +679,7 @@ def _assert_runs(runs, widths, t0, t1):
     st.lists(st.integers(0, 40) | st.sampled_from([0, 7, 7, 20]), min_size=1, max_size=40),
     st.sampled_from([1024, 8]),
 )
+@example([0, 0, 0], 1024)  # no rows at all: R = 0
 def test_the_packed_layout_matches_a_loop_over_the_steps(drawn, block_rows):
     with unittest.mock.patch.object(automaton, "BLOCK_ROWS", block_rows):
         packed = automaton._Packed(drawn)
@@ -710,3 +711,11 @@ def test_the_packed_layout_matches_a_loop_over_the_steps(drawn, block_rows):
     starts = np.cumsum(drawn) - drawn + 3
     want = [starts[order[i]] + t for i, t in pairs]
     assert packed.step_major(starts).tolist() == want
+    # pack takes arrays in the caller's order, and its rows are those of
+    # the loop, bit for bit: row first[t] + i is step t of array order[i]
+    for m in (1, 3):
+        arrays = [np.random.default_rng(k).normal(size=(n, m)) for k, n in enumerate(drawn)]
+        rows = packed.pack(arrays)
+        assert rows.shape == (total, m) and rows.dtype == np.float64
+        want = np.array([arrays[order[i]][t] for i, t in pairs]).reshape(total, m)
+        assert rows.tobytes() == want.tobytes()

@@ -92,7 +92,8 @@ def test_the_exit_status_says_whether_every_new_checkout_agrees(monkeypatch, cap
 
 
 def test_a_different_infer_output_is_told_apart(monkeypatch):
-    # in-process, on this checkout's symfa: half the accepting mass in accept mode
+    # in-process, on this checkout's symfa: half the accepting mass in
+    # accept mode, and alphas a last bit apart
     from symfa import automaton
 
     # each recursion's form, BLOCK_ROWS, and whether a block ends inside a
@@ -116,6 +117,17 @@ def test_a_different_infer_output_is_told_apart(monkeypatch):
     mask = automaton._accepting_mask
     monkeypatch.setattr(automaton, "_accepting_mask", lambda c: mask(c) / 2)
     assert same_training.infer_digest() != before
+    monkeypatch.undo()
+
+    # every alpha moved by a relative 1e-12, which no 6-decimal cell shows
+    def scaled(c, packed, rows, out=None):
+        final = run(c, packed, rows, out)
+        (final if out is None else out)[...] *= 1 + 1e-12
+        return final
+
+    monkeypatch.setattr(automaton, "_run_forward", scaled)
+    assert same_training.infer_digest() != before
+    assert automaton._run_forward is scaled
 
 
 def test_a_different_loss_is_told_apart(monkeypatch):

@@ -17,11 +17,14 @@ each NEW checkout with OLD. Each child prints five sha256 digests:
 - mixed: mixed-length sets (lengths 3, 5 and 9 interleaved) on driving,
   random:8x10:2 and random:64x12:0, with both label kinds and batch
   sizes 1, 7, 32 and 100;
-- infer: the CSV bytes `symfa infer` writes in both modes, on events
-  (flow form) and on random:64x12:0 (125 kept transitions, gather form),
-  each on a file of 40 records of 30 steps and on one of 102 records of
-  lengths drawn from 0–300, zero-step records among them, the latter
-  also with BLOCK_ROWS at 64, so that blocks split runs of one width;
+- infer: the CSV bytes `symfa infer` writes in both modes, and the
+  float64 alphas its forward recursion gives them (each record's last
+  alpha in accept mode, every alpha in tag mode), so that a change below
+  the CSV's 6 decimals shows too; on events (flow form) and on
+  random:64x12:0 (125 kept transitions, gather form), each on a file of
+  40 records of 30 steps and on one of 102 records of lengths drawn from
+  0–300, zero-step records among them, the latter also with BLOCK_ROWS
+  at 64, so that blocks split runs of one width;
 - losses: the loss, dW and db sequence_loss (both labels) and
   tagging_loss return on driving, events, random:8x10:2 and
   random:64x12:0, for sequences of 1, 7 and 30 steps, with one extractor
@@ -51,6 +54,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 TOOLS = Path(__file__).resolve().parent
 # the digests, in the order each line prints them
@@ -183,13 +187,22 @@ def mixed_digest() -> str:
 
 
 def infer_digest() -> str:
-    """sha256 over the CSV `symfa infer` writes, both modes, on every file."""
+    """sha256 over the CSV `symfa infer` writes, both modes, on every file,
+    and over the alphas of each forward recursion it runs."""
     import numpy as np
     from symfa import automaton, bench, cli, format_sfa
 
-    block_rows = automaton.BLOCK_ROWS
+    block_rows, run = automaton.BLOCK_ROWS, automaton._run_forward
     h = hashlib.sha256()
-    with tempfile.TemporaryDirectory() as tmp:
+
+    # cmd_infer looks the core up at call time: hash the float64 alphas it
+    # returns (accept mode) or writes to `out` (tag mode)
+    def hashed(c, packed, rows, out=None):
+        final = run(c, packed, rows, out)
+        h.update((final if out is None else out).tobytes())
+        return final
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(automaton, "_run_forward", hashed):
         spec, data, out = (Path(tmp) / name for name in ("spec.sfa", "records.jsonl", "out.csv"))
         for pattern in (bench.events_pattern(), bench.random_pattern(64, 12, 0)):
             rng = np.random.default_rng(0)
