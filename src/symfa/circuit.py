@@ -455,7 +455,6 @@ class Plan:
         `tape` comes from `forward(p, keep=True)`; `root_adjoints` has the
         roots' shape.
         """
-        diff = tape
         n, v = self.num_nodes, self.num_vars
         rows = p.shape[1]
         adj = np.empty((n + len(self.roots), rows))
@@ -468,9 +467,9 @@ class Plan:
             contrib = adj.take(lev.edge_src, axis=0)
             contrib *= weights.take(lev.edge_weight, axis=0)
             np.matmul(lev.edge_sum, contrib, out=adj[lev.start : lev.stop])
-        # d(lo + p·(hi − lo))/dp = hi − lo
-        per_node = diff[2:]
-        per_node *= adj[2:n]
+        # d(lo + p·(hi − lo))/dp = hi − lo; the tape itself is left as it is
+        per_node = adj[2:n]
+        per_node *= tape[2:]
         return self._var_sum @ per_node
 
 

@@ -155,7 +155,8 @@ def _records(path, convert):
 
 
 def _sequence_probs(record, extractor, compiled) -> np.ndarray:
-    """The record's (steps, vars) probabilities, range-checked."""
+    """The record's (steps, vars) probabilities, their dtype and shape
+    checked; cmd_infer range-checks every record's at once (_joined)."""
     if "probs" in record:
         ps = learn_mod.float_array(record["probs"], "probs")
     elif "features" in record:
@@ -169,8 +170,25 @@ def _sequence_probs(record, extractor, compiled) -> np.ndarray:
         ps = extractor.extract(features)
     else:
         raise ValueError("has neither 'probs' nor 'features'")
-    ps = automaton_mod.one_sequence(ps, len(compiled.vocab))
-    return automaton_mod._check_probs(compiled, ps, 2)
+    return automaton_mod.one_sequence(ps, len(compiled.vocab))
+
+
+def _joined(compiled, records) -> tuple[np.ndarray, np.ndarray]:
+    """The records' lengths, and their probabilities joined record-major
+    into (V, steps), range-checked in one pass: a bad value names the
+    first record that holds one, as a check per record would."""
+    lengths = np.array([len(ps) for ps in records], dtype=np.intp)
+    # (V, steps), record-major: np.take would first copy a transposed view
+    joined = np.concatenate([np.empty((len(compiled.vocab), 0)), *(ps.T for ps in records)], 1)
+    try:
+        automaton_mod._check_probs(compiled, joined.T, 2)
+    except InputError as exc:
+        tol = automaton_mod.PROB_RANGE_TOL
+        col = ((joined >= -tol) & (joined <= 1.0 + tol)).all(axis=0).argmin()
+        # side="right": the records that end at col, zero-step ones too, come before it
+        k = np.searchsorted(np.cumsum(lengths), col, side="right")
+        raise InputError(f"sequence {k}: {exc}") from None
+    return lengths, joined
 
 
 @functools.cache
@@ -238,24 +256,32 @@ def _write_tag_rows(out, alphas: np.ndarray, packed, lengths) -> None:
 def cmd_infer(args) -> int:
     """Acceptance or per-step state distributions of every record.
 
-    Each line becomes its (steps, vars) array, range-checked, as it is read;
-    an empty list is the zero-step sequence. So the first bad record in file
-    order is the one reported, and an input error writes nothing. Then the
-    records are packed once, whatever their lengths, into the (V, R) rows
-    of one batch: joined in file order, then read in the layout's row
-    order through its one rule, each copy freed once the next is made, so
-    at most two copies are held at once. One forward recursion runs that
-    batch, and its rows are written in file order.
+    Each line becomes its (steps, vars) array, its dtype and shape checked,
+    as it is read; an empty list is the zero-step sequence. The records are
+    then joined in file order into (V, steps) and range-checked in one
+    pass, and a bad value names its record; when a later line cannot be
+    read, the records before it are checked first. So the first bad record
+    in file order is the one reported, and an input error writes nothing.
+    Then the records are packed once, whatever their lengths, into the
+    (V, R) rows of one batch, read from the joined array in the layout's
+    row order through its one rule, each copy freed once the next is made,
+    so at most two copies are held at once. One forward recursion runs
+    that batch, and its rows are written in file order.
     """
     compiled = validate_and_compile(load_sfa(args.sfa))
     extractor = learn_mod.load_extractor(args.model, compiled.vocab.names) if args.model else None
     convert = functools.partial(_sequence_probs, extractor=extractor, compiled=compiled)
-    records = list(_records(args.dataset, convert))
-    lengths = np.array([len(ps) for ps in records], dtype=np.intp)
-    packed = automaton_mod._Packed(lengths)
-    # (V, steps), record-major: np.take would first copy a transposed view
-    joined = np.concatenate([np.empty((len(compiled.vocab), 0)), *(ps.T for ps in records)], 1)
+    records = []
+    try:
+        # extend keeps the records it appended before an error, and binds
+        # no name that would keep the last one alive
+        records.extend(_records(args.dataset, convert))
+    except (InputError, ValueError):
+        _joined(compiled, records)  # an earlier out-of-range record is reported first
+        raise
+    lengths, joined = _joined(compiled, records)
     del records
+    packed = automaton_mod._Packed(lengths)
     probs = joined.take(packed.step_major(np.cumsum(lengths) - lengths), axis=1)
     del joined
     alphas = np.empty((probs.shape[1], compiled.num_states)) if args.mode == "tag" else None

@@ -348,7 +348,6 @@ def _batch_loss(c: CompiledSfa, probs, packed, table, codes, by_sequence=False):
     log_p, dlog_p = _clamped_log_grad(step_probs)
     dstep = -(dlog_p * active) / len(packed.lengths)
     masks *= dstep[:, None]  # now dLoss/dalpha of each labeled row
-    dprobs = _run_backward(c, *packed_probs, alphas, masks, by_sequence)
     lost = log_p * active
     if by_sequence:
         # acceptance >= 0.5 for label 1 (row 2); rejection > 0.5 for label 0
@@ -359,7 +358,11 @@ def _batch_loss(c: CompiledSfa, probs, packed, table, codes, by_sequence=False):
         by_step[np.arange(len(by_step))[:, None] < packed.lengths] = lost
         lost = by_step.sum(axis=0)
         correct = int(table[codes, read.argmax(axis=-1)][active].sum())
-    return float((-lost).mean()), dprobs, correct
+        del by_step
+    # the reverse pass holds training's peak: the per-row arrays are freed
+    # first, and the loss is summed, left to right, before it runs
+    del step_probs, log_p, dlog_p, dstep, active
+    return float((-lost).mean()), _run_backward(c, *packed_probs, alphas, masks, by_sequence), correct
 
 
 def _step(c: CompiledSfa, extractor, features, table, codes, starts, by_sequence):

@@ -197,8 +197,9 @@ class TestInfer:
             assert main(["infer", driving_path, str(data), "--mode", mode]) == 2
             assert "[0, 1]" in capsys.readouterr().err
 
-    # each record is range-checked as it is read, so the first bad record in
-    # file order is named, whichever length group it would have run in
+    # the joined records are range-checked at once and a bad value is named
+    # for its record, so the first bad record in file order is named,
+    # whichever length group it would have run in
     @pytest.mark.parametrize(
         "records",
         [
@@ -240,6 +241,68 @@ class TestInfer:
         assert captured.out == ""
         assert captured.err == (
             "error: sequence 1: symbol probabilities must be finite and within [0, 1] (±1e-06)\n"
+        )
+
+    # a bad value is named for the record that holds it: after zero-step
+    # records, which end where it starts, and in the file's last row
+    @pytest.mark.parametrize(
+        "records, k",
+        [
+            ([[P1], [], [], [[2.0, 0.2, 0.3]]], 3),
+            ([[], [], [[-1.0, 0.2, 0.3], P1]], 2),
+            ([[P1], [P1, P2], [P1, P2, [0.1, 0.1, 1.5]]], 2),
+            ([[P1, P2], [], [P2, [0.1, float("nan"), 0.3]]], 2),
+        ],
+        ids=["after-zero-step-records", "zero-step-records-first", "last-row", "nan-last-row"],
+    )
+    @pytest.mark.parametrize("mode", ["accept", "tag"])
+    def test_out_of_range_is_named_for_its_record(
+        self, driving_path, tmp_path, capsys, records, k, mode
+    ):
+        data = tmp_path / "bad.jsonl"
+        data.write_text("".join(json.dumps({"probs": r}) + "\n" for r in records))
+        assert main(["infer", driving_path, str(data), "--mode", mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: sequence {k}: symbol probabilities must be finite and within [0, 1] (±1e-06)\n"
+        )
+
+    @pytest.mark.parametrize("mode", ["accept", "tag"])
+    def test_the_range_check_holds_its_tolerance_exactly(
+        self, driving_path, tmp_path, capsys, mode
+    ):
+        low, high = -automaton.PROB_RANGE_TOL, 1.0 + automaton.PROB_RANGE_TOL
+        edges = json.dumps({"probs": [[low, high, 0.5], [high, low, low]]}) + "\n"
+        data = tmp_path / "edges.jsonl"
+        data.write_text(edges)
+        assert main(["infer", driving_path, str(data), "--mode", mode]) == 0
+        capsys.readouterr()
+        for beyond in (float(np.nextafter(low, -1.0)), float(np.nextafter(high, 2.0))):
+            data.write_text(edges * 2 + json.dumps({"probs": [P1, [0.5, beyond, 0.5]]}) + "\n")
+            assert main(["infer", driving_path, str(data), "--mode", mode]) == 2
+            assert capsys.readouterr().err.startswith("error: sequence 2: symbol probabilities")
+
+    @pytest.mark.parametrize("mode", ["accept", "tag"])
+    def test_a_nan_from_extraction_is_named_for_its_record(
+        self, driving_path, tmp_path, capsys, mode
+    ):
+        # infinite features under weights of both signs overflow the logit
+        # to inf − inf, a NaN probability, in whatever order it is summed
+        weights = np.zeros((3, 2))
+        weights[1] = 1.0, -1.0
+        model = tmp_path / "model.bin"
+        learn.save_extractor(learn.LinearExtractor(weights, np.zeros(3)), model)
+        inf = float("inf")
+        records = [[[0.5, 0.5]], [], [[0.5, 0.5], [inf, inf]], [[inf, inf]]]
+        data = tmp_path / "features.jsonl"
+        data.write_text("".join(json.dumps({"features": r}) + "\n" for r in records))
+        argv = ["infer", driving_path, str(data), "--model", str(model), "--mode", mode]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: sequence 2: symbol probabilities must be finite and within [0, 1] (±1e-06)\n"
         )
 
     @pytest.mark.parametrize("mode", ["accept", "tag"])

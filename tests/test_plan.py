@@ -399,6 +399,20 @@ def test_a_nan_guard_value_fails_the_row_sum_check(automata):
         _check_row_sums(plan, roots)
 
 
+@pytest.mark.parametrize("name", ["driving", "random:8x10:2"])
+def test_backward_leaves_its_tape_as_it_is(automata, name):
+    # a second reverse pass over one tape gives the first one's gradient
+    plan = automata[name]._plan.circuit
+    rng = np.random.default_rng(3)
+    p = rng.uniform(size=(plan.num_vars, 5))
+    roots, tape = plan.forward(p, keep=True)
+    kept = tape.copy()
+    adjoints = rng.normal(size=roots.shape)
+    first = plan.backward(p, tape, adjoints)
+    assert np.array_equal(tape, kept)
+    assert np.array_equal(plan.backward(p, tape, adjoints), first)
+
+
 def test_empty_sequence_acceptance(automata):
     c = automata["shared-roots"]
     assert np.array_equal(acceptance_batch(c, np.zeros((4, 0, 3))), np.ones(4))

@@ -29,8 +29,8 @@ def compared(tmp_path_factory):
     """One run of the tool on ROOT and every copy: one child per checkout.
 
     Returns the finished process, each copy's path by name, and each
-    checkout's digest line (its recursion, training, mixed, infer and
-    losses digests)."""
+    checkout's digest line (its recursion, training, mixed, infer, losses
+    and errors digests)."""
     paths = {}
     for name, edit in COPIES.items():
         path = paths[name] = tmp_path_factory.mktemp(name)
@@ -75,16 +75,21 @@ def test_a_different_recursion_is_told_apart(compared):
 
 
 def test_the_exit_status_says_whether_every_new_checkout_agrees(monkeypatch, capsys):
-    # children stubbed by checkout name: "a" and "b" agree, "c", "d" and
-    # "e" differ, "d" in its mixed-length training only, "e" in its losses
-    digests = {"a": ("r", "t", "m", "i", "l"), "b": ("r", "t", "m", "i", "l")}
-    digests["c"] = ("r", "u", "m", "j", "l")
-    digests["d"] = ("r", "t", "n", "i", "l")
-    digests["e"] = ("r", "t", "m", "i", "k")
+    # children stubbed by checkout name: "a" and "b" agree, "c" to "f"
+    # differ, "d" in its mixed-length training only, "e" in its losses,
+    # "f" in its errors
+    digests = {"a": ("r", "t", "m", "i", "l", "e"), "b": ("r", "t", "m", "i", "l", "e")}
+    digests["c"] = ("r", "u", "m", "j", "l", "e")
+    digests["d"] = ("r", "t", "n", "i", "l", "e")
+    digests["e"] = ("r", "t", "m", "i", "k", "e")
+    digests["f"] = ("r", "t", "m", "i", "l", "f")
     monkeypatch.setattr(same_training, "_child", lambda path: digests[str(path)])
     assert same_training.main(["same_training.py", "a", "b"]) == 0
-    assert same_training.main(["same_training.py", "a", "b", "c", "d", "e"]) == 1
-    err = "c: training differ\nc: infer differ\nd: mixed differ\ne: losses differ\n"
+    assert same_training.main(["same_training.py", "a", "b", "c", "d", "e", "f"]) == 1
+    err = (
+        "c: training differ\nc: infer differ\nd: mixed differ\ne: losses differ\n"
+        "f: errors differ\n"
+    )
     assert capsys.readouterr().err == err
     monkeypatch.setattr(same_training, "_child", lambda path: None)
     assert same_training.main(["same_training.py", "a", "b"]) == 2
@@ -147,3 +152,34 @@ def test_a_different_loss_is_told_apart(monkeypatch):
     # the cap inside the log at 1 - 1e-6, not 1 - 1e-7
     monkeypatch.setattr(learn, "LOG_CLAMP", 1e-6)
     assert same_training.losses_digest() != before
+
+
+def test_a_different_error_is_told_apart(monkeypatch):
+    # in-process, on this checkout's symfa: the range check's message and a
+    # reader's message, each reworded
+    from symfa import automaton, learn
+    from symfa.errors import InputError
+
+    before = same_training.errors_digest()
+    assert same_training.errors_digest() == before
+    check = automaton._check_probs
+
+    def reworded(*args):
+        try:
+            return check(*args)
+        except InputError as exc:
+            raise InputError(f"{exc}.") from None
+
+    monkeypatch.setattr(automaton, "_check_probs", reworded)
+    assert same_training.errors_digest() != before
+    monkeypatch.undo()
+    extract = learn.LinearExtractor.extract
+
+    def renamed(self, features):
+        try:
+            return extract(self, features)
+        except ValueError as exc:
+            raise ValueError(f"{exc}.") from None
+
+    monkeypatch.setattr(learn.LinearExtractor, "extract", renamed)
+    assert same_training.errors_digest() != before

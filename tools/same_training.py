@@ -4,7 +4,7 @@
 
 Runs one child Python per checkout, with PYTHONPATH=<checkout>/src, so
 each imports its own symfa and nothing of the benchmark, and compares
-each NEW checkout with OLD. Each child prints five sha256 digests:
+each NEW checkout with OLD. Each child prints six sha256 digests:
 
 - recursions: the outputs of forward_alphas, acceptance_batch and
   backward_gradient (with S = T and with S = T // 2 gradient steps) at
@@ -29,7 +29,12 @@ each NEW checkout with OLD. Each child prints five sha256 digests:
   tagging_loss return on driving, events, random:8x10:2 and
   random:64x12:0, for sequences of 1, 7 and 30 steps, with one extractor
   whose probabilities are moderate and one whose probabilities mostly lie
-  within 1e-9 of 0 or 1, so that the clamp inside the log is reached.
+  within 1e-9 of 0 or 1, so that the clamp inside the log is reached;
+- errors: the exit status, stdout and stderr of `symfa infer`, both
+  modes, on driving and a fixed set of bad files: a record out of range
+  first, in the middle, in the last row of the last record and after
+  zero-step records; a NaN; an out-of-range record before a line that is
+  not JSON; and a record of the wrong feature width under `--model`.
 
 Both training digests hash the weights, the bias and every EpochRecord
 of every run. Kept apart, they let a change to how minibatches of
@@ -38,15 +43,17 @@ mixed one moves.
 
 Prints one line of digests per checkout, and on stderr
 `NEW: recursions differ`, `NEW: training differ`, `NEW: mixed differ`,
-`NEW: infer differ` or `NEW: losses differ` for each digest of a NEW
-checkout that is not OLD's.
+`NEW: infer differ`, `NEW: losses differ` or `NEW: errors differ` for
+each digest of a NEW checkout that is not OLD's.
 Exits 0 when every NEW checkout agrees with OLD, 1 when one differs, and
 2 when a child fails.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import struct
@@ -58,7 +65,7 @@ from unittest import mock
 
 TOOLS = Path(__file__).resolve().parent
 # the digests, in the order each line prints them
-PARTS = ("recursions", "training", "mixed", "infer", "losses")
+PARTS = ("recursions", "training", "mixed", "infer", "losses", "errors")
 
 
 def _path_labels(c, truth, skip: int | None = None) -> list:
@@ -262,6 +269,44 @@ def losses_digest() -> str:
     return h.hexdigest()
 
 
+def _bad_files():
+    """(whether it needs --model, its lines) of each file the errors digest runs."""
+    good, bad = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], [[0.1, 0.2, 0.3], [0.4, 1.5, 0.6]]
+
+    def lines(key, *records):
+        return [json.dumps({key: r}) + "\n" for r in records]
+
+    yield False, lines("probs", bad, good, good)
+    yield False, lines("probs", good, bad, good)
+    yield False, lines("probs", good, good, bad)
+    yield False, lines("probs", good, [], [], bad)
+    yield False, lines("probs", good, [[0.1, float("nan"), 0.3]], good)
+    yield False, lines("probs", good, bad, good) + ["{\n"]
+    yield True, lines("features", [[0.5] * 4], [], [[0.5] * 3], [[0.5] * 4])
+
+
+def errors_digest() -> str:
+    """sha256 over the exit status, stdout and stderr `symfa infer` gives,
+    both modes, on every bad file."""
+    import numpy as np
+    from symfa import bench, cli, format_sfa, learn
+
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, data, model = (Path(tmp) / name for name in ("spec.sfa", "records.jsonl", "m.bin"))
+        spec.write_text(format_sfa(bench.driving_pattern().sfa))
+        learn.save_extractor(learn.LinearExtractor(np.ones((3, 4)), np.zeros(3)), model)
+        for with_model, lines in _bad_files():
+            data.write_text("".join(lines))
+            for mode in ("accept", "tag"):
+                argv = ["infer", str(spec), str(data), "--mode", mode]
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv + (["--model", str(model)] if with_model else []))
+                h.update(json.dumps([code, out.getvalue(), err.getvalue()]).encode())
+    return h.hexdigest()
+
+
 def _child(checkout: Path) -> tuple[str, ...] | None:
     """The PARTS digests a child Python computes on `checkout`'s symfa,
     or None."""
@@ -273,7 +318,8 @@ def _child(checkout: Path) -> tuple[str, ...] | None:
         f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import symfa, same_training; "
         "print(symfa.__file__); print(same_training.recursion_digest()); "
         "print(same_training.training_digest()); print(same_training.mixed_digest()); "
-        "print(same_training.infer_digest()); print(same_training.losses_digest())"
+        "print(same_training.infer_digest()); print(same_training.losses_digest()); "
+        "print(same_training.errors_digest())"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
