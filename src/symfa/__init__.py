@@ -30,6 +30,7 @@ from .errors import (
     GuardSyntaxError,
     IncompleteError,
     InputError,
+    LogitOverflowError,
     NonDeterministicError,
     SfaFileError,
     SymfaError,

@@ -553,24 +553,26 @@ def _run_forward(c: CompiledSfa, packed: _Packed, rows, out: np.ndarray | None =
     for t0, t1, lo, hi, runs in packed.blocks:
         # the block's weights, turned into its flows in place
         flow = np.ascontiguousarray(_check_row_sums(plan, plan.circuit.forward(rows(t0, t1))).T)
-        # each run of k steps of one width n works on one (k, n, ·) view
+        # each run of k steps of one width n works on one (k, n, ·) view. The
+        # products are ndarray.dot: np.dot enters a Python dispatcher on every
+        # call, 10% of train-long's latency (numpy 2.4.6, 2 cores)
         for t, k, n, r in runs:
             inc, flows = incoming[:n], flow[r : r + k * n].reshape(k, n, -1)
             if gather:
                 ats = [alpha[:n]] * k if out is None else out[lo + r :][: k * n].reshape(k, n, -1)
                 for w, at in zip(flows, ats):
                     w *= inc
-                    np.dot(w, into_dst, out=at).take(src, axis=1, out=inc, mode="clip")
+                    w.dot(into_dst, out=at).take(src, axis=1, out=inc, mode="clip")
             else:
                 for w in flows:
                     w *= inc
-                    np.dot(w, nxt, out=inc)
+                    w.dot(nxt, out=inc)
             # a flow run's last step: the sequences that end there read their alpha
             if out is None and not gather and widths[t + k] < n:
-                np.dot(w[widths[t + k] :], into_dst, out=alpha[widths[t + k] : n])
+                w[widths[t + k] :].dot(into_dst, out=alpha[widths[t + k] : n])
         if out is not None and not gather:
             # a flow block's alphas, from one product of its flows
-            np.dot(flow, into_dst, out=out[lo:hi])
+            flow.dot(into_dst, out=out[lo:hi])
     return alpha if out is None else None
 
 
@@ -620,6 +622,8 @@ def _run_backward(c: CompiledSfa, packed: _Packed, rows, alphas, grads, at_last:
         weights = np.ascontiguousarray(weights.T)
         # grads[dst] of the block's rows
         at_dst = np.zeros(weights.shape) if at_last else grads[lo:hi].take(dst, axis=1, mode="clip")
+        # ndarray.dot, not np.dot, whose Python dispatcher (see _run_forward)
+        # each step would enter
         for t, k, n, r in reversed(runs):
             seeds = at_dst[r : r + k * n].reshape(k, n, -1)
             run_carry, run_moved, run_abar = carry[:n], moved[:n], abar[:n]
@@ -627,10 +631,10 @@ def _run_backward(c: CompiledSfa, packed: _Packed, rows, alphas, grads, at_last:
                 a += run_carry
                 np.multiply(w, a, out=run_moved)
                 if gather:
-                    np.dot(run_moved, from_src, out=run_abar)
+                    run_moved.dot(from_src, out=run_abar)
                     run_abar.take(dst, axis=1, out=run_carry, mode="clip")
                 else:
-                    np.dot(run_moved, back, out=run_carry)
+                    run_moved.dot(back, out=run_carry)
             # root seeds alpha_{t-1}[src] · abar_t[dst], alpha_{t-1} read from
             # `alphas` in place, or the initial one-hot for t = 0; step t's
             # sequences are a prefix of step t - 1's, whose rows end where

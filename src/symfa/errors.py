@@ -80,5 +80,10 @@ class DivergenceError(SymfaError):
     """Training produced a non-finite loss or non-finite parameters."""
 
 
+class LogitOverflowError(SymfaError, ValueError):
+    """An extractor's logit is not finite. A ValueError, so that `symfa
+    infer` names the record; training raises DivergenceError for it."""
+
+
 class UnsatisfiablePatternError(SymfaError):
     """No trace of the requested length and class exists for the pattern."""

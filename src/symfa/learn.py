@@ -47,7 +47,7 @@ import numpy as np
 from .automaton import CompiledSfa, _accepting_mask, _Packed, _run_backward, _run_forward, _views
 from .automaton import acceptance_batch  # noqa: F401  (perfbench/layers.py traces this name)
 from .automaton import backward_gradient, forward_alphas  # noqa: F401  (traced there too)
-from .errors import DivergenceError
+from .errors import DivergenceError, LogitOverflowError
 
 LOG_CLAMP = 1e-7
 
@@ -116,6 +116,7 @@ class LinearExtractor:
         The units run on the rows as columns, one product weights @ rows.T
         of shape (num_symbols, rows), and the result is a transposed view
         of it, so training reads it as (num_symbols, rows) without a copy.
+        A logit that is not finite is a LogitOverflowError.
         """
         features = np.asarray(features, dtype=np.float64)
         if features.shape[-1] != self.feature_dim:
@@ -124,11 +125,15 @@ class LinearExtractor:
             )
         lead = features.shape[:-1]
         rows = features.reshape(math.prod(lead), self.feature_dim)
-        # overflowing logits give 0 or 1, inf − inf a NaN the caller refuses
+        # an overflowing term or sum makes a logit ±inf, or NaN where
+        # infinities of both signs meet, and which one depends on the
+        # product's summation path: every non-finite logit is refused
         with np.errstate(over="ignore", invalid="ignore"):
             logits = self.weights @ rows.T
             logits += self.bias[:, None]
-            return _sigmoid(logits).T.reshape(lead + (self.num_symbols,))
+        if not np.isfinite(logits).all():
+            raise LogitOverflowError("symbol logits must be finite")
+        return _sigmoid(logits).T.reshape(lead + (self.num_symbols,))
 
     def backward(self, rows, probs, dprobs):
         """(dW, db) of a loss whose gradient is `dprobs` in the probabilities
@@ -240,11 +245,15 @@ def _clamped_log_grad(prob: float | np.ndarray):
 
 
 def _symbol_probs(extractor, rows) -> np.ndarray:
-    """Symbol probabilities (V, R) of feature rows (R, m), as extract lays them out."""
-    probs = extractor.extract(rows).T
-    if not np.isfinite(probs).all():
-        raise DivergenceError("extractor produced non-finite symbol probabilities")
-    return probs
+    """Symbol probabilities (V, R) of feature rows (R, m), as extract lays them out.
+
+    Training's rows are finite, so a logit extract() refuses comes from
+    features or weights that overflow it: a divergence.
+    """
+    try:
+        return extractor.extract(rows).T
+    except LogitOverflowError as exc:
+        raise DivergenceError(f"extractor: {exc}") from None
 
 
 def _hashable(label) -> bool:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
@@ -85,3 +87,32 @@ def test_report_lines_give_the_kernel_and_wall_clock_rows():
     assert [row.split(" | ")[0] for row in rows] == ["| setup_s", "| calibration_kernel_ns"]
     kernel = "| calibration_kernel_ns | 1 | 420 [420, 420] | 420 [420, 420] | 1.000 | 0/1 |"
     assert rows[1] == kernel
+
+
+def test_a_workload_list_gives_one_table_per_workload_and_layout(monkeypatch, capsys):
+    runs = []
+
+    def run_once(checkout, workload, seed, seconds, env):
+        runs.append((workload, seed))
+        return json.loads(result_line(1.0, 100.0)), []
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = [str(ROOT), str(ROOT), "--workload", "train-long,validate-wide", "--pairs", "2"]
+    assert bench_pairs.main(argv + ["--seconds", "1"]) == 0
+    # both sides of both layouts for each pair, workload by workload
+    assert runs == [(w, k) for w in ("train-long", "validate-wide") for k in (1, 2) for _ in range(4)]
+    titles = [line for line in capsys.readouterr().out.splitlines() if "--seconds 1:" in line]
+    assert titles == [
+        f"{w}, layout {layout}, --seconds 1:"
+        for w in ("train-long", "validate-wide")
+        for layout in bench_pairs.LAYOUTS
+    ]
+    assert bench_pairs.workload_names("train-long") == ["train-long"]
+
+
+def test_an_empty_workload_name_is_refused(capsys):
+    argv = [str(ROOT), str(ROOT), "--pairs", "1", "--seconds", "1", "--workload", "train-long,"]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert "an empty workload name in 'train-long,'" in capsys.readouterr().err

@@ -288,7 +288,7 @@ class TestInfer:
         self, driving_path, tmp_path, capsys, mode
     ):
         # infinite features under weights of both signs overflow the logit
-        # to inf − inf, a NaN probability, in whatever order it is summed
+        # to inf − inf, a NaN, in whatever order it is summed
         weights = np.zeros((3, 2))
         weights[1] = 1.0, -1.0
         model = tmp_path / "model.bin"
@@ -301,9 +301,27 @@ class TestInfer:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error: sequence 2: symbol probabilities must be finite and within [0, 1] (±1e-06)\n"
-        )
+        assert captured.err == "error: sequence 2: symbol logits must be finite\n"
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("mode", ["accept", "tag"])
+    def test_an_overflowing_logit_is_named_for_its_record(
+        self, driving_path, tmp_path, capsys, rows, mode
+    ):
+        # the logit 2·1e308 − 2·1e308 is 0, but its terms overflow: one row
+        # alone extracted p = 0 and the same row in a record of two p = 1
+        weights = np.zeros((3, 2))
+        weights[1] = 2.0, -2.0
+        model = tmp_path / "model.bin"
+        learn.save_extractor(learn.LinearExtractor(weights, np.zeros(3)), model)
+        records = [[[0.5, 0.5]], [[1e308, 1e308]] * rows]
+        data = tmp_path / "features.jsonl"
+        data.write_text("".join(json.dumps({"features": r}) + "\n" for r in records))
+        argv = ["infer", driving_path, str(data), "--model", str(model), "--mode", mode]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sequence 1: symbol logits must be finite\n"
 
     @pytest.mark.parametrize("mode", ["accept", "tag"])
     def test_an_empty_list_is_a_zero_step_record(self, driving, driving_path, tmp_path, capsys, mode):
@@ -381,12 +399,9 @@ class TestInfer:
         done = subprocess.run(
             [sys.executable, "-m", "symfa", *argv], capture_output=True, text=True, env=env
         )
-        if bad_second_record:
-            assert (done.returncode, done.stdout) == (2, "")
-            assert re.fullmatch(r"error: sequence 1: [^\n]*\n", done.stderr), done.stderr
-        else:
-            assert done.returncode == 0
-            assert (done.stdout, done.stderr) == ("index,acceptance\n0,1.000000\n", "")
+        # the first record's logits overflow, whatever follows it
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: sequence 0: symbol logits must be finite\n"
 
 
 def reference_csv(compiled, sequences, mode: str) -> str:

@@ -80,6 +80,14 @@ class TestExtractor:
         with pytest.raises(ValueError):
             ext.extract(np.zeros(4))
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_an_overflowing_logit_is_refused(self, rows):
+        # the logit 2·1e308 − 2·1e308 is 0, but its terms overflow: one row
+        # alone extracted p = 0 and the same row in a batch of two p = 1
+        ext = LinearExtractor([[0.0, 0.0], [2.0, -2.0], [0.0, 0.0]], np.zeros(3))
+        with pytest.raises(ValueError, match="^symbol logits must be finite$"):
+            ext.extract(np.full((rows, 2), 1e308))
+
 
 def param_fd(loss_fn, extractor, h=1e-6):
     """Central finite differences of a scalar loss over (weights, bias)."""
@@ -437,6 +445,14 @@ class TestTraining:
         cfg = TrainConfig(learning_rate=0.05, max_epochs=3, seed=0)
         with pytest.raises(DivergenceError):
             train(driving.compiled, small_data, cfg, init=bad)
+
+    @pytest.mark.parametrize("weights", [[[0.0, 0.0], [2.0, -2.0], [0.0, 0.0]], np.ones((3, 2))])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_overflowing_logits_diverge(self, driving, weights, rows):
+        init = LinearExtractor(weights, np.zeros(3))
+        data = [LabeledSequence(np.full((rows, 2), 1e308), label=1)]
+        with pytest.raises(DivergenceError, match="^extractor: symbol logits must be finite$"):
+            train(driving.compiled, data, TrainConfig(max_epochs=1), init=init)
 
     def test_mixed_label_kinds_rejected(self, driving):
         data = [

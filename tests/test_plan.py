@@ -9,6 +9,7 @@ were merged into one plan.
 import dataclasses
 import hashlib
 import itertools
+import sys
 import tracemalloc
 import unittest.mock
 
@@ -20,9 +21,12 @@ from hypothesis import strategies as st
 from symfa import (
     CompiledSfa,
     ConsistencyError,
+    LabeledSequence,
+    LinearExtractor,
     Sfa,
     Vocabulary,
     automaton,
+    learn,
     parse_formula,
     validate_and_compile,
 )
@@ -219,6 +223,52 @@ def test_acceptance_memory_is_bounded_by_the_block(driving):
         tracemalloc.stop()
     alphas_bytes = ps.shape[0] * ps.shape[1] * c.num_states * 8
     assert peak < alphas_bytes / 2
+
+
+def python_calls(run) -> int:
+    """The Python function calls made while run() runs."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+@pytest.mark.parametrize("path", ["flow", "gather"])
+def test_steps_make_no_python_calls(driving, monkeypatch, path):
+    # 16 sequences of 32 and of 64 steps are one block each, so a step that
+    # entered any Python function (np.dot's dispatcher, say) would make the
+    # longer batch cost more calls, in scoring and in a training step alike
+    c = driving.compiled
+    if path == "gather":
+        monkeypatch.setattr(automaton, "FLOW_MAX_TRANSITIONS", 0)
+        c = validate_and_compile(c.sfa)
+    assert (c._plan.next is None) == (path == "gather")
+    rng = np.random.default_rng(12)
+    extractor = LinearExtractor.init_random(len(c.vocab), 4, rng)
+    counts = []
+    for steps in (32, 64):
+        assert 16 * steps <= BLOCK_ROWS
+        ps = rng.uniform(size=(16, steps, len(c.vocab)))
+        labels = [t % c.num_states for t in range(steps)]
+        data = [LabeledSequence(rng.normal(size=(steps, 4)), step_labels=labels) for _ in range(16)]
+        table, codes, starts, _ = learn._targets(c, data, None)
+        features = [seq.features for seq in data]
+        runs = (
+            lambda: acceptance_batch(c, ps),
+            lambda: learn._step(c, extractor, features, table, codes, starts, False),
+        )
+        for run in runs:
+            run()  # anything built once is built outside the count
+        counts.append([python_calls(run) for run in runs])
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -1,15 +1,16 @@
 """Paired benchmark runs of two checkouts, and the table that compares them.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seconds S
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W[,W...] --pairs N --seconds S
 
-Pair k (k = 1..N) runs `perfbench/run.py --seed k --trace 0` once in
-each checkout, from that checkout's root: the parent first when k is odd,
-the change first when k is even. Every pair is run in two process
-layouts: as is, and with one extra environment variable, read by
-nothing, in the child, which moves where the interpreter's stack and
-early allocations land. Each run's `# calibration:` line and, on the
-train workloads, its `# train_epoch_s:` line are printed as they come.
-Then, per layout, a markdown table has one row per end-to-end metric of
+For each workload W, in the order given, pair k (k = 1..N) runs
+`perfbench/run.py --seed k --trace 0` once in each checkout, from that
+checkout's root: the parent first when k is odd, the change first when
+k is even. Every pair is run in two process layouts: as is, and with
+one extra environment variable, read by nothing, in the child, which
+moves where the interpreter's stack and early allocations land. Each
+run's `# calibration:` line and, on the train workloads, its
+`# train_epoch_s:` line are printed as they come. Then, per workload
+and layout, a markdown table has one row per end-to-end metric of
 PARENT's BENCHMARK.json, and three more read from each run's report
 lines: the median of the calibration kernel's last times (ns), by which
 the benchmark divides every time it reports, and the wall-clock setup
@@ -63,6 +64,14 @@ def reported(lines: list[str]) -> dict[str, dict]:
             if match:
                 found[name] = {"value": statistics.median(map(float, match[1].split(",")))}
     return found
+
+
+def workload_names(text: str) -> list[str]:
+    """The workloads of `--workload`: one name, or several joined by commas."""
+    names = text.split(",")
+    if not all(names):
+        raise argparse.ArgumentTypeError(f"an empty workload name in {text!r}")
+    return names
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, env: dict):
@@ -121,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, type=workload_names)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args(argv)
@@ -129,25 +138,26 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 1")
     better = directions(args.parent) | dict.fromkeys(REPORTED, "lower")
     checkouts = {"parent": args.parent, "change": args.change}
-    # results[layout][k] maps each side to the result of its run in pair k
-    results = {layout: [] for layout in LAYOUTS}
+    # results[workload, layout][k] maps each side to the result of its run in pair k
+    results = {(workload, layout): [] for workload in args.workload for layout in LAYOUTS}
     failed = False
-    for seed in range(1, args.pairs + 1):
+    for workload, seed in ((w, k) for w in args.workload for k in range(1, args.pairs + 1)):
         for layout, env in LAYOUTS.items():
             pair = {}
             for side in SIDES if seed % 2 else SIDES[::-1]:
-                result, echoed = run_once(checkouts[side], args.workload, seed, args.seconds, env)
+                result, echoed = run_once(checkouts[side], workload, seed, args.seconds, env)
+                tag = f"{workload} {layout} seed {seed} {side}"
                 for line in echoed:
-                    print(f"{layout} seed {seed} {side}: {line}", flush=True)
+                    print(f"{tag}: {line}", flush=True)
                 if result is None or result["failed"] > 0:
                     failed = True
-                    print(f"{layout} seed {seed} {side}: FAILED", flush=True)
+                    print(f"{tag}: FAILED", flush=True)
                 if result is not None:
                     pair[side] = result
             if len(pair) == 2:
-                results[layout].append(pair)
-    for layout, pairs in results.items():
-        print(f"\n{args.workload}, layout {layout}, --seconds {args.seconds:g}:\n")
+                results[workload, layout].append(pair)
+    for (workload, layout), pairs in results.items():
+        print(f"\n{workload}, layout {layout}, --seconds {args.seconds:g}:\n")
         if pairs:
             print("\n".join(table(*([pair[side] for pair in pairs] for side in SIDES), better)))
     return 1 if failed else 0
