@@ -46,12 +46,12 @@ from .logic import And, Const, Formula, Interpretation, Not, Var
 
 MAX_NODES = 1_000_000
 
-# nodes[0] and nodes[1] are ("const", 0) and ("const", 1). `dump` writes
-# each decision (var, hi, lo) as the arithmetic circuit
-# leaf(var, +)·hi + leaf(var, −)·lo, with constant factors and terms
-# dropped, in the text format the CLI documents.
+# nodes[0] and nodes[1] are ("const", 0) and ("const", 1); every other
+# node is a decision (var, hi, lo), which `dump` writes as the CLI documents.
 KIND_CONST = "const"
-KIND_LEAF = "leaf"
+# Only perfbench/layers.py::reachable_nodes reads these two, and no node has
+# either kind; they go when ROADMAP item 1 part A rewrites it, as the
+# `# noqa: F401` imports go with their trace targets.
 KIND_SUM = "sum"
 KIND_PROD = "prod"
 
@@ -70,56 +70,15 @@ class CompiledGuard:
     root: int
     num_vars: int
 
-    def dump(self) -> str:
-        """One node per line, `<id> <kind> <args...>`, topologically sorted.
-
-        A decision is written as a `leaf` when it is a literal, as a
-        `prod` of a leaf and a child when one branch is 0, and otherwise as
-        a `sum` of two such terms (a term whose child is 1 is just the
-        leaf). Shared leaves and terms are written once. Nodes are numbered
-        in a deterministic post-order from the root; the last line is
-        always the root.
-
-        The walk recurses about twice per level, so it raises
-        CircuitSizeError at about half the depth the table operations reach.
-        """
-        ids: dict[tuple, int] = {}
-        lines: list[str] = []
-
-        def term(var: int, positive: bool, child: int) -> tuple | None:
-            if child == 0:
-                return None
-            if child == 1:
-                return (KIND_LEAF, var, positive)
-            return (KIND_PROD, var, positive, child)
-
-        def shape(i: int) -> tuple:
-            if i < 2:
-                return self.nodes[i]
-            var, hi, lo = self.nodes[i]
-            terms = [t for t in (term(var, True, hi), term(var, False, lo)) if t]
-            return terms[0] if len(terms) == 1 else (KIND_SUM, i)
-
-        def visit(s: tuple) -> int:
-            if s in ids:
-                return ids[s]
-            kind = s[0]
-            if kind == KIND_CONST:
-                args = [s[1]]
-            elif kind == KIND_LEAF:
-                args = [s[1], "+" if s[2] else "-"]
-            elif kind == KIND_PROD:
-                args = [visit((KIND_LEAF, s[1], s[2])), visit(shape(s[3]))]
-            else:
-                var, hi, lo = self.nodes[s[1]]
-                args = [visit(term(var, True, hi)), visit(term(var, False, lo))]
-            ids[s] = len(lines)
-            lines.append(" ".join(str(x) for x in (ids[s], kind, *args)))
-            return ids[s]
-
-        with too_deep_is_size_error():
-            visit(shape(self.root))
-        return "\n".join(lines)
+    def dump(self, names: Sequence[str]) -> str:
+        """One node per line, children first and the root last: `0 false`,
+        `1 true`, then `<id> <name of var> <hi> <lo>` for each decision node.
+        A constant guard is its one line alone."""
+        if self.root < 2:
+            return ("0 false", "1 true")[self.root]
+        nodes = enumerate(self.nodes[2:], 2)
+        decisions = [f"{i} {names[var]} {hi} {lo}" for i, (var, hi, lo) in nodes]
+        return "\n".join(["0 false", "1 true", *decisions])
 
 
 @dataclass
@@ -273,8 +232,7 @@ def too_deep_is_size_error():
     """Report a diagram too deep for Python's recursion limit as CircuitSizeError.
 
     Every table operation recurses once per level of the diagrams it
-    walks, `build` once per level of formula nesting, and
-    `CompiledGuard.dump` about twice per level.
+    walks, and `build` once per level of formula nesting.
     """
     try:
         yield
@@ -290,7 +248,8 @@ def compile_guard(f: Formula, num_vars: int) -> CompiledGuard:
 
     Raises CircuitSizeError if the diagram needs more than MAX_NODES
     nodes, or if it is too deep for the recursive operations (about 1,000
-    variables along one path).
+    variables along one path). Validation recurses as deep, and `dump` not
+    at all, so whatever validates also dumps.
     """
     with too_deep_is_size_error():
         table = DiagramTable(num_vars)

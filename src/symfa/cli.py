@@ -128,12 +128,12 @@ def cmd_validate(args) -> int:
 def cmd_compile(args) -> int:
     sfa = load_sfa(args.sfa)
     compiled = validate_and_compile(sfa)
-    # every guard is dumped before any output, so a guard too deep to
-    # dump writes nothing
+    # every guard is extracted before any output, so a guard too deep to
+    # extract writes nothing
     dumps = []
     for (src, dst) in sorted(compiled.guards):
         dumps.append(f"# {compiled.states[src]} -> {compiled.states[dst]}\n")
-        dumps.append(compiled.guards[(src, dst)].dump() + "\n")
+        dumps.append(compiled.guards[(src, dst)].dump(compiled.vocab.names) + "\n")
     with _output(args) as out:
         out.write("".join(dumps))
     return 0
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("compile", help="dump compiled guard circuits")
+    p = sub.add_parser("compile", help="print each guard's decision diagram")
     p.add_argument("sfa")
     p.add_argument("--out", help="write the dump to a file instead of stdout")
     common(p)

@@ -44,7 +44,8 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .automaton import CompiledSfa, _accepting_mask, _Packed, _run_backward, _run_forward, _views
+from .automaton import PROB_RANGE_TOL, CompiledSfa, _accepting_mask, _Packed, _run_backward
+from .automaton import _run_forward, _views
 from .automaton import acceptance_batch  # noqa: F401  (perfbench/layers.py traces this name)
 from .automaton import backward_gradient, forward_alphas  # noqa: F401  (traced there too)
 from .errors import DivergenceError, LogitOverflowError
@@ -248,12 +249,22 @@ def _symbol_probs(extractor, rows) -> np.ndarray:
     """Symbol probabilities (V, R) of feature rows (R, m), as extract lays them out.
 
     Training's rows are finite, so a logit extract() refuses comes from
-    features or weights that overflow it: a divergence.
+    features or weights that overflow it: a divergence. So is a probability
+    that is not finite or strays outside [0, 1] by more than PROB_RANGE_TOL,
+    which a stand-in extractor may give: the guards' rows would still sum
+    to 1, and training would run on it. Each minibatch is checked once.
     """
     try:
-        return extractor.extract(rows).T
+        probs = extractor.extract(rows).T
     except LogitOverflowError as exc:
         raise DivergenceError(f"extractor: {exc}") from None
+    # NaN fails both comparisons, as in automaton._check_probs
+    tol = PROB_RANGE_TOL
+    if probs.size and not (probs.min() >= -tol and probs.max() <= 1.0 + tol):
+        raise DivergenceError(
+            f"extractor: symbol probabilities must be finite and within [0, 1] (±{tol:g})"
+        )
+    return probs
 
 
 def _hashable(label) -> bool:

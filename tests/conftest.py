@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from symfa import Interpretation, Vocabulary, evaluate
 from symfa.bench import driving_pattern, events_pattern
+from symfa.circuit import DiagramTable
 from symfa.logic import Var, enumerate_models, f_and, f_not, f_or
 
 # every property test replays the same examples and has no time limit, so a
@@ -80,6 +81,23 @@ def wmc_by_enumeration(f, num_vars: int, p) -> float:
             prob *= p[i] if omega.truth(i) else 1.0 - p[i]
         total += prob
     return total
+
+
+def read_dump(text: str, vocab: Vocabulary):
+    """The guard a `CompiledGuard.dump` text describes, rebuilt line by line
+    in a fresh DiagramTable and extracted from it; the last line is the root."""
+    table = DiagramTable(len(vocab))
+    ids: dict[int, int] = {}
+    for line in text.splitlines():
+        i, name, *children = line.split()
+        if children:  # decisions follow both constants, numbered in order
+            assert int(i) == len(ids), line
+            hi, lo = (ids[int(c)] for c in children)
+            ids[int(i)] = table._node(vocab.index(name), hi, lo)
+        else:
+            assert (i, name) in {("0", "false"), ("1", "true")}, line
+            ids[int(i)] = int(i)
+    return table.guard(ids[int(i)])
 
 
 def alpha_by_trace_enumeration(compiled, ps) -> np.ndarray:

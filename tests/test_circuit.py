@@ -231,11 +231,12 @@ class TestCircuitStructure:
                 roots[k] = table.build(formulas[k])
                 table.conj(*roots.values())
                 table.disj(*roots.values())
+            names = [f"x{i}" for i in range(num_vars)]
             for k, f in enumerate(formulas):
                 alone = compile_guard(f, num_vars)
                 shared = table.guard(roots[k])
                 assert (shared.nodes, shared.root) == (alone.nodes, alone.root)
-                assert shared.dump() == alone.dump()
+                assert shared.dump(names) == alone.dump(names)
 
     def test_building_again_returns_the_same_node_and_adds_none(self):
         rng = random.Random(71)
@@ -277,7 +278,8 @@ class TestCircuitStructure:
         vocab = Vocabulary.of("a", "b")
         f = parse_formula("a & !b", vocab)
         g = compile_guard(f, 2)
-        assert g.dump() == "0 leaf 0 +\n1 leaf 1 -\n2 prod 0 1"
+        # node 2 is !b, node 3 is a & node 2
+        assert g.dump(vocab.names) == "0 false\n1 true\n2 b 0 1\n3 a 2 0"
 
 
 class TestSatValid:

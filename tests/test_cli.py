@@ -14,10 +14,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import symfa
-from symfa import acceptance, automaton, format_sfa, forward, learn, load_sfa
+from symfa import acceptance, automaton, bench, format_sfa, forward, learn, load_sfa
+from symfa import validate_and_compile
 from symfa.cli import _csv_cells, _load_labeled, main
 
-from conftest import BYTE_EDITS, mutate
+from conftest import BYTE_EDITS, mutate, read_dump
 
 P1 = [0.8, 0.3, 0.6]
 P2 = [0.7, 0.9, 0.3]
@@ -97,24 +98,42 @@ class TestExitCodes:
 
 
 class TestCompile:
-    def test_dump_lists_circuits_per_transition(self, driving_path, capsys):
+    def test_dump_lists_diagrams_per_transition(self, driving_path, capsys):
         assert main(["compile", driving_path]) == 0
         out = capsys.readouterr().out
-        assert "# q0 -> q1" in out
-        assert "leaf" in out and ("sum" in out or "prod" in out)
+        assert "# q0 -> q1\n0 false\n1 true\n" in out
+        assert "\n2 blocked 1 0\n" in out and "# q2 -> q2\n1 true\n" in out
 
     def test_driving_dump_golden(self, driving_path, capsys):
-        # sums, products, a leaf shared by two products, a literal, a constant
+        # a node below two others (q1 -> q1's !fast), a literal, a constant
         assert main(["compile", driving_path]) == 0
         assert capsys.readouterr().out == (
-            "# q0 -> q0\n0 leaf 0 -\n1 leaf 1 -\n2 prod 0 1\n"
-            "# q0 -> q1\n0 leaf 0 +\n1 leaf 0 -\n2 leaf 1 +\n3 prod 1 2\n4 sum 0 3\n"
-            "# q1 -> q0\n0 leaf 0 -\n1 leaf 1 -\n2 leaf 2 -\n3 prod 1 2\n4 prod 0 3\n"
-            "# q1 -> q1\n0 leaf 0 +\n1 leaf 2 -\n2 prod 0 1\n3 leaf 0 -\n4 leaf 1 +\n"
-            "5 prod 4 1\n6 prod 3 5\n7 sum 2 6\n"
-            "# q1 -> q2\n0 leaf 2 +\n"
-            "# q2 -> q2\n0 const 1\n"
+            "# q0 -> q0\n0 false\n1 true\n2 blocked 0 1\n3 tired 0 2\n"
+            "# q0 -> q1\n0 false\n1 true\n2 blocked 1 0\n3 tired 1 2\n"
+            "# q1 -> q0\n0 false\n1 true\n2 fast 0 1\n3 blocked 0 2\n4 tired 0 3\n"
+            "# q1 -> q1\n0 false\n1 true\n2 fast 0 1\n3 blocked 2 0\n4 tired 2 3\n"
+            "# q1 -> q2\n0 false\n1 true\n2 fast 1 0\n"
+            "# q2 -> q2\n1 true\n"
         )
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [bench.driving_pattern, bench.events_pattern, lambda: bench.random_pattern(8, 10, 2)],
+        ids=["driving", "events", "random:8x10:2"],
+    )
+    def test_every_dumped_guard_reads_back_to_its_diagram(self, tmp_path, capsys, pattern):
+        path = tmp_path / "spec.sfa"
+        path.write_text(format_sfa(pattern().sfa))
+        c = validate_and_compile(load_sfa(str(path)))
+        assert main(["compile", str(path)]) == 0
+        read = {}
+        for section in capsys.readouterr().out.split("# ")[1:]:
+            head, _, text = section.partition("\n")
+            src, dst = head.split(" -> ")
+            read[(c.states.index(src), c.states.index(dst))] = read_dump(text, c.vocab)
+        assert read.keys() == c.guards.keys()
+        for pair, g in c.guards.items():
+            assert (read[pair].nodes, read[pair].root) == (g.nodes, g.root)
 
 
 class TestInfer:

@@ -454,6 +454,24 @@ class TestTraining:
         with pytest.raises(DivergenceError, match="^extractor: symbol logits must be finite$"):
             train(driving.compiled, data, TrainConfig(max_epochs=1), init=init)
 
+    @pytest.mark.parametrize("value", [np.nan, 1.5])
+    def test_a_stand_in_extractors_bad_probabilities_diverge(self, driving, small_data, value):
+        # the guards' rows sum to 1 whatever the probabilities are, so 1.5
+        # would train on; NaN would be blamed on the automaton's validation
+        class StandIn(LinearExtractor):
+            def extract(self, features):
+                probs = super().extract(features)
+                probs[..., 1] = value
+                return probs
+
+            def copy(self):
+                return StandIn(self.weights.copy(), self.bias.copy())
+
+        init = StandIn(np.zeros((3, 6)), np.zeros(3))
+        message = r"^extractor: symbol probabilities must be finite and within \[0, 1\] \(±1e-06\)$"
+        with pytest.raises(DivergenceError, match=message):
+            train(driving.compiled, small_data, TrainConfig(max_epochs=1, seed=0), init=init)
+
     def test_mixed_label_kinds_rejected(self, driving):
         data = [
             LabeledSequence(np.zeros((2, 6)), label=1),

@@ -220,15 +220,28 @@ def test_guard_deeper_than_the_recursion_limit_is_a_domain_error(tmp_path, capsy
     assert capsys.readouterr().err.startswith("error: guard is too deep")
 
 
-def test_compile_of_a_guard_too_deep_to_dump_is_a_domain_error(tmp_path, capsys):
-    # the dump walk recurses about twice per level, the table once, so at
-    # the default recursion limit this spec validates but cannot be dumped
+def test_wide_conjunction_compiles_at_the_default_recursion_limit(tmp_path, capsys):
+    # the dump does not recurse, so `compile` reaches as deep as `validate`
+    assert sys.getrecursionlimit() == 1000
+    width = 900
+    assert main(["compile", conjunction_spec(tmp_path / "wide.sfa", width)]) == 0
+    a_to_b = capsys.readouterr().out.split("# a -> b\n")[1].split("#")[0].splitlines()
+    assert len(a_to_b) == width + 2
+    assert a_to_b[2] == f"2 v{width - 1} 1 0" and a_to_b[-1] == f"{width + 1} v0 {width} 0"
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_compile_of_a_guard_too_deep_writes_nothing(tmp_path, capsys, to_file):
+    # every guard is extracted before any output; a lowered limit keeps the
+    # test small
+    limit = sys.getrecursionlimit()
     spec = conjunction_spec(tmp_path / "deep.sfa", 600)
-    assert main(["validate", spec]) == 0
-    capsys.readouterr()
     out = tmp_path / "deep.txt"
-    assert main(["compile", spec]) == 1
-    assert main(["compile", spec, "--out", str(out)]) == 1
+    sys.setrecursionlimit(400)
+    try:
+        assert main(["compile", spec, *(["--out", str(out)] if to_file else [])]) == 1
+    finally:
+        sys.setrecursionlimit(limit)
     captured = capsys.readouterr()
     assert captured.err.startswith("error: guard is too deep")
     assert captured.out == "" and not out.exists()

@@ -9,17 +9,31 @@ with len() on what `bench.read_sequences_jsonl` returns.
 The other way round, an import kept unused (`# noqa: F401`) in `symfa`
 is there only for a target, and goes when the target goes; every other
 import in a `symfa` module must be used, so a deletion leaves none behind.
+
+The benchmark's own self-tests run here too: none may fail but the three
+that assert figures of code changed since (ROADMAP item 1 part A mends
+them), so a change to `symfa` cannot break one that passes today.
 """
 
 import ast
 import importlib
 import io
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import symfa
 from symfa import bench, circuit
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+STALE_SELF_TESTS = {
+    "NodeWalkTest.test_driving_reachable_nodes",
+    "PatchTest.test_wrappers_restored_and_spans_recorded",
+    "RunTest.test_traced_counts_repeat_exactly",
+}
 
 
 def test_trace_targets_resolve(monkeypatch):
@@ -69,3 +83,26 @@ def test_imports_are_used_or_kept_for_a_target():
             names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
             unused += [f"{path.stem}:{node.lineno} {name}" for name in names if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_no_perfbench_self_test_fails_but_the_stale_ones():
+    src = str(ROOT / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, str(PERFBENCH / "test_perfbench.py")],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    summary = re.search(r"^Ran \d+ tests? in .*\n\n(OK|FAILED .*)$", run.stderr, re.M)
+    assert summary, run.stderr[-3000:]
+    # unittest names a failure `FAIL: test (__main__.Class.test)`, or an
+    # error in a fixture `ERROR: setUpClass (__main__.Class)`, and counts
+    # them in its summary
+    failed = re.findall(r"^(?:FAIL|ERROR): (\w+) \((?:__main__\.)?(\w+)", run.stderr, re.M)
+    counted = re.findall(r"[(,] ?(?:failures|errors)=(\d+)", summary.group(1))
+    assert len(failed) == sum(map(int, counted)), run.stderr[-3000:]
+    unexpected = {f"{cls}.{test}" for test, cls in failed} - STALE_SELF_TESTS
+    assert not unexpected, run.stderr[-3000:]
