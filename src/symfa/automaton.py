@@ -52,7 +52,12 @@ automata, where that product costs more than a gather, sum it per state
 and gather the sums, one call more per step.
 acceptance_batch keeps only the running state, so scoring memory is
 bounded by the block whatever T is. The gradient walks the blocks
-backwards, with one reverse pass over the plan per block.
+backwards, with one reverse pass over the plan per block, and takes
+dLoss/dalpha as row codes into a table of rows with a scale per row, so
+training passes its few label masks, never an (R, Q) array. Both cores
+hold one block at a time: a block's arrays are freed before the next
+block's pass over the plan allocates, so past its inputs and outputs a
+run holds one block's working set whatever T is.
 
 Compiled automata are immutable apart from two first-use caches, the
 plan and the extracted `guards`; nothing builds into a compiled
@@ -404,7 +409,8 @@ class _Packed:
     def __init__(self, lengths):
         lengths = np.asarray(lengths, dtype=np.intp)
         self.order = np.argsort(-lengths, kind="stable")
-        self.place = np.argsort(self.order)
+        self.place = np.empty_like(self.order)
+        self.place[self.order] = np.arange(len(lengths))
         lengths = lengths[self.order]
         widths = len(lengths) - np.cumsum(np.bincount(lengths, minlength=1))
         self.first = first = np.cumsum(widths) - widths
@@ -573,32 +579,53 @@ def _run_forward(c: CompiledSfa, packed: _Packed, rows, out: np.ndarray | None =
         if out is not None and not gather:
             # a flow block's alphas, from one product of its flows
             flow.dot(into_dst, out=out[lo:hi])
+        # the block's flows, and the step views that hold them, die before
+        # the next block's pass allocates
+        del flow, flows, w
     return alpha if out is None else None
 
 
-def _run_backward(c: CompiledSfa, packed: _Packed, rows, alphas, grads, at_last: bool = False):
+def _at_dst(table, codes, scale, dst) -> np.ndarray:
+    """The gradient rows scale[i] · table[codes[i]] read at `dst`, one
+    product per entry: (len(codes), len(dst)). The rows are gathered before
+    `dst`, so a dense table (R, Q) is read a block at a time."""
+    grads = table.take(codes, axis=0).take(dst, axis=1, mode="clip")
+    grads *= scale[:, None]
+    return grads
+
+
+def _run_backward(
+    c: CompiledSfa, packed: _Packed, rows, alphas, table, codes, scale, at_last: bool = False
+):
     """The reverse recursion over a packed batch; returns dLoss/drows (V, R).
 
     `packed` and `rows` are a batch's layout and the rows of its blocks,
     as _run_forward takes them, and `alphas` (R, Q) holds every alpha_t of
-    its forward recursion, in the rows' order. `grads` holds
-    dLoss/dalpha_t: of every row (R, Q), or with `at_last` of each packed
-    sequence's last step only (N, Q). Walking the layout's blocks from the
-    last step back, the adjoint recursion
+    its forward recursion, in the rows' order. dLoss/dalpha_t comes as row
+    codes: row i's gradient is scale[i] · table[codes[i]], for every row
+    (codes and scale (R,)), or with `at_last` for each packed sequence's
+    last step only (N,). Training's table is its few label masks (see
+    learn._targets); a caller with dense gradients (R, Q) passes them as
+    their own table, with codes arange(R) and scale 1. Walking the
+    layout's blocks from the last step back, the adjoint recursion
     abar_{t-1} = grads_{t-1} + (W_t · abar_t[dst]) summed per source state
     seeds each transition root with
     alpha_{t-1}[src] · abar_t[dst], read from `alphas` in place (the
     initial one-hot for t = 0), and one reverse pass over the merged
     circuit turns those seeds into dLoss/dp_t. The loop carries
     a_t = abar_t[dst] per transition: every grads_t[dst] of a block is
-    gathered in one call, and each step adds the carry to it and moves
-    W_t · a_t back, on the prefix of the n_t running sequences. A sequence
-    joins the walk at its own last step, where its carry is still the one
-    it started with: zero, or with `at_last` its grads row at `dst`. Only
-    the move depends on the plan's form: on automata of at most
-    FLOW_MAX_TRANSITIONS transitions it is one product with next.T, three
-    calls per step; larger automata sum it per source state and gather
-    the sums at `dst`, four calls per step.
+    gathered from its codes and scaled in one product (_at_dst), and each
+    step adds the carry to it and moves W_t · a_t back, on the prefix
+    of the n_t running sequences. A sequence joins the walk at its own
+    last step, where its carry is still the one it started with: zero, or
+    with `at_last` its gradient at `dst`. Only the move depends on the
+    plan's form: on automata of at most FLOW_MAX_TRANSITIONS transitions
+    it is one product with next.T, three calls per step; larger automata
+    sum it per source state and gather the sums at `dst`, four calls per
+    step. The core holds one block at a time: a block's guard weights die
+    before its reverse pass over the circuit, which writes its (V, rows)
+    gradient in place, and its tape and seeds before the next block's
+    forward pass over the circuit allocates.
     """
     plan = c._plan
     src, dst, from_src, nxt = plan.src, plan.dst, plan.from_src, plan.next
@@ -611,7 +638,7 @@ def _run_backward(c: CompiledSfa, packed: _Packed, rows, alphas, grads, at_last:
     # abar_t[dst] − grads_t[dst], carried across steps and blocks:
     # W_{t+1} · a_{t+1} summed over the transitions leaving the state where
     # each one ends
-    carry = grads.take(dst, axis=1, mode="clip") if at_last else np.zeros((widths[0], len(src)))
+    carry = _at_dst(table, codes, scale, dst) if at_last else np.zeros((widths[0], len(src)))
     moved = np.empty(carry.shape)
     # the per-state sums of a gather step
     abar = np.empty((len(carry), c.num_states))
@@ -620,14 +647,17 @@ def _run_backward(c: CompiledSfa, packed: _Packed, rows, alphas, grads, at_last:
         # the root values are the guard weights, (n_trans, rows)
         weights, tape = plan.circuit.forward(block, keep=True)
         weights = np.ascontiguousarray(weights.T)
-        # grads[dst] of the block's rows
-        at_dst = np.zeros(weights.shape) if at_last else grads[lo:hi].take(dst, axis=1, mode="clip")
+        # the block's root seeds, grads[dst] of its rows to begin with
+        if at_last:
+            seeds = np.zeros(weights.shape)
+        else:
+            seeds = _at_dst(table, codes[lo:hi], scale[lo:hi], dst)
         # ndarray.dot, not np.dot, whose Python dispatcher (see _run_forward)
         # each step would enter
         for t, k, n, r in reversed(runs):
-            seeds = at_dst[r : r + k * n].reshape(k, n, -1)
+            run_seeds = seeds[r : r + k * n].reshape(k, n, -1)
             run_carry, run_moved, run_abar = carry[:n], moved[:n], abar[:n]
-            for w, a in zip(weights[r : r + k * n].reshape(k, n, -1)[::-1], seeds[::-1]):
+            for w, a in zip(weights[r : r + k * n].reshape(k, n, -1)[::-1], run_seeds[::-1]):
                 a += run_carry
                 np.multiply(w, a, out=run_moved)
                 if gather:
@@ -640,10 +670,15 @@ def _run_backward(c: CompiledSfa, packed: _Packed, rows, alphas, grads, at_last:
             # sequences are a prefix of step t - 1's, whose rows end where
             # the run's start
             prev = alphas[lo + r - widths[t - 1] :][:n] if t else None
-            seeds[0] *= prev.take(src, axis=1, mode="clip") if t else initial_src
+            run_seeds[0] *= prev.take(src, axis=1, mode="clip") if t else initial_src
             before = alphas[lo + r :][: (k - 1) * n].reshape(k - 1, n, alphas.shape[1])
-            seeds[1:] *= before.take(src, axis=2, mode="clip")
-        out[:, lo:hi] = plan.circuit.backward(block, tape, at_dst.T)
+            run_seeds[1:] *= before.take(src, axis=2, mode="clip")
+        # the weights, and the step views that hold them, die before the
+        # circuit's reverse pass; the tape and seeds before the next block's
+        # forward pass
+        del weights, w
+        plan.circuit.backward(block, tape, seeds.T, out=out[:, lo:hi])
+        del tape, seeds, run_seeds, a
     return out
 
 
@@ -741,7 +776,11 @@ def backward_gradient(c: CompiledSfa, ps, alpha_grads, alphas=None) -> np.ndarra
     grads[steps - last :] = alpha_grads.reshape(width, last, nq).transpose(1, 0, 2)
     alphas = np.asarray(alphas, dtype=np.float64).reshape(width, steps, nq).transpose(1, 0, 2)
     pt = ps.reshape((width,) + ps.shape[-2:]).T
-    grad = _run_backward(c, *_dense(pt), alphas.reshape(-1, nq), grads.reshape(-1, nq))
+    # the dense rows are their own table: row i is code i, scaled by 1
+    n = steps * width
+    grad = _run_backward(
+        c, *_dense(pt), alphas.reshape(n, nq), grads.reshape(n, nq), np.arange(n), np.ones(n)
+    )
     return np.ascontiguousarray(grad.reshape(pt.shape).T).reshape(ps.shape)
 
 

@@ -408,11 +408,12 @@ class Plan:
         roots = vals.take(self.roots, axis=0)
         return (roots, diff) if keep else roots
 
-    def backward(self, p: np.ndarray, tape, root_adjoints: np.ndarray) -> np.ndarray:
+    def backward(self, p: np.ndarray, tape, root_adjoints: np.ndarray, out=None) -> np.ndarray:
         """Gradient of sum(root_adjoints · roots) w.r.t. p, shape (num_vars, rows).
 
         `tape` comes from `forward(p, keep=True)`; `root_adjoints` has the
-        roots' shape.
+        roots' shape. Given `out` (num_vars, rows), the gradient is written
+        there and returned.
         """
         n, v = self.num_nodes, self.num_vars
         rows = p.shape[1]
@@ -429,7 +430,7 @@ class Plan:
         # d(lo + p·(hi − lo))/dp = hi − lo; the tape itself is left as it is
         per_node = adj[2:n]
         per_node *= tape[2:]
-        return self._var_sum @ per_node
+        return np.matmul(self._var_sum, per_node, out=out)
 
 
 def is_satisfiable(g: CompiledGuard) -> bool:

@@ -142,7 +142,9 @@ class LinearExtractor:
         laid out (num_symbols, R): the logistic slope p(1 - p) times dprobs,
         one product with the rows for dW and one sum over them for db.
         """
-        slope = probs * (1.0 - probs)
+        # one (V, R) temporary: (1 - p)·p is p·(1 - p) bitwise
+        slope = 1.0 - probs
+        slope *= probs
         slope *= dprobs
         return slope @ rows, slope.sum(axis=1)
 
@@ -296,7 +298,8 @@ def _targets(c: CompiledSfa, data: Sequence[LabeledSequence], state_to_label):
     if data[0].label is not None:
         accepting = _accepting_mask(c)
         table = np.stack([np.zeros(c.num_states), 1.0 - accepting, accepting])
-        return table, np.array([seq.label + 1 for seq in data]), np.arange(len(data)), None
+        codes = np.array([seq.label + 1 for seq in data], dtype=np.int32)
+        return table, codes, np.arange(len(data)), None
     states = {}
     for q in range(c.num_states):
         try:
@@ -320,7 +323,8 @@ def _targets(c: CompiledSfa, data: Sequence[LabeledSequence], state_to_label):
         flat = [
             absent if isinstance(lab, _NOT_LABELS) or not _hashable(lab) else lab for lab in flat
         ]
-    codes = np.fromiter(map(index.get, flat, repeat(-1)), dtype=np.intp, count=len(flat))
+    # int32: train() holds one code per labeled step for the whole call
+    codes = np.fromiter(map(index.get, flat, repeat(-1)), dtype=np.int32, count=len(flat))
     offsets = np.cumsum([0] + [len(seq.step_labels) for seq in data[:-1]])
     missing = None
     unmatched = np.flatnonzero(codes < 0)
@@ -355,19 +359,23 @@ def _batch_loss(c: CompiledSfa, probs, packed, table, codes, by_sequence=False):
     sequences whose acceptance is on the label's side of 0.5 when
     `by_sequence`, else the labeled steps whose most probable state
     carries the step's label. One forward and one reverse recursion serve
-    all three.
+    all three. The reverse recursion reads dLoss/dalpha by code, row i's
+    being dstep[i] · table[codes[i]] (automaton._run_backward), so no
+    (R, Q) array of labels or gradients outlives the loss.
     """
     packed_probs = _views(packed, probs)
     alphas = np.empty((probs.shape[1], c.num_states))
     _run_forward(c, *packed_probs, alphas)
     # a sequence label reads each sequence's alpha at its own last row
     read = alphas[packed.last] if by_sequence else alphas
-    masks = table[codes]
+    labeled = table[codes]
+    labeled *= read
+    step_probs = labeled.sum(axis=-1)
+    del labeled
     active = codes != 0
-    step_probs = (read * masks).sum(axis=-1)
     log_p, dlog_p = _clamped_log_grad(step_probs)
+    # dLoss/dalpha of row i is dstep[i] · table[codes[i]]
     dstep = -(dlog_p * active) / len(packed.lengths)
-    masks *= dstep[:, None]  # now dLoss/dalpha of each labeled row
     lost = log_p * active
     if by_sequence:
         # acceptance >= 0.5 for label 1 (row 2); rejection > 0.5 for label 0
@@ -379,10 +387,11 @@ def _batch_loss(c: CompiledSfa, probs, packed, table, codes, by_sequence=False):
         lost = by_step.sum(axis=0)
         correct = int(table[codes, read.argmax(axis=-1)][active].sum())
         del by_step
-    # the reverse pass holds training's peak: the per-row arrays are freed
-    # first, and the loss is summed, left to right, before it runs
-    del step_probs, log_p, dlog_p, dstep, active
-    return float((-lost).mean()), _run_backward(c, *packed_probs, alphas, masks, by_sequence), correct
+    # the reverse pass holds training's peak: the per-row arrays it does not
+    # read are freed first
+    del step_probs, log_p, dlog_p, active
+    dprobs = _run_backward(c, *packed_probs, alphas, table, codes, dstep, by_sequence)
+    return float((-lost).mean()), dprobs, correct
 
 
 def _step(c: CompiledSfa, extractor, features, table, codes, starts, by_sequence):

@@ -440,6 +440,16 @@ class TestTraining:
         # constant loss: first epoch is the best, then patience more epochs
         assert len(result.history) == 5
 
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_an_equal_loss_is_no_improvement(self, driving, small_data, optimizer):
+        # one sequence at learning rate 0: every epoch loss is bitwise equal,
+        # so only the first improves, and training stops after patience more
+        # epochs; counting an equal loss as better would run all 10
+        cfg = TrainConfig(learning_rate=0.0, optimizer=optimizer, max_epochs=10, patience=2)
+        result = train(driving.compiled, small_data[:1], cfg)
+        losses = [r.loss for r in result.history]
+        assert losses == [losses[0]] * 3
+
     def test_divergence_aborts_with_diagnostic(self, driving, small_data):
         bad = LinearExtractor(np.full((3, 6), np.nan), np.zeros(3))
         cfg = TrainConfig(learning_rate=0.05, max_epochs=3, seed=0)
@@ -694,9 +704,9 @@ class TestTraining:
                 rows = np.array([data[k].features[t] for k, t in steps]).reshape(-1, 4)
                 if tagging:  # the identity map codes label q as row q + 1
                     labels = [data[k].step_labels[t] for k, t in steps]
-                    codes = np.array([0 if x is None else x + 1 for x in labels], dtype=np.intp)
+                    codes = np.array([0 if x is None else x + 1 for x in labels], dtype=np.int32)
                 else:
-                    codes = np.array([data[k].label + 1 for k in batch])
+                    codes = np.array([data[k].label + 1 for k in batch], dtype=np.int32)
                 want.append((rows, np.array(lengths), codes))
         assert len(calls) == len(want)
         for got, expected in zip(calls, want):

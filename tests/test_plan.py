@@ -211,18 +211,63 @@ def test_acceptance_is_the_last_alpha_on_the_accepting_states(automata, monkeypa
         assert float(np.abs(got - want).max()) <= 1e-15
 
 
-def test_acceptance_memory_is_bounded_by_the_block(driving):
-    c = driving.compiled
-    ps = np.random.default_rng(10).uniform(size=(8, 20000, len(c.vocab)))
-    acceptance_batch(c, ps[:, :1])  # the plan is built outside the measurement
+def traced_peak(run) -> int:
+    """The tracemalloc peak, in bytes, of what run() allocates."""
     tracemalloc.start()
     try:
-        acceptance_batch(c, ps)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    alphas_bytes = ps.shape[0] * ps.shape[1] * c.num_states * 8
-    assert peak < alphas_bytes / 2
+
+
+# The layout's bookkeeping per step, whatever the batch width: `first` and
+# `widths` hold a word each, and building them takes a few more (measured
+# at 19–23 bytes a step on driving, numpy 2.4.6)
+LAYOUT_BYTES_PER_STEP = 32
+
+
+def test_acceptance_memory_is_bounded_by_the_block(driving):
+    # scoring 20,000 steps costs what scoring one block of them costs, plus
+    # the layout's bookkeeping: nothing of a block outlives it
+    c = driving.compiled
+    ps = np.random.default_rng(10).uniform(size=(8, 20000, len(c.vocab)))
+    one = BLOCK_ROWS // len(ps)
+    acceptance_batch(c, ps[:, :1])  # the plan is built outside the measurement
+    block = traced_peak(lambda: acceptance_batch(c, ps[:, :one]))
+    peak = traced_peak(lambda: acceptance_batch(c, ps))
+    assert peak <= block + LAYOUT_BYTES_PER_STEP * (ps.shape[1] - one)
+
+
+def test_a_training_step_holds_one_block(driving):
+    # A tagging step over 10 blocks holds its own per-row arrays and one
+    # block's working set, measured as a one-block step's peak less its
+    # rows. The per-row arrays: the packed feature rows (m), the symbol
+    # probabilities and their gradient (V each), the alphas (Q), a float
+    # scale and an int32 code. Kept alive past their block, the previous
+    # block's guard weights, tape and seeds would add one block to the
+    # peak, and an (R, Q) gradient Q floats a row. At 640 steps the reverse
+    # pass holds the peak, not the loss's per-row temporaries.
+    c = driving.compiled
+    rng = np.random.default_rng(13)
+    width, m = 16, 6
+    extractor = LinearExtractor.init_random(len(c.vocab), m, rng)
+    per_row = 8 * (m + 2 * len(c.vocab) + c.num_states + 1) + 4
+
+    def step_peak(steps):
+        data = []
+        for _ in range(width):
+            rows = rng.normal(size=(steps, m))
+            data.append(LabeledSequence(rows, step_labels=rng.integers(0, 3, steps).tolist()))
+        table, codes, starts, _ = learn._targets(c, data, None)
+        features = [seq.features for seq in data]
+        return traced_peak(lambda: learn._step(c, extractor, features, table, codes, starts, False))
+
+    step_peak(2)  # the plan is built outside the measurement
+    one, many = BLOCK_ROWS // width, 10 * (BLOCK_ROWS // width)
+    block = step_peak(one) - per_row * width * one
+    peak = step_peak(many)
+    assert peak <= per_row * width * many + block + LAYOUT_BYTES_PER_STEP * (many - one)
 
 
 def python_calls(run) -> int:
@@ -699,8 +744,12 @@ def test_a_packed_reverse_recursion_runs_like_its_length_groups(
     grads = rng.normal(size=alphas.shape)
     # each sequence's last-step gradient, in file order, and in packed order
     ends = rng.normal(size=(len(lengths), c.num_states))
-    every = automaton._run_backward(c, *batch, alphas, grads)
-    last = automaton._run_backward(c, *batch, alphas, ends[packed.order], at_last=True)
+    # dense gradients are their own table: row i is code i, scaled by 1
+    rows, width = np.arange(len(grads)), np.arange(len(ends))
+    every = automaton._run_backward(c, *batch, alphas, grads, rows, np.ones(len(rows)))
+    last = automaton._run_backward(
+        c, *batch, alphas, ends[packed.order], width, np.ones(len(width)), at_last=True
+    )
     for t in set(lengths) - {0}:
         group = [k for k, n in enumerate(lengths) if n == t]
         ps = np.stack([seqs[k] for k in group])
