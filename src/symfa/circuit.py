@@ -311,9 +311,10 @@ class _Level:
     """Decision nodes start..stop-1 of a Plan, all of one height.
 
     Node k tests var[k] and takes value lo + p[var]·(hi − lo). For the
-    reverse pass, edge e brings adjoint row edge_src[e] times weight row
-    edge_weight[e] into the level, and the 0/1 matrix `edge_sum` (nodes ×
-    edges) adds up each node's incoming edges.
+    reverse pass, edge e brings adjoint row edge_src[e] (node i's is row
+    i − 2: the constants have none) times weight row edge_weight[e] into
+    the level, and the 0/1 matrix `edge_sum` (nodes × edges) adds up each
+    node's incoming edges.
     """
 
     start: int
@@ -365,10 +366,12 @@ class Plan:
 
         # adjoint edges (receiving node, source row, weight row), each node's
         # hi edge then its lo edge, then the roots': a hi child receives
-        # adj·p[var], a lo child adj·(1 − p[var]), root j its seed row n + j
+        # adj·p[var], a lo child adj·(1 − p[var]), root j its seed. Adjoint
+        # rows skip the constants: node i is row i − 2, root j's seed row
+        # n − 2 + j
         k = len(roots)
         receiver = np.concatenate([np.array([hi[2:], lo[2:]]).T.ravel(), self.roots])
-        source = np.concatenate([np.arange(2, n).repeat(2), n + np.arange(k)])
+        source = np.concatenate([np.arange(n - 2).repeat(2), n - 2 + np.arange(k)])
         weight = np.concatenate([(var[2:, None] + [0, num_vars]).ravel(), np.full(k, 2 * num_vars)])
         receiver_height = height[receiver]
 
@@ -390,32 +393,46 @@ class Plan:
     def forward(self, p: np.ndarray, keep: bool = False):
         """Root values (num_roots, rows) for p of shape (num_vars, rows).
 
-        With `keep`, also returns the tape `backward` needs: every node's
-        hi − lo difference.
+        With `keep`, also returns the tape `backward` needs: the hi − lo
+        difference of every decision node, (num_nodes − 2, rows), node i in
+        row i − 2. Each level is written in place: its p[var] rows straight
+        into the node values, its hi rows into the tape (or one temporary),
+        and its lo rows into one temporary, freed before the next level.
+        So a pass holds the node values, the tape, at most two level-sized
+        temporaries and one C-contiguous copy of p when p is a view.
         """
+        if p.shape[0] != self.num_vars:
+            raise ValueError(f"p has {p.shape[0]} rows, the plan has {self.num_vars} variables")
+        # take() copies a source that is not C-contiguous on every call; the
+        # clipped gathers below copy nothing, and every index is in range
+        p = np.ascontiguousarray(p, dtype=np.float64)
         rows = p.shape[1]
         vals = np.empty((self.num_nodes, rows))
         vals[0] = 0.0
         vals[1] = 1.0
-        diff = np.empty_like(vals) if keep else None
+        tape = np.empty((self.num_nodes - 2, rows)) if keep else None
         for lev in self.levels:
-            hi = vals.take(lev.hi, axis=0)
-            lo = vals.take(lev.lo, axis=0)
-            d = np.subtract(hi, lo, out=diff[lev.start : lev.stop] if keep else hi)
             out = vals[lev.start : lev.stop]
-            np.multiply(d, p.take(lev.var, axis=0), out=out)
+            p.take(lev.var, axis=0, out=out, mode="clip")
+            d = tape[lev.start - 2 : lev.stop - 2] if keep else np.empty_like(out)
+            vals.take(lev.hi, axis=0, out=d, mode="clip")
+            lo = vals.take(lev.lo, axis=0, mode="clip")
+            d -= lo
+            out *= d
             out += lo
-        roots = vals.take(self.roots, axis=0)
-        return (roots, diff) if keep else roots
+            del d, lo
+        roots = vals.take(self.roots, axis=0, mode="clip")
+        return (roots, tape) if keep else roots
 
     def backward(self, p: np.ndarray, tape, root_adjoints: np.ndarray, out=None) -> np.ndarray:
         """Gradient of sum(root_adjoints · roots) w.r.t. p, shape (num_vars, rows).
 
-        `tape` comes from `forward(p, keep=True)`; `root_adjoints` has the
-        roots' shape. Given `out` (num_vars, rows), the gradient is written
-        there and returned.
+        `tape` (num_nodes − 2, rows) comes from `forward(p, keep=True)`;
+        `root_adjoints` has the roots' shape. The adjoints are held one row
+        per decision node and one per root; the constants have none. Given
+        `out` (num_vars, rows), the gradient is written there and returned.
         """
-        n, v = self.num_nodes, self.num_vars
+        n, v = self.num_nodes - 2, self.num_vars
         rows = p.shape[1]
         adj = np.empty((n + len(self.roots), rows))
         adj[n:] = root_adjoints
@@ -426,10 +443,10 @@ class Plan:
         for lev in reversed(self.levels):
             contrib = adj.take(lev.edge_src, axis=0)
             contrib *= weights.take(lev.edge_weight, axis=0)
-            np.matmul(lev.edge_sum, contrib, out=adj[lev.start : lev.stop])
+            np.matmul(lev.edge_sum, contrib, out=adj[lev.start - 2 : lev.stop - 2])
         # d(lo + p·(hi − lo))/dp = hi − lo; the tape itself is left as it is
-        per_node = adj[2:n]
-        per_node *= tape[2:]
+        per_node = adj[:n]
+        per_node *= tape
         return np.matmul(self._var_sum, per_node, out=out)
 
 

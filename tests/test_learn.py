@@ -852,8 +852,10 @@ class TestLayoutContract:
 
     @pytest.mark.parametrize("tagging", [False, True])
     def test_train_evaluates_views_of_its_probabilities(self, driving, monkeypatch, tagging):
-        # every block the plan evaluates is a view of the batch's symbol
-        # probabilities, never a copy; 40 × 60 rows take three blocks
+        # the cores hand the plan every block as a view of the batch's
+        # symbol probabilities, never a copy: the plan's pass makes the one
+        # contiguous copy of a block it gathers from, so a copy made here
+        # would be a second; 40 × 60 rows take three blocks
         from symfa import circuit
 
         made, views = [], []

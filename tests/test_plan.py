@@ -270,6 +270,38 @@ def test_a_training_step_holds_one_block(driving):
     assert peak <= per_row * width * many + block + LAYOUT_BYTES_PER_STEP * (many - one)
 
 
+@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize("view", [False, True])
+@pytest.mark.parametrize("name", ["events", "random:16x6:0"])
+def test_a_circuit_pass_holds_its_nodes_and_two_levels(automata, name, view, keep):
+    # A pass over n nodes holds their values (n rows), at most two
+    # level-sized temporaries (w rows each, the widest level) and at the end
+    # the k roots. With the tape it also holds the n - 2 decision nodes'
+    # differences, and needs one temporary. A view, as the training and
+    # infer cores hand a block, costs one copy of it (V rows). Temporaries
+    # kept past their level break the bound.
+    plan = automata[name]._plan.circuit
+    rows, v = 1024, plan.num_vars
+    n, k = plan.num_nodes, len(plan.roots)
+    w = max(lev.stop - lev.start for lev in plan.levels)
+    wide = np.random.default_rng(5).uniform(size=(v, 3 * rows))
+    p = wide[:, rows : 2 * rows] if view else np.ascontiguousarray(wide[:, :rows])
+    if keep:
+        assert plan.forward(p, keep=True)[1].shape == (n - 2, rows)
+    held = 2 * n - 2 + max(w, k) if keep else n + max(2 * w, k)
+    peak = traced_peak(lambda: plan.forward(p, keep))
+    assert peak <= 8 * rows * (held + (v if view else 0)) + 4096
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_a_circuit_pass_refuses_p_of_another_height(automata, extra):
+    # the pass gathers p's rows unchecked, so a p with a row too few or too
+    # many is refused before it reads any
+    plan = automata["events"]._plan.circuit
+    with pytest.raises(ValueError, match="variables"):
+        plan.forward(np.full((plan.num_vars + extra, 4), 0.5))
+
+
 def python_calls(run) -> int:
     """The Python function calls made while run() runs."""
     count = 0
@@ -365,10 +397,12 @@ RUN_PLAN_SHA256 = {
 
 def plan_digest(plan: Plan) -> str:
     # one digest over every plan array, with its dtype and shape, so that a
-    # rewrite of the plan build is checked against the layout it replaces
+    # rewrite of the plan build is checked against the layout it replaces.
+    # Edge sources are adjoint rows, which skip the two constants; the
+    # digest reads them as the node numbers they were pinned as
     arrays = [plan.roots]
     for lev in plan.levels:
-        arrays += [lev.var, lev.hi, lev.lo, lev.edge_src, lev.edge_weight, lev.edge_sum]
+        arrays += [lev.var, lev.hi, lev.lo, lev.edge_src + 2, lev.edge_weight, lev.edge_sum]
     arrays.append(plan._var_sum)
     digest = hashlib.sha256()
     for a in arrays:
